@@ -79,6 +79,14 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 2")
         if self.delta is None and self.schedule is None:
             raise ConfigError("either delta or schedule must be given")
+        positive = [("t", self.t), ("n", self.n), ("delta", self.delta)]
+        positive += [("t_grid", v) for v in self.t_grid or ()]
+        for key, val in positive:
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+        for alpha in self.alphas:
+            if not math.isfinite(alpha):
+                raise ConfigError(f"alpha must be finite, got {alpha!r}")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
@@ -346,7 +354,7 @@ def replications_to_csv(stats: ReplicationStats, alphas) -> str:
             else:
                 svals = np.full(5, np.inf)
             srepr = ",".join(repr(float(v)) for v in svals)
-            lines.append(f"{r},{alpha!r},{stats.length_powers[r, k]!r},"
+            lines.append(f"{r},{alpha!r},{float(stats.length_powers[r, k])!r},"
                          f"{stats.n_points[r]},{stats.max_degrees[r]},{srepr}")
     return "\n".join(lines) + "\n"
 

@@ -66,7 +66,7 @@ class ConvexWindow:
     @property
     def volume(self) -> float:
         if self.kind == "box":
-            return float(np.prod(self.sides))
+            return float(math.prod(self.sides))
         return unit_ball_volume(self.dim) * self.radius**self.dim
 
     @property
@@ -87,12 +87,6 @@ class ConvexWindow:
         if self.kind == "box":
             return min(self.sides) / 2.0
         return self.radius
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "box":
-            return np.zeros(self.dim), np.asarray(self.sides, dtype=float)
-        r = self.radius
-        return np.full(self.dim, -r), np.full(self.dim, r)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean membership for points of shape (..., dim)."""

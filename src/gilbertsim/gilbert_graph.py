@@ -1,18 +1,19 @@
 """Gilbert graph edges at radius delta and edge-derived statistics.
 
-build_edges is the performance core: a uniform cell grid of width delta over
-the window's bounding box, each point compared only against its own and
-neighboring cells. build_edges_bruteforce is the O(n^2) oracle with the same
-output contract; both compute final edge lengths through one canonical code
-path so the results agree bitwise.
+build_edges is the performance core: scipy's kd-tree (cKDTree.query_pairs)
+lists candidate pairs within a radius widened by a relative 1e-12, and an
+exact re-filter keeps those whose canonical length is <= delta.
+build_edges_bruteforce is the O(n^2) oracle with the same output contract;
+both take their final edge lengths from one canonical formula, so the results
+agree bitwise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .point_process import PointSample
 
@@ -49,6 +50,12 @@ class LengthPowerSpec:
             raise ValueError("alphas must be non-empty")
 
 
+def _pair_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical edge length formula; every EdgeSet's lengths come from here."""
+    diff = points.take(a, axis=0) - points.take(b, axis=0)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def _canonical_edgeset(points: np.ndarray, a: np.ndarray, b: np.ndarray,
                        delta: float, sample: PointSample) -> EdgeSet:
     """Orient i<j, sort by (i, j), compute lengths in one canonical pass."""
@@ -58,9 +65,7 @@ def _canonical_edgeset(points: np.ndarray, a: np.ndarray, b: np.ndarray,
     order = np.argsort(i * np.int64(points.shape[0]) + j)
     i = i[order]
     j = j[order]
-    diff = points[i] - points[j]
-    lengths = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return EdgeSet(i=i.astype(np.int64), j=j.astype(np.int64), lengths=lengths,
+    return EdgeSet(i=i, j=j, lengths=_pair_distance(points, i, j),
                    delta=float(delta), sample=sample)
 
 
@@ -69,84 +74,21 @@ def _empty_edgeset(delta: float, sample: PointSample) -> EdgeSet:
     return EdgeSet(i=z, j=z.copy(), lengths=np.zeros(0), delta=float(delta), sample=sample)
 
 
-def _pair_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = points[a] - points[b]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def build_edges(sample: PointSample, delta: float) -> EdgeSet:
-    """Exact edge set via a cell grid of width delta (3^d neighbor stencil)."""
+    """Exact edge set: kd-tree candidates, re-filtered at length <= delta."""
     if not (delta > 0):
         raise ValueError("delta must be > 0")
     pts = sample.points
-    n, d = pts.shape
-    if n < 2:
-        return _empty_edgeset(delta, sample)
-
-    lo, hi = sample.window.bounding_box()
-    dims = np.maximum(np.ceil((hi - lo) / delta).astype(np.int64), 1)
-    cells = np.clip(((pts - lo) / delta).astype(np.int64), 0, dims - 1)
-    cell_id = np.ravel_multi_index(tuple(cells.T), tuple(dims))
-
-    order = np.argsort(cell_id, kind="stable")
-    sorted_id = cell_id[order]
-    uniq, starts = np.unique(sorted_id, return_index=True)
-    ends = np.append(starts[1:], n)
-    counts = ends - starts
-
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
-
-    # Within-cell pairs: point paired with each later point of its own cell.
-    end_per_pos = np.repeat(ends, counts)
-    pos = np.arange(n)
-    for shift in range(1, int(counts.max())):
-        ok = pos + shift < end_per_pos
-        if not ok.any():
-            break
-        a = order[pos[ok]]
-        b = order[pos[ok] + shift]
-        keep = _pair_distance(pts, a, b) <= delta
-        pair_a.append(a[keep])
-        pair_b.append(b[keep])
-
-    # Cross-cell pairs: lexicographically positive half of the 3^d stencil.
-    strides = np.ones(d, dtype=np.int64)
-    for k in range(d - 2, -1, -1):
-        strides[k] = strides[k + 1] * dims[k + 1]
-    offsets = [np.array(o) for o in itertools.product((-1, 0, 1), repeat=d)
-               if any(v != 0 for v in o)]
-    half = [o for o in offsets if next(v for v in o if v != 0) > 0]
-    for off in half:
-        nb = cells + off
-        valid = np.all((nb >= 0) & (nb < dims), axis=1)
-        if not valid.any():
-            continue
-        src = np.nonzero(valid)[0]
-        nb_id = cell_id[src] + off @ strides
-        g = np.searchsorted(uniq, nb_id)
-        hit = (g < uniq.size) & (uniq[np.minimum(g, uniq.size - 1)] == nb_id)
-        if not hit.any():
-            continue
-        src = src[hit]
-        g = g[hit]
-        lens = counts[g]
-        a = np.repeat(src, lens)
-        # flat candidate positions: starts[g] .. ends[g] per source point
-        cum = np.concatenate(([0], np.cumsum(lens)))
-        b_pos = np.arange(cum[-1]) - np.repeat(cum[:-1], lens) + np.repeat(starts[g], lens)
-        b = order[b_pos]
-        keep = _pair_distance(pts, a, b) <= delta
-        pair_a.append(a[keep])
-        pair_b.append(b[keep])
-
-    if not pair_a:
-        return _empty_edgeset(delta, sample)
-    a = np.concatenate(pair_a)
-    b = np.concatenate(pair_b)
-    if a.size == 0:
-        return _empty_edgeset(delta, sample)
-    return _canonical_edgeset(pts, a, b, delta, sample)
+    n = pts.shape[0]
+    # The tree rounds its distances its own way; the widened radius keeps every
+    # pair whose canonical length is <= delta among the candidates.
+    pairs = cKDTree(pts).query_pairs(delta * (1 + 1e-12), output_type="ndarray")
+    # query_pairs yields i < j, so the sorted fused key orders pairs by (i, j)
+    i, j = np.divmod(np.sort(pairs[:, 0] * np.int64(n) + pairs[:, 1]), n)
+    lengths = _pair_distance(pts, i, j)
+    keep = lengths <= delta
+    return EdgeSet(i=i[keep], j=j[keep], lengths=lengths[keep], delta=float(delta),
+                   sample=sample)
 
 
 def build_edges_bruteforce(sample: PointSample, delta: float, block: int = 512) -> EdgeSet:

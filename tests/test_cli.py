@@ -138,6 +138,19 @@ def test_verify_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "strict.json")]) == 1
 
 
+@pytest.mark.parametrize("bad", [
+    ["--delta", "-0.05", "--t", "100"],
+    ["--delta", "0.05", "--t", "-5"],
+    ["--delta", "0.05", "--t", "nan"],
+    ["--delta", "inf", "--t", "100"],
+])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_bad_numbers_exit_2(command, bad, capsys):
+    rc = cli.main([command, "--window", "box:1x1", "--alpha", "0", "--reps", "10"] + bad)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_csv_and_edge_dump(tmp_path):
     out = str(tmp_path / "reps.csv")
     edges = str(tmp_path / "edges.csv")
@@ -148,6 +161,11 @@ def test_simulate_csv_and_edge_dump(tmp_path):
     lines = open(out).read().strip().split("\n")
     assert lines[0] == "rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5"
     assert len(lines) == 1 + 4 * 2
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 10
+        for k, field in enumerate(fields):
+            (int if k in (0, 3, 4) else float)(field)
     elines = open(edges).read().strip().split("\n")
     assert elines[0] == "i,j,length"
     if len(elines) > 1:

@@ -31,6 +31,11 @@ def test_config_validation():
         cfg(tolerances={"bogus": 1.0})
     with pytest.raises(ConfigError):
         cfg(kind="Everything")
+    for bad in (dict(delta=0.0), dict(delta=math.inf), dict(t=-5.0), dict(t=math.nan),
+                dict(model="binomial", t=None, n=0), dict(t_grid=(100.0, 0.0)),
+                dict(alphas=(0.0, math.nan))):
+        with pytest.raises(ConfigError):
+            cfg(**bad)
     assert cfg(tolerances={"ks": 0.04}).tolerance("ks") == 0.04
     assert cfg().tolerance("ks") == 0.05
 

@@ -30,6 +30,14 @@ def test_volume_and_surface():
     assert geo.ConvexWindow.box((1.0, 1.0, 1.0)).surface_area == pytest.approx(6.0)
 
 
+def test_box_volume_matches_numpy_product_bitwise():
+    rng = np.random.default_rng(31)
+    for _ in range(20_000):
+        sides = tuple(rng.uniform(1e-3, 1e3, int(rng.integers(1, 5))))
+        vol = geo.ConvexWindow.box(sides).volume
+        assert type(vol) is float and vol == float(np.prod(sides))
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         geo.ConvexWindow.box((1.0, -1.0))

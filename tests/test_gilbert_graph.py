@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gilbertsim import geometry as geo
 from gilbertsim import gilbert_graph as gg
@@ -54,6 +56,53 @@ def test_oracle_equivalence_random_configs():
         delta = float(rng.uniform(0.005, 0.9))
         assert edgesets_identical(gg.build_edges(s, delta),
                                   gg.build_edges_bruteforce(s, delta))
+
+
+@st.composite
+def windows(draw):
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return geo.ConvexWindow.box(tuple(draw(st.floats(0.2, 2.0)) for _ in range(d)))
+    return geo.ConvexWindow.ball(draw(st.floats(0.2, 1.5)), d)
+
+
+def snap_to_boundary(window, pts, rows, axes):
+    """Move the given rows onto the window boundary (box: one face per row)."""
+    for k, axis in zip(rows, axes):
+        if window.kind == "box":
+            side = window.sides[axis % window.dim]
+            pts[k, axis % window.dim] = 0.0 if axis >= window.dim else side
+        elif np.any(pts[k]):
+            pts[k] *= window.radius / np.linalg.norm(pts[k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=windows(), n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1),
+       delta=st.floats(0.005, 1.5), snap=st.data())
+def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
+    pts = geo.sample_uniform(window, np.random.default_rng(seed), n)
+    rows = snap.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    axes = snap.draw(st.lists(st.integers(0, 2 * window.dim - 1),
+                              min_size=len(rows), max_size=len(rows)))
+    snap_to_boundary(window, pts, rows, axes)
+    s = make_sample(pts, window)
+    assert edgesets_identical(gg.build_edges(s, delta), gg.build_edges_bruteforce(s, delta))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(2, 6), spacing=st.floats(0.01, 0.5),
+       origin=st.floats(0.0, 1.0), diagonal=st.integers(1, 3))
+def test_property_lattice_ties_at_delta(d, m, spacing, origin, diagonal):
+    # neighbors at distance exactly delta (up to rounding of the coordinates):
+    # the axis spacing for diagonal=1, the face/body diagonals for 2 and 3
+    grid = np.stack(np.meshgrid(*[np.arange(m)] * d, indexing="ij"), -1).reshape(-1, d)
+    pts = origin + spacing * grid
+    delta = spacing * math.sqrt(min(diagonal, d))
+    window = geo.ConvexWindow.box((origin + spacing * m,) * d)
+    s = make_sample(pts, window)
+    fast = gg.build_edges(s, delta)
+    assert edgesets_identical(fast, gg.build_edges_bruteforce(s, delta))
+    assert np.all(fast.lengths <= delta)
 
 
 def test_delta_larger_than_window_single_cell():

@@ -91,6 +91,26 @@ def test_duplicate_points_are_redrawn():
     assert np.unique(pts, axis=0).shape[0] == 4
 
 
+class _FirstCoordTieRng:
+    """Stub generator: distinct rows whose first coordinates collide."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self, shape):
+        self.calls += 1
+        pts = np.random.default_rng(1).random(shape)
+        pts[1, 0] = pts[0, 0]
+        return pts
+
+
+def test_distinct_rows_with_tied_first_coordinate_are_kept():
+    rng = _FirstCoordTieRng()
+    pts = pp._draw_distinct(W, 4, rng)
+    assert rng.calls == 1
+    assert np.array_equal(pts, _FirstCoordTieRng().random((4, 2)))
+
+
 def test_sample_metadata():
     s = pp.sample_poisson(W, 10.0, pp.replication_rng(1, 2), seed=1, replication_index=2)
     assert s.model == "poisson" and s.intensity == 10.0
