@@ -149,10 +149,13 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     schedule_text = pick(getattr(args, "schedule", None), "schedule")
     schedule = None
     if schedule_text is not None:
-        parts = _parse_floats(schedule_text)
-        if len(parts) != 2:
-            raise ConfigError("schedule must be 'a,gamma'")
-        schedule = RegimeSchedule(a=parts[0], gamma=parts[1])
+        try:
+            parts = _parse_floats(schedule_text)
+            if len(parts) != 2:
+                raise ValueError("expected 'a,gamma'")
+            schedule = RegimeSchedule(a=parts[0], gamma=parts[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad schedule {schedule_text!r}: {exc}") from None
     delta = pick(getattr(args, "delta", None), "delta")
     alphas_text = pick(getattr(args, "alpha", None), "alphas")
     if alphas_text is None:

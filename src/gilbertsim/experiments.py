@@ -87,6 +87,8 @@ class ExperimentConfig:
         for alpha in self.alphas:
             if not math.isfinite(alpha):
                 raise ConfigError(f"alpha must be finite, got {alpha!r}")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"alphas must be distinct, got {list(self.alphas)!r}")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")

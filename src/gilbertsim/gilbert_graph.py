@@ -170,9 +170,9 @@ def _smallest_powers(lengths: np.ndarray, alpha: float, m: int) -> np.ndarray:
     out = np.full(m, np.inf)
     if lengths.size == 0:
         return out
-    powers = np.sort(lengths**alpha)
+    powers = lengths**alpha
     k = min(m, powers.size)
-    out[:k] = powers[:k]
+    out[:k] = np.sort(np.partition(powers, k - 1)[:k])
     return out
 
 

@@ -11,10 +11,18 @@ The exact covariance splits as
 Inside the inner parallel body h_g is the constant C_g = d k_d delta^{g+d}/(g+d);
 the boundary layer is integrated by Gauss quadrature in wall-distance
 coordinates using spherical-cap moment kernels.
+
+For boxes the deficit D_g = C_g - h_g is homogeneous, D_g(delta u; delta) =
+delta^(g+d) D_g(u; 1), and each Gauss weight scales by delta per wall
+coordinate, so the layer with m active walls equals delta^(a+b+2d+m) times a
+delta-free sum.  The delta = 1 deficit tables are built once per (d, g) and
+kept in a small LRU cache; every box and every delta reuses them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +53,8 @@ class RegimeSchedule:
     gamma: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.gamma > 0):
-            raise ValueError("schedule requires a > 0 and gamma > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.a, self.gamma)):
+            raise ValueError("schedule requires finite a > 0 and gamma > 0")
 
     def delta_at(self, t: float) -> float:
         return self.a * float(t) ** (-self.gamma)
@@ -110,26 +118,16 @@ def interior_moment(dim: int, delta: float, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary-layer kernels.  K1/K2/K3 are moments of ||z||^g over the ball
-# B(0,delta) truncated by 1, 2, or 3 orthogonal half-spaces z_i < -w_i; they
-# reduce to radial integrals of spherical cap/wedge measures.
+# Boundary-layer kernels.  K1/K2/K3 are moments of ||z||^g over the unit ball
+# truncated by 1, 2, or 3 orthogonal half-spaces z_i < -w_i; they reduce to
+# radial integrals of spherical cap/wedge measures.  Each kernel, and so each
+# deficit D_g, is homogeneous: D_g(delta u; delta) = delta^(g+d) D_g(u; 1), so
+# they are tabulated once at delta = 1 and scaled.
 # ---------------------------------------------------------------------------
 
 _GL_FACE = 64
 _GL_EDGE = 40
 _GL_CORNER = 12
-
-
-def _cap_measure(dim: int, h: np.ndarray) -> np.ndarray:
-    """Spherical measure of {u in S^(d-1): u_1 >= h} for h in [0, 1]."""
-    h = np.asarray(h, dtype=float)
-    if dim == 1:
-        return (h <= 1.0).astype(float)
-    if dim == 2:
-        return 2.0 * np.arccos(np.clip(h, -1.0, 1.0))
-    if dim == 3:
-        return 2.0 * math.pi * (1.0 - np.clip(h, -1.0, 1.0))
-    raise UnsupportedDimensionError("cap measures implemented for d <= 3")
 
 
 def _wedge_measure_2d(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -163,54 +161,75 @@ def _corner_measure_3d(h1, h2, h3, order: int = 32) -> np.ndarray:
     return np.einsum("...k,...k->...", w, np.maximum(ang, 0.0))
 
 
-def _k1(dim: int, delta: float, gamma: float, w: np.ndarray, order: int = _GL_FACE) -> np.ndarray:
-    """Moment of ||z||^g over {||z|| <= delta, z_1 < -w}."""
-    w = np.asarray(w, dtype=float)
+def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
+    """Moment of ||z||^g over {||z|| <= 1, z_1 < -w}, w in [0, 1]."""
     if dim == 1:
-        return (delta ** (gamma + 1.0) - np.minimum(w, delta) ** (gamma + 1.0)) / (gamma + 1.0)
+        return (1.0 - w ** (gamma + 1.0)) / (gamma + 1.0)
     if dim == 3:
-        wc = np.minimum(w, delta)
-        t1 = (delta ** (gamma + 3.0) - wc ** (gamma + 3.0)) / (gamma + 3.0)
-        t2 = wc * (delta ** (gamma + 2.0) - wc ** (gamma + 2.0)) / (gamma + 2.0)
+        t1 = (1.0 - w ** (gamma + 3.0)) / (gamma + 3.0)
+        t2 = w * (1.0 - w ** (gamma + 2.0)) / (gamma + 2.0)
         return 2.0 * math.pi * (t1 - t2)
-    # d == 2: radial Gauss with the arccos cap measure
-    lo = np.minimum(w, delta)
-    r, wt = _gl_nodes(lo, delta, order)
+    # d == 2: radial Gauss with the arc measure 2 arccos(w/r) of the cap
+    r, wt = _gl_nodes(w, 1.0, _GL_FACE)
     h = np.minimum(w[..., None] / np.maximum(r, 1e-300), 1.0)
-    vals = r ** (gamma + dim - 1.0) * _cap_measure(dim, h)
-    return np.einsum("...k,...k->...", wt, vals)
+    return np.einsum("...k,...k->...", wt, r ** (gamma + 1.0) * (2.0 * np.arccos(h)))
 
 
-def _k2(dim: int, delta: float, gamma: float, w1: np.ndarray, w2: np.ndarray,
-        order: int = _GL_EDGE) -> np.ndarray:
-    """Moment over the ball truncated by two orthogonal half-spaces."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    lo = np.minimum(np.sqrt(w1 * w1 + w2 * w2), delta)
-    r, wt = _gl_nodes(lo, delta, order)
+def _wedge_geometry(dim: int, w1: np.ndarray, w2: np.ndarray, order: int):
+    """Radial nodes r and weights x wedge measure for K2 at wall distances w1, w2."""
+    lo = np.minimum(np.sqrt(w1 * w1 + w2 * w2), 1.0)
+    r, wt = _gl_nodes(lo, 1.0, order)
     rs = np.maximum(r, 1e-300)
     h1 = w1[..., None] / rs
     h2 = w2[..., None] / rs
-    if dim == 2:
-        ang = _wedge_measure_2d(h1, h2)
-    elif dim == 3:
-        ang = _wedge_measure_3d(h1, h2)
-    else:
-        raise UnsupportedDimensionError("wedge kernels implemented for d in {2,3}")
-    return np.einsum("...k,...k->...", wt, r ** (gamma + dim - 1.0) * ang)
+    ang = _wedge_measure_2d(h1, h2) if dim == 2 else _wedge_measure_3d(h1, h2)
+    return r, wt * ang
 
 
-def _k3(delta: float, gamma: float, w1, w2, w3, order: int = _GL_CORNER) -> np.ndarray:
-    """d=3 moment over the ball truncated by three orthogonal half-spaces."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    w3 = np.asarray(w3, dtype=float)
-    lo = np.minimum(np.sqrt(w1 * w1 + w2 * w2 + w3 * w3), delta)
-    r, wt = _gl_nodes(lo, delta, order)
+def _corner_geometry(w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, order: int):
+    """Radial nodes r and weights x corner measure for the d=3 kernel K3."""
+    lo = np.minimum(np.sqrt(w1 * w1 + w2 * w2 + w3 * w3), 1.0)
+    r, wt = _gl_nodes(lo, 1.0, order)
     rs = np.maximum(r, 1e-300)
     ang = _corner_measure_3d(w1[..., None] / rs, w2[..., None] / rs, w3[..., None] / rs,
                              order=order)
-    return np.einsum("...k,...k->...", wt, r ** (gamma + 2.0) * ang)
+    return r, wt * ang
+
+
+def _radial_moment(geometry, dim: int, gamma: float) -> np.ndarray:
+    """sum_k weight_k r_k^(g+d-1): the kernel of one (nodes, weights) geometry."""
+    r, weights = geometry
+    return np.einsum("...k,...k->...", weights, r ** (gamma + dim - 1.0))
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_deficits(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
+    """delta = 1 deficit tables of a box's boundary layers, read-only.
+
+    Entry m-1 is D_g on the m-wall layer's tensor Gauss grid: K1 on the
+    64 face nodes, K1 + K1 - K2 on the 40x40 edge grid (d >= 2), and the
+    inclusion-exclusion D3 on the 12^3 corner grid (d = 3).
+    """
+    tables = [_k1(dim, gamma, _gl_nodes(0.0, 1.0, _GL_FACE)[0])]
+    if dim >= 2:
+        g = _gl_nodes(0.0, 1.0, _GL_EDGE)[0]
+        W1, W2 = np.meshgrid(g, g, indexing="ij")
+        k1 = _k1(dim, gamma, g)
+        k2 = _radial_moment(_wedge_geometry(dim, W1, W2, _GL_EDGE), dim, gamma)
+        tables.append(k1[:, None] + k1[None, :] - k2)
+    if dim == 3:
+        g = _gl_nodes(0.0, 1.0, _GL_CORNER)[0]
+        W1, W2 = np.meshgrid(g, g, indexing="ij")
+        W31, W32, W33 = np.meshgrid(g, g, g, indexing="ij")
+        k1 = _k1(dim, gamma, g)
+        k2 = _radial_moment(_wedge_geometry(dim, W1, W2, _GL_CORNER), dim, gamma)
+        k3 = _radial_moment(_corner_geometry(W31, W32, W33, _GL_CORNER), dim, gamma)
+        k1s = k1[:, None, None] + k1[None, :, None] + k1[None, None, :]
+        k2s = k2[:, :, None] + k2[:, None, :] + k2[None, :, :]
+        tables.append(k1s - k2s + k3)
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
@@ -218,62 +237,29 @@ def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta
 
     Valid for delta <= min(side)/2 (at most one active wall per axis);
     decomposes the boundary layer into face/edge/corner regions, each a smooth
-    tensor-Gauss integral of products of cap-moment kernels.
+    tensor-Gauss integral of products of the delta = 1 deficit tables.  The
+    m-wall layer scales as delta^(a+b+2d+m): delta^(g+d) per deficit and
+    delta per wall coordinate.
     """
     d = window.dim
+    if d > 3:
+        raise UnsupportedDimensionError("exact box covariance implemented for d <= 3")
     sides = window.sides
     if delta > min(sides) / 2.0:
         raise UnsupportedDimensionError(
             "exact covariance for boxes requires delta <= min(side)/2")
     total = 0.0
-
-    # Faces: one active wall.
-    w, wt = _gl_nodes(0.0, delta, _GL_FACE)
-    k1a = _k1(d, delta, alpha, w)
-    k1b = k1a if beta == alpha else _k1(d, delta, beta, w)
-    face_int = float(np.sum(wt * k1a * k1b))
-    for i in range(d):
-        area = math.prod(sides[j] - 2.0 * delta for j in range(d) if j != i)
-        total += 2.0 * area * face_int
-
-    if d >= 2:
-        # Edges (d=2: the four corners): two active walls.  Kernels depend on
-        # one or two wall distances, so evaluate on 1-D/2-D grids and broadcast.
-        g1, gw1 = _gl_nodes(0.0, delta, _GL_EDGE)
-        W1, W2 = np.meshgrid(g1, g1, indexing="ij")
-        WT = np.outer(gw1, gw1)
-
-        def d2(gamma):
-            k1 = _k1(d, delta, gamma, g1)
-            return k1[:, None] + k1[None, :] - _k2(d, delta, gamma, W1, W2)
-
-        d2a = d2(alpha)
-        d2b = d2a if beta == alpha else d2(beta)
-        edge_int = float(np.sum(WT * d2a * d2b))
-        for i in range(d):
-            for j in range(i + 1, d):
-                length = math.prod(sides[k] - 2.0 * delta for k in range(d) if k not in (i, j))
-                total += 4.0 * length * edge_int
-
-    if d == 3:
-        g1, gw1 = _gl_nodes(0.0, delta, _GL_CORNER)
-        W1, W2 = np.meshgrid(g1, g1, indexing="ij")
-        W31, W32, W33 = np.meshgrid(g1, g1, g1, indexing="ij")
-        WT = gw1[:, None, None] * gw1[None, :, None] * gw1[None, None, :]
-
-        def d3(gamma):
-            k1 = _k1(d, delta, gamma, g1)
-            k2 = _k2(d, delta, gamma, W1, W2, order=_GL_CORNER)
-            k1s = k1[:, None, None] + k1[None, :, None] + k1[None, None, :]
-            k2s = k2[:, :, None] + k2[:, None, :] + k2[None, :, :]
-            return k1s - k2s + _k3(delta, gamma, W31, W32, W33)
-
-        d3a = d3(alpha)
-        d3b = d3a if beta == alpha else d3(beta)
-        total += 8.0 * float(np.sum(WT * d3a * d3b))
-
-    if d > 3:
-        raise UnsupportedDimensionError("exact box covariance implemented for d <= 3")
+    orders = (_GL_FACE, _GL_EDGE, _GL_CORNER)
+    layers = zip(orders, _unit_deficits(d, alpha), _unit_deficits(d, beta))
+    for m, (order, da, db) in enumerate(layers, start=1):
+        w = _gl_nodes(0.0, 1.0, order)[1]
+        weights = functools.reduce(np.multiply.outer, [w] * m)
+        # 2^m wall sign choices per set of m active axes, times the extent of
+        # the layer's interior along the d-m free axes.
+        extent = sum(math.prod(sides[k] - 2.0 * delta for k in range(d) if k not in axes)
+                     for axes in itertools.combinations(range(d), m))
+        total += 2.0**m * extent * delta ** (alpha + beta + 2 * d + m) \
+            * float(np.sum(weights * (da * db)))
     return total
 
 
@@ -313,18 +299,17 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
     return total
 
 
-def _hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
-    """int_W h_alpha(y) h_beta(y) dy."""
+def _hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float,
+                 radial) -> float:
+    """int_W h_alpha(y) h_beta(y) dy; radial(g) is the radial covariogram moment."""
     if window.kind == "ball":
         if window.dim > 3:
             raise UnsupportedDimensionError("exact ball covariance requires d <= 3")
         return _ball_hh_integral(window, delta, alpha, beta)
     ca = interior_moment(window.dim, delta, alpha)
     cb = interior_moment(window.dim, delta, beta)
-    ra = covariogram_radial_integral(window, delta, alpha)
-    rb = covariogram_radial_integral(window, delta, beta)
     x = _box_boundary_product(window, delta, alpha, beta)
-    return ca * rb + cb * ra - ca * cb * window.volume + x
+    return ca * radial(beta) + cb * radial(alpha) - ca * cb * window.volume + x
 
 
 def _check_covariance_exponents(dim: int, alpha: float, beta: float) -> None:
@@ -337,9 +322,10 @@ def covariance_exact(window: ConvexWindow, t: float, delta: float,
                      alpha: float, beta: float) -> float:
     """Cov(L^(a), L^(b)) = t^3 int_W h_a h_b + (t^2/2) R_{a+b}."""
     _check_covariance_exponents(window.dim, alpha, beta)
-    hh = _hh_integral(window, delta, alpha, beta)
-    pair = covariogram_radial_integral(window, delta, alpha + beta)
-    return t**3 * hh + 0.5 * t * t * pair
+    # One quadrature per distinct exponent among alpha, beta, alpha + beta.
+    radial = functools.cache(functools.partial(covariogram_radial_integral, window, delta))
+    hh = _hh_integral(window, delta, alpha, beta, radial)
+    return t**3 * hh + 0.5 * t * t * radial(alpha + beta)
 
 
 def covariance_bounds(window: ConvexWindow, t: float, delta: float,

@@ -143,8 +143,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     ["--delta", "0.05", "--t", "-5"],
     ["--delta", "0.05", "--t", "nan"],
     ["--delta", "inf", "--t", "100"],
+    ["--t", "100", "--schedule", "1,-0.3"],
+    ["--t", "100", "--schedule", "0,0.3"],
+    ["--t", "100", "--schedule", "1,nan"],
+    ["--t", "100", "--schedule", "inf,0.5"],
+    ["--delta", "0.05", "--t", "100", "--alpha", "0,0"],
+    ["--delta", "0.05", "--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
 ])
-@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("command", ["verify", "simulate", "predict"])
 def test_bad_numbers_exit_2(command, bad, capsys):
     rc = cli.main([command, "--window", "box:1x1", "--alpha", "0", "--reps", "10"] + bad)
     assert rc == 2

@@ -218,3 +218,16 @@ def test_order_statistics_match_sorted_oracle():
         got = gg.edge_length_order_statistics(e, alpha, 1)
         oracle = np.min(e.lengths) ** alpha if e.n_edges else math.inf
         assert got[0] == pytest.approx(oracle) or (math.isinf(got[0]) and math.isinf(oracle))
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 5, 6, 40])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
+def test_smallest_powers_match_full_sort(size, alpha):
+    # ties: lengths repeat, and alpha = 0 makes every power 1
+    rng = np.random.default_rng(size)
+    lengths = rng.choice([0.01, 0.02, 0.03, 0.04], size=size)
+    got = gg._smallest_powers(lengths, alpha, 5)
+    want = np.full(5, np.inf)
+    k = min(5, size)
+    want[:k] = np.sort(lengths**alpha)[:k]
+    assert np.array_equal(got, want)

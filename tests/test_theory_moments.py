@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gilbertsim import geometry as geo
 from gilbertsim import theory_moments as tm
 from gilbertsim.errors import (DegenerateVarianceError,
-                               DivergentCovarianceError, NonIntegrableError)
+                               DivergentCovarianceError, NonIntegrableError,
+                               UnsupportedDimensionError)
 
 PI = math.pi
 BOX = geo.ConvexWindow.box((1.0, 1.0))
@@ -95,6 +98,88 @@ def test_covariance_symmetry_and_small_t_limit():
         ratio = tm.covariance_exact(BOX, t, 0.1, 0.5, 0.5) / (t * t)
         if t <= 0.01:
             assert ratio == pytest.approx(0.5 * pair, rel=1e-3)
+
+
+# (sides, t, delta, alpha, beta, covariance_exact) computed with the boundary
+# layers re-integrated at each delta, before the delta = 1 deficit tables.
+COVARIANCE_PINS = [
+    ((1.5,), 200.0, 0.1, 0.0, 1.0, 22753.333333333332),
+    ((1.5,), 200.0, 0.1, -0.4, 2.0, 6327.61084081587),
+    ((1.0, 1.0), 100.0, 0.05, 0.0, 0.0, 94.9823482995014),
+    ((1.0, 1.0), 100.0, 0.05, 0.0, 1.0, 3.150991497340116),
+    ((1.0, 1.0), 100.0, 0.05, 1.0, 1.0, 0.1098135429106048),
+    ((2.0, 0.7), 300.0, 0.12, -0.5, 1.5, 6105.0108550921905),
+    ((2.0, 0.7), 300.0, 0.12, -0.4, -0.4, 584793.1524420587),
+    ((1.0, 0.8, 1.2), 1000.0, 0.07, 0.0, 1.0, 123.1905212015808),
+    ((1.0, 0.8, 1.2), 1000.0, 0.07, 1.0, 1.0, 6.555450098698177),
+    ((1.0, 0.8, 1.2), 1000.0, 0.07, -1.2, 2.0, 265.0051906049106),
+    ((0.6, 1.9, 1.1), 500.0, 0.25, 3.0, 0.5, 1249.5217285336478),
+]
+
+
+@pytest.mark.parametrize("sides,t,delta,a,b,ref", COVARIANCE_PINS)
+def test_box_covariance_regression_pins(sides, t, delta, a, b, ref):
+    window = geo.ConvexWindow.box(sides)
+    assert tm.covariance_exact(window, t, delta, a, b) == pytest.approx(ref, rel=1e-12)
+    # swapping the exponents gives the same bits
+    assert tm.covariance_exact(window, t, delta, b, a) == tm.covariance_exact(window, t, delta, a, b)
+
+
+def test_box_covariance_cold_cache_equals_warm():
+    cases = [(sides, t, delta, a, b) for sides, t, delta, a, b, _ in COVARIANCE_PINS]
+
+    def values():
+        return [tm.covariance_exact(geo.ConvexWindow.box(s), t, d, a, b)
+                for s, t, d, a, b in cases]
+
+    first = values()
+    warm = values()
+    tm._unit_deficits.cache_clear()
+    cold = values()
+    assert first == warm == cold
+    assert not any(table.flags.writeable for table in tm._unit_deficits(3, 0.0))
+
+
+def test_box_covariance_rejects_d4_before_quadrature():
+    window = geo.ConvexWindow.box((1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(UnsupportedDimensionError,
+                       match=r"exact box covariance implemented for d <= 3"):
+        tm.covariance_exact(window, 10.0, 0.1, 0.0, 0.0)
+
+
+ALPHA_GRID = (-0.4, 0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def box_alpha_grid(draw):
+    d = draw(st.integers(1, 3))
+    sides = tuple(draw(st.floats(0.5, 2.0)) for _ in range(d))
+    delta = draw(st.floats(0.01, 0.5)) * min(sides)
+    t = draw(st.floats(1.0, 2000.0))
+    alphas = draw(st.lists(st.sampled_from(ALPHA_GRID), min_size=2, max_size=3, unique=True))
+    return geo.ConvexWindow.box(sides), t, delta, alphas
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_alpha_grid())
+def test_property_box_covariance_matrix_symmetric_psd(case):
+    window, t, delta, alphas = case
+    cov = np.array([[tm.covariance_exact(window, t, delta, a, b) for b in alphas]
+                    for a in alphas])
+    assert np.array_equal(cov, cov.T)
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    corr = cov * scale[:, None] * scale[None, :]
+    assert np.linalg.eigvalsh(corr).min() >= -1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_alpha_grid())
+def test_property_expectation_inside_bounds(case):
+    window, t, delta, alphas = case
+    for alpha in alphas:
+        val = tm.expectation_exact(window, t, delta, alpha)
+        lo, hi = tm.expectation_bounds(window, t, delta, alpha)
+        assert lo - 1e-12 * abs(hi) <= val <= hi + 1e-12 * abs(hi)
 
 
 def test_covariance_divergent_parameters_raise():
