@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .geometry import (ConvexWindow, covariogram, covariogram_mc,
                        covariogram_radial_integral,
                        inner_parallel_volume_lower_bound, sample_uniform,
-                       surface_area, unit_ball_volume, volume)
-from .gilbert_graph import (EdgeSet, LengthPowerSpec, build_edges,
-                            build_edges_bruteforce,
-                            edge_length_order_statistics, length_power,
-                            local_statistic, max_degree)
+                       unit_ball_volume)
+from .gilbert_graph import (EdgeSet, build_edges, build_edges_bruteforce,
+                            length_power, local_statistic, max_degree)
 from .point_process import (PointSample, replication_rng, sample_binomial,
                             sample_poisson)
 from .theory_moments import (RegimeSchedule, TheoryPrediction,
@@ -24,13 +22,12 @@ from .theory_moments import (RegimeSchedule, TheoryPrediction,
                              variance_asymptotic)
 
 __all__ = [
-    "ConvexWindow", "EdgeSet", "LengthPowerSpec", "PointSample",
-    "RegimeSchedule", "TheoryPrediction", "__version__", "build_edges",
-    "build_edges_bruteforce", "covariance_bounds", "covariance_exact",
-    "covariogram", "covariogram_mc", "covariogram_radial_integral", "d3_bound",
-    "edge_length_order_statistics", "expectation_bounds", "expectation_exact",
-    "inner_parallel_volume_lower_bound", "kolmogorov_bound", "length_power",
-    "local_statistic", "m_bounds", "max_degree", "replication_rng",
-    "sample_binomial", "sample_poisson", "sample_uniform", "sigma_matrix",
-    "surface_area", "unit_ball_volume", "variance_asymptotic", "volume",
+    "ConvexWindow", "EdgeSet", "PointSample", "RegimeSchedule",
+    "TheoryPrediction", "__version__", "build_edges", "build_edges_bruteforce",
+    "covariance_bounds", "covariance_exact", "covariogram", "covariogram_mc",
+    "covariogram_radial_integral", "d3_bound", "expectation_bounds",
+    "expectation_exact", "inner_parallel_volume_lower_bound",
+    "kolmogorov_bound", "length_power", "local_statistic", "m_bounds",
+    "max_degree", "replication_rng", "sample_binomial", "sample_poisson",
+    "sample_uniform", "sigma_matrix", "unit_ball_volume", "variance_asymptotic",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,13 +18,12 @@ import numpy as np
 from .errors import ConfigError, GilbertSimError
 from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
                           ExperimentConfig, ldi_table_to_csv,
-                          replications_to_csv, report_to_json,
-                          run_replications, run_verification)
+                          replication_sample, replications_to_csv,
+                          report_to_json, run_replications, run_verification)
 from .geometry import ConvexWindow, covariogram, covariogram_is_exact
 from .gilbert_graph import build_edges
-from .point_process import replication_rng, sample_binomial, sample_poisson
 from .theory_moments import (RegimeSchedule, TheoryPrediction,
-                             covariance_exact, expectation_bounds,
+                             covariance_exact, d3_bound, expectation_bounds,
                              expectation_exact, sigma_matrix,
                              variance_asymptotic)
 
@@ -97,55 +95,28 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Flat-file form of a resolved config; parse(serialize(.)) round-trips."""
-    lines = [f"window = {config.window.label()}",
-             f"model = {config.model}",
-             f"alphas = {','.join(repr(a) for a in config.alphas)}",
-             f"reps = {config.replications}",
-             f"seed = {config.master_seed}",
-             f"kind = {config.kind}"]
-    if config.t is not None:
-        lines.append(f"t = {config.t!r}")
-    if config.n is not None:
-        lines.append(f"n = {config.n}")
-    if config.t_grid:
-        lines.append(f"t_grid = {','.join(repr(t) for t in config.t_grid)}")
-    if config.schedule is not None:
-        lines.append(f"schedule = {config.schedule.a!r},{config.schedule.gamma!r}")
-    if config.delta is not None:
-        lines.append(f"delta = {config.delta!r}")
-    if config.n_jobs != 1:
-        lines.append(f"n_jobs = {config.n_jobs}")
-    for key in sorted(config.tolerances):
-        lines.append(f"tol_{key} = {config.tolerances[key]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     """Merge config-file values and flags (flags win) into an ExperimentConfig."""
     def pick(flag_value, key):
         return flag_value if flag_value is not None else raw.get(key)
 
     dim = pick(getattr(args, "dim", None), "dim")
-    dim = int(dim) if dim is not None else None
     window_text = pick(getattr(args, "window", None), "window")
     if window_text is None:
         raise ConfigError("missing required key 'window'")
-    window = parse_window(str(window_text), dim)
 
     model = raw.get("model")
     t = pick(getattr(args, "t", None), "t")
     n = pick(getattr(args, "n", None), "n")
+    t_grid = pick(getattr(args, "t_grid", None), "t_grid")
     if getattr(args, "t", None) is not None:
         model = "poisson"
     if getattr(args, "n", None) is not None:
         model = model or "binomial"
     if model is None:
-        model = "poisson" if (t is not None or raw.get("t_grid")) else ("binomial" if n else None)
+        model = "poisson" if (t is not None or t_grid) else ("binomial" if n else None)
     if model is None:
         raise ConfigError("missing required key 'model' (or t / n)")
-    t_grid = pick(getattr(args, "t_grid", None), "t_grid")
     schedule_text = pick(getattr(args, "schedule", None), "schedule")
     schedule = None
     if schedule_text is not None:
@@ -179,15 +150,12 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
 
     kind_text = pick(getattr(args, "kind", None), "kind")
     kind = canonical_kind(str(kind_text)) if kind_text is not None else "Moments"
-    tolerances = {}
-    for key, value in raw.items():
-        if key.startswith("tol_"):
-            tolerances[key[4:]] = float(value)
     n_jobs = raw.get("n_jobs", 1)
 
     try:
         return ExperimentConfig(
-            window=window, model=str(model),
+            window=parse_window(str(window_text), None if dim is None else int(dim)),
+            model=str(model),
             alphas=_parse_floats(alphas_text),
             replications=int(reps), master_seed=int(seed), kind=kind,
             t=float(t) if t is not None else None,
@@ -195,7 +163,8 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
             t_grid=_parse_floats(t_grid) if t_grid is not None else None,
             schedule=schedule,
             delta=float(delta) if delta is not None else None,
-            tolerances=tolerances, n_jobs=int(n_jobs))
+            tolerances={k[4:]: float(v) for k, v in raw.items() if k.startswith("tol_")},
+            n_jobs=int(n_jobs))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
 
@@ -214,22 +183,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats = run_replications(config, order_stat_count=5)
     _write_or_print(replications_to_csv(stats, config.alphas), args.out)
     if args.edges_out:
-        rng = replication_rng(config.master_seed, 0)
-        intensity = config.t if config.model == "poisson" else config.n
-        if config.model == "poisson":
-            sample = sample_poisson(config.window, float(intensity), rng)
-        else:
-            sample = sample_binomial(config.window, int(intensity), rng)
-        edges = build_edges(sample, config.delta_for(float(intensity)))
+        intensity = config.intensity()
+        edges = build_edges(replication_sample(config, intensity, 0),
+                            config.delta_for(intensity))
         lines = ["i,j,length"]
         lines += [f"{i},{j},{l!r}" for i, j, l in edges.edges]
-        with open(args.edges_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_or_print("\n".join(lines) + "\n", args.edges_out)
     return 0
 
 
 def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
-    t = config.t if config.t is not None else float(config.n)
+    t = config.intensity()
     delta = config.delta_for(t)
     window = config.window
     params = {"window": window.label(), "t": t, "delta": delta}
@@ -257,11 +221,14 @@ def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
                 anchor="covariance: quadrature of the two-point moment split"))
     if config.schedule is not None and len(config.alphas) >= 2:
         sig = sigma_matrix(config.alphas, window.dim, window.volume, config.schedule)
+        vector = dict(params, alphas=list(config.alphas),
+                      regime=config.schedule.classify(window.dim))
         preds.append(TheoryPrediction(
-            name="sigma_matrix", value=sig.tolist(),
-            params=dict(params, alphas=list(config.alphas),
-                        regime=config.schedule.classify(window.dim)),
+            name="sigma_matrix", value=sig.tolist(), params=vector,
             anchor="asymptotic covariance matrix by regime"))
+        preds.append(TheoryPrediction(
+            name="d3_bound", value=d3_bound(window, t, delta, config.alphas, config.schedule),
+            params=vector, anchor="multivariate normal approximation: explicit d3 bound"))
     return preds
 
 
@@ -286,17 +253,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report.tables:
         base = args.out or "report"
         for name, table in sorted(report.tables.items()):
-            path = f"{base}.{name}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(ldi_table_to_csv(table))
+            _write_or_print(ldi_table_to_csv(table), f"{base}.{name}.csv")
     print(f"verdicts: {sum(m.verdict for m in report.metrics)}/{len(report.metrics)} pass",
           file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def cmd_covariogram(args: argparse.Namespace) -> int:
+    if args.steps < 1 or args.mc_samples < 1:
+        raise ConfigError("--steps and --mc-samples must be >= 1")
     window = parse_window(args.window, args.dim)
-    direction = np.array(_parse_floats(args.direction), dtype=float)
+    try:
+        direction = np.array(_parse_floats(args.direction), dtype=float)
+    except ValueError:
+        raise ConfigError(f"bad direction {args.direction!r}") from None
     if direction.size != window.dim:
         raise ConfigError(f"direction must have {window.dim} coordinates")
     norm = float(np.linalg.norm(direction))
@@ -366,9 +336,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GilbertSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

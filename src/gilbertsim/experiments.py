@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,7 +23,8 @@ from .errors import (ConfigError, DegenerateVarianceError,
 from .geometry import ConvexWindow, unit_ball_volume
 from .gilbert_graph import _smallest_powers, build_edges, length_power, max_degree
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
-                            sample_binomial, sample_poisson)
+                            PointSample, replication_rng, sample_binomial,
+                            sample_poisson)
 from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
 from .theory_limits import (CompoundPoissonModel, EdgeLengthProcessLimit,
@@ -89,14 +89,24 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha must be finite, got {alpha!r}")
         if len(set(self.alphas)) != len(self.alphas):
             raise ConfigError(f"alphas must be distinct, got {list(self.alphas)!r}")
+        if self.n_jobs < 1:
+            raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs!r}")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            if key != "slope_max" and not (val > 0):
-                raise ConfigError(f"tolerance {key!r} must be positive")
+            signed = key in ("slope_max", "tail_slope_min")
+            if not math.isfinite(val) or (val <= 0 and not signed):
+                raise ConfigError(f"tolerance {key!r} must be finite and > 0, got {val!r}")
 
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+
+    def intensity(self) -> float:
+        """The single intensity of a run: t (Poisson model) or n (binomial)."""
+        value = self.t if self.model == "poisson" else self.n
+        if value is None:
+            raise ConfigError(f"this run needs a single {'t' if self.model == 'poisson' else 'n'}")
+        return float(value)
 
     def delta_for(self, t: float) -> float:
         if self.schedule is not None:
@@ -104,13 +114,7 @@ class ExperimentConfig:
         return float(self.delta)
 
     def intensity_grid(self) -> tuple[float, ...]:
-        if self.t_grid:
-            return tuple(self.t_grid)
-        if self.t is not None:
-            return (self.t,)
-        if self.n is not None:
-            return (float(self.n),)
-        raise ConfigError("no intensity (t / n / t_grid) configured")
+        return tuple(self.t_grid) if self.t_grid else (self.intensity(),)
 
     def echo(self) -> dict:
         out = {
@@ -147,10 +151,18 @@ class ReplicationStats:
     interval_counts: np.ndarray | None = None  # (R, n_intervals)
 
 
+def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
+                       stream: int = STREAM_SAMPLE, batch: int = 0) -> PointSample:
+    """Point sample of replication r, drawn from replication_rng(seed, r, stream, batch)."""
+    rng = replication_rng(config.master_seed, r, stream, batch)
+    if config.model == "poisson":
+        return sample_poisson(config.window, float(intensity), rng)
+    return sample_binomial(config.window, int(intensity), rng)
+
+
 def run_replications(config: ExperimentConfig, *, t: float | None = None,
-                     delta: float | None = None, reps: int | None = None,
-                     stream: int = STREAM_SAMPLE, batch: int = 0,
-                     order_stat_count: int = 0,
+                     reps: int | None = None, stream: int = STREAM_SAMPLE,
+                     batch: int = 0, order_stat_count: int = 0,
                      interval_bounds: np.ndarray | None = None,
                      rescale: float = 1.0) -> ReplicationStats:
     """Sample, build edges, and evaluate the requested statistics per replication.
@@ -158,24 +170,15 @@ def run_replications(config: ExperimentConfig, *, t: float | None = None,
     Deterministic per (master_seed, stream, batch, index); interval_bounds are
     boundaries on the rescaled alpha-powers of the first configured alpha.
     """
-    intensity = t if t is not None else (config.t if config.model == "poisson" else config.n)
-    if intensity is None:
-        raise ConfigError("no intensity available for replication run")
-    dlt = delta if delta is not None else config.delta_for(float(intensity))
+    intensity = t if t is not None else config.intensity()
+    dlt = config.delta_for(float(intensity))
     n_reps = int(reps if reps is not None else config.replications)
     alphas = config.alphas
     m = len(alphas)
     want_counts = interval_bounds is not None
 
     def one(r: int):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            int(config.master_seed), spawn_key=(int(stream), int(batch), int(r))))
-        if config.model == "poisson":
-            sample = sample_poisson(config.window, float(intensity), rng,
-                                    seed=config.master_seed, replication_index=r)
-        else:
-            sample = sample_binomial(config.window, int(intensity), rng,
-                                     seed=config.master_seed, replication_index=r)
+        sample = replication_sample(config, intensity, r, stream=stream, batch=batch)
         edges = build_edges(sample, dlt)
         row_l = length_power(edges, alphas)
         row_os = None
@@ -292,11 +295,11 @@ class Metric:
     name: str
     empirical: object
     theory: object
-    se: float | None
     tolerance_name: str
-    tolerance_value: float
     verdict: bool
     anchor: str
+    se: float | None = None
+    tolerance_value: float | None = None  # None: config.tolerance(tolerance_name)
 
 
 @dataclass
@@ -305,7 +308,6 @@ class ExperimentReport:
     metrics: list[Metric]
     seed: int
     version: str
-    wall_clock_seconds: float = 0.0
     tables: dict = field(default_factory=dict)
 
     @property
@@ -369,11 +371,15 @@ def ldi_table_to_csv(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finish(config: ExperimentConfig, metrics: list[Metric], started: float,
+def _finish(config: ExperimentConfig, metrics: list[Metric],
             tables: dict | None = None) -> ExperimentReport:
+    """The suite's report; each metric without a per-entry tolerance value
+    reports config.tolerance(tolerance_name), the value its verdict used."""
+    for m in metrics:
+        if m.tolerance_value is None:
+            m.tolerance_value = config.tolerance(m.tolerance_name)
     return ExperimentReport(config=config.echo(), metrics=metrics,
                             seed=config.master_seed, version=__version__,
-                            wall_clock_seconds=time.monotonic() - started,
                             tables=tables or {})
 
 
@@ -381,14 +387,11 @@ def _finish(config: ExperimentConfig, metrics: list[Metric], started: float,
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _single_intensity(config: ExperimentConfig) -> float:
-    if config.model == "poisson":
-        if config.t is None:
-            raise ConfigError("this verification needs a single t")
-        return float(config.t)
-    if config.n is None:
-        raise ConfigError("this verification needs a single n")
-    return float(config.n)
+def _normal_ks(col: np.ndarray) -> float:
+    """KS distance between the standardised column and the standard normal law."""
+    sd = col.std(ddof=1)
+    z = (col - col.mean()) / sd if sd > 0 else col * 0.0
+    return ks_statistic(z, sps.norm.cdf)
 
 
 def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
@@ -406,12 +409,11 @@ def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
         metrics.append(Metric(
             name=f"mean[alpha={alpha}] vs exact", empirical=float(means[i]),
             theory=exact, se=float(se[i]), tolerance_name="mean_se_mult",
-            tolerance_value=k_se, verdict=abs(means[i] - exact) <= tol,
+            verdict=abs(means[i] - exact) <= tol,
             anchor="mean: closed-form radial covariogram integral"))
         metrics.append(Metric(
             name=f"mean[alpha={alpha}] in sandwich", empirical=float(means[i]),
             theory=(lo, hi), se=float(se[i]), tolerance_name="mean_se_mult",
-            tolerance_value=k_se,
             verdict=(lo - tol) <= means[i] <= (hi + tol),
             anchor="mean sandwich: volume and surface-correction bounds"))
     for i in range(len(config.alphas)):
@@ -423,13 +425,11 @@ def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
             metrics.append(Metric(
                 name=f"cov[{a},{b}] in sandwich", empirical=float(cov[i, j]),
                 theory=(lo, hi), se=float(cse[i, j]), tolerance_name="mean_se_mult",
-                tolerance_value=k_se,
                 verdict=(lo - widen) <= cov[i, j] <= (hi + widen),
                 anchor="covariance sandwich with inner-parallel volume bound"))
             metrics.append(Metric(
                 name=f"cov[{a},{b}] vs exact", empirical=float(cov[i, j]),
                 theory=exact, se=float(cse[i, j]), tolerance_name="cov_rel",
-                tolerance_value=rel,
                 verdict=abs(cov[i, j] - exact) <= max(rel * abs(exact), widen),
                 anchor="covariance: quadrature of the two-point moment split"))
     return metrics
@@ -437,18 +437,16 @@ def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
 
 def verify_moments(config: ExperimentConfig) -> ExperimentReport:
     """Sample means/covariances against exact values and sandwiches."""
-    started = time.monotonic()
-    t = _single_intensity(config)
+    t = config.intensity()
     delta = config.delta_for(t)
     stats = run_replications(config)
     metrics = _moment_metrics(config, t, delta, stats.length_powers)
-    return _finish(config, metrics, started)
+    return _finish(config, metrics)
 
 
 def verify_clt(config: ExperimentConfig) -> ExperimentReport:
     """Standardized KS against the normal law along a t-grid, with the
     explicit Kolmogorov bound and a log-log rate-shape check."""
-    started = time.monotonic()
     grid = config.intensity_grid()
     ks_tol = config.tolerance("ks")
     slope_max = config.tolerance("slope_max")
@@ -458,10 +456,7 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
         delta = config.delta_for(t)
         stats = run_replications(config, t=t, batch=b_idx)
         for i, alpha in enumerate(config.alphas):
-            col = stats.length_powers[:, i]
-            sd = col.std(ddof=1)
-            z = (col - col.mean()) / sd if sd > 0 else col * 0.0
-            ks = ks_statistic(z, sps.norm.cdf)
+            ks = _normal_ks(stats.length_powers[:, i])
             ks_by_alpha[alpha].append(ks)
             try:
                 bound = kolmogorov_bound(config.window, t, delta, alpha)
@@ -472,38 +467,33 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
                                          exact_variance=True)
             metrics.append(Metric(
                 name=f"KS[alpha={alpha}, t={t:g}] vs normal bound", empirical=ks,
-                theory=bound, se=None, tolerance_name="ks", tolerance_value=ks_tol,
-                verdict=ks <= bound,
+                theory=bound, tolerance_name="ks", verdict=ks <= bound,
                 anchor="normal approximation: explicit Kolmogorov-distance bound"))
     for alpha, ks_list in ks_by_alpha.items():
         metrics.append(Metric(
             name=f"KS[alpha={alpha}] final", empirical=ks_list[-1], theory=0.0,
-            se=None, tolerance_name="ks", tolerance_value=ks_tol,
-            verdict=ks_list[-1] <= ks_tol,
+            tolerance_name="ks", verdict=ks_list[-1] <= ks_tol,
             anchor="normal approximation at the largest intensity"))
         if len(ks_list) >= 2:
             decreasing = all(b < a for a, b in zip(ks_list[:-1], ks_list[1:]))
             metrics.append(Metric(
                 name=f"KS[alpha={alpha}] decreasing", empirical=ks_list, theory=None,
-                se=None, tolerance_name="ks", tolerance_value=ks_tol,
-                verdict=decreasing,
+                tolerance_name="ks", verdict=decreasing,
                 anchor="normal approximation error decays with intensity"))
             slope = float(np.polyfit(np.log(grid), np.log(ks_list), 1)[0])
             metrics.append(Metric(
                 name=f"KS[alpha={alpha}] log-log slope", empirical=slope,
-                theory=-0.5, se=None, tolerance_name="slope_max",
-                tolerance_value=slope_max, verdict=slope <= slope_max,
+                theory=-0.5, tolerance_name="slope_max", verdict=slope <= slope_max,
                 anchor="rate shape: KS decays like an inverse square root"))
-    return _finish(config, metrics, started)
+    return _finish(config, metrics)
 
 
 def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     """Scaled covariance against the regime matrix; marginal normality or
     dense-regime rank collapse."""
-    started = time.monotonic()
     if config.schedule is None:
         raise ConfigError("MultivariateCov needs a schedule")
-    t = _single_intensity(config)
+    t = config.intensity()
     delta = config.delta_for(t)
     d = config.window.dim
     stats = run_replications(config)
@@ -530,28 +520,21 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
         eig = float(np.linalg.eigvalsh(cov)[0])
         metrics.append(Metric(
             name="dense-regime smallest eigenvalue", empirical=eig, theory=0.0,
-            se=None, tolerance_name="eig_max",
-            tolerance_value=config.tolerance("eig_max"),
-            verdict=eig <= config.tolerance("eig_max"),
+            tolerance_name="eig_max", verdict=eig <= config.tolerance("eig_max"),
             anchor="rank-one limit covariance in the dense regime"))
     else:
         ks_tol = config.tolerance("ks")
         for i, alpha in enumerate(config.alphas):
-            col = scaled[:, i]
-            sd = col.std(ddof=1)
-            z = (col - col.mean()) / sd if sd > 0 else col * 0.0
-            ks = ks_statistic(z, sps.norm.cdf)
+            ks = _normal_ks(scaled[:, i])
             metrics.append(Metric(
                 name=f"marginal KS[alpha={alpha}]", empirical=ks, theory=0.0,
-                se=None, tolerance_name="ks", tolerance_value=ks_tol,
-                verdict=ks <= ks_tol,
+                tolerance_name="ks", verdict=ks <= ks_tol,
                 anchor="multivariate normal limit: marginal distribution check"))
-    return _finish(config, metrics, started)
+    return _finish(config, metrics)
 
 
 def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
-    started = time.monotonic()
     if config.schedule is None:
         raise ConfigError("CompoundPoisson needs a schedule")
     grid = config.intensity_grid()
@@ -561,8 +544,7 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     if not math.isfinite(c) or c <= 0:
         raise ConfigError("CompoundPoisson needs t^2 delta^d -> c in (0, inf)")
     model = CompoundPoissonModel(c=c, dim=d, alpha=alpha, volume=config.window.volume)
-    ref_rng = np.random.default_rng(np.random.SeedSequence(
-        int(config.master_seed), spawn_key=(STREAM_REFERENCE, 0, 0)))
+    ref_rng = replication_rng(config.master_seed, 0, STREAM_REFERENCE)
     reference = sample_compound_poisson(model, ref_rng, 1_000_000)
     ref_cdf = EmpiricalCdf(reference)
     ks_tol = config.tolerance("ks")
@@ -580,29 +562,25 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
             metrics.append(Metric(
                 name="void probability P(L=0)", empirical=atom,
                 theory=model.atom_at_zero, se=se, tolerance_name="mean_se_mult",
-                tolerance_value=k_se,
                 verdict=abs(atom - model.atom_at_zero) <= k_se * se,
                 anchor="compound Poisson limit: atom at zero"))
     metrics.append(Metric(
         name="KS vs compound-Poisson reference (final)", empirical=ks_list[-1],
-        theory=0.0, se=None, tolerance_name="ks", tolerance_value=ks_tol,
-        verdict=ks_list[-1] <= ks_tol,
+        theory=0.0, tolerance_name="ks", verdict=ks_list[-1] <= ks_tol,
         anchor="compound Poisson limit of the rescaled functional"))
     if len(ks_list) >= 2:
         metrics.append(Metric(
             name="KS vs compound-Poisson reference decreasing", empirical=ks_list,
-            theory=None, se=None, tolerance_name="ks", tolerance_value=ks_tol,
+            theory=None, tolerance_name="ks",
             verdict=all(b < a for a, b in zip(ks_list[:-1], ks_list[1:])),
             anchor="compound Poisson approximation improves with intensity"))
-    return _finish(config, metrics, started)
+    return _finish(config, metrics)
 
 
 def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled order statistics against the limit laws; interval counts
     approximately independent with the intensity-measure means."""
-    started = time.monotonic()
-    t = _single_intensity(config)
-    delta = config.delta_for(t)
+    t = config.intensity()
     d = config.window.dim
     alpha = config.alphas[0]
     if alpha <= 0:
@@ -618,17 +596,15 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     intervals = np.array(list(zip(bounds[:-1], bounds[1:])))
     stats = run_replications(config, order_stat_count=5,
                              interval_bounds=intervals, rescale=rescale)
-    ks_tol = config.tolerance("ks")
     metrics: list[Metric] = []
     for m in range(1, 6):
         samples = rescale * stats.order_stats[:, 0, m - 1]
         ks = ks_statistic(samples, lambda u, m=m: np.array(
             [order_statistic_cdf(m, float(x), limit, v, d) for x in np.atleast_1d(u)]))
         tol_name = "ks_first_order_stat" if m == 1 else "ks"
-        tol = config.tolerance(tol_name)
         metrics.append(Metric(
-            name=f"KS order statistic m={m}", empirical=ks, theory=0.0, se=None,
-            tolerance_name=tol_name, tolerance_value=tol, verdict=ks <= tol,
+            name=f"KS order statistic m={m}", empirical=ks, theory=0.0,
+            tolerance_name=tol_name, verdict=ks <= config.tolerance(tol_name),
             anchor="order-statistic limit law of rescaled edge-length powers"))
     counts = stats.interval_counts
     k_se = config.tolerance("mean_se_mult")
@@ -643,28 +619,26 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
         metrics.append(Metric(
             name=f"interval count mean [{lo:.4g},{hi:.4g})", empirical=mean,
-            theory=nu, se=se, tolerance_name="mean_se_mult", tolerance_value=k_se,
+            theory=nu, se=se, tolerance_name="mean_se_mult",
             verdict=abs(mean - nu) <= k_se * se,
             anchor="intensity measure of the limiting edge-length process"))
     cc = np.corrcoef(counts, rowvar=False)
     max_corr = float(np.max(np.abs(cc - np.eye(cc.shape[0]))))
     metrics.append(Metric(
-        name="interval count max |corr|", empirical=max_corr, theory=0.0, se=None,
-        tolerance_name="corr_max", tolerance_value=config.tolerance("corr_max"),
-        verdict=max_corr <= config.tolerance("corr_max"),
+        name="interval count max |corr|", empirical=max_corr, theory=0.0,
+        tolerance_name="corr_max", verdict=max_corr <= config.tolerance("corr_max"),
         anchor="independence over disjoint sets in the Poisson process limit"))
-    return _finish(config, metrics, started)
+    return _finish(config, metrics)
 
 
 def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     """Empirical tails (Clopper-Pearson upper bounds) below both deviation
     bounds on a u-grid; optional thermodynamic slope test along a t-grid."""
-    started = time.monotonic()
     metrics: list[Metric] = []
     tables: dict = {}
     conf = config.tolerance("cp_confidence")
     pilot_reps = max(2, config.replications // 2)
-    intensity = _single_intensity(config)
+    intensity = config.intensity()
     delta = config.delta_for(intensity)
     if any(a < 0 for a in config.alphas):
         raise ConfigError("LDI needs alpha >= 0")
@@ -699,21 +673,17 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
             ok_env &= upper <= env
             worst_margin = min(worst_margin, bnd - upper, env - upper)
         tables[f"ldi_alpha_{alpha}"] = rows
-        metrics.append(Metric(
-            name=f"tails below optimized bound [alpha={alpha}]",
-            empirical=worst_margin, theory=0.0, se=None,
-            tolerance_name="cp_confidence", tolerance_value=conf, verdict=ok_bound,
-            anchor="median deviation inequality, s-optimized"))
-        metrics.append(Metric(
-            name=f"tails below envelope bound [alpha={alpha}]",
-            empirical=worst_margin, theory=0.0, se=None,
-            tolerance_name="cp_confidence", tolerance_value=conf, verdict=ok_env,
-            anchor="median deviation inequality, explicit envelope"))
+        for bound, ok, form in (("optimized", ok_bound, "s-optimized"),
+                                ("envelope", ok_env, "explicit envelope")):
+            metrics.append(Metric(
+                name=f"tails below {bound} bound [alpha={alpha}]",
+                empirical=worst_margin, theory=0.0, tolerance_name="cp_confidence",
+                verdict=ok, anchor=f"median deviation inequality, {form}"))
     if config.t_grid and config.schedule is not None \
             and config.schedule.classify(config.window.dim) == "thermodynamic" \
             and config.model == "poisson":
         metrics.append(_thermo_slope_metric(config))
-    return _finish(config, metrics, started, tables)
+    return _finish(config, metrics, tables)
 
 
 def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
@@ -740,15 +710,12 @@ def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
     slope = float(np.polyfit(shapes, neglogs, 1)[0])
     return Metric(
         name="thermodynamic tail exponent slope", empirical=slope, theory=None,
-        se=None, tolerance_name="tail_slope_min",
-        tolerance_value=DEFAULT_TOLERANCES["tail_slope_min"],
-        verdict=slope > config.tolerance("tail_slope_min"),
+        tolerance_name="tail_slope_min", verdict=slope > config.tolerance("tail_slope_min"),
         anchor="thermodynamic-regime deviation exponent shape")
 
 
 def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     """Tabulate the convergence conditions along a t-grid (quadrature only)."""
-    started = time.monotonic()
     grid = config.intensity_grid()
     if len(grid) < 2:
         raise ConfigError("PPConditions needs a t_grid")
@@ -770,12 +737,12 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
         limit = pp_condition_limits(config.window, alpha, u, edge_c)
         metrics.append(Metric(
             name=f"a_t(u={u}) at largest t", empirical=a_vals[-1], theory=limit,
-            se=None, tolerance_name="a_limit_rel", tolerance_value=a_rel,
+            tolerance_name="a_limit_rel",
             verdict=abs(a_vals[-1] - limit) <= a_rel * abs(limit),
             anchor="mean count condition of the process limit"))
         metrics.append(Metric(
             name=f"r_t(u={u}) decreasing to zero", empirical=r_vals, theory=0.0,
-            se=None, tolerance_name="r_const_rel", tolerance_value=r_rel,
+            tolerance_name="r_const_rel",
             verdict=all(b < a for a, b in zip(r_vals[:-1], r_vals[1:])),
             anchor="local mass condition of the process limit"))
         ratios = []
@@ -787,10 +754,9 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
             worst = max(abs(x - 1.0) for x in ratios)
             metrics.append(Metric(
                 name=f"r_t*t constancy (u={u})", empirical=ratios,
-                theory=1.0, se=None, tolerance_name="r_const_rel",
-                tolerance_value=r_rel, verdict=worst <= r_rel,
+                theory=1.0, tolerance_name="r_const_rel", verdict=worst <= r_rel,
                 anchor="interior local-mass value below the inradius"))
-    return _finish(config, metrics, started)
+    return _finish(config, metrics)
 
 
 _VERIFIERS = {

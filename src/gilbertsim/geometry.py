@@ -103,14 +103,6 @@ class ConvexWindow:
         return f"ball:{self.radius!r}@d={self.dim}"
 
 
-def volume(window: ConvexWindow) -> float:
-    return window.volume
-
-
-def surface_area(window: ConvexWindow) -> float:
-    return window.surface_area
-
-
 def inner_parallel_volume_lower_bound(window: ConvexWindow, delta: float) -> float:
     """V(W) - S(W)*delta; a lower bound for the inner parallel set volume.
 
@@ -243,7 +235,6 @@ def _quarter_box_arc(radii, a: float, b: float) -> np.ndarray:
 
 def _box_subset_norms(sides) -> list[float]:
     """Norms sqrt(sum of squares) over nonempty side subsets: kink radii of G."""
-    norms = {0.0}
     acc = [0.0]
     for s in sides:
         acc = [v for v in acc] + [v + s * s for v in acc]

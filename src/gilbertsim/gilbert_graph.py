@@ -37,19 +37,6 @@ class EdgeSet:
         return [(int(a), int(b), float(l)) for a, b, l in zip(self.i, self.j, self.lengths)]
 
 
-@dataclass(frozen=True)
-class LengthPowerSpec:
-    """Distinct length-power exponents; admissible range depends on consumer."""
-
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ValueError("alphas must be distinct")
-        if not self.alphas:
-            raise ValueError("alphas must be non-empty")
-
-
 def _pair_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Canonical edge length formula; every EdgeSet's lengths come from here."""
     diff = points.take(a, axis=0) - points.take(b, axis=0)
@@ -118,13 +105,12 @@ def build_edges_bruteforce(sample: PointSample, delta: float, block: int = 512) 
     return _canonical_edgeset(pts, a, b, delta, sample)
 
 
-def length_power(edges: EdgeSet, spec) -> np.ndarray:
-    """Sum of length^alpha over edges, one entry per alpha.
+def length_power(edges: EdgeSet, alphas) -> np.ndarray:
+    """Sum of length^alpha over edges, one entry per alpha in alphas.
 
     Equals the half-sum over ordered distinct pairs within delta, since each
     unordered edge is stored once.
     """
-    alphas = spec.alphas if isinstance(spec, LengthPowerSpec) else tuple(spec)
     out = np.zeros(len(alphas))
     if edges.n_edges == 0:
         return out
@@ -156,17 +142,8 @@ def max_degree(edges: EdgeSet) -> int:
     return int(deg.max())
 
 
-def degree_histogram(edges: EdgeSet) -> np.ndarray:
-    """Counts of vertices by degree (index = degree)."""
-    n = edges.sample.n_points
-    if edges.n_edges == 0:
-        return np.array([n], dtype=np.int64)
-    deg = np.bincount(edges.i, minlength=n) + np.bincount(edges.j, minlength=n)
-    return np.bincount(deg)
-
-
 def _smallest_powers(lengths: np.ndarray, alpha: float, m: int) -> np.ndarray:
-    """m smallest values of length^alpha, +inf padded (no exponent checks)."""
+    """m smallest values of length^alpha, sorted, +inf padded (no exponent checks)."""
     out = np.full(m, np.inf)
     if lengths.size == 0:
         return out
@@ -175,11 +152,3 @@ def _smallest_powers(lengths: np.ndarray, alpha: float, m: int) -> np.ndarray:
     out[:k] = np.sort(np.partition(powers, k - 1)[:k])
     return out
 
-
-def edge_length_order_statistics(edges: EdgeSet, alpha: float, m: int) -> np.ndarray:
-    """m smallest edge length powers in nondecreasing order, +inf padded."""
-    if not (alpha > 0):
-        raise ValueError("alpha must be > 0 for order statistics")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _smallest_powers(edges.lengths, alpha, m)

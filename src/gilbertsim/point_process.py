@@ -8,7 +8,7 @@ runs never share randomness with test runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .geometry import ConvexWindow, sample_uniform
 STREAM_SAMPLE = 0
 STREAM_PILOT = 1
 STREAM_REFERENCE = 2
-STREAM_AUX = 3
 
 
 def replication_rng(master_seed: int, replication: int, stream: int = STREAM_SAMPLE,
@@ -39,8 +38,6 @@ class PointSample:
     model: str  # "poisson" | "binomial"
     intensity: float | None = None  # Poisson intensity t
     size: int | None = None  # binomial n
-    seed: int = -1
-    replication_index: int = -1
 
     @property
     def n_points(self) -> int:
@@ -60,22 +57,18 @@ def _draw_distinct(window: ConvexWindow, n: int, rng: np.random.Generator) -> np
         pts[dup] = sample_uniform(window, rng, dup.size)
 
 
-def sample_poisson(window: ConvexWindow, t: float, rng: np.random.Generator,
-                   *, seed: int = -1, replication_index: int = -1) -> PointSample:
+def sample_poisson(window: ConvexWindow, t: float, rng: np.random.Generator) -> PointSample:
     """Poisson process of intensity t: N ~ Poisson(t*V(W)) iid uniform points."""
     if not (t > 0):
         raise ValueError("intensity t must be > 0")
     n = int(rng.poisson(t * window.volume))
     pts = _draw_distinct(window, n, rng)
-    return PointSample(points=pts, window=window, model="poisson", intensity=float(t),
-                       seed=seed, replication_index=replication_index)
+    return PointSample(points=pts, window=window, model="poisson", intensity=float(t))
 
 
-def sample_binomial(window: ConvexWindow, n: int, rng: np.random.Generator,
-                    *, seed: int = -1, replication_index: int = -1) -> PointSample:
+def sample_binomial(window: ConvexWindow, n: int, rng: np.random.Generator) -> PointSample:
     """Binomial process: exactly n iid uniform points."""
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = _draw_distinct(window, int(n), rng)
-    return PointSample(points=pts, window=window, model="binomial", size=int(n),
-                       seed=seed, replication_index=replication_index)
+    return PointSample(points=pts, window=window, model="binomial", size=int(n))

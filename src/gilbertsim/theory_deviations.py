@@ -3,8 +3,8 @@
 Implements the closed-form Chernoff optimum for Poisson/binomial upper tails,
 the s-optimized factor x*(u, .) behind the median deviation inequalities for
 both process models, the resulting probability bounds and their explicit
-envelopes, the thermodynamic-regime exponent shape, and the sparse-regime
-threshold bound. All probability bounds clamp to [0, 1].
+envelopes, and the thermodynamic-regime exponent shape. All probability
+bounds clamp to [0, 1].
 """
 
 from __future__ import annotations
@@ -174,24 +174,3 @@ def thermo_exponent(u: float, t: float, alpha: float, dim: int) -> float:
                t ** (alpha / (3.0 * dim)) * u ** (1.0 / 3.0),
                t ** ((3.0 * alpha - dim) / (4.0 * dim)) * u**0.75)
 
-
-def envelope_exponent_shape(u: float, t: float, alpha: float, dim: int) -> float:
-    """Exponent shape implied by the envelope bound in the thermodynamic
-    regime: min{u^2 t^(2a/d)/(t ln t), u t^(a/d)/sqrt(t), sqrt(u) t^(a/(2d))}."""
-    if u < 0 or t <= 1:
-        raise ValueError("need u >= 0 and t > 1")
-    return min(u**2 * t ** (2.0 * alpha / dim) / (t * math.log(t)),
-               u * t ** (alpha / dim) / math.sqrt(t),
-               math.sqrt(u) * t ** (alpha / (2.0 * dim)))
-
-
-def sparse_bound_check(n: int, big_c: float, b: float, alpha: float,
-                       dim: int) -> tuple[float, float]:
-    """Sparse-regime threshold and tail shape for n^2 delta_n^d = C:
-    returns (9 B^2 delta_n^alpha ln n, n^(-B+1)); the constant is not
-    constructive, so only the shape is reported."""
-    if not (big_c > 0 and b > 0 and n >= 2):
-        raise ValueError("need C > 0, B > 0, n >= 2")
-    delta_n = (big_c / n**2) ** (1.0 / dim)
-    threshold = 9.0 * b * b * delta_n**alpha * math.log(n)
-    return (threshold, float(n) ** (-b + 1.0))

@@ -106,27 +106,14 @@ def pp_intensity(limit: EdgeLengthProcessLimit, u: float, volume: float, dim: in
 
 
 def order_statistic_survival(m: int, u: float, limit: EdgeLengthProcessLimit,
-                             volume: float, dim: int,
-                             exponent_form: str = "intensity") -> float:
-    """P(limit of t^(2a/d) S_m > u) = exp(-nu) * sum_{j<m} nu^j / j!.
-
-    exponent_form "intensity" uses the measure-derived exponent u^(d/alpha);
-    "printed" evaluates the u^(2 alpha/d) variant for comparison.
-    """
+                             volume: float, dim: int) -> float:
+    """P(limit of t^(2a/d) S_m > u) = exp(-nu) * sum_{j<m} nu^j / j!,
+    with the measure-derived exponent nu = nu([0, u]) ~ u^(d/alpha)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if u < 0:
         raise ValueError("u must be >= 0")
-    if exponent_form == "intensity":
-        nu = pp_intensity(limit, u, volume, dim)
-    elif exponent_form == "printed":
-        kd = unit_ball_volume(dim)
-        mass = u ** (2.0 * limit.alpha / dim)
-        if limit.edge_constant is not None:
-            mass = min(mass, limit.edge_constant)
-        nu = 0.5 * kd * volume * mass
-    else:
-        raise ValueError("exponent_form must be 'intensity' or 'printed'")
+    nu = pp_intensity(limit, u, volume, dim)
     acc = 0.0
     term = 1.0
     for j in range(m):
@@ -137,10 +124,9 @@ def order_statistic_survival(m: int, u: float, limit: EdgeLengthProcessLimit,
 
 
 def order_statistic_cdf(m: int, u: float, limit: EdgeLengthProcessLimit,
-                        volume: float, dim: int,
-                        exponent_form: str = "intensity") -> float:
+                        volume: float, dim: int) -> float:
     """Distribution function of the limiting m-th order statistic."""
-    return 1.0 - order_statistic_survival(m, u, limit, volume, dim, exponent_form)
+    return 1.0 - order_statistic_survival(m, u, limit, volume, dim)
 
 
 def pp_conditions(window: ConvexWindow, t: float, delta: float,

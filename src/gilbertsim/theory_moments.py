@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (DegenerateVarianceError, DivergentCovarianceError,
                      NonIntegrableError, UnsupportedDimensionError)
 from .geometry import (ConvexWindow, _gl_nodes, covariogram_radial_integral,
-                       unit_ball_volume)
+                       inner_parallel_volume_lower_bound, unit_ball_volume)
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,7 @@ def covariance_bounds(window: ConvexWindow, t: float, delta: float,
     s1 = d * kd / (2.0 * (alpha + beta + d))
     s2 = d * d * kd * kd / ((alpha + d) * (beta + d))
     core = s1 * t * t * delta ** (alpha + beta + d) + s2 * t**3 * delta ** (alpha + beta + 2 * d)
-    return (core * (window.volume - window.surface_area * delta), core * window.volume)
+    return (core * inner_parallel_volume_lower_bound(window, delta), core * window.volume)
 
 
 def variance_asymptotic(window: ConvexWindow, t: float, delta: float, alpha: float) -> float:

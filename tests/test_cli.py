@@ -60,17 +60,6 @@ def test_load_config_rejects_duplicates_and_unknown(tmp_path):
         cli.load_config(str(tmp_path / "missing.cfg"))
 
 
-def test_config_round_trip(tmp_path):
-    raw = cli.load_config(write_cfg(tmp_path, MINIMAL))
-    args = cli.build_parser().parse_args(["verify"])
-    config = cli.resolve_config(raw, args)
-    text = cli.serialize_config(config)
-    raw2 = cli.load_config(write_cfg(tmp_path, text, "round.cfg"))
-    config2 = cli.resolve_config(raw2, args)
-    assert cli.serialize_config(config2) == text
-    assert config2.echo() == config.echo()
-
-
 def test_schedule_derives_delta(tmp_path):
     text = """window = box:1x1
 model = poisson
@@ -84,6 +73,17 @@ kind = CLT
     config = cli.resolve_config(raw, cli.build_parser().parse_args(["verify"]))
     assert config.delta_for(100.0) == pytest.approx(0.1)
     assert config.delta_for(400.0) == pytest.approx(0.05)
+
+
+def test_t_grid_flag_implies_poisson(tmp_path):
+    argv = ["verify", "--kind", "CLT", "--window", "box:0.2x0.2", "--t-grid", "200,800",
+            "--schedule", "1,0.5", "--alpha", "1", "--reps", "50"]
+    flags_only = str(tmp_path / "flags.json")
+    assert cli.main(argv + ["--out", flags_only]) in (0, 1)
+    with_model = str(tmp_path / "model.json")
+    model_cfg = write_cfg(tmp_path, "model = poisson\n")
+    assert cli.main(argv + ["--config", model_cfg, "--out", with_model]) in (0, 1)
+    assert open(flags_only, "rb").read() == open(with_model, "rb").read()
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
@@ -136,6 +136,11 @@ def test_verify_exit_codes(tmp_path, capsys):
                      "strict.cfg")
     assert cli.main(["verify", "--config", path, "--seed", "1",
                      "--out", str(tmp_path / "strict.json")]) == 1
+    # order statistics need alpha > 0
+    for alpha in ("0", "-1"):
+        assert cli.main(["verify", "--kind", "OrderStatistics", "--window", "box:1x1",
+                         "--t", "500", "--schedule", "1,0.8", "--alpha", alpha,
+                         "--reps", "10"]) == 2
 
 
 @pytest.mark.parametrize("bad", [
@@ -149,9 +154,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     ["--t", "100", "--schedule", "inf,0.5"],
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0"],
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
+    # config-file lines
+    "dim = x", "tol_ks = abc", "n_jobs = -3", "n_jobs = 0", "tol_slope_max = nan",
+    "tol_tail_slope_min = inf", "tol_ks = 0",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate", "predict"])
-def test_bad_numbers_exit_2(command, bad, capsys):
+def test_bad_numbers_exit_2(command, bad, tmp_path, capsys):
+    if isinstance(bad, str):
+        bad = ["--delta", "0.05", "--t", "100", "--config", write_cfg(tmp_path, bad + "\n")]
     rc = cli.main([command, "--window", "box:1x1", "--alpha", "0", "--reps", "10"] + bad)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -198,6 +208,9 @@ def test_covariogram_subcommand(tmp_path, capsys):
     assert all(r[2] == "0" for r in rows)
     rc = cli.main(["covariogram", "--window", "box:1x1", "--direction", "1,0,0"])
     assert rc == 2  # dimension mismatch
+    for bad in (["--steps", "-1"], ["--mc-samples", "0"], ["--direction", "1,x"]):
+        argv = ["covariogram", "--window", "ball:1.0@d=4", "--direction", "1,0,0,0"]
+        assert cli.main(argv + bad) == 2
 
 
 def test_ldi_verify_writes_table(tmp_path):

@@ -33,11 +33,17 @@ def test_config_validation():
         cfg(kind="Everything")
     for bad in (dict(delta=0.0), dict(delta=math.inf), dict(t=-5.0), dict(t=math.nan),
                 dict(model="binomial", t=None, n=0), dict(t_grid=(100.0, 0.0)),
-                dict(alphas=(0.0, math.nan))):
+                dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3),
+                dict(tolerances={"slope_max": math.nan}), dict(tolerances={"ks": math.inf}),
+                dict(tolerances={"cov_rel": 0.0}), dict(tolerances={"tail_slope_min": -math.inf})):
         with pytest.raises(ConfigError):
             cfg(**bad)
     assert cfg(tolerances={"ks": 0.04}).tolerance("ks") == 0.04
     assert cfg().tolerance("ks") == 0.05
+    # the signed slope thresholds accept their defaults and negative values
+    for key in ("slope_max", "tail_slope_min"):
+        for value in (ex.DEFAULT_TOLERANCES[key], 0.0, -1.0):
+            assert cfg(tolerances={key: value}).tolerance(key) == value
 
 
 def test_run_replications_deterministic_and_parallel():
@@ -218,6 +224,16 @@ def test_verify_ldi_thermo_slope():
     slope_metrics = [m for m in rep.metrics if "slope" in m.name]
     assert len(slope_metrics) == 1
     assert slope_metrics[0].verdict
+
+
+def test_reported_tolerance_is_the_verdict_tolerance():
+    c = cfg(kind="LDI", alphas=(0.0,), replications=50, t=200.0,
+            t_grid=(200.0, 400.0, 800.0), delta=None, schedule=RegimeSchedule(1.0, 0.5),
+            tolerances={"tail_slope_min": -1.0, "cp_confidence": 0.99})
+    rep = ex.verify_ldi(c)
+    assert any(m.tolerance_name == "tail_slope_min" for m in rep.metrics)
+    for m in rep.metrics:
+        assert m.tolerance_value == c.tolerance(m.tolerance_name), m.name
 
 
 def test_verify_pp_conditions():

@@ -112,9 +112,8 @@ def test_distinct_rows_with_tied_first_coordinate_are_kept():
 
 
 def test_sample_metadata():
-    s = pp.sample_poisson(W, 10.0, pp.replication_rng(1, 2), seed=1, replication_index=2)
+    s = pp.sample_poisson(W, 10.0, pp.replication_rng(1, 2))
     assert s.model == "poisson" and s.intensity == 10.0
-    assert s.seed == 1 and s.replication_index == 2
     s2 = pp.sample_binomial(W, 3, pp.replication_rng(1, 0))
     assert s2.model == "binomial" and s2.size == 3
     with pytest.raises(ValueError):

@@ -146,38 +146,3 @@ def test_thermo_exponent_values():
     us = np.linspace(0.0, 5.0, 21)
     vals = [td.thermo_exponent(float(u), 50.0, 1.0, 2) for u in us]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_exponent_comparison_table():
-    # both exponent shapes evaluable and positive on a grid (comparison table)
-    for t in (50.0, 500.0):
-        for u in (0.5, 2.0, 10.0):
-            ours = td.envelope_exponent_shape(u, t, 1.0, 2)
-            theirs = td.thermo_exponent(u, t, 1.0, 2)
-            assert ours > 0 and theirs > 0
-
-
-def test_sparse_bound_check_values():
-    thr, shape = td.sparse_bound_check(10**4, 1.0, 2.0, 0.0, 2)
-    assert thr == pytest.approx(36.0 * math.log(1e4))
-    assert shape == pytest.approx(1e-4)
-    thrs = [td.sparse_bound_check(n, 1.0, 2.0, 0.0, 2)[0] for n in (100, 1000, 10**4)]
-    assert thrs[0] < thrs[1] < thrs[2]
-    # alpha > 0: threshold carries delta_n^alpha
-    thr_a, _ = td.sparse_bound_check(10**4, 1.0, 2.0, 1.0, 2)
-    assert thr_a == pytest.approx(36.0 * 1e-4 * math.log(1e4))
-
-
-def test_sparse_bound_event_never_fires_in_simulation():
-    # n^2 delta^d = C = 1 at n = 2000: E L ~ kappa_2 C / 2 ~ 1.57 edges, so the
-    # threshold ~ 9 B^2 ln n ~ 274 is astronomically unlikely
-    from gilbertsim import gilbert_graph as gg
-    from gilbertsim import point_process as pp
-    n, big_c, b = 2000, 1.0, 2.0
-    thr, _ = td.sparse_bound_check(n, big_c, b, 0.0, 2)
-    delta_n = (big_c / n**2) ** 0.5
-    hits = 0
-    for r in range(2000):
-        s = pp.sample_binomial(W, n, pp.replication_rng(71, r))
-        hits += gg.length_power(gg.build_edges(s, delta_n), (0.0,))[0] >= thr
-    assert hits == 0

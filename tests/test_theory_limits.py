@@ -86,17 +86,12 @@ def test_order_statistic_survival_values():
         assert s1 == pytest.approx(math.exp(-tl.pp_intensity(lim, u, 1.0, 2)))
 
 
-def test_order_statistic_printed_exponent_flag():
+def test_order_statistic_survival_uses_intensity_exponent():
     lim = tl.EdgeLengthProcessLimit(alpha=2.0)
-    # d=2, alpha=2: intensity exponent d/alpha = 1, printed 2*alpha/d = 2
+    # d=2, alpha=2: the intensity exponent d/alpha = 1, so nu([0, u]) = (pi/2) u
     u = 0.5
     s_int = tl.order_statistic_survival(1, u, lim, 1.0, 2)
-    s_pr = tl.order_statistic_survival(1, u, lim, 1.0, 2, exponent_form="printed")
     assert s_int == pytest.approx(math.exp(-PI / 2.0 * u))
-    assert s_pr == pytest.approx(math.exp(-PI / 2.0 * u**2))
-    assert s_int != pytest.approx(s_pr)
-    with pytest.raises(ValueError):
-        tl.order_statistic_survival(1, u, lim, 1.0, 2, exponent_form="bogus")
 
 
 def test_cp_mean_identity_with_expectation():
