@@ -9,6 +9,7 @@ then 0. Exit codes: 0 success (all verdicts pass), 1 failed verdicts,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -152,21 +153,27 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     kind = canonical_kind(str(kind_text)) if kind_text is not None else "Moments"
     n_jobs = raw.get("n_jobs", 1)
 
-    try:
-        return ExperimentConfig(
-            window=parse_window(str(window_text), None if dim is None else int(dim)),
-            model=str(model),
-            alphas=_parse_floats(alphas_text),
-            replications=int(reps), master_seed=int(seed), kind=kind,
-            t=float(t) if t is not None else None,
-            n=int(n) if n is not None else None,
-            t_grid=_parse_floats(t_grid) if t_grid is not None else None,
-            schedule=schedule,
-            delta=float(delta) if delta is not None else None,
-            tolerances={k[4:]: float(v) for k, v in raw.items() if k.startswith("tol_")},
-            n_jobs=int(n_jobs))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from None
+    def convert(key, value, cast):
+        if value is None:
+            return None
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid value for {key!r}: {exc}") from None
+
+    return ExperimentConfig(
+        window=parse_window(str(window_text), convert("dim", dim, int)),
+        model=str(model),
+        alphas=convert("alphas", alphas_text, _parse_floats),
+        replications=convert("reps", reps, int), master_seed=convert("seed", seed, int),
+        kind=kind,
+        t=convert("t", t, float),
+        n=convert("n", n, int),
+        t_grid=convert("t_grid", t_grid, _parse_floats),
+        schedule=schedule,
+        delta=convert("delta", delta, float),
+        tolerances={k[4:]: convert(k, v, float) for k, v in raw.items() if k.startswith("tol_")},
+        n_jobs=convert("n_jobs", n_jobs, int))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -283,7 +290,9 @@ def cmd_covariogram(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gilbertsim",
         description="Gilbert graph simulation and closed-form theory verification")

@@ -577,17 +577,29 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
+def _edge_limit(config: ExperimentConfig) -> float | None:
+    """lim t^2 delta^d of the run's schedule; None when it is infinite.
+
+    The edge-length process limits need a positive limit; a schedule whose
+    t^2 delta^d tends to 0 has no edges in the limit.
+    """
+    if config.schedule is None:
+        return None
+    c = config.schedule.edge_constant(config.window.dim)
+    if c <= 0:
+        raise ConfigError(f"{config.kind} needs t^2 delta^d -> c in (0, inf]; "
+                          f"this schedule gives c = 0")
+    return None if math.isinf(c) else c
+
+
 def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled order statistics against the limit laws; interval counts
     approximately independent with the intensity-measure means."""
     t = config.intensity()
     d = config.window.dim
     alpha = config.alphas[0]
-    if alpha <= 0:
-        raise ConfigError("OrderStatistics needs alpha > 0")
-    c = config.schedule.edge_constant(d) if config.schedule is not None else math.inf
-    limit = EdgeLengthProcessLimit(alpha=alpha,
-                                   edge_constant=None if math.isinf(c) else c)
+    c = _edge_limit(config)
+    limit = EdgeLengthProcessLimit(alpha=alpha, edge_constant=c)
     rescale = t ** (2.0 * alpha / d)
     kd = unit_ball_volume(d)
     v = config.window.volume
@@ -611,7 +623,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
 
     def mass(u: float) -> float:
         value = u ** (d / alpha)
-        return min(value, c) if limit.edge_constant is not None else value
+        return min(value, c) if c is not None else value
 
     for k, (lo, hi) in enumerate(intervals):
         nu = 0.5 * kd * v * (mass(hi) - mass(lo))
@@ -640,8 +652,6 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     pilot_reps = max(2, config.replications // 2)
     intensity = config.intensity()
     delta = config.delta_for(intensity)
-    if any(a < 0 for a in config.alphas):
-        raise ConfigError("LDI needs alpha >= 0")
     pilot = run_replications(config, reps=pilot_reps, stream=STREAM_PILOT)
     test = run_replications(config)
     for i, alpha in enumerate(config.alphas):
@@ -721,8 +731,7 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("PPConditions needs a t_grid")
     d = config.window.dim
     alpha = config.alphas[0]
-    c = config.schedule.edge_constant(d) if config.schedule is not None else math.inf
-    edge_c = None if math.isinf(c) else c
+    edge_c = _edge_limit(config)
     kd = unit_ball_volume(d)
     a_rel = config.tolerance("a_limit_rel")
     r_rel = config.tolerance("r_const_rel")
@@ -770,6 +779,23 @@ _VERIFIERS = {
 }
 
 
+def _check_alpha_range(config: ExperimentConfig) -> None:
+    """Reject alphas outside the suite's range before any replication runs.
+
+    Moments, CLT and MultivariateCov need Var L^(alpha) finite, alpha > -d/2;
+    the limit laws need alpha > 0 and the deviation bounds alpha >= 0.
+    """
+    if config.kind in ("Moments", "CLT", "MultivariateCov"):
+        floor, strict = -config.window.dim / 2.0, True
+    else:
+        floor, strict = 0.0, config.kind != "LDI"
+    bad = [a for a in config.alphas if a < floor or (strict and a == floor)]
+    if bad:
+        raise ConfigError(f"{config.kind} needs alpha {'>' if strict else '>='} {floor:g}, "
+                          f"got {bad!r}")
+
+
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch to the suite named by config.kind."""
+    """Check the alpha range, then dispatch to the suite named by config.kind."""
+    _check_alpha_range(config)
     return _VERIFIERS[config.kind](config)

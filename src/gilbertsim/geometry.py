@@ -286,6 +286,17 @@ def _box_angular(radii, sides: tuple[float, ...]) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _box_angular_at(sides: tuple[float, ...], r: float) -> float:
+    """G(r) of a box at one radius, cached per (sides, r).
+
+    Radial quadratures over the same [0, delta] with the same breakpoints
+    evaluate G at the same Kronrod nodes whatever the exponent, so a mean and
+    a covariance on one box share every G value.
+    """
+    return float(_box_angular(np.asarray([r]), sides)[0])
+
+
 def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
     """G(r) = ∫_{S^{d-1}} g_W(r u) du (counting measure on S^0 when d=1)."""
     if r < 0:
@@ -302,7 +313,7 @@ def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
             raise UnsupportedDimensionError(
                 "exact ball covariogram requires d <= 3; use covariogram_mc")
         return d * unit_ball_volume(d) * _ball_covariogram_radial(window, r)
-    return float(_box_angular(np.asarray([r]), window.sides)[0])
+    return _box_angular_at(window.sides, r)
 
 
 def _radial_breakpoints(window: ConvexWindow, rmax: float) -> list[float]:
@@ -347,7 +358,7 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
         def integrand(r):
             if r <= 0.0:
                 return 0.0
-            return r ** (alpha + d - 1) * float(_box_angular(np.asarray([r]), sides)[0])
+            return r ** (alpha + d - 1) * _box_angular_at(sides, r)
 
     points = _radial_breakpoints(window, rmax)
     val, err = integrate.quad(

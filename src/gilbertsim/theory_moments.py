@@ -17,6 +17,11 @@ delta^(g+d) D_g(u; 1), and each Gauss weight scales by delta per wall
 coordinate, so the layer with m active walls equals delta^(a+b+2d+m) times a
 delta-free sum.  The delta = 1 deficit tables are built once per (d, g) and
 kept in a small LRU cache; every box and every delta reuses them.
+
+The radial moments R_g need no cache of their own here: every R_g over the
+same [0, delta] evaluates the box's angular covariogram at the same quadrature
+nodes, and geometry caches those values per (sides, r), so a repeated R_g
+costs only the quadrature loop.
 """
 
 from __future__ import annotations
@@ -299,9 +304,8 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
     return total
 
 
-def _hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float,
-                 radial) -> float:
-    """int_W h_alpha(y) h_beta(y) dy; radial(g) is the radial covariogram moment."""
+def _hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
+    """int_W h_alpha(y) h_beta(y) dy."""
     if window.kind == "ball":
         if window.dim > 3:
             raise UnsupportedDimensionError("exact ball covariance requires d <= 3")
@@ -309,7 +313,9 @@ def _hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float,
     ca = interior_moment(window.dim, delta, alpha)
     cb = interior_moment(window.dim, delta, beta)
     x = _box_boundary_product(window, delta, alpha, beta)
-    return ca * radial(beta) + cb * radial(alpha) - ca * cb * window.volume + x
+    ra = covariogram_radial_integral(window, delta, alpha)
+    rb = covariogram_radial_integral(window, delta, beta)
+    return ca * rb + cb * ra - ca * cb * window.volume + x
 
 
 def _check_covariance_exponents(dim: int, alpha: float, beta: float) -> None:
@@ -322,10 +328,8 @@ def covariance_exact(window: ConvexWindow, t: float, delta: float,
                      alpha: float, beta: float) -> float:
     """Cov(L^(a), L^(b)) = t^3 int_W h_a h_b + (t^2/2) R_{a+b}."""
     _check_covariance_exponents(window.dim, alpha, beta)
-    # One quadrature per distinct exponent among alpha, beta, alpha + beta.
-    radial = functools.cache(functools.partial(covariogram_radial_integral, window, delta))
-    hh = _hh_integral(window, delta, alpha, beta, radial)
-    return t**3 * hh + 0.5 * t * t * radial(alpha + beta)
+    hh = _hh_integral(window, delta, alpha, beta)
+    return t**3 * hh + 0.5 * t * t * covariogram_radial_integral(window, delta, alpha + beta)
 
 
 def covariance_bounds(window: ConvexWindow, t: float, delta: float,

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from gilbertsim import cli
+from gilbertsim import cli, experiments, geometry
 from gilbertsim.errors import ConfigError
 
 
@@ -143,6 +143,86 @@ def test_verify_exit_codes(tmp_path, capsys):
                          "--reps", "10"]) == 2
 
 
+def _no_replications(*args, **kwargs):
+    raise AssertionError("a replication ran before the config was rejected")
+
+
+@pytest.mark.parametrize("kind,args,alpha", [
+    ("Moments", ["--t", "100", "--delta", "0.05"], "-1"),
+    ("Moments", ["--t", "100", "--delta", "0.05"], "0,-1.2"),
+    ("CLT", ["--t-grid", "200,800", "--schedule", "1,0.5"], "-1"),
+    ("MultivariateCov", ["--t", "100", "--schedule", "1,0.5"], "-1,0"),
+    ("CompoundPoisson", ["--t-grid", "50,200", "--schedule", "1,1"], "0"),
+    ("OrderStatistics", ["--t", "500", "--schedule", "1,0.8"], "0"),
+    ("LDI", ["--t", "100", "--delta", "0.05"], "-0.5"),
+    ("PPConditions", ["--t-grid", "200,400", "--schedule", "1,0.8"], "0"),
+])
+def test_alpha_range_checked_before_replications(kind, args, alpha, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    rc = cli.main(["verify", "--kind", kind, "--window", "box:1x1", "--alpha=" + alpha,
+                   "--reps", "10"] + args)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {kind} needs alpha")
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("OrderStatistics", ["--t", "500"]),
+    ("PPConditions", ["--t-grid", "200,400"]),
+])
+def test_vanishing_edge_constant_exits_2(kind, args, monkeypatch, capsys):
+    # t^2 delta^d -> 0 under delta = t^-1.5 in d = 2: no edges in the limit
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    rc = cli.main(["verify", "--kind", kind, "--window", "box:1x1", "--schedule", "1,1.5",
+                   "--alpha", "2", "--reps", "10"] + args)
+    assert rc == 2
+    assert "t^2 delta^d" in capsys.readouterr().err
+
+
+def test_predict_shares_covariogram_values_across_exponents(capsys):
+    # 2 means and 3 covariances run 11 radial quadratures over [0, delta];
+    # with delta < min(side)/5 there is no kink inside, each quadrature is one
+    # 21-node Kronrod rule, and all of them evaluate G at the same 21 radii.
+    geometry._box_angular_at.cache_clear()
+    assert cli.main(["predict", "--window", "box:1.0x0.8x0.6", "--t", "500",
+                     "--delta", "0.1", "--alpha", "0,1"]) == 0
+    info = geometry._box_angular_at.cache_info()
+    assert (info.misses, info.hits) == (21, 11 * 21 - 21)
+    capsys.readouterr()
+
+
+def test_shared_parser_leaks_no_state(tmp_path, capsys):
+    calls = {
+        "predict": ["predict", "--window", "box:1x0.8x0.6", "--t", "500", "--delta", "0.1",
+                    "--alpha", "0,1"],
+        "verify": ["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "100",
+                   "--delta", "0.05", "--alpha", "0,1", "--reps", "20", "--seed", "3"],
+        "simulate": ["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
+                     "--alpha", "0,1", "--reps", "3", "--seed", "5"],
+    }
+
+    def run(name, tag):
+        out = tmp_path / f"{name}.{tag}.out"
+        rc = cli.main(calls[name] + ["--out", str(out)])
+        return rc, out.read_bytes()
+
+    isolated = {}
+    for name in calls:
+        cli.build_parser.cache_clear()
+        isolated[name] = run(name, "isolated")
+    cli.build_parser.cache_clear()
+    for k, name in enumerate(["predict", "verify", "simulate", "predict"]):
+        assert run(name, k) == isolated[name], name
+    assert cli.build_parser() is cli.build_parser()
+    # predict fills in reps for itself only; verify still needs it
+    assert cli.main(["verify", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
+                     "--alpha", "0"]) == 2
+    assert "missing required key 'reps'" in capsys.readouterr().err
+
+
+# Config-file values that do not convert; stderr names their key.
+UNCONVERTIBLE = ("dim = x", "tol_ks = abc", "reps = x")
+
+
 @pytest.mark.parametrize("bad", [
     ["--delta", "-0.05", "--t", "100"],
     ["--delta", "0.05", "--t", "-5"],
@@ -155,16 +235,24 @@ def test_verify_exit_codes(tmp_path, capsys):
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0"],
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
     # config-file lines
-    "dim = x", "tol_ks = abc", "n_jobs = -3", "n_jobs = 0", "tol_slope_max = nan",
+    *UNCONVERTIBLE, "n_jobs = -3", "n_jobs = 0", "tol_slope_max = nan",
     "tol_tail_slope_min = inf", "tol_ks = 0",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate", "predict"])
 def test_bad_numbers_exit_2(command, bad, tmp_path, capsys):
+    argv = [command, "--window", "box:1x1", "--alpha", "0"]
     if isinstance(bad, str):
-        bad = ["--delta", "0.05", "--t", "100", "--config", write_cfg(tmp_path, bad + "\n")]
-    rc = cli.main([command, "--window", "box:1x1", "--alpha", "0", "--reps", "10"] + bad)
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+        key = bad.partition("=")[0].strip()
+        if key != "reps":  # a --reps flag would override the config value
+            argv += ["--reps", "10"]
+        argv += ["--delta", "0.05", "--t", "100", "--config", write_cfg(tmp_path, bad + "\n")]
+    else:
+        argv += ["--reps", "10"] + bad
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if bad in UNCONVERTIBLE:
+        assert repr(key) in err
 
 
 def test_simulate_csv_and_edge_dump(tmp_path):

@@ -137,6 +137,35 @@ def test_radial_integral_total_mass_identity():
         assert val == pytest.approx(w.volume**2, rel=1e-6)
 
 
+def test_radial_integral_cold_cache_equals_warm():
+    # G is cached per (sides, r); cached values must give the same bits as a
+    # cold cache and as an integrand that calls _box_angular itself.
+    cases = [(sides, delta, alpha)
+             for sides in ((1.0, 0.7), (1.3, 0.6), (1.0, 0.8, 0.6), (2.0, 1.0, 0.5))
+             for delta in (0.05, 0.25, 0.9, 3.0)
+             for alpha in (-0.5, 0.0, 1.0, 2.0)]
+
+    def values(order):
+        return {c: geo.covariogram_radial_integral(geo.ConvexWindow.box(c[0]), c[1], c[2])
+                for c in order}
+
+    geo._box_angular_at.cache_clear()
+    cold = values(cases)
+    warm = values(cases)
+    geo._box_angular_at.cache_clear()
+    cold_reversed = values(cases[::-1])
+    assert cold == warm == cold_reversed
+    for sides, delta, alpha in cases[::7]:
+        w = geo.ConvexWindow.box(sides)
+        rmax = min(delta, w.diameter)
+        points = geo._radial_breakpoints(w, rmax)
+        direct = integrate.quad(
+            lambda r: r ** (alpha + w.dim - 1) * float(geo._box_angular(np.asarray([r]), sides)[0]),
+            0.0, rmax, points=points or None, epsabs=0.0, epsrel=geo._RADIAL_EPSREL,
+            limit=geo._RADIAL_LIMIT)[0]
+        assert cold[(sides, delta, alpha)] == direct
+
+
 def test_radial_integral_monotone_in_delta():
     w = geo.ConvexWindow.ball(1.0, 2)
     vals = [geo.covariogram_radial_integral(w, d, 0.5) for d in (0.1, 0.3, 0.7, 1.5)]
