@@ -20,7 +20,8 @@ from .errors import ConfigError, GilbertSimError
 from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
                           ExperimentConfig, ldi_table_to_csv,
                           replication_sample, replications_to_csv,
-                          report_to_json, run_replications, run_verification)
+                          report_to_json, run_replications, run_verification,
+                          simulate_row)
 from .geometry import ConvexWindow, covariogram, covariogram_is_exact
 from .gilbert_graph import build_edges
 from .theory_moments import (RegimeSchedule, TheoryPrediction,
@@ -187,8 +188,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
-    stats = run_replications(config, order_stat_count=5)
-    _write_or_print(replications_to_csv(stats, config.alphas), args.out)
+    rows = run_replications(config, simulate_row(config.alphas))
+    _write_or_print(replications_to_csv(rows, config.alphas), args.out)
     if args.edges_out:
         intensity = config.intensity()
         edges = build_edges(replication_sample(config, intensity, 0),

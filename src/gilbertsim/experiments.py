@@ -3,8 +3,10 @@
 Runs seeded replications of the Gilbert graph, estimates moments/tails/CDFs,
 and compares them against the closed-form theory at named tolerances. Every
 report is a pure function of (config, master_seed): replication r of stream s
-draws from SeedSequence(master_seed, spawn_key=(s, batch, r)), and reductions
-are order-independent, so serial and parallel runs give identical bytes.
+draws from SeedSequence(master_seed, spawn_key=(s, batch, r)), and its reduced
+row is stacked in replication order, so serial and parallel runs give
+identical bytes. Every verdict is built by one of a few check shapes (within,
+sandwich, below, decreasing).
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .theory_moments import (RegimeSchedule, covariance_bounds,
                              covariance_exact, expectation_bounds,
                              expectation_exact, kolmogorov_bound,
                              normalization, sigma_matrix)
-
-VERIFICATION_KINDS = ("Moments", "CLT", "MultivariateCov", "CompoundPoisson",
-                      "OrderStatistics", "LDI", "PPConditions")
 
 DEFAULT_TOLERANCES = {
     "mean_se_mult": 4.0,      # mean-type checks: |empirical - theory| <= k*SE
@@ -140,17 +139,6 @@ class ExperimentConfig:
         return out
 
 
-@dataclass
-class ReplicationStats:
-    """Per-replication statistics, rows ordered by replication index."""
-
-    length_powers: np.ndarray          # (R, n_alphas)
-    n_points: np.ndarray               # (R,)
-    max_degrees: np.ndarray            # (R,)
-    order_stats: np.ndarray | None = None     # (R, n_alphas, m)
-    interval_counts: np.ndarray | None = None  # (R, n_intervals)
-
-
 def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
                        stream: int = STREAM_SAMPLE, batch: int = 0) -> PointSample:
     """Point sample of replication r, drawn from replication_rng(seed, r, stream, batch)."""
@@ -160,54 +148,32 @@ def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
     return sample_binomial(config.window, int(intensity), rng)
 
 
-def run_replications(config: ExperimentConfig, *, t: float | None = None,
+def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
                      reps: int | None = None, stream: int = STREAM_SAMPLE,
-                     batch: int = 0, order_stat_count: int = 0,
-                     interval_bounds: np.ndarray | None = None,
-                     rescale: float = 1.0) -> ReplicationStats:
-    """Sample, build edges, and evaluate the requested statistics per replication.
+                     batch: int = 0) -> np.ndarray:
+    """Rows reduce(sample, edges), one per replication, stacked in replication order.
 
-    Deterministic per (master_seed, stream, batch, index); interval_bounds are
-    boundaries on the rescaled alpha-powers of the first configured alpha.
+    Replication r is a pure function of (master_seed, stream, batch, r), so the
+    rows are the same whether they run serially or on n_jobs threads.
     """
     intensity = t if t is not None else config.intensity()
     dlt = config.delta_for(float(intensity))
     n_reps = int(reps if reps is not None else config.replications)
-    alphas = config.alphas
-    m = len(alphas)
-    want_counts = interval_bounds is not None
 
     def one(r: int):
         sample = replication_sample(config, intensity, r, stream=stream, batch=batch)
-        edges = build_edges(sample, dlt)
-        row_l = length_power(edges, alphas)
-        row_os = None
-        if order_stat_count:
-            row_os = np.stack([_smallest_powers(edges.lengths, a, order_stat_count)
-                               for a in alphas])
-        row_cnt = None
-        if want_counts:
-            powers = rescale * edges.lengths ** alphas[0]
-            row_cnt = np.array([np.count_nonzero((powers >= lo) & (powers < hi))
-                                for lo, hi in interval_bounds])
-        return (row_l, sample.n_points, max_degree(edges), row_os, row_cnt)
+        return reduce(sample, build_edges(sample, dlt))
 
     if config.n_jobs > 1:
         with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
-            results = list(pool.map(one, range(n_reps)))
-    else:
-        results = [one(r) for r in range(n_reps)]
+            return np.array(list(pool.map(one, range(n_reps))))
+    return np.array([one(r) for r in range(n_reps)])
 
-    out = ReplicationStats(
-        length_powers=np.array([r[0] for r in results]).reshape(n_reps, m),
-        n_points=np.array([r[1] for r in results]),
-        max_degrees=np.array([r[2] for r in results]),
-    )
-    if order_stat_count:
-        out.order_stats = np.array([r[3] for r in results])
-    if want_counts:
-        out.interval_counts = np.array([r[4] for r in results])
-    return out
+
+def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
+    """(R, n_alphas) matrix of L^(alpha); kwargs are run_replications' t, reps, stream, batch."""
+    return run_replications(config, lambda sample, edges: length_power(edges, config.alphas),
+                            **kwargs)
 
 
 def empirical_moments(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,8 +284,8 @@ class ExperimentReport:
 def _round_trip(value):
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "inf", "-inf" or "nan": JSON has no non-finite numbers
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_round_trip(v) for v in value]
     return value
@@ -344,22 +310,28 @@ def report_to_json(report: ExperimentReport) -> str:
         "seed": report.seed,
         "version": report.version,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def replications_to_csv(stats: ReplicationStats, alphas) -> str:
-    """Long-format per-replication dump: rep,alpha,L_value,n_points,max_degree,S1..S5."""
+def simulate_row(alphas):
+    """The reduction behind `simulate`'s CSV: per alpha, one row
+    (L, n_points, max_degree, S1..S5) with S the 5 smallest length powers."""
+    def reduce(sample, edges):
+        powers = length_power(edges, alphas)
+        degree = max_degree(edges)
+        return np.array([[powers[k], sample.n_points, degree,
+                          *_smallest_powers(edges.lengths, alpha, 5)]
+                         for k, alpha in enumerate(alphas)])
+    return reduce
+
+
+def replications_to_csv(rows: np.ndarray, alphas) -> str:
+    """Long-format dump of simulate_row's rows: rep,alpha,L_value,n_points,max_degree,S1..S5."""
     lines = ["rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5"]
-    r_total = stats.length_powers.shape[0]
-    for r in range(r_total):
-        for k, alpha in enumerate(alphas):
-            if stats.order_stats is not None:
-                svals = stats.order_stats[r, k]
-            else:
-                svals = np.full(5, np.inf)
-            srepr = ",".join(repr(float(v)) for v in svals)
-            lines.append(f"{r},{alpha!r},{float(stats.length_powers[r, k])!r},"
-                         f"{stats.n_points[r]},{stats.max_degrees[r]},{srepr}")
+    for r, block in enumerate(rows):
+        for alpha, (value, n_points, degree, *smallest) in zip(alphas, block):
+            srepr = ",".join(repr(float(v)) for v in smallest)
+            lines.append(f"{r},{alpha!r},{float(value)!r},{int(n_points)},{int(degree)},{srepr}")
     return "\n".join(lines) + "\n"
 
 
@@ -387,6 +359,50 @@ def _finish(config: ExperimentConfig, metrics: list[Metric],
 # Verification suites
 # ---------------------------------------------------------------------------
 
+def _within(name: str, empirical, theory, allowed: float, tolerance_name: str,
+            anchor: str, se: float | None = None,
+            tolerance_value: float | None = None) -> Metric:
+    """Pass when every |empirical - theory| <= allowed (k*SE, or a relative or
+    absolute tolerance); empirical is a value or a list of values."""
+    gap = float(np.max(np.abs(np.subtract(empirical, theory))))
+    return Metric(name=name, empirical=empirical, theory=theory, se=se,
+                  tolerance_name=tolerance_name, tolerance_value=tolerance_value,
+                  verdict=gap <= allowed, anchor=anchor)
+
+
+def _sandwich(config: ExperimentConfig, name: str, value: float, bounds, se: float,
+              anchor: str) -> Metric:
+    """Pass when value lies in the theory sandwich (lo, hi), each end widened by k*SE."""
+    lo, hi = bounds
+    widen = config.tolerance("mean_se_mult") * se
+    return Metric(name=name, empirical=value, theory=bounds, se=se,
+                  tolerance_name="mean_se_mult", verdict=lo - widen <= value <= hi + widen,
+                  anchor=anchor)
+
+
+def _below(name: str, value: float, limit: float, tolerance_name: str, anchor: str,
+           theory=0.0) -> Metric:
+    """Pass when value <= limit: a KS distance, slope, eigenvalue or correlation."""
+    return Metric(name=name, empirical=value, theory=theory, tolerance_name=tolerance_name,
+                  verdict=value <= limit, anchor=anchor)
+
+
+def _decreasing(name: str, values, tolerance_name: str, anchor: str, theory=None) -> Metric:
+    """Pass when values fall strictly from each t of the grid to the next."""
+    return Metric(name=name, empirical=values, theory=theory, tolerance_name=tolerance_name,
+                  verdict=all(b < a for a, b in zip(values[:-1], values[1:])), anchor=anchor)
+
+
+def _ks_along_grid(config: ExperimentConfig, ks_list: list[float], final: str,
+                   final_anchor: str, falling: str, falling_anchor: str) -> list[Metric]:
+    """The KS at the largest t below its tolerance and, on a grid of two or
+    more t, the KS distances strictly decreasing along it."""
+    metrics = [_below(final, ks_list[-1], config.tolerance("ks"), "ks", final_anchor)]
+    if len(ks_list) >= 2:
+        metrics.append(_decreasing(falling, ks_list, "ks", falling_anchor))
+    return metrics
+
+
 def _normal_ks(col: np.ndarray) -> float:
     """KS distance between the standardised column and the standard normal law."""
     sd = col.std(ddof=1)
@@ -397,41 +413,32 @@ def _normal_ks(col: np.ndarray) -> float:
 def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
                     matrix: np.ndarray) -> list[Metric]:
     window = config.window
+    alphas = config.alphas
     k_se = config.tolerance("mean_se_mult")
     rel = config.tolerance("cov_rel")
     means, cov, se = empirical_moments(matrix)
     cse = covariance_entry_se(matrix)
     metrics = []
-    for i, alpha in enumerate(config.alphas):
-        exact = expectation_exact(window, t, delta, alpha)
-        lo, hi = expectation_bounds(window, t, delta, alpha)
-        tol = k_se * se[i]
-        metrics.append(Metric(
-            name=f"mean[alpha={alpha}] vs exact", empirical=float(means[i]),
-            theory=exact, se=float(se[i]), tolerance_name="mean_se_mult",
-            verdict=abs(means[i] - exact) <= tol,
-            anchor="mean: closed-form radial covariogram integral"))
-        metrics.append(Metric(
-            name=f"mean[alpha={alpha}] in sandwich", empirical=float(means[i]),
-            theory=(lo, hi), se=float(se[i]), tolerance_name="mean_se_mult",
-            verdict=(lo - tol) <= means[i] <= (hi + tol),
-            anchor="mean sandwich: volume and surface-correction bounds"))
-    for i in range(len(config.alphas)):
-        for j in range(i, len(config.alphas)):
-            a, b = config.alphas[i], config.alphas[j]
+    for i, alpha in enumerate(alphas):
+        mean, mse = float(means[i]), float(se[i])
+        metrics += [
+            _within(f"mean[alpha={alpha}] vs exact", mean,
+                    expectation_exact(window, t, delta, alpha), k_se * mse, "mean_se_mult",
+                    "mean: closed-form radial covariogram integral", se=mse),
+            _sandwich(config, f"mean[alpha={alpha}] in sandwich", mean,
+                      expectation_bounds(window, t, delta, alpha), mse,
+                      "mean sandwich: volume and surface-correction bounds")]
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas[i:], i):
+            value, vse = float(cov[i, j]), float(cse[i, j])
             exact = covariance_exact(window, t, delta, a, b)
-            lo, hi = covariance_bounds(window, t, delta, a, b)
-            widen = k_se * cse[i, j]
-            metrics.append(Metric(
-                name=f"cov[{a},{b}] in sandwich", empirical=float(cov[i, j]),
-                theory=(lo, hi), se=float(cse[i, j]), tolerance_name="mean_se_mult",
-                verdict=(lo - widen) <= cov[i, j] <= (hi + widen),
-                anchor="covariance sandwich with inner-parallel volume bound"))
-            metrics.append(Metric(
-                name=f"cov[{a},{b}] vs exact", empirical=float(cov[i, j]),
-                theory=exact, se=float(cse[i, j]), tolerance_name="cov_rel",
-                verdict=abs(cov[i, j] - exact) <= max(rel * abs(exact), widen),
-                anchor="covariance: quadrature of the two-point moment split"))
+            metrics += [
+                _sandwich(config, f"cov[{a},{b}] in sandwich", value,
+                          covariance_bounds(window, t, delta, a, b), vse,
+                          "covariance sandwich with inner-parallel volume bound"),
+                _within(f"cov[{a},{b}] vs exact", value, exact, max(rel * abs(exact), k_se * vse),
+                        "cov_rel", "covariance: quadrature of the two-point moment split",
+                        se=vse)]
     return metrics
 
 
@@ -439,24 +446,20 @@ def verify_moments(config: ExperimentConfig) -> ExperimentReport:
     """Sample means/covariances against exact values and sandwiches."""
     t = config.intensity()
     delta = config.delta_for(t)
-    stats = run_replications(config)
-    metrics = _moment_metrics(config, t, delta, stats.length_powers)
-    return _finish(config, metrics)
+    return _finish(config, _moment_metrics(config, t, delta, _length_powers(config)))
 
 
 def verify_clt(config: ExperimentConfig) -> ExperimentReport:
     """Standardized KS against the normal law along a t-grid, with the
     explicit Kolmogorov bound and a log-log rate-shape check."""
     grid = config.intensity_grid()
-    ks_tol = config.tolerance("ks")
-    slope_max = config.tolerance("slope_max")
     metrics: list[Metric] = []
     ks_by_alpha = {a: [] for a in config.alphas}
     for b_idx, t in enumerate(grid):
         delta = config.delta_for(t)
-        stats = run_replications(config, t=t, batch=b_idx)
+        powers = _length_powers(config, t=t, batch=b_idx)
         for i, alpha in enumerate(config.alphas):
-            ks = _normal_ks(stats.length_powers[:, i])
+            ks = _normal_ks(powers[:, i])
             ks_by_alpha[alpha].append(ks)
             try:
                 bound = kolmogorov_bound(config.window, t, delta, alpha)
@@ -465,26 +468,20 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
                 # variance keeps the bound valid (just slower)
                 bound = kolmogorov_bound(config.window, t, delta, alpha,
                                          exact_variance=True)
-            metrics.append(Metric(
-                name=f"KS[alpha={alpha}, t={t:g}] vs normal bound", empirical=ks,
-                theory=bound, tolerance_name="ks", verdict=ks <= bound,
-                anchor="normal approximation: explicit Kolmogorov-distance bound"))
+            metrics.append(_below(f"KS[alpha={alpha}, t={t:g}] vs normal bound", ks, bound, "ks",
+                                  "normal approximation: explicit Kolmogorov-distance bound",
+                                  theory=bound))
     for alpha, ks_list in ks_by_alpha.items():
-        metrics.append(Metric(
-            name=f"KS[alpha={alpha}] final", empirical=ks_list[-1], theory=0.0,
-            tolerance_name="ks", verdict=ks_list[-1] <= ks_tol,
-            anchor="normal approximation at the largest intensity"))
+        metrics += _ks_along_grid(
+            config, ks_list, f"KS[alpha={alpha}] final",
+            "normal approximation at the largest intensity", f"KS[alpha={alpha}] decreasing",
+            "normal approximation error decays with intensity")
         if len(ks_list) >= 2:
-            decreasing = all(b < a for a, b in zip(ks_list[:-1], ks_list[1:]))
-            metrics.append(Metric(
-                name=f"KS[alpha={alpha}] decreasing", empirical=ks_list, theory=None,
-                tolerance_name="ks", verdict=decreasing,
-                anchor="normal approximation error decays with intensity"))
             slope = float(np.polyfit(np.log(grid), np.log(ks_list), 1)[0])
-            metrics.append(Metric(
-                name=f"KS[alpha={alpha}] log-log slope", empirical=slope,
-                theory=-0.5, tolerance_name="slope_max", verdict=slope <= slope_max,
-                anchor="rate shape: KS decays like an inverse square root"))
+            metrics.append(_below(f"KS[alpha={alpha}] log-log slope", slope,
+                                  config.tolerance("slope_max"), "slope_max",
+                                  "rate shape: KS decays like an inverse square root",
+                                  theory=-0.5))
     return _finish(config, metrics)
 
 
@@ -496,84 +493,59 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     t = config.intensity()
     delta = config.delta_for(t)
     d = config.window.dim
-    stats = run_replications(config)
-    norms = np.array([normalization(t, delta, a, d) for a in config.alphas])
-    exacts = np.array([expectation_exact(config.window, t, delta, a) for a in config.alphas])
-    scaled = (stats.length_powers - exacts) / norms
+    alphas = config.alphas
+    norms = np.array([normalization(t, delta, a, d) for a in alphas])
+    exacts = np.array([expectation_exact(config.window, t, delta, a) for a in alphas])
+    scaled = (_length_powers(config) - exacts) / norms
     _, cov, _ = empirical_moments(scaled)
-    sig = sigma_matrix(config.alphas, d, config.window.volume, config.schedule)
+    sig = sigma_matrix(alphas, d, config.window.volume, config.schedule)
     cse = covariance_entry_se(scaled)
     abs_tol = config.tolerance("cov_entry_abs")
     k_se = config.tolerance("mean_se_mult")
     metrics = []
-    for i in range(len(config.alphas)):
-        for j in range(i, len(config.alphas)):
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas[i:], i):
             tol = max(abs_tol, k_se * cse[i, j])
-            metrics.append(Metric(
-                name=f"Sigma[{config.alphas[i]},{config.alphas[j]}]",
-                empirical=float(cov[i, j]), theory=float(sig[i, j]),
-                se=float(cse[i, j]), tolerance_name="cov_entry_abs",
-                tolerance_value=tol, verdict=abs(cov[i, j] - sig[i, j]) <= tol,
-                anchor="asymptotic covariance matrix by regime"))
-    regime = config.schedule.classify(d)
-    if regime == "dense":
-        eig = float(np.linalg.eigvalsh(cov)[0])
-        metrics.append(Metric(
-            name="dense-regime smallest eigenvalue", empirical=eig, theory=0.0,
-            tolerance_name="eig_max", verdict=eig <= config.tolerance("eig_max"),
-            anchor="rank-one limit covariance in the dense regime"))
+            metrics.append(_within(f"Sigma[{a},{b}]", float(cov[i, j]), float(sig[i, j]), tol,
+                                   "cov_entry_abs", "asymptotic covariance matrix by regime",
+                                   se=float(cse[i, j]), tolerance_value=tol))
+    if config.schedule.classify(d) == "dense":
+        metrics.append(_below("dense-regime smallest eigenvalue",
+                              float(np.linalg.eigvalsh(cov)[0]), config.tolerance("eig_max"),
+                              "eig_max", "rank-one limit covariance in the dense regime"))
     else:
-        ks_tol = config.tolerance("ks")
-        for i, alpha in enumerate(config.alphas):
-            ks = _normal_ks(scaled[:, i])
-            metrics.append(Metric(
-                name=f"marginal KS[alpha={alpha}]", empirical=ks, theory=0.0,
-                tolerance_name="ks", verdict=ks <= ks_tol,
-                anchor="multivariate normal limit: marginal distribution check"))
+        metrics += [_below(f"marginal KS[alpha={alpha}]", _normal_ks(scaled[:, i]),
+                           config.tolerance("ks"), "ks",
+                           "multivariate normal limit: marginal distribution check")
+                    for i, alpha in enumerate(alphas)]
     return _finish(config, metrics)
 
 
 def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
-    if config.schedule is None:
-        raise ConfigError("CompoundPoisson needs a schedule")
-    grid = config.intensity_grid()
     d = config.window.dim
-    alpha = config.alphas[0]
-    c = config.schedule.edge_constant(d)
-    if not math.isfinite(c) or c <= 0:
-        raise ConfigError("CompoundPoisson needs t^2 delta^d -> c in (0, inf)")
+    (alpha,) = config.alphas
+    c = config.schedule.edge_constant(d) if config.schedule is not None else math.inf
+    if not 0 < c < math.inf:
+        raise ConfigError("CompoundPoisson needs a schedule with t^2 delta^d -> c in (0, inf)")
     model = CompoundPoissonModel(c=c, dim=d, alpha=alpha, volume=config.window.volume)
     ref_rng = replication_rng(config.master_seed, 0, STREAM_REFERENCE)
-    reference = sample_compound_poisson(model, ref_rng, 1_000_000)
-    ref_cdf = EmpiricalCdf(reference)
-    ks_tol = config.tolerance("ks")
-    k_se = config.tolerance("mean_se_mult")
-    metrics: list[Metric] = []
+    ref_cdf = EmpiricalCdf(sample_compound_poisson(model, ref_rng, 1_000_000))
     ks_list = []
-    for b_idx, t in enumerate(grid):
-        stats = run_replications(config, t=t, batch=b_idx)
-        rescaled = t ** (2.0 * alpha / d) * stats.length_powers[:, 0]
-        ks = ks_statistic(rescaled, ref_cdf, cdf_left=ref_cdf.left)
-        ks_list.append(ks)
-        if b_idx == len(grid) - 1:
-            atom = float(np.mean(stats.length_powers[:, 0] == 0.0))
-            se = math.sqrt(max(atom * (1.0 - atom), 1e-12) / config.replications)
-            metrics.append(Metric(
-                name="void probability P(L=0)", empirical=atom,
-                theory=model.atom_at_zero, se=se, tolerance_name="mean_se_mult",
-                verdict=abs(atom - model.atom_at_zero) <= k_se * se,
-                anchor="compound Poisson limit: atom at zero"))
-    metrics.append(Metric(
-        name="KS vs compound-Poisson reference (final)", empirical=ks_list[-1],
-        theory=0.0, tolerance_name="ks", verdict=ks_list[-1] <= ks_tol,
-        anchor="compound Poisson limit of the rescaled functional"))
-    if len(ks_list) >= 2:
-        metrics.append(Metric(
-            name="KS vs compound-Poisson reference decreasing", empirical=ks_list,
-            theory=None, tolerance_name="ks",
-            verdict=all(b < a for a, b in zip(ks_list[:-1], ks_list[1:])),
-            anchor="compound Poisson approximation improves with intensity"))
+    for b_idx, t in enumerate(config.intensity_grid()):
+        powers = _length_powers(config, t=t, batch=b_idx)[:, 0]
+        ks_list.append(ks_statistic(t ** (2.0 * alpha / d) * powers, ref_cdf,
+                                    cdf_left=ref_cdf.left))
+    atom = float(np.mean(powers == 0.0))  # at the largest t
+    se = math.sqrt(max(atom * (1.0 - atom), 1e-12) / config.replications)
+    metrics = [_within("void probability P(L=0)", atom, model.atom_at_zero,
+                       config.tolerance("mean_se_mult") * se, "mean_se_mult",
+                       "compound Poisson limit: atom at zero", se=se)]
+    metrics += _ks_along_grid(
+        config, ks_list, "KS vs compound-Poisson reference (final)",
+        "compound Poisson limit of the rescaled functional",
+        "KS vs compound-Poisson reference decreasing",
+        "compound Poisson approximation improves with intensity")
     return _finish(config, metrics)
 
 
@@ -597,7 +569,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     approximately independent with the intensity-measure means."""
     t = config.intensity()
     d = config.window.dim
-    alpha = config.alphas[0]
+    (alpha,) = config.alphas
     c = _edge_limit(config)
     limit = EdgeLengthProcessLimit(alpha=alpha, edge_constant=c)
     rescale = t ** (2.0 * alpha / d)
@@ -605,42 +577,46 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     v = config.window.volume
     # Interval boundaries with unit limiting mass each: nu([0,u_k]) = k.
     bounds = [(2.0 * k / (kd * v)) ** (alpha / d) for k in range(4)]
-    intervals = np.array(list(zip(bounds[:-1], bounds[1:])))
-    stats = run_replications(config, order_stat_count=5,
-                             interval_bounds=intervals, rescale=rescale)
+    intervals = list(zip(bounds[:-1], bounds[1:]))
+
+    def reduce(sample, edges):
+        # the 5 smallest powers, then the counts of rescaled powers per interval
+        powers = rescale * edges.lengths ** alpha
+        counts = [np.count_nonzero((powers >= lo) & (powers < hi)) for lo, hi in intervals]
+        return np.concatenate([_smallest_powers(edges.lengths, alpha, 5), counts])
+
+    rows = run_replications(config, reduce)
     metrics: list[Metric] = []
     for m in range(1, 6):
-        samples = rescale * stats.order_stats[:, 0, m - 1]
-        ks = ks_statistic(samples, lambda u, m=m: np.array(
+        ks = ks_statistic(rescale * rows[:, m - 1], lambda u, m=m: np.array(
             [order_statistic_cdf(m, float(x), limit, v, d) for x in np.atleast_1d(u)]))
         tol_name = "ks_first_order_stat" if m == 1 else "ks"
-        metrics.append(Metric(
-            name=f"KS order statistic m={m}", empirical=ks, theory=0.0,
-            tolerance_name=tol_name, verdict=ks <= config.tolerance(tol_name),
-            anchor="order-statistic limit law of rescaled edge-length powers"))
-    counts = stats.interval_counts
-    k_se = config.tolerance("mean_se_mult")
-
-    def mass(u: float) -> float:
-        value = u ** (d / alpha)
-        return min(value, c) if c is not None else value
-
+        metrics.append(_below(f"KS order statistic m={m}", ks, config.tolerance(tol_name),
+                              tol_name, "order-statistic limit law of rescaled edge-length powers"))
+    counts = rows[:, 5:]
+    cap = math.inf if c is None else c  # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
     for k, (lo, hi) in enumerate(intervals):
-        nu = 0.5 * kd * v * (mass(hi) - mass(lo))
-        mean = float(counts[:, k].mean())
+        nu = 0.5 * kd * v * (min(hi ** (d / alpha), cap) - min(lo ** (d / alpha), cap))
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
-        metrics.append(Metric(
-            name=f"interval count mean [{lo:.4g},{hi:.4g})", empirical=mean,
-            theory=nu, se=se, tolerance_name="mean_se_mult",
-            verdict=abs(mean - nu) <= k_se * se,
-            anchor="intensity measure of the limiting edge-length process"))
-    cc = np.corrcoef(counts, rowvar=False)
-    max_corr = float(np.max(np.abs(cc - np.eye(cc.shape[0]))))
-    metrics.append(Metric(
-        name="interval count max |corr|", empirical=max_corr, theory=0.0,
-        tolerance_name="corr_max", verdict=max_corr <= config.tolerance("corr_max"),
-        anchor="independence over disjoint sets in the Poisson process limit"))
+        metrics.append(_within(f"interval count mean [{lo:.4g},{hi:.4g})",
+                               float(counts[:, k].mean()), nu,
+                               config.tolerance("mean_se_mult") * se, "mean_se_mult",
+                               "intensity measure of the limiting edge-length process", se=se))
+    # A count that is the same in every replication has no correlation: NaN
+    # here, and the check fails.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cc = np.corrcoef(counts, rowvar=False)
+    metrics.append(_below("interval count max |corr|",
+                          float(np.max(np.abs(cc - np.eye(cc.shape[0])))),
+                          config.tolerance("corr_max"), "corr_max",
+                          "independence over disjoint sets in the Poisson process limit"))
     return _finish(config, metrics)
+
+
+def _thermo_slope_runs(config: ExperimentConfig) -> bool:
+    """LDI's slope test runs on a Poisson t-grid under a thermodynamic schedule."""
+    return (bool(config.t_grid) and config.schedule is not None and config.model == "poisson"
+            and config.schedule.classify(config.window.dim) == "thermodynamic")
 
 
 def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
@@ -649,49 +625,41 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     metrics: list[Metric] = []
     tables: dict = {}
     conf = config.tolerance("cp_confidence")
-    pilot_reps = max(2, config.replications // 2)
+    reps = config.replications
     intensity = config.intensity()
     delta = config.delta_for(intensity)
-    pilot = run_replications(config, reps=pilot_reps, stream=STREAM_PILOT)
-    test = run_replications(config)
+    t, n = (intensity, None) if config.model == "poisson" else (None, int(intensity))
+    pilot = _length_powers(config, reps=max(2, reps // 2), stream=STREAM_PILOT)
+    test = _length_powers(config)
     for i, alpha in enumerate(config.alphas):
-        med = float(np.median(pilot.length_powers[:, i]))
-        dev_max = float(np.max(np.abs(pilot.length_powers[:, i] - med)))
+        med = float(np.median(pilot[:, i]))
+        dev_max = float(np.max(np.abs(pilot[:, i] - med)))
         # Grid up to twice the largest pilot deviation: beyond that the bounds
         # decay below what a zero-hit tail estimate can statistically resolve.
         scale = dev_max if dev_max > 0 else max(med, 1.0)
-        u_grid = np.geomspace(scale / 50.0, 2.0 * scale, 20)
-        devs = np.abs(test.length_powers[:, i] - med)
-        rows = {"u": [], "empirical_tail": [], "ldi_bound": [], "ldi_envelope": []}
-        ok_bound = True
-        ok_env = True
-        worst_margin = math.inf
-        for u in u_grid:
-            k = int(np.count_nonzero(devs >= u))
-            upper = clopper_pearson_upper(k, config.replications, conf)
-            inp = LdiInput(mode=config.model, window=config.window, delta=delta,
-                           alpha=alpha, median=med, u=float(u),
-                           t=intensity if config.model == "poisson" else None,
-                           n=int(intensity) if config.model == "binomial" else None)
-            bnd = ldi_bound(inp)
-            env = ldi_envelope(inp)
-            rows["u"].append(float(u))
-            rows["empirical_tail"].append(k / config.replications)
-            rows["ldi_bound"].append(bnd)
-            rows["ldi_envelope"].append(env)
-            ok_bound &= upper <= bnd
-            ok_env &= upper <= env
-            worst_margin = min(worst_margin, bnd - upper, env - upper)
-        tables[f"ldi_alpha_{alpha}"] = rows
-        for bound, ok, form in (("optimized", ok_bound, "s-optimized"),
-                                ("envelope", ok_env, "explicit envelope")):
+        u_grid = [float(u) for u in np.geomspace(scale / 50.0, 2.0 * scale, 20)]
+        devs = np.abs(test[:, i] - med)
+        hits = [int(np.count_nonzero(devs >= u)) for u in u_grid]
+        inputs = [LdiInput(mode=config.model, window=config.window, delta=delta, alpha=alpha,
+                           median=med, u=u, t=t, n=n) for u in u_grid]
+        table = tables[f"ldi_alpha_{alpha}"] = {
+            "u": u_grid, "empirical_tail": [k / reps for k in hits],
+            "ldi_bound": [ldi_bound(inp) for inp in inputs],
+            "ldi_envelope": [ldi_envelope(inp) for inp in inputs]}
+        uppers = [clopper_pearson_upper(k, reps, conf) for k in hits]
+        worst_margin = min(math.inf, *(b - up for up, bnd, env in
+                                       zip(uppers, table["ldi_bound"], table["ldi_envelope"])
+                                       for b in (bnd, env)))
+        for bound, column, form in (("optimized", "ldi_bound", "s-optimized"),
+                                    ("envelope", "ldi_envelope", "explicit envelope")):
+            # one verdict over the whole u-grid; the margin shown is the
+            # smallest over both bounds
             metrics.append(Metric(
                 name=f"tails below {bound} bound [alpha={alpha}]",
                 empirical=worst_margin, theory=0.0, tolerance_name="cp_confidence",
-                verdict=ok, anchor=f"median deviation inequality, {form}"))
-    if config.t_grid and config.schedule is not None \
-            and config.schedule.classify(config.window.dim) == "thermodynamic" \
-            and config.model == "poisson":
+                verdict=all(up <= b for up, b in zip(uppers, table[column])),
+                anchor=f"median deviation inequality, {form}"))
+    if _thermo_slope_runs(config):
         metrics.append(_thermo_slope_metric(config))
     return _finish(config, metrics, tables)
 
@@ -700,24 +668,23 @@ def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
     """Slope of -log empirical tail against the thermodynamic exponent shape."""
     grid = config.intensity_grid()
     d = config.window.dim
-    alpha = config.alphas[0]
+    (alpha,) = config.alphas
     t0 = grid[0]
-    pilot = run_replications(config, t=t0, reps=max(2, config.replications // 2),
-                             stream=STREAM_PILOT, batch=100)
-    col = pilot.length_powers[:, 0]
+    col = _length_powers(config, t=t0, reps=max(2, config.replications // 2),
+                         stream=STREAM_PILOT, batch=100)[:, 0]
     med0 = float(np.median(col))
     u0 = float(np.quantile(np.abs(col - med0), 0.98))
     shapes = []
     neglogs = []
     for b_idx, t in enumerate(grid):
         u_t = u0 * (t / t0) ** (2.0 / 3.0)
-        stats = run_replications(config, t=t, batch=200 + b_idx)
-        colt = stats.length_powers[:, 0]
+        colt = _length_powers(config, t=t, batch=200 + b_idx)[:, 0]
         tail = float(np.mean(np.abs(colt - np.median(colt)) >= u_t))
         tail = max(tail, 0.5 / config.replications)
         shapes.append(thermo_exponent(u_t, t, alpha, d))
         neglogs.append(-math.log(tail))
     slope = float(np.polyfit(shapes, neglogs, 1)[0])
+    # the one check that passes strictly above its tolerance
     return Metric(
         name="thermodynamic tail exponent slope", empirical=slope, theory=None,
         tolerance_name="tail_slope_min", verdict=slope > config.tolerance("tail_slope_min"),
@@ -730,41 +697,28 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     if len(grid) < 2:
         raise ConfigError("PPConditions needs a t_grid")
     d = config.window.dim
-    alpha = config.alphas[0]
+    (alpha,) = config.alphas
     edge_c = _edge_limit(config)
     kd = unit_ball_volume(d)
-    a_rel = config.tolerance("a_limit_rel")
-    r_rel = config.tolerance("r_const_rel")
     metrics: list[Metric] = []
     for u in (0.5, 1.0, 2.0):
-        a_vals = []
-        r_vals = []
-        for t in grid:
-            a_t, r_t = pp_conditions(config.window, t, config.delta_for(t), alpha, u)
-            a_vals.append(a_t)
-            r_vals.append(r_t)
+        a_vals, r_vals = zip(*(pp_conditions(config.window, t, config.delta_for(t), alpha, u)
+                               for t in grid))
         limit = pp_condition_limits(config.window, alpha, u, edge_c)
-        metrics.append(Metric(
-            name=f"a_t(u={u}) at largest t", empirical=a_vals[-1], theory=limit,
-            tolerance_name="a_limit_rel",
-            verdict=abs(a_vals[-1] - limit) <= a_rel * abs(limit),
-            anchor="mean count condition of the process limit"))
-        metrics.append(Metric(
-            name=f"r_t(u={u}) decreasing to zero", empirical=r_vals, theory=0.0,
-            tolerance_name="r_const_rel",
-            verdict=all(b < a for a, b in zip(r_vals[:-1], r_vals[1:])),
-            anchor="local mass condition of the process limit"))
-        ratios = []
-        for t, r_t in zip(grid, r_vals):
-            rho = u ** (1.0 / alpha) * t ** (-2.0 / d)
-            if rho < min(config.delta_for(t), config.window.inradius):
-                ratios.append(r_t * t / (kd * u ** (d / alpha)))
+        metrics += [
+            _within(f"a_t(u={u}) at largest t", a_vals[-1], limit,
+                    config.tolerance("a_limit_rel") * abs(limit), "a_limit_rel",
+                    "mean count condition of the process limit"),
+            _decreasing(f"r_t(u={u}) decreasing to zero", list(r_vals), "r_const_rel",
+                        "local mass condition of the process limit", theory=0.0)]
+        # r_t * t is constant once rho = u^(1/alpha) t^(-2/d) is below delta and the inradius
+        ratios = [r_t * t / (kd * u ** (d / alpha)) for t, r_t in zip(grid, r_vals)
+                  if u ** (1.0 / alpha) * t ** (-2.0 / d)
+                  < min(config.delta_for(t), config.window.inradius)]
         if ratios:
-            worst = max(abs(x - 1.0) for x in ratios)
-            metrics.append(Metric(
-                name=f"r_t*t constancy (u={u})", empirical=ratios,
-                theory=1.0, tolerance_name="r_const_rel", verdict=worst <= r_rel,
-                anchor="interior local-mass value below the inradius"))
+            metrics.append(_within(f"r_t*t constancy (u={u})", ratios, 1.0,
+                                   config.tolerance("r_const_rel"), "r_const_rel",
+                                   "interior local-mass value below the inradius"))
     return _finish(config, metrics)
 
 
@@ -777,13 +731,16 @@ _VERIFIERS = {
     "LDI": verify_ldi,
     "PPConditions": verify_pp_conditions,
 }
+VERIFICATION_KINDS = tuple(_VERIFIERS)
 
 
-def _check_alpha_range(config: ExperimentConfig) -> None:
-    """Reject alphas outside the suite's range before any replication runs.
+def _check_alphas(config: ExperimentConfig) -> None:
+    """Reject alphas the suite cannot check before any replication runs.
 
     Moments, CLT and MultivariateCov need Var L^(alpha) finite, alpha > -d/2;
     the limit laws need alpha > 0 and the deviation bounds alpha >= 0.
+    CompoundPoisson, OrderStatistics, PPConditions and LDI's thermodynamic
+    slope check exactly one alpha: their metric names carry none.
     """
     if config.kind in ("Moments", "CLT", "MultivariateCov"):
         floor, strict = -config.window.dim / 2.0, True
@@ -793,9 +750,15 @@ def _check_alpha_range(config: ExperimentConfig) -> None:
     if bad:
         raise ConfigError(f"{config.kind} needs alpha {'>' if strict else '>='} {floor:g}, "
                           f"got {bad!r}")
+    one_alpha = config.kind in ("CompoundPoisson", "OrderStatistics", "PPConditions") \
+        or (config.kind == "LDI" and _thermo_slope_runs(config))
+    if one_alpha and len(config.alphas) > 1:
+        raise ConfigError(f"{config.kind} checks exactly one alpha"
+                          f"{' with a thermodynamic t_grid' if config.kind == 'LDI' else ''}, "
+                          f"got {list(config.alphas)!r}")
 
 
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check the alpha range, then dispatch to the suite named by config.kind."""
-    _check_alpha_range(config)
+    """Check the alphas, then dispatch to the suite named by config.kind."""
+    _check_alphas(config)
     return _VERIFIERS[config.kind](config)

@@ -271,6 +271,8 @@ def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta
 def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float,
                       order: int = _GL_FACE) -> float:
     """I_hh for a ball, by radial shells: h depends only on ||y||."""
+    if beta < alpha:  # one product order, so I_hh(a, b) and I_hh(b, a) agree bitwise
+        alpha, beta = beta, alpha
     R, d = window.radius, window.dim
     dk = d * unit_ball_volume(d)
     r0 = max(R - delta, 0.0)

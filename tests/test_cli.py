@@ -178,6 +178,54 @@ def test_vanishing_edge_constant_exits_2(kind, args, monkeypatch, capsys):
     assert "t^2 delta^d" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,args,alphas", [
+    ("CompoundPoisson", ["--t-grid", "50,200", "--schedule", "1,1"], "1,2"),
+    ("OrderStatistics", ["--t", "500", "--schedule", "1,0.8"], "2,3"),
+    ("PPConditions", ["--t-grid", "200,400", "--schedule", "1,0.8"], "1,2"),
+    ("LDI", ["--t", "200", "--t-grid", "200,400,800", "--schedule", "1,0.5"], "0,1"),
+])
+def test_one_alpha_kinds_reject_a_second_alpha(kind, args, alphas, monkeypatch, capsys):
+    # their metric names carry no alpha, so a second alpha would go unchecked
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    rc = cli.main(["verify", "--kind", kind, "--window", "box:1x1", "--alpha", alphas,
+                   "--reps", "20"] + args)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {kind} checks exactly one alpha")
+
+
+def test_two_alpha_ldi_without_thermodynamic_grid_is_accepted(monkeypatch):
+    # the slope test needs a t-grid; without one both alphas get their tail checks
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    with pytest.raises(AssertionError, match="a replication ran"):
+        cli.main(["verify", "--kind", "LDI", "--window", "box:1x1", "--t", "200",
+                  "--schedule", "1,0.5", "--alpha", "0,1", "--reps", "10"])
+
+
+def test_undefined_correlation_reported_as_valid_json(tmp_path, capsys):
+    # with 2 replications an interval count can be equal in both, so its
+    # correlation is undefined: the report says "nan" and the check fails
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    for seed in range(1, 6):
+        out = tmp_path / f"order{seed}.json"
+        rc = cli.main(["verify", "--kind", "OrderStatistics", "--window", "box:1x1", "--t", "500",
+                       "--schedule", "1,0.8", "--alpha", "2", "--reps", "2",
+                       "--seed", str(seed), "--out", str(out)])
+        assert rc == 1
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        (corr,) = [m for m in payload["metrics"] if m["name"] == "interval count max |corr|"]
+        assert corr["empirical"] == "nan" and corr["verdict"] == "fail"
+    capsys.readouterr()
+
+
+def test_report_json_rejects_non_finite_floats():
+    report = experiments.ExperimentReport(
+        config={"t": math.nan}, metrics=[], seed=0, version="0")
+    with pytest.raises(ValueError):
+        experiments.report_to_json(report)
+
+
 def test_predict_shares_covariogram_values_across_exponents(capsys):
     # 2 means and 3 covariances run 11 radial quadratures over [0, delta];
     # with delta < min(side)/5 there is no kink inside, each quadrature is one

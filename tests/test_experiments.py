@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from gilbertsim import ConvexWindow, RegimeSchedule
 from gilbertsim import experiments as ex
+from gilbertsim import gilbert_graph as gg
 from gilbertsim.errors import ConfigError, TooFewReplicationsError
 
 W = ConvexWindow.box((1.0, 1.0))
@@ -46,21 +47,27 @@ def test_config_validation():
             assert cfg(tolerances={key: value}).tolerance(key) == value
 
 
+def _powers_points_degree(sample, edges):
+    return np.concatenate([gg.length_power(edges, (0.0, 1.0)),
+                           [sample.n_points, gg.max_degree(edges)]])
+
+
 def test_run_replications_deterministic_and_parallel():
-    stats_a = ex.run_replications(cfg())
-    stats_b = ex.run_replications(cfg())
-    assert np.array_equal(stats_a.length_powers, stats_b.length_powers)
-    assert np.array_equal(stats_a.n_points, stats_b.n_points)
-    stats_p = ex.run_replications(cfg(n_jobs=4))
-    assert np.array_equal(stats_a.length_powers, stats_p.length_powers)
-    assert np.array_equal(stats_a.max_degrees, stats_p.max_degrees)
+    rows_a = ex.run_replications(cfg(), _powers_points_degree)
+    rows_b = ex.run_replications(cfg(), _powers_points_degree)
+    assert rows_a.shape == (200, 4)
+    assert np.array_equal(rows_a, rows_b)
+    rows_p = ex.run_replications(cfg(n_jobs=4), _powers_points_degree)
+    assert np.array_equal(rows_a, rows_p)
+    # rows are stacked in replication order: row r is replication r's reduction
+    sample = ex.replication_sample(cfg(), 100.0, 7)
+    assert np.array_equal(rows_a[7], _powers_points_degree(sample, gg.build_edges(sample, 0.05)))
 
 
 def test_run_replications_mean_matches_oracle():
     from gilbertsim import expectation_exact
-    stats = ex.run_replications(cfg(t=100.0, replications=2000))
     exact = expectation_exact(W, 100.0, 0.05, 0.0)
-    col = stats.length_powers[:, 0]
+    col = ex._length_powers(cfg(t=100.0, replications=2000))[:, 0]
     se = col.std(ddof=1) / math.sqrt(col.size)
     assert abs(col.mean() - exact) <= 4.0 * se
 
@@ -131,10 +138,10 @@ def test_verify_moments_tiny_t_vacuous_pass():
 def test_verify_moments_detects_wrong_prediction():
     # harness self-test: judging against predictions at a wrong delta fails
     c = cfg(replications=2000)
-    stats = ex.run_replications(c)
-    good = ex._moment_metrics(c, 100.0, 0.05, stats.length_powers)
+    powers = ex._length_powers(c)
+    good = ex._moment_metrics(c, 100.0, 0.05, powers)
     assert all(m.verdict for m in good)
-    bad = ex._moment_metrics(c, 100.0, 0.065, stats.length_powers)
+    bad = ex._moment_metrics(c, 100.0, 0.065, powers)
     assert any(not m.verdict for m in bad)
 
 
@@ -153,14 +160,21 @@ def test_report_json_schema():
 
 
 def test_replications_csv_format():
-    stats = ex.run_replications(cfg(replications=3), order_stat_count=5)
-    text = ex.replications_to_csv(stats, (0.0, 1.0))
+    rows = ex.run_replications(cfg(replications=3), ex.simulate_row((0.0, 1.0)))
+    assert rows.shape == (3, 2, 8)
+    text = ex.replications_to_csv(rows, (0.0, 1.0))
     lines = text.strip().split("\n")
     assert lines[0] == "rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5"
     assert len(lines) == 1 + 3 * 2
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0.0"
     assert len(first) == 10
+    # every column is read back from replication 0 itself
+    sample = ex.replication_sample(cfg(), 100.0, 0)
+    edges = gg.build_edges(sample, 0.05)
+    assert float(first[2]) == gg.length_power(edges, (0.0,))[0]
+    assert (int(first[3]), int(first[4])) == (sample.n_points, gg.max_degree(edges))
+    assert [float(v) for v in first[5:]] == list(gg._smallest_powers(edges.lengths, 0.0, 5))
 
 
 def test_verify_clt_small():

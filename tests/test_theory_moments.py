@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gilbertsim import geometry as geo
@@ -151,18 +151,24 @@ ALPHA_GRID = (-0.4, 0.0, 0.5, 1.0, 2.0)
 
 
 @st.composite
-def box_alpha_grid(draw):
-    d = draw(st.integers(1, 3))
-    sides = tuple(draw(st.floats(0.5, 2.0)) for _ in range(d))
-    delta = draw(st.floats(0.01, 0.5)) * min(sides)
+def window_alpha_grid(draw):
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        window = geo.ConvexWindow.box(tuple(draw(st.floats(0.5, 2.0)) for _ in range(d)))
+    else:
+        window = geo.ConvexWindow.ball(draw(st.floats(0.25, 1.0)), draw(st.integers(2, 3)))
+    delta = draw(st.floats(0.01, 0.5)) * 2.0 * window.inradius
     t = draw(st.floats(1.0, 2000.0))
     alphas = draw(st.lists(st.sampled_from(ALPHA_GRID), min_size=2, max_size=3, unique=True))
-    return geo.ConvexWindow.box(sides), t, delta, alphas
+    return window, t, delta, alphas
 
 
 @settings(max_examples=25, deadline=None)
-@given(box_alpha_grid())
-def test_property_box_covariance_matrix_symmetric_psd(case):
+@given(window_alpha_grid())
+# a ball case whose matrix was 1 ulp off symmetric while the ball I_hh
+# multiplied the two h profiles in argument order
+@example((geo.ConvexWindow.ball(0.75, 3), 1.0, 0.75, [-0.4, 0.0, 0.5]))
+def test_property_window_covariance_matrix_symmetric_psd(case):
     window, t, delta, alphas = case
     cov = np.array([[tm.covariance_exact(window, t, delta, a, b) for b in alphas]
                     for a in alphas])
@@ -170,11 +176,15 @@ def test_property_box_covariance_matrix_symmetric_psd(case):
     scale = 1.0 / np.sqrt(np.diag(cov))
     corr = cov * scale[:, None] * scale[None, :]
     assert np.linalg.eigvalsh(corr).min() >= -1e-9
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            lo, hi = tm.covariance_bounds(window, t, delta, a, b)
+            assert lo - 1e-12 * abs(hi) <= cov[i, j] <= hi + 1e-12 * abs(hi)
 
 
 @settings(max_examples=25, deadline=None)
-@given(box_alpha_grid())
-def test_property_expectation_inside_bounds(case):
+@given(window_alpha_grid())
+def test_property_window_expectation_inside_bounds(case):
     window, t, delta, alphas = case
     for alpha in alphas:
         val = tm.expectation_exact(window, t, delta, alpha)
