@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, GilbertSimError
 from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
-                          ExperimentConfig, ldi_table_to_csv,
+                          ExperimentConfig, check_edge_budget, ldi_table_to_csv,
                           replication_sample, replications_to_csv,
                           report_to_json, run_replications, run_verification,
                           simulate_row)
@@ -188,6 +188,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
+    check_edge_budget(config)
     rows = run_replications(config, simulate_row(config.alphas))
     _write_or_print(replications_to_csv(rows, config.alphas), args.out)
     if args.edges_out:

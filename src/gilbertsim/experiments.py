@@ -52,6 +52,11 @@ DEFAULT_TOLERANCES = {
     "tail_slope_min": 0.0,    # thermodynamic deviation slope test
 }
 
+# Expected edges a run may hold in memory at once. A replication (build_edges
+# and its reduction) peaks at about 57 B per edge (peak RSS, 1.9e6 edges in
+# d = 2), so the cap is about 1.1 GB.
+EDGE_BUDGET = 2e7
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -146,6 +151,28 @@ def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
     if config.model == "poisson":
         return sample_poisson(config.window, float(intensity), rng)
     return sample_binomial(config.window, int(intensity), rng)
+
+
+def check_edge_budget(config: ExperimentConfig) -> None:
+    """Reject a run whose replications would hold more than EDGE_BUDGET edges.
+
+    E[edges] <= t^2 kappa_d delta^d V / 2 (g_W <= V), checked before any
+    replication runs at every intensity the config names, times the n_jobs
+    replications in flight. A binomial count n is intensity t = n / V.
+    """
+    window = config.window
+    single = config.t if config.model == "poisson" else config.n
+    in_flight = min(config.n_jobs, config.replications)
+    for value in [v for v in (single, *(config.t_grid or ())) if v is not None]:
+        t = value if config.model == "poisson" else value / window.volume
+        edges = (t * t * unit_ball_volume(window.dim) * config.delta_for(value) ** window.dim
+                 * window.volume / 2.0)
+        if edges * in_flight > EDGE_BUDGET:
+            raise ConfigError(
+                f"at {'t' if config.model == 'poisson' else 'n'} = {value:g} a replication "
+                f"expects up to {edges:.3g} edges (t^2 kappa_d delta^d V / 2) and {in_flight} "
+                f"run at once, above the budget of {EDGE_BUDGET:.3g} edges in memory; "
+                f"lower t, n, delta or n_jobs")
 
 
 def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
@@ -759,6 +786,8 @@ def _check_alphas(config: ExperimentConfig) -> None:
 
 
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check the alphas, then dispatch to the suite named by config.kind."""
+    """Check the alphas and the edge budget, then dispatch to the suite named by config.kind."""
     _check_alphas(config)
+    if config.kind != "PPConditions":  # quadrature only, builds no graph
+        check_edge_budget(config)
     return _VERIFIERS[config.kind](config)

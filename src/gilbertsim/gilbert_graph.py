@@ -3,9 +3,17 @@
 build_edges is the performance core: scipy's kd-tree (cKDTree.query_pairs)
 lists candidate pairs within a radius widened by a relative 1e-12, and an
 exact re-filter keeps those whose canonical length is <= delta.
-build_edges_bruteforce is the O(n^2) oracle with the same output contract;
-both take their final edge lengths from one canonical formula, so the results
-agree bitwise.
+build_edges_bruteforce is the O(n^2) oracle with the same output contract.
+
+The one canonical length formula is _pair_distance: gather one coordinate
+column at a time and add the squared differences left to right,
+sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). Every edge length, the oracle's
+<= delta mask and local_statistic come from it, so the results agree bitwise,
+ties at exactly delta included.
+
+Candidate pairs are put in (i, j) order by sorting one fused key i*n + j. The
+key is int32 when n^2 <= int32 max (n <= 46340) and int64 above; EdgeSet's
+i and j are int64 either way.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .point_process import PointSample
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,28 +47,39 @@ class EdgeSet:
         return [(int(a), int(b), float(l)) for a, b, l in zip(self.i, self.j, self.lengths)]
 
 
-def _pair_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical edge length formula; every EdgeSet's lengths come from here."""
-    diff = points.take(a, axis=0) - points.take(b, axis=0)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _pair_distance(points: np.ndarray, a, b) -> np.ndarray:
+    """Canonical edge length formula; every EdgeSet's lengths come from here.
+
+    Squared coordinate differences are added left to right, one column at a
+    time; a and b are index arrays that broadcast against each other.
+    """
+    sq = None
+    for k in range(points.shape[1]):
+        col = points[:, k]
+        diff = col.take(a) - col.take(b)
+        diff *= diff
+        if sq is None:
+            sq = diff
+        else:
+            sq += diff
+    return np.sqrt(sq, out=sq)
 
 
-def _canonical_edgeset(points: np.ndarray, a: np.ndarray, b: np.ndarray,
-                       delta: float, sample: PointSample) -> EdgeSet:
-    """Orient i<j, sort by (i, j), compute lengths in one canonical pass."""
-    i = np.minimum(a, b).astype(np.int64)
-    j = np.maximum(a, b).astype(np.int64)
-    # pairs are unique, so one fused key sorts lexicographically by (i, j)
-    order = np.argsort(i * np.int64(points.shape[0]) + j)
-    i = i[order]
-    j = j[order]
-    return EdgeSet(i=i, j=j, lengths=_pair_distance(points, i, j),
-                   delta=float(delta), sample=sample)
+def _sorted_pairs(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique pairs a < b of vertices 0..n-1, sorted by (a, b), as int64 arrays.
 
-
-def _empty_edgeset(delta: float, sample: PointSample) -> EdgeSet:
-    z = np.zeros(0, dtype=np.int64)
-    return EdgeSet(i=z, j=z.copy(), lengths=np.zeros(0), delta=float(delta), sample=sample)
+    The pairs are unique, so sorting the fused key a*n + b orders them
+    lexicographically; the key is int32 whenever n^2 fits.
+    """
+    dtype = np.int32 if n * n <= _INT32_MAX else np.int64
+    key = a.astype(dtype)
+    key *= dtype(n)
+    # b < n, so the sum fits the key's dtype; add in place without a copy of b
+    np.add(key, b, out=key, casting="unsafe")
+    key.sort()
+    i = key // n
+    j = key - i * n
+    return i.astype(np.int64), j.astype(np.int64)
 
 
 def build_edges(sample: PointSample, delta: float) -> EdgeSet:
@@ -66,43 +87,43 @@ def build_edges(sample: PointSample, delta: float) -> EdgeSet:
     if not (delta > 0):
         raise ValueError("delta must be > 0")
     pts = sample.points
-    n = pts.shape[0]
     # The tree rounds its distances its own way; the widened radius keeps every
     # pair whose canonical length is <= delta among the candidates.
     pairs = cKDTree(pts).query_pairs(delta * (1 + 1e-12), output_type="ndarray")
-    # query_pairs yields i < j, so the sorted fused key orders pairs by (i, j)
-    i, j = np.divmod(np.sort(pairs[:, 0] * np.int64(n) + pairs[:, 1]), n)
+    # query_pairs yields i < j
+    i, j = _sorted_pairs(pairs[:, 0], pairs[:, 1], pts.shape[0])
     lengths = _pair_distance(pts, i, j)
     keep = lengths <= delta
-    return EdgeSet(i=i[keep], j=j[keep], lengths=lengths[keep], delta=float(delta),
-                   sample=sample)
+    if not keep.all():
+        i, j, lengths = i[keep], j[keep], lengths[keep]
+    return EdgeSet(i=i, j=j, lengths=lengths, delta=float(delta), sample=sample)
 
 
 def build_edges_bruteforce(sample: PointSample, delta: float, block: int = 512) -> EdgeSet:
-    """All-pairs oracle; same output contract and sort order as build_edges."""
+    """All-pairs oracle; same output contract and sort order as build_edges.
+
+    Blocks of rows are scanned in order and np.nonzero lists each block's
+    pairs row-major, so the pairs come out sorted by (i, j) without a sort.
+    """
     if not (delta > 0):
         raise ValueError("delta must be > 0")
     pts = sample.points
     n = pts.shape[0]
-    if n < 2:
-        return _empty_edgeset(delta, sample)
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
+    cols = np.arange(n)[None, :]
+    # the empty int64 seeds fix the output dtypes and cover n < 2
+    pair_i: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    pair_j: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    lengths: list[np.ndarray] = [np.zeros(0)]
     for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        diff = pts[i0:i1, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(n)[None, :]
+        rows = np.arange(i0, min(i0 + block, n))[:, None]
+        dist = _pair_distance(pts, rows, cols)
         mask = (dist <= delta) & (cols > rows)
         a, b = np.nonzero(mask)
-        pair_a.append(a + i0)
-        pair_b.append(b)
-    a = np.concatenate(pair_a)
-    b = np.concatenate(pair_b)
-    if a.size == 0:
-        return _empty_edgeset(delta, sample)
-    return _canonical_edgeset(pts, a, b, delta, sample)
+        pair_i.append(a + i0)
+        pair_j.append(b)
+        lengths.append(dist[mask])
+    return EdgeSet(i=np.concatenate(pair_i), j=np.concatenate(pair_j),
+                   lengths=np.concatenate(lengths), delta=float(delta), sample=sample)
 
 
 def length_power(edges: EdgeSet, alphas) -> np.ndarray:
@@ -125,8 +146,7 @@ def local_statistic(sample: PointSample, idx: int, delta: float, alpha: float) -
     n = pts.shape[0]
     if not 0 <= idx < n:
         raise IndexError(f"vertex index {idx} out of range")
-    diff = pts - pts[idx]
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = _pair_distance(pts, idx, np.arange(n))
     mask = (dist <= delta)
     mask[idx] = False
     if not mask.any():

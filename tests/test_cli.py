@@ -201,6 +201,37 @@ def test_two_alpha_ldi_without_thermodynamic_grid_is_accepted(monkeypatch):
                   "--schedule", "1,0.5", "--alpha", "0,1", "--reps", "10"])
 
 
+# t^2 kappa_2 delta^2 V / 2 = 2.5e7 expected edges at t (or n) = 200000 and
+# delta = 0.02 on the unit square, above the 2e7 budget; 1.4e7 at t = 150000,
+# which fits once but not twice.
+@pytest.mark.parametrize("command,args,cfg", [
+    ("simulate", ["--t", "200000", "--delta", "0.02"], ""),
+    ("verify", ["--kind", "Moments", "--n", "200000", "--delta", "0.02"], ""),
+    ("verify", ["--kind", "CLT", "--t-grid", "100,200000", "--delta", "0.02"], ""),
+    ("verify", ["--kind", "Moments", "--t", "150000", "--delta", "0.02"], "n_jobs = 2\n"),
+], ids=["simulate", "binomial", "t_grid", "n_jobs"])
+def test_edge_budget_exits_2_before_replications(command, args, cfg, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    argv = [command, "--window", "box:1x1", "--alpha", "1", "--reps", "10",
+            "--config", write_cfg(tmp_path, cfg)] + args
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at ")
+    assert f"above the budget of {experiments.EDGE_BUDGET:.3g} edges in memory" in err
+
+
+def test_edge_budget_leaves_smaller_runs_and_predict_alone(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    with pytest.raises(AssertionError, match="a replication ran"):
+        cli.main(["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "150000",
+                  "--delta", "0.02", "--alpha", "1", "--reps", "10"])
+    # predict builds no graph
+    assert cli.main(["predict", "--window", "box:1x1", "--t", "200000", "--delta", "0.02",
+                     "--alpha", "1"]) == 0
+
+
 def test_undefined_correlation_reported_as_valid_json(tmp_path, capsys):
     # with 2 replications an interval count can be equal in both, so its
     # correlation is undefined: the report says "nan" and the check fails

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from gilbertsim import geometry as geo
@@ -130,11 +132,24 @@ def test_radial_integral_small_delta_asymptote():
                 prev = ratio
 
 
-def test_radial_integral_total_mass_identity():
-    for sides in ((1.0,), (1.0, 1.0), (2.0, 1.0, 0.5)):
-        w = geo.ConvexWindow.box(sides)
-        val = geo.covariogram_radial_integral(w, w.diameter * 1.01, 0.0)
-        assert val == pytest.approx(w.volume**2, rel=1e-6)
+@st.composite
+def windows(draw):
+    """A box or a ball in dimension 1 to 3."""
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return geo.ConvexWindow.box(tuple(draw(st.floats(0.2, 2.0)) for _ in range(d)))
+    return geo.ConvexWindow.ball(draw(st.floats(0.2, 1.5)), d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windows())
+@example(geo.ConvexWindow.box((1.0,)))
+@example(geo.ConvexWindow.box((1.0, 1.0)))
+@example(geo.ConvexWindow.box((2.0, 1.0, 0.5)))
+def test_radial_integral_total_mass_identity(w):
+    # ∫ g_W = V(W)^2: the radial integral over a ball containing W - W
+    val = geo.covariogram_radial_integral(w, w.diameter * 1.01, 0.0)
+    assert val == pytest.approx(w.volume**2, rel=1e-6)
 
 
 def test_radial_integral_cold_cache_equals_warm():
@@ -180,17 +195,21 @@ def test_radial_integral_rejects_divergent_exponent():
         geo.covariogram_radial_integral(geo.ConvexWindow.ball(1.0, 4), 0.1, 0.0)
 
 
-def test_sphere_integral_lipschitz_sandwich():
-    # d kappa_d V >= G(r) >= d kappa_d V - kappa_{d-1} S r on an r-grid
-    for w in (geo.ConvexWindow.box((1.0, 1.0)), geo.ConvexWindow.ball(0.8, 2),
-              geo.ConvexWindow.box((1.0, 0.7, 1.3)), geo.ConvexWindow.ball(0.6, 3)):
-        d = w.dim
-        hi = d * geo.unit_ball_volume(d) * w.volume
-        slope = geo.unit_ball_volume(d - 1) * w.surface_area
-        for r in np.linspace(1e-6, 0.45 * w.diameter, 12):
-            g = geo.covariogram_sphere_integral(w, float(r))
-            assert g <= hi + 1e-9 * hi
-            assert g >= hi - slope * r - 1e-9 * hi
+@settings(max_examples=60, deadline=None)
+@given(windows(), st.floats(0.0, 1.0))
+@example(geo.ConvexWindow.box((1.0, 1.0)), 0.45)
+@example(geo.ConvexWindow.ball(0.8, 2), 0.45)
+@example(geo.ConvexWindow.box((1.0, 0.7, 1.3)), 0.45)
+@example(geo.ConvexWindow.ball(0.6, 3), 0.45)
+def test_sphere_integral_lipschitz_sandwich(w, u):
+    # d kappa_d V >= G(r) >= d kappa_d V - kappa_{d-1} S r on an r-grid up to u * diam W
+    d = w.dim
+    hi = d * geo.unit_ball_volume(d) * w.volume
+    slope = geo.unit_ball_volume(d - 1) * w.surface_area
+    for r in np.linspace(1e-6, max(u * w.diameter, 1e-6), 12):
+        g = geo.covariogram_sphere_integral(w, float(r))
+        assert g <= hi + 1e-9 * hi
+        assert g >= hi - slope * r - 1e-9 * hi
 
 
 def test_inner_parallel_volume_bound():

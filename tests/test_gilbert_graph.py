@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gilbertsim import geometry as geo
@@ -92,6 +92,9 @@ def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
 @settings(max_examples=100, deadline=None)
 @given(d=st.integers(1, 3), m=st.integers(2, 6), spacing=st.floats(0.01, 0.5),
        origin=st.floats(0.0, 1.0), diagonal=st.integers(1, 3))
+# a body-diagonal lattice where summing the squares in einsum's order,
+# (x^2 + z^2) + y^2, puts some pairs on the other side of delta
+@example(d=3, m=4, spacing=0.3379556763015149, origin=0.4227846732701278, diagonal=3)
 def test_property_lattice_ties_at_delta(d, m, spacing, origin, diagonal):
     # neighbors at distance exactly delta (up to rounding of the coordinates):
     # the axis spacing for diagonal=1, the face/body diagonals for 2 and 3
@@ -103,6 +106,54 @@ def test_property_lattice_ties_at_delta(d, m, spacing, origin, diagonal):
     fast = gg.build_edges(s, delta)
     assert edgesets_identical(fast, gg.build_edges_bruteforce(s, delta))
     assert np.all(fast.lengths <= delta)
+    # local_statistic decides ties with the same length formula
+    deg = np.bincount(fast.i, minlength=len(pts)) + np.bincount(fast.j, minlength=len(pts))
+    assert [gg.local_statistic(s, v, delta, 0.0) for v in range(len(pts))] == deg.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4), data=st.data())
+def test_property_pair_distance_is_left_to_right_fold(d, data):
+    # pins the canonical formula: sqrt(((dx0^2 + dx1^2) + dx2^2) + ...) per pair,
+    # whatever order einsum or a SIMD sum would pick
+    n = data.draw(st.integers(1, 12))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    pts = np.array(data.draw(st.lists(st.lists(coords, min_size=d, max_size=d),
+                                      min_size=n, max_size=n)))
+    index = st.lists(st.integers(0, n - 1), min_size=1, max_size=30)
+    a = np.array(data.draw(index))
+    b = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(a), max_size=len(a))))
+
+    def fold(p, q):
+        total = 0.0
+        for k in range(d):
+            diff = float(pts[p, k]) - float(pts[q, k])
+            total += diff * diff
+        return math.sqrt(total)
+
+    want = np.array([fold(p, q) for p, q in zip(a, b)])
+    assert gg._pair_distance(pts, a, b).tobytes() == want.tobytes()
+    # the oracle's broadcast form (rows against columns) gives the same bits
+    grid = gg._pair_distance(pts, a[:, None], np.arange(n)[None, :])
+    assert grid.tobytes() == np.array([[fold(p, q) for q in range(n)] for p in a]).tobytes()
+
+
+# 46340 is the last n with n^2 <= int32 max, so the last with an int32 key;
+# from 46342 on the largest key (n-2)*n + n-1 itself overflows an int32
+@pytest.mark.parametrize("n", [46340, 46341, 46342])
+def test_sorted_pairs_matches_lexsort_at_key_dtype_boundary(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, n - 1, 20000)
+    b = a + 1 + (rng.random(20000) * (n - 1 - a)).astype(np.int64)
+    # the largest keys
+    a = np.concatenate([a, [n - 2, n - 3, 0]])
+    b = np.concatenate([b, [n - 1, n - 1, n - 1]])
+    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
+    pairs = pairs[rng.permutation(len(pairs))]
+    i, j = gg._sorted_pairs(pairs[:, 0], pairs[:, 1], n)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    assert i.dtype == np.int64 and j.dtype == np.int64
+    assert np.array_equal(i, pairs[order, 0]) and np.array_equal(j, pairs[order, 1])
 
 
 def test_delta_larger_than_window_single_cell():
