@@ -5,8 +5,8 @@ lists candidate pairs within a radius widened by a relative 1e-12, and an
 exact re-filter keeps those whose canonical length is <= delta.
 build_edges_bruteforce is the O(n^2) oracle with the same output contract.
 
-The one canonical length formula is _pair_distance: gather one coordinate
-column at a time and add the squared differences left to right,
+The one canonical length formula is _pair_distance: the squared coordinate
+differences added left to right, one column at a time,
 sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). Every edge length, the oracle's
 <= delta mask and local_statistic come from it, so the results agree bitwise,
 ties at exactly delta included.
@@ -50,18 +50,15 @@ class EdgeSet:
 def _pair_distance(points: np.ndarray, a, b) -> np.ndarray:
     """Canonical edge length formula; every EdgeSet's lengths come from here.
 
-    Squared coordinate differences are added left to right, one column at a
-    time; a and b are index arrays that broadcast against each other.
+    The squared coordinate differences are added left to right, one column at
+    a time: sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). a and b are index arrays
+    that broadcast against each other.
     """
-    sq = None
-    for k in range(points.shape[1]):
-        col = points[:, k]
-        diff = col.take(a) - col.take(b)
-        diff *= diff
-        if sq is None:
-            sq = diff
-        else:
-            sq += diff
+    diff = points.take(a, axis=0) - points.take(b, axis=0)
+    diff *= diff
+    sq = diff[..., 0].copy()
+    for k in range(1, points.shape[1]):
+        sq += diff[..., k]
     return np.sqrt(sq, out=sq)
 
 
@@ -73,13 +70,12 @@ def _sorted_pairs(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.
     """
     dtype = np.int32 if n * n <= _INT32_MAX else np.int64
     key = a.astype(dtype)
-    key *= dtype(n)
-    # b < n, so the sum fits the key's dtype; add in place without a copy of b
-    np.add(key, b, out=key, casting="unsafe")
+    key *= n
+    key += b.astype(dtype)
     key.sort()
     i = key // n
     j = key - i * n
-    return i.astype(np.int64), j.astype(np.int64)
+    return i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
 
 
 def build_edges(sample: PointSample, delta: float) -> EdgeSet:
