@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -19,18 +20,15 @@ import numpy as np
 from .errors import ConfigError, GilbertSimError
 from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
                           ExperimentConfig, check_edge_budget, ldi_table_to_csv,
-                          replication_sample, replications_to_csv,
-                          report_to_json, run_replications, run_verification,
-                          simulate_row)
+                          replications_to_csv, report_to_json, require_poisson,
+                          run_replications, run_verification, simulate_row)
 from .geometry import ConvexWindow, covariogram, covariogram_is_exact
-from .gilbert_graph import build_edges
+# not called here; perfbench's tracer test checks that cli binds this name
+from .gilbert_graph import build_edges  # noqa: F401
 from .theory_moments import (RegimeSchedule, TheoryPrediction,
                              covariance_exact, d3_bound, expectation_bounds,
                              expectation_exact, sigma_matrix,
                              variance_asymptotic)
-
-_CONFIG_KEYS = ("window", "dim", "model", "t", "n", "t_grid", "schedule",
-                "delta", "alphas", "reps", "seed", "kind", "n_jobs")
 
 
 def parse_window(text: str, dim: int | None = None) -> ConvexWindow:
@@ -50,15 +48,18 @@ def parse_window(text: str, dim: int | None = None) -> ConvexWindow:
             else:
                 raise ValueError("ball window needs @d=<dim> or an explicit dim")
             return ConvexWindow.ball(float(radius), d)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}: {exc}") from None
     raise ConfigError(f"bad window {text!r}: expected box:<s1>x<s2>... or ball:<r>@d=<dim>")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(","))
+    return tuple(float(v) for v in text.split(","))
+
+
+def _parse_schedule(text: str) -> RegimeSchedule:
+    a, gamma = _parse_floats(text)  # ValueError unless exactly two values
+    return RegimeSchedule(a=a, gamma=gamma)
 
 
 def canonical_kind(text: str) -> str:
@@ -68,13 +69,43 @@ def canonical_kind(text: str) -> str:
     raise ConfigError(f"unknown kind {text!r}; choose one of {', '.join(VERIFICATION_KINDS)}")
 
 
+# Run settings: config key -> (flag, help, converter). Flags are built from it
+# with dest = key and no argparse type, so flag and config values share one
+# converter. model and n_jobs are config-only; --kind is on `verify` only.
+_SETTINGS = {
+    "window": ("--window", "box:1x1 | box:2x1x0.5 | ball:1.0@d=3", str),
+    "dim": ("--dim", "dimension for ball:<r> windows", int),
+    "model": (None, None, str),
+    "t": ("--t", "Poisson intensity", float),
+    "n": ("--n", "binomial point count", int),
+    "t_grid": ("--t-grid", "comma list of intensities", _parse_floats),
+    "schedule": ("--schedule", "a,gamma for delta_t = a * t^-gamma", _parse_schedule),
+    "delta": ("--delta", "distance parameter", float),
+    "alphas": ("--alpha", "comma list of length-power exponents", _parse_floats),
+    "reps": ("--reps", "number of replications", int),
+    "seed": ("--seed", "master seed (beats GILBERT_SEED)", int),
+    "kind": ("--kind", "|".join(VERIFICATION_KINDS), canonical_kind),
+    "n_jobs": (None, None, int),
+}
+_CONFIG_KEYS = tuple(_SETTINGS)
+
+
+def _convert(key: str, text: str):
+    """A run setting's value from its text; tol_* keys are floats."""
+    cast = float if key.startswith("tol_") else _SETTINGS[key][2]
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value for {key!r}: {exc}") from None
+
+
 def load_config(path: str) -> dict:
     """Flat key=value file -> raw dict; duplicate/unknown keys are errors."""
     raw: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -98,83 +129,46 @@ def load_config(path: str) -> dict:
 
 
 def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config-file values and flags (flags win) into an ExperimentConfig."""
-    def pick(flag_value, key):
-        return flag_value if flag_value is not None else raw.get(key)
-
-    dim = pick(getattr(args, "dim", None), "dim")
-    window_text = pick(getattr(args, "window", None), "window")
-    if window_text is None:
-        raise ConfigError("missing required key 'window'")
-
-    model = raw.get("model")
-    t = pick(getattr(args, "t", None), "t")
-    n = pick(getattr(args, "n", None), "n")
-    t_grid = pick(getattr(args, "t_grid", None), "t_grid")
-    if getattr(args, "t", None) is not None:
+    """Merge config-file values and flags (flags win), then convert each value once."""
+    flags = {key: value for key, value in vars(args).items()
+             if key in _SETTINGS and value is not None}
+    merged = {**raw, **flags}
+    for key in ("window", "alphas", "reps"):
+        if key not in merged:
+            raise ConfigError(f"missing required key {key!r}")
+    model = merged.get("model")
+    if "t" in flags:
         model = "poisson"
-    if getattr(args, "n", None) is not None:
+    elif "n" in flags:
         model = model or "binomial"
-    if model is None:
-        model = "poisson" if (t is not None or t_grid) else ("binomial" if n else None)
+    elif model is None:
+        model = "poisson" if ("t" in merged or "t_grid" in merged) else (
+            "binomial" if "n" in merged else None)
     if model is None:
         raise ConfigError("missing required key 'model' (or t / n)")
-    schedule_text = pick(getattr(args, "schedule", None), "schedule")
-    schedule = None
-    if schedule_text is not None:
+    env = None if "seed" in flags else os.environ.get("GILBERT_SEED")
+    if env is not None:
+        merged.pop("seed", None)  # GILBERT_SEED beats the config file
+
+    values = {key: _convert(key, text) for key, text in merged.items()}
+    if env is not None:
         try:
-            parts = _parse_floats(schedule_text)
-            if len(parts) != 2:
-                raise ValueError("expected 'a,gamma'")
-            schedule = RegimeSchedule(a=parts[0], gamma=parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad schedule {schedule_text!r}: {exc}") from None
-    delta = pick(getattr(args, "delta", None), "delta")
-    alphas_text = pick(getattr(args, "alpha", None), "alphas")
-    if alphas_text is None:
-        raise ConfigError("missing required key 'alphas'")
-    reps = pick(getattr(args, "reps", None), "reps")
-    if reps is None:
-        raise ConfigError("missing required key 'reps'")
-
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get("GILBERT_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"GILBERT_SEED must be an integer, got {env!r}") from None
-        elif "seed" in raw:
-            seed = raw["seed"]
-        else:
-            seed = 0
-
-    kind_text = pick(getattr(args, "kind", None), "kind")
-    kind = canonical_kind(str(kind_text)) if kind_text is not None else "Moments"
-    n_jobs = raw.get("n_jobs", 1)
-
-    def convert(key, value, cast):
-        if value is None:
-            return None
-        try:
-            return cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid value for {key!r}: {exc}") from None
-
+            values["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"GILBERT_SEED must be an integer, got {env!r}") from None
     return ExperimentConfig(
-        window=parse_window(str(window_text), convert("dim", dim, int)),
-        model=str(model),
-        alphas=convert("alphas", alphas_text, _parse_floats),
-        replications=convert("reps", reps, int), master_seed=convert("seed", seed, int),
-        kind=kind,
-        t=convert("t", t, float),
-        n=convert("n", n, int),
-        t_grid=convert("t_grid", t_grid, _parse_floats),
-        schedule=schedule,
-        delta=convert("delta", delta, float),
-        tolerances={k[4:]: convert(k, v, float) for k, v in raw.items() if k.startswith("tol_")},
-        n_jobs=convert("n_jobs", n_jobs, int))
+        window=parse_window(values["window"], values.get("dim")),
+        model=model,
+        alphas=values["alphas"],
+        replications=values["reps"], master_seed=values.get("seed", 0),
+        kind=values.get("kind", "Moments"),
+        t=values.get("t"),
+        n=values.get("n"),
+        t_grid=values.get("t_grid"),
+        schedule=values.get("schedule"),
+        delta=values.get("delta"),
+        tolerances={k[4:]: v for k, v in values.items() if k.startswith("tol_")},
+        n_jobs=values.get("n_jobs", 1))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -189,14 +183,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
     check_edge_budget(config)
-    rows = run_replications(config, simulate_row(config.alphas))
+    row = simulate_row(config.alphas)
+    first = {}
+
+    def reduce(r, sample, edges):
+        if r == 0 and args.edges_out:
+            first["edges"] = edges  # dumped below, not built again
+        return row(r, sample, edges)
+
+    rows = run_replications(config, reduce)
     _write_or_print(replications_to_csv(rows, config.alphas), args.out)
     if args.edges_out:
-        intensity = config.intensity()
-        edges = build_edges(replication_sample(config, intensity, 0),
-                            config.delta_for(intensity))
         lines = ["i,j,length"]
-        lines += [f"{i},{j},{l!r}" for i, j, l in edges.edges]
+        lines += [f"{i},{j},{l!r}" for i, j, l in first["edges"].edges]
         _write_or_print("\n".join(lines) + "\n", args.edges_out)
     return 0
 
@@ -243,9 +242,9 @@ def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
-    if "reps" not in raw and args.reps is None:
-        args.reps = 2  # predictions do not simulate; satisfy config invariant
-    config = resolve_config(raw, args)
+    # predictions do not simulate; a default reps satisfies the config invariant
+    config = resolve_config({"reps": "2", **raw}, args)
+    require_poisson(config, "predict")
     preds = _predictions(config)
     payload = [{"name": p.name, "value": p.value, "params": p.params,
                 "paper_anchor": p.anchor, "estimated": p.estimated}
@@ -279,10 +278,12 @@ def cmd_covariogram(args: argparse.Namespace) -> int:
     if direction.size != window.dim:
         raise ConfigError(f"direction must have {window.dim} coordinates")
     norm = float(np.linalg.norm(direction))
-    if norm == 0:
-        raise ConfigError("direction must be nonzero")
+    if not (math.isfinite(norm) and norm > 0):
+        raise ConfigError(f"direction must be finite and nonzero, got {args.direction!r}")
     direction = direction / norm
     rmax = args.rmax if args.rmax is not None else window.diameter
+    if not (math.isfinite(rmax) and rmax >= 0):
+        raise ConfigError(f"--rmax must be finite and >= 0, got {rmax!r}")
     estimated = int(not covariogram_is_exact(window))
     lines = ["r,covariogram,estimated"]
     for r in np.linspace(0.0, rmax, args.steps):
@@ -302,19 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_kind=False):
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--window", help="box:1x1 | box:2x1x0.5 | ball:1.0@d=3")
-        p.add_argument("--dim", type=int, help="dimension for ball:<r> windows")
-        p.add_argument("--t", type=float, help="Poisson intensity")
-        p.add_argument("--n", type=int, help="binomial point count")
-        p.add_argument("--t-grid", dest="t_grid", help="comma list of intensities")
-        p.add_argument("--delta", type=float, help="distance parameter")
-        p.add_argument("--schedule", help="a,gamma for delta_t = a * t^-gamma")
-        p.add_argument("--alpha", help="comma list of length-power exponents")
-        p.add_argument("--reps", type=int, help="number of replications")
-        p.add_argument("--seed", type=int, help="master seed (beats GILBERT_SEED)")
+        for key, (flag, text, _) in _SETTINGS.items():
+            if flag is not None and (with_kind or key != "kind"):
+                p.add_argument(flag, dest=key, help=text)
         p.add_argument("--out", help="output path (default: stdout)")
-        if with_kind:
-            p.add_argument("--kind", help="|".join(VERIFICATION_KINDS))
 
     p_sim = sub.add_parser("simulate", help="dump per-replication statistics as CSV")
     common(p_sim)

@@ -13,10 +13,6 @@ class DivergentCovarianceError(GilbertSimError):
     """Covariance parameters outside alpha, beta > -d and alpha + beta > -d."""
 
 
-class DegenerateVarianceError(GilbertSimError):
-    """Variance lower bound is non-positive (delta too large for the window)."""
-
-
 class DegenerateInputError(GilbertSimError):
     """Deviation-inequality input with u + median = 0."""
 

@@ -20,8 +20,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import __version__
-from .errors import (ConfigError, DegenerateVarianceError,
-                     TooFewReplicationsError)
+from .errors import ConfigError, TooFewReplicationsError
 from .geometry import ConvexWindow, unit_ball_volume
 from .gilbert_graph import _smallest_powers, build_edges, length_power, max_degree
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
@@ -178,7 +177,7 @@ def check_edge_budget(config: ExperimentConfig) -> None:
 def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
                      reps: int | None = None, stream: int = STREAM_SAMPLE,
                      batch: int = 0) -> np.ndarray:
-    """Rows reduce(sample, edges), one per replication, stacked in replication order.
+    """Rows reduce(r, sample, edges), one per replication r, stacked in replication order.
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads.
@@ -189,7 +188,7 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
     def one(r: int):
         sample = replication_sample(config, intensity, r, stream=stream, batch=batch)
-        return reduce(sample, build_edges(sample, dlt))
+        return reduce(r, sample, build_edges(sample, dlt))
 
     if config.n_jobs > 1:
         with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
@@ -199,7 +198,7 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
 def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
     """(R, n_alphas) matrix of L^(alpha); kwargs are run_replications' t, reps, stream, batch."""
-    return run_replications(config, lambda sample, edges: length_power(edges, config.alphas),
+    return run_replications(config, lambda r, sample, edges: length_power(edges, config.alphas),
                             **kwargs)
 
 
@@ -343,7 +342,7 @@ def report_to_json(report: ExperimentReport) -> str:
 def simulate_row(alphas):
     """The reduction behind `simulate`'s CSV: per alpha, one row
     (L, n_points, max_degree, S1..S5) with S the 5 smallest length powers."""
-    def reduce(sample, edges):
+    def reduce(r, sample, edges):
         powers = length_power(edges, alphas)
         degree = max_degree(edges)
         return np.array([[powers[k], sample.n_points, degree,
@@ -488,13 +487,7 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
         for i, alpha in enumerate(config.alphas):
             ks = _normal_ks(powers[:, i])
             ks_by_alpha[alpha].append(ks)
-            try:
-                bound = kolmogorov_bound(config.window, t, delta, alpha)
-            except DegenerateVarianceError:
-                # sandwich lower bound collapses for small windows; the exact
-                # variance keeps the bound valid (just slower)
-                bound = kolmogorov_bound(config.window, t, delta, alpha,
-                                         exact_variance=True)
+            bound = kolmogorov_bound(config.window, t, delta, alpha)
             metrics.append(_below(f"KS[alpha={alpha}, t={t:g}] vs normal bound", ks, bound, "ks",
                                   "normal approximation: explicit Kolmogorov-distance bound",
                                   theory=bound))
@@ -576,19 +569,19 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
-def _edge_limit(config: ExperimentConfig) -> float | None:
-    """lim t^2 delta^d of the run's schedule; None when it is infinite.
+def _edge_limit(config: ExperimentConfig) -> float:
+    """c = lim t^2 delta^d of the run's schedule, inf without a schedule.
 
     The edge-length process limits need a positive limit; a schedule whose
     t^2 delta^d tends to 0 has no edges in the limit.
     """
     if config.schedule is None:
-        return None
+        return math.inf
     c = config.schedule.edge_constant(config.window.dim)
     if c <= 0:
         raise ConfigError(f"{config.kind} needs t^2 delta^d -> c in (0, inf]; "
                           f"this schedule gives c = 0")
-    return None if math.isinf(c) else c
+    return c
 
 
 def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
@@ -606,7 +599,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     bounds = [(2.0 * k / (kd * v)) ** (alpha / d) for k in range(4)]
     intervals = list(zip(bounds[:-1], bounds[1:]))
 
-    def reduce(sample, edges):
+    def reduce(r, sample, edges):
         # the 5 smallest powers, then the counts of rescaled powers per interval
         powers = rescale * edges.lengths ** alpha
         counts = [np.count_nonzero((powers >= lo) & (powers < hi)) for lo, hi in intervals]
@@ -621,9 +614,9 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
         metrics.append(_below(f"KS order statistic m={m}", ks, config.tolerance(tol_name),
                               tol_name, "order-statistic limit law of rescaled edge-length powers"))
     counts = rows[:, 5:]
-    cap = math.inf if c is None else c  # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
     for k, (lo, hi) in enumerate(intervals):
-        nu = 0.5 * kd * v * (min(hi ** (d / alpha), cap) - min(lo ** (d / alpha), cap))
+        # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
+        nu = 0.5 * kd * v * (min(hi ** (d / alpha), c) - min(lo ** (d / alpha), c))
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
         metrics.append(_within(f"interval count mean [{lo:.4g},{hi:.4g})",
                                float(counts[:, k].mean()), nu,
@@ -785,9 +778,20 @@ def _check_alphas(config: ExperimentConfig) -> None:
                           f"got {list(config.alphas)!r}")
 
 
+def require_poisson(config: ExperimentConfig, what: str) -> None:
+    """Reject a binomial run of a check against the Poisson-process formulas,
+    which at t = n do not describe n binomial points (the covariances differ)."""
+    if config.model != "poisson":
+        raise ConfigError(f"{what} needs the Poisson model (t, not n): its theory values "
+                          f"are for a Poisson process")
+
+
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check the alphas and the edge budget, then dispatch to the suite named by config.kind."""
+    """Check the alphas, the model and the edge budget, then dispatch to the
+    suite named by config.kind."""
     _check_alphas(config)
+    if config.kind in ("Moments", "MultivariateCov"):
+        require_poisson(config, config.kind)
     if config.kind != "PPConditions":  # quadrature only, builds no graph
         check_edge_budget(config)
     return _VERIFIERS[config.kind](config)

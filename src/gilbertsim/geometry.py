@@ -118,13 +118,12 @@ def covariogram_is_exact(window: ConvexWindow) -> bool:
     return window.kind == "box" or window.dim <= 3
 
 
-def covariogram(window: ConvexWindow, y, *, mc_samples: int = BALL_MC_DEFAULT_SAMPLES,
-                rng: np.random.Generator | None = None) -> float:
+def covariogram(window: ConvexWindow, y, *, mc_samples: int = BALL_MC_DEFAULT_SAMPLES) -> float:
     """g_W(y) = V(W ∩ (W + y)).
 
     Closed form except for balls with d >= 4, which fall back to Monte Carlo
-    (flag via covariogram_is_exact); a fixed default stream keeps that path
-    deterministic unless a generator is supplied.
+    (flag via covariogram_is_exact) on a fixed stream, so that path is
+    deterministic too.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != window.dim:
@@ -133,11 +132,11 @@ def covariogram(window: ConvexWindow, y, *, mc_samples: int = BALL_MC_DEFAULT_SA
         s = np.asarray(window.sides)
         return float(np.prod(np.maximum(s - np.abs(y), 0.0)))
     r = float(np.linalg.norm(y))
-    return _ball_covariogram_radial(window, r, mc_samples=mc_samples, rng=rng)
+    return _ball_covariogram_radial(window, r, mc_samples=mc_samples)
 
 
-def _ball_covariogram_radial(window: ConvexWindow, r: float, *, mc_samples: int = BALL_MC_DEFAULT_SAMPLES,
-                             rng: np.random.Generator | None = None) -> float:
+def _ball_covariogram_radial(window: ConvexWindow, r: float, *,
+                             mc_samples: int = BALL_MC_DEFAULT_SAMPLES) -> float:
     R, d = window.radius, window.dim
     if r >= 2.0 * R:
         return 0.0
@@ -147,11 +146,9 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float, *, mc_samples: int 
         return 2.0 * R * R * math.acos(r / (2.0 * R)) - 0.5 * r * math.sqrt(4.0 * R * R - r * r)
     if d == 3:
         return (math.pi / 12.0) * (4.0 * R + r) * (2.0 * R - r) ** 2
-    if rng is None:
-        rng = np.random.default_rng(BALL_MC_DEFAULT_SEED)
     y = np.zeros(d)
     y[0] = r
-    return covariogram_mc(window, y, mc_samples, rng)
+    return covariogram_mc(window, y, mc_samples, np.random.default_rng(BALL_MC_DEFAULT_SEED))
 
 
 def covariogram_mc(window: ConvexWindow, y, n_samples: int, rng: np.random.Generator) -> float:
@@ -172,23 +169,19 @@ def covariogram_mc(window: ConvexWindow, y, n_samples: int, rng: np.random.Gener
     return window.volume * hits / float(n_samples)
 
 
-def sample_uniform(window: ConvexWindow, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform points in the window; shape (n, dim), or (dim,) when n is None."""
-    single = n is None
-    m = 1 if single else int(n)
+def sample_uniform(window: ConvexWindow, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform points in the window, shape (n, dim)."""
     if window.kind == "box":
-        pts = rng.random((m, window.dim)) * np.asarray(window.sides)
-    else:
-        # Polar method: radius via U^(1/d), direction via normalized Gaussians.
-        g = rng.standard_normal((m, window.dim))
+        return rng.random((n, window.dim)) * np.asarray(window.sides)
+    # Polar method: radius via U^(1/d), direction via normalized Gaussians.
+    g = rng.standard_normal((n, window.dim))
+    norms = np.linalg.norm(g, axis=1)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), window.dim))
         norms = np.linalg.norm(g, axis=1)
-        while np.any(norms == 0.0):
-            bad = norms == 0.0
-            g[bad] = rng.standard_normal((int(bad.sum()), window.dim))
-            norms = np.linalg.norm(g, axis=1)
-        radii = window.radius * rng.random(m) ** (1.0 / window.dim)
-        pts = g * (radii / norms)[:, None]
-    return pts[0] if single else pts
+    radii = window.radius * rng.random(n) ** (1.0 / window.dim)
+    return g * (radii / norms)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +297,6 @@ def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
     d = window.dim
     if r >= window.diameter:
         return 0.0
-    if d == 1:
-        if window.kind == "box":
-            return 2.0 * max(window.sides[0] - r, 0.0)
-        return 2.0 * max(2.0 * window.radius - r, 0.0)
     if window.kind == "ball":
         if d > 3:
             raise UnsupportedDimensionError(

@@ -26,6 +26,7 @@ from scipy.spatial import cKDTree
 from .point_process import PointSample
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
+_BRUTE_BLOCK = 512  # rows per all-pairs distance block in the oracle
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,7 @@ def build_edges(sample: PointSample, delta: float) -> EdgeSet:
     return EdgeSet(i=i, j=j, lengths=lengths, delta=float(delta), sample=sample)
 
 
-def build_edges_bruteforce(sample: PointSample, delta: float, block: int = 512) -> EdgeSet:
+def build_edges_bruteforce(sample: PointSample, delta: float) -> EdgeSet:
     """All-pairs oracle; same output contract and sort order as build_edges.
 
     Blocks of rows are scanned in order and np.nonzero lists each block's
@@ -110,8 +111,8 @@ def build_edges_bruteforce(sample: PointSample, delta: float, block: int = 512) 
     pair_i: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     pair_j: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     lengths: list[np.ndarray] = [np.zeros(0)]
-    for i0 in range(0, n, block):
-        rows = np.arange(i0, min(i0 + block, n))[:, None]
+    for i0 in range(0, n, _BRUTE_BLOCK):
+        rows = np.arange(i0, min(i0 + _BRUTE_BLOCK, n))[:, None]
         dist = _pair_distance(pts, rows, cols)
         mask = (dist <= delta) & (cols > rows)
         a, b = np.nonzero(mask)
@@ -129,8 +130,6 @@ def length_power(edges: EdgeSet, alphas) -> np.ndarray:
     unordered edge is stored once.
     """
     out = np.zeros(len(alphas))
-    if edges.n_edges == 0:
-        return out
     for k, alpha in enumerate(alphas):
         out[k] = float(np.sum(edges.lengths**alpha))
     return out

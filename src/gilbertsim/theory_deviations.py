@@ -102,14 +102,12 @@ def ldi_xstar_objective(inp: LdiInput, s: float) -> float:
     return a + math.sqrt(q / ((inp.u + inp.median) * s) + a * a)
 
 
-def ldi_xstar(inp: LdiInput, *, rel_tol: float = 1e-10) -> float:
+def ldi_xstar(inp: LdiInput) -> float:
     """Infimum over s > 0 of the x* objective.
 
-    Golden-section search on ln s over a grid-bracketed interval; the
-    objective is smooth and empirically unimodal in ln s.
+    Golden-section search on ln s over a grid-bracketed interval (the objective
+    is smooth and empirically unimodal in ln s, and rejects u + median <= 0).
     """
-    if inp.u + inp.median <= 0:
-        raise DegenerateInputError("u + median must be positive")
 
     def f(ls: float) -> float:
         return ldi_xstar_objective(inp, math.exp(ls))
@@ -123,7 +121,7 @@ def ldi_xstar(inp: LdiInput, *, rel_tol: float = 1e-10) -> float:
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > rel_tol:
+    while hi - lo > 1e-10:  # width of the final ln s bracket
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)

@@ -68,16 +68,14 @@ def cp_density(u, model: CompoundPoissonModel) -> np.ndarray:
 
 
 def sample_compound_poisson(model: CompoundPoissonModel, rng: np.random.Generator,
-                            size: int | None = None) -> np.ndarray | float:
-    """Draw Z = sum_{i<=Y} X_i; X via inverse CDF X = c^(a/d) U^(a/d)."""
-    single = size is None
-    m = 1 if single else int(size)
-    counts = rng.poisson(model.y_mean, m)
+                            size: int) -> np.ndarray:
+    """size draws of Z = sum_{i<=Y} X_i; X via inverse CDF X = c^(a/d) U^(a/d)."""
+    counts = rng.poisson(model.y_mean, size)
     total = int(counts.sum())
     x = model.x_max * rng.random(total) ** (model.alpha / model.dim)
-    out = np.zeros(m)
-    np.add.at(out, np.repeat(np.arange(m), counts), x)
-    return float(out[0]) if single else out
+    out = np.zeros(size)
+    np.add.at(out, np.repeat(np.arange(size), counts), x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,24 +83,21 @@ class EdgeLengthProcessLimit:
     """Limit regime of the rescaled edge-length-power point process."""
 
     alpha: float
-    edge_constant: float | None = None  # None: t^2 delta^d -> infinity
+    edge_constant: float = math.inf  # c = lim t^2 delta^d, inf when it diverges
 
     def __post_init__(self):
         if not (self.alpha > 0):
             raise ValueError("alpha must be > 0")
-        if self.edge_constant is not None and not (self.edge_constant > 0):
+        if not (self.edge_constant > 0):
             raise ValueError("edge constant must be > 0")
 
 
 def pp_intensity(limit: EdgeLengthProcessLimit, u: float, volume: float, dim: int) -> float:
-    """nu([0, u]) = (kappa_d/2) V u^(d/alpha), capped at (kappa_d/2) V c."""
+    """nu([0, u]) = (kappa_d/2) V min(u^(d/alpha), c)."""
     if u < 0:
         raise ValueError("u must be >= 0")
     kd = unit_ball_volume(dim)
-    mass = u ** (dim / limit.alpha)
-    if limit.edge_constant is not None:
-        mass = min(mass, limit.edge_constant)
-    return 0.5 * kd * volume * mass
+    return 0.5 * kd * volume * min(u ** (dim / limit.alpha), limit.edge_constant)
 
 
 def order_statistic_survival(m: int, u: float, limit: EdgeLengthProcessLimit,
@@ -146,7 +141,7 @@ def pp_conditions(window: ConvexWindow, t: float, delta: float,
 
 
 def pp_condition_limits(window: ConvexWindow, alpha: float, u: float,
-                        edge_constant: float | None = None) -> float:
-    """Stated limit of a_t(u): (kappa_d/2) V u^(d/alpha), capped at c."""
+                        edge_constant: float = math.inf) -> float:
+    """Stated limit of a_t(u): (kappa_d/2) V min(u^(d/alpha), c)."""
     limit = EdgeLengthProcessLimit(alpha=alpha, edge_constant=edge_constant)
     return pp_intensity(limit, u, window.volume, window.dim)

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateVarianceError, DivergentCovarianceError,
-                     NonIntegrableError, UnsupportedDimensionError)
+from .errors import (DivergentCovarianceError, NonIntegrableError,
+                     UnsupportedDimensionError)
 from .geometry import (ConvexWindow, _gl_nodes, covariogram_radial_integral,
                        inner_parallel_volume_lower_bound, unit_ball_volume)
 
@@ -98,11 +98,7 @@ def normalization(t: float, delta: float, alpha: float, dim: int) -> float:
 
 
 def expectation_exact(window: ConvexWindow, t: float, delta: float, alpha: float) -> float:
-    """E L^(alpha) = (t^2/2) * int_{B(0,delta)} ||y||^a g_W(y) dy."""
-    if alpha <= -window.dim:
-        raise NonIntegrableError(f"alpha must exceed -d = {-window.dim}")
-    if t == 0:
-        return 0.0
+    """E L^(alpha) = (t^2/2) * int_{B(0,delta)} ||y||^a g_W(y) dy (alpha > -d)."""
     return 0.5 * t * t * covariogram_radial_integral(window, delta, alpha)
 
 
@@ -133,6 +129,7 @@ def interior_moment(dim: int, delta: float, gamma: float) -> float:
 _GL_FACE = 64
 _GL_EDGE = 40
 _GL_CORNER = 12
+_GL_WEDGE = 32  # slice nodes of the d = 3 wedge measure
 
 
 def _wedge_measure_2d(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -140,13 +137,13 @@ def _wedge_measure_2d(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     return np.maximum(np.arccos(np.clip(h1, 0.0, 1.0)) - np.arcsin(np.clip(h2, 0.0, 1.0)), 0.0)
 
 
-def _wedge_measure_3d(h1: np.ndarray, h2: np.ndarray, order: int = 32) -> np.ndarray:
+def _wedge_measure_3d(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Measure of {u in S^2: u_1 >= h1, u_2 >= h2} (slice integral over x)."""
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     top = np.sqrt(np.maximum(1.0 - h2 * h2, 0.0))
     lo = np.minimum(h1, top)
-    x, w = _gl_nodes(lo, top, order)
+    x, w = _gl_nodes(lo, top, _GL_WEDGE)
     rho = np.sqrt(np.maximum(1.0 - x * x, 1e-300))
     arc = 2.0 * np.arccos(np.minimum(h2[..., None] / rho, 1.0))
     return np.einsum("...k,...k->...", w, arc)
@@ -268,8 +265,7 @@ def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta
     return total
 
 
-def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float,
-                      order: int = _GL_FACE) -> float:
+def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
     """I_hh for a ball, by radial shells: h depends only on ||y||."""
     if beta < alpha:  # one product order, so I_hh(a, b) and I_hh(b, a) agree bitwise
         alpha, beta = beta, alpha
@@ -280,7 +276,7 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
     cb = interior_moment(d, delta, beta)
     total = ca * cb * unit_ball_volume(d) * r0**d
 
-    ell, wl = _gl_nodes(r0, R, order)
+    ell, wl = _gl_nodes(r0, R, _GL_FACE)
 
     def h_profile(gamma):
         # inner radial integral over r in [R-ell, min(delta, R+ell)] where the
@@ -288,7 +284,7 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
         lo = np.minimum(R - ell, delta)
         hi = np.minimum(R + ell, delta)
         full = dk * lo ** (gamma + d) / (gamma + d)
-        r, wr = _gl_nodes(lo, hi, order)
+        r, wr = _gl_nodes(lo, hi, _GL_FACE)
         rs = np.maximum(r, 1e-300)
         c = (R * R - ell[..., None] ** 2 - r * r) / (2.0 * np.maximum(ell[..., None], 1e-300) * rs)
         # measure{u . e1 <= c} = full sphere - cap{u1 >= c}
@@ -403,20 +399,16 @@ def _m_numerator(window: ConvexWindow, t: float, delta: float, alpha: float, bet
     return math.sqrt(m11) + 2.0 * math.sqrt(m12) + math.sqrt(m22)
 
 
-def kolmogorov_bound(window: ConvexWindow, t: float, delta: float, alpha: float,
-                     *, exact_variance: bool = False) -> float:
+def kolmogorov_bound(window: ConvexWindow, t: float, delta: float, alpha: float) -> float:
     """621 (sqrt(M11) + 2 sqrt(M12) + sqrt(M22)) / Var L^(alpha).
 
-    Var defaults to the covariance sandwich lower bound (fast, conservative);
-    exact_variance switches to the quadrature value.
+    Var is the covariance sandwich's lower bound (closed form, conservative).
+    Where that bound is <= 0 (V - S delta <= 0: delta is large for the
+    window), Var is the exact quadrature value covariance_exact instead.
     """
-    if exact_variance:
-        var = covariance_exact(window, t, delta, alpha, alpha)
-    else:
-        var = covariance_bounds(window, t, delta, alpha, alpha)[0]
+    var = covariance_bounds(window, t, delta, alpha, alpha)[0]
     if var <= 0.0:
-        raise DegenerateVarianceError(
-            "variance lower bound is non-positive; delta too large for this window")
+        var = covariance_exact(window, t, delta, alpha, alpha)
     return 621.0 * _m_numerator(window, t, delta, alpha, alpha) / var
 
 

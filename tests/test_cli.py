@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gilbertsim import cli, experiments, geometry
+from gilbertsim import gilbert_graph as gg
 from gilbertsim.errors import ConfigError
 
 
@@ -86,6 +87,44 @@ def test_t_grid_flag_implies_poisson(tmp_path):
     assert open(flags_only, "rb").read() == open(with_model, "rb").read()
 
 
+@pytest.mark.parametrize("cfg,argv,model,intensity", [
+    ("t = 100\n", ["--n", "400"], "binomial", 400.0),
+    ("model = poisson\nt = 100\n", ["--n", "400"], "poisson", 100.0),
+    ("model = binomial\nn = 400\n", ["--t", "100"], "poisson", 100.0),
+    ("n = 400\n", [], "binomial", 400.0),
+    ("t_grid = 100,400\n", [], "poisson", None),
+])
+def test_model_precedence(cfg, argv, model, intensity, tmp_path):
+    # a --t flag means poisson; a --n flag means the config's model, or
+    # binomial; otherwise the config's model, or what t, t_grid or n imply
+    raw = cli.load_config(write_cfg(tmp_path, cfg + "window = box:1x1\ndelta = 0.05\n"))
+    args = cli.build_parser().parse_args(["simulate", "--alpha", "0", "--reps", "2"] + argv)
+    config = cli.resolve_config(raw, args)
+    assert config.model == model
+    if intensity is not None:
+        assert config.intensity() == intensity
+
+
+@pytest.mark.parametrize("flag,value,key", [
+    ("--t", "abc", "t"), ("--n", "1e3", "n"), ("--reps", "x", "reps"),
+    ("--seed", "1.5", "seed"), ("--dim", "x", "dim"), ("--delta", "x", "delta"),
+])
+def test_bad_flag_value_exits_2_naming_its_key(flag, value, key, capsys):
+    # flags and config values go through one converter, so a bad flag is a
+    # ConfigError naming its key, not an argparse usage error
+    argv = ["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
+            "--alpha", "0", "--reps", "2", flag, value]
+    assert cli.main(argv) == 2
+    assert f"error: invalid value for {key!r}" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\u00e9\nwindow = box:1x1\n".encode("latin-1"))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, MINIMAL + "seed = 9\n")
     raw = cli.load_config(path)
@@ -97,6 +136,9 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert cfgv.master_seed == 17  # env over config
     cfgv = cli.resolve_config(raw, parser.parse_args(["verify", "--seed", "23"]))
     assert cfgv.master_seed == 23  # flag over env
+    monkeypatch.setenv("GILBERT_SEED", "x")
+    with pytest.raises(ConfigError, match="GILBERT_SEED must be an integer, got 'x'"):
+        cli.resolve_config(raw, parser.parse_args(["verify"]))
     monkeypatch.delenv("GILBERT_SEED")
     raw2 = cli.load_config(write_cfg(tmp_path, MINIMAL, "noseed.cfg"))
     cfgv = cli.resolve_config(raw2, parser.parse_args(["verify"]))
@@ -193,6 +235,31 @@ def test_one_alpha_kinds_reject_a_second_alpha(kind, args, alphas, monkeypatch, 
     assert capsys.readouterr().err.startswith(f"error: {kind} checks exactly one alpha")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "Moments", "--alpha", "0,1", "--reps", "10"],
+    ["verify", "--kind", "MultivariateCov", "--alpha", "0,1", "--reps", "10",
+     "--schedule", "1,0.5"],
+    ["predict", "--alpha", "0,1"],
+])
+def test_poisson_formulas_reject_binomial_runs(argv, monkeypatch, capsys):
+    # these compare with the Poisson formulas at t = n, which do not describe
+    # n binomial points
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    rc = cli.main(argv + ["--window", "box:1x1", "--n", "400", "--delta", "0.05"])
+    assert rc == 2
+    assert "needs the Poisson model" in capsys.readouterr().err
+
+
+def test_ldi_and_simulate_keep_the_binomial_model(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    with pytest.raises(AssertionError, match="a replication ran"):
+        cli.main(["verify", "--kind", "LDI", "--window", "box:1x1", "--n", "400",
+                  "--delta", "0.05", "--alpha", "0", "--reps", "10"])
+    assert cli.main(["simulate", "--window", "box:1x1", "--n", "50", "--delta", "0.1",
+                     "--alpha", "0", "--reps", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_two_alpha_ldi_without_thermodynamic_grid_is_accepted(monkeypatch):
     # the slope test needs a t-grid; without one both alphas get their tail checks
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
@@ -206,7 +273,7 @@ def test_two_alpha_ldi_without_thermodynamic_grid_is_accepted(monkeypatch):
 # which fits once but not twice.
 @pytest.mark.parametrize("command,args,cfg", [
     ("simulate", ["--t", "200000", "--delta", "0.02"], ""),
-    ("verify", ["--kind", "Moments", "--n", "200000", "--delta", "0.02"], ""),
+    ("verify", ["--kind", "LDI", "--n", "200000", "--delta", "0.02"], ""),
     ("verify", ["--kind", "CLT", "--t-grid", "100,200000", "--delta", "0.02"], ""),
     ("verify", ["--kind", "Moments", "--t", "150000", "--delta", "0.02"], "n_jobs = 2\n"),
 ], ids=["simulate", "binomial", "t_grid", "n_jobs"])
@@ -361,6 +428,24 @@ def test_simulate_csv_and_edge_dump(tmp_path):
     assert open(out).read() == open(out2).read()
 
 
+def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
+    # the dump is replication 0's edge set, built once: reps calls, not reps + 1
+    built = []
+
+    def counting(sample, delta):
+        built.append(gg.build_edges(sample, delta))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_edges", counting)
+    monkeypatch.setattr(cli, "build_edges", counting)
+    edges = tmp_path / "edges.csv"
+    assert cli.main(["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
+                     "--alpha", "0,1", "--reps", "3", "--seed", "5",
+                     "--out", str(tmp_path / "reps.csv"), "--edges-out", str(edges)]) == 0
+    assert len(built) == 3
+    assert edges.read_text().count("\n") == 1 + built[0].n_edges
+
+
 def test_covariogram_subcommand(tmp_path, capsys):
     rc = cli.main(["covariogram", "--window", "ball:1.0@d=2", "--direction", "1,0",
                    "--rmax", "2.0", "--steps", "5"])
@@ -378,6 +463,14 @@ def test_covariogram_subcommand(tmp_path, capsys):
     for bad in (["--steps", "-1"], ["--mc-samples", "0"], ["--direction", "1,x"]):
         argv = ["covariogram", "--window", "ball:1.0@d=4", "--direction", "1,0,0,0"]
         assert cli.main(argv + bad) == 2
+    # non-finite directions and radii, and negative radii, print no table
+    capsys.readouterr()
+    for bad in (["--direction", "1,nan"], ["--direction", "1,inf"], ["--direction", "0,0"],
+                ["--rmax", "nan"], ["--rmax", "inf"], ["--rmax", "-1"]):
+        argv = ["covariogram", "--window", "box:1x1", "--direction", "1,0", "--steps", "3"]
+        assert cli.main(argv + bad) == 2  # a repeated --direction replaces the first
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_ldi_verify_writes_table(tmp_path):

@@ -47,7 +47,7 @@ def test_config_validation():
             assert cfg(tolerances={key: value}).tolerance(key) == value
 
 
-def _powers_points_degree(sample, edges):
+def _powers_points_degree(r, sample, edges):
     return np.concatenate([gg.length_power(edges, (0.0, 1.0)),
                            [sample.n_points, gg.max_degree(edges)]])
 
@@ -61,7 +61,7 @@ def test_run_replications_deterministic_and_parallel():
     assert np.array_equal(rows_a, rows_p)
     # rows are stacked in replication order: row r is replication r's reduction
     sample = ex.replication_sample(cfg(), 100.0, 7)
-    assert np.array_equal(rows_a[7], _powers_points_degree(sample, gg.build_edges(sample, 0.05)))
+    assert np.array_equal(rows_a[7], _powers_points_degree(7, sample, gg.build_edges(sample, 0.05)))
 
 
 def test_run_replications_mean_matches_oracle():

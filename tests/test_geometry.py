@@ -71,22 +71,6 @@ def test_covariogram_ball_values():
     assert oracle == pytest.approx(2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0))
 
 
-def test_covariogram_invariants_random():
-    rng = np.random.default_rng(101)
-    windows = [geo.ConvexWindow.box((1.0, 2.0)), geo.ConvexWindow.ball(0.7, 3),
-               geo.ConvexWindow.box((0.5,)), geo.ConvexWindow.ball(1.3, 1)]
-    for w in windows:
-        assert geo.covariogram(w, np.zeros(w.dim)) == pytest.approx(w.volume)
-        for _ in range(25):
-            y = rng.normal(size=w.dim) * w.diameter / 3.0
-            val = geo.covariogram(w, y)
-            assert 0.0 <= val <= w.volume + 1e-12
-            assert val == pytest.approx(geo.covariogram(w, -y), rel=1e-12, abs=1e-15)
-        far = np.zeros(w.dim)
-        far[0] = w.diameter * 1.0001
-        assert geo.covariogram(w, far) == 0.0
-
-
 def test_covariogram_mc_matches_closed_form():
     w = geo.ConvexWindow.box((1.0, 1.0))
     n = 10**6
@@ -139,6 +123,27 @@ def windows(draw):
     if draw(st.booleans()):
         return geo.ConvexWindow.box(tuple(draw(st.floats(0.2, 2.0)) for _ in range(d)))
     return geo.ConvexWindow.ball(draw(st.floats(0.2, 1.5)), d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+@example(geo.ConvexWindow.box((1.0, 2.0)), [0.3, -0.2, 0.0])
+@example(geo.ConvexWindow.ball(0.7, 3), [0.1, 0.25, -0.3])
+@example(geo.ConvexWindow.box((0.5,)), [-0.4, 0.0, 0.0])
+@example(geo.ConvexWindow.ball(1.3, 1), [0.45, 0.0, 0.0])
+def test_covariogram_invariants_random(w, coords):
+    # g_W(0) = V(W), g_W(y) = g_W(-y), 0 <= g_W <= V(W), and g_W = 0 beyond
+    # the diameter; each coordinate of y lies within 1.2 diam W
+    assert geo.covariogram(w, np.zeros(w.dim)) == pytest.approx(w.volume)
+    y = np.asarray(coords[:w.dim]) * w.diameter * 1.2
+    val = geo.covariogram(w, y)
+    assert 0.0 <= val <= w.volume + 1e-12
+    assert val == pytest.approx(geo.covariogram(w, -y), rel=1e-12, abs=1e-15)
+    if np.linalg.norm(y) >= w.diameter:
+        assert val == 0.0
+    far = np.zeros(w.dim)
+    far[0] = w.diameter * 1.0001
+    assert geo.covariogram(w, far) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ Regenerate (only when an output is meant to change) from the repository root:
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -87,6 +88,15 @@ def golden_files(name: str) -> dict[str, bytes]:
             if p.name.startswith(name + ".")}
 
 
+def assert_same_bytes(got: bytes, want: bytes, fname: str) -> None:
+    """Byte-for-byte equality; on a mismatch, name the first differing line."""
+    got_lines = got.decode(errors="replace").splitlines()
+    want_lines = want.decode(errors="replace").splitlines()
+    for k, (g, w) in enumerate(itertools.zip_longest(got_lines, want_lines), 1):
+        assert g == w, f"{fname} line {k}: got {g!r}, want {w!r}"
+    assert got == want, fname
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in CASES:
@@ -102,7 +112,7 @@ def test_golden_output(name, tmp_path):
     assert want, f"no golden files for {name}"
     assert sorted(got) == sorted(want)
     for fname in want:
-        assert got[fname] == want[fname], fname
+        assert_same_bytes(got[fname], want[fname], fname)
 
 
 def test_predict_schedule_adds_only_d3_bound(tmp_path):
@@ -113,7 +123,8 @@ def test_predict_schedule_adds_only_d3_bound(tmp_path):
     assert len(entries) == 1
     payload.remove(entries[0])
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    assert text.encode() == golden_files("predict_schedule")["predict_schedule.json"]
+    assert_same_bytes(text.encode(), golden_files("predict_schedule")["predict_schedule.json"],
+                      "predict_schedule.json")
     schedule = RegimeSchedule(1.0, 0.5)
     assert entries[0]["value"] == d3_bound(ConvexWindow.box((1.0, 1.0)), 400.0,
                                            schedule.delta_at(400.0), (0.0, 1.0), schedule)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from gilbertsim import geometry as geo
 from gilbertsim import theory_moments as tm
-from gilbertsim.errors import (DegenerateVarianceError,
-                               DivergentCovarianceError, NonIntegrableError,
+from gilbertsim.errors import (DivergentCovarianceError, NonIntegrableError,
                                UnsupportedDimensionError)
 
 PI = math.pi
@@ -320,14 +319,20 @@ def test_kolmogorov_bound_rate_shape():
         b_half = tm.kolmogorov_bound(BOX, t / 2.0, (t / 2.0) ** -0.5, 0.0)
         assert b_half / b_full == pytest.approx(math.sqrt(2.0), rel=0.05)
         assert b_full > 0.0
-    exact = tm.kolmogorov_bound(BOX, 4000.0, 4000.0**-0.5, 0.0, exact_variance=True)
-    conservative = tm.kolmogorov_bound(BOX, 4000.0, 4000.0**-0.5, 0.0)
+    t, delta = 4000.0, 4000.0**-0.5
+    exact = 621.0 * tm._m_numerator(BOX, t, delta, 0.0, 0.0) \
+        / tm.covariance_exact(BOX, t, delta, 0.0, 0.0)
+    conservative = tm.kolmogorov_bound(BOX, t, delta, 0.0)
     assert exact <= conservative
 
 
 def test_kolmogorov_bound_degenerate_variance():
-    with pytest.raises(DegenerateVarianceError):
-        tm.kolmogorov_bound(BOX, 100.0, 0.26, 0.0)  # V - S*delta < 0
+    # V - S*delta < 0: the sandwich's variance bound is <= 0, so the bound
+    # divides by the exact variance instead
+    t, delta = 100.0, 0.26
+    assert tm.covariance_bounds(BOX, t, delta, 0.0, 0.0)[0] <= 0.0
+    assert tm.kolmogorov_bound(BOX, t, delta, 0.0) == 621.0 * tm._m_numerator(
+        BOX, t, delta, 0.0, 0.0) / tm.covariance_exact(BOX, t, delta, 0.0, 0.0)
 
 
 def test_d3_bound_structure_and_decay():
