@@ -22,7 +22,7 @@ from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
                           ExperimentConfig, check_edge_budget, ldi_table_to_csv,
                           replications_to_csv, report_to_json, require_poisson,
                           run_replications, run_verification, simulate_row)
-from .geometry import ConvexWindow, covariogram, covariogram_is_exact
+from .geometry import ConvexWindow, covariogram
 # not called here; perfbench's tracer test checks that cli binds this name
 from .gilbert_graph import build_edges  # noqa: F401
 from .theory_moments import (RegimeSchedule, TheoryPrediction,
@@ -245,11 +245,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # predictions do not simulate; a default reps satisfies the config invariant
     config = resolve_config({"reps": "2", **raw}, args)
     require_poisson(config, "predict")
-    preds = _predictions(config)
+    try:
+        preds = _predictions(config)
+    except OverflowError as exc:
+        raise ConfigError(f"a prediction overflows at these inputs: {exc}") from None
     payload = [{"name": p.name, "value": p.value, "params": p.params,
                 "paper_anchor": p.anchor, "estimated": p.estimated}
                for p in preds]
-    _write_or_print(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"a prediction is not finite at these inputs: {exc}") from None
+    _write_or_print(text + "\n", args.out)
     return 0
 
 
@@ -268,8 +275,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_covariogram(args: argparse.Namespace) -> int:
-    if args.steps < 1 or args.mc_samples < 1:
-        raise ConfigError("--steps and --mc-samples must be >= 1")
+    if args.steps < 1:
+        raise ConfigError("--steps must be >= 1")
     window = parse_window(args.window, args.dim)
     try:
         direction = np.array(_parse_floats(args.direction), dtype=float)
@@ -284,11 +291,10 @@ def cmd_covariogram(args: argparse.Namespace) -> int:
     rmax = args.rmax if args.rmax is not None else window.diameter
     if not (math.isfinite(rmax) and rmax >= 0):
         raise ConfigError(f"--rmax must be finite and >= 0, got {rmax!r}")
-    estimated = int(not covariogram_is_exact(window))
-    lines = ["r,covariogram,estimated"]
+    lines = ["r,covariogram"]
     for r in np.linspace(0.0, rmax, args.steps):
-        val = covariogram(window, r * direction, mc_samples=args.mc_samples)
-        lines.append(f"{float(r)!r},{val!r},{estimated}")
+        val = covariogram(window, r * direction)
+        lines.append(f"{float(r)!r},{val!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -328,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--direction", required=True, help="comma vector, e.g. 1,0")
     p_cov.add_argument("--rmax", type=float)
     p_cov.add_argument("--steps", type=int, default=101)
-    p_cov.add_argument("--mc-samples", dest="mc_samples", type=int, default=1_000_000)
     p_cov.add_argument("--out")
     p_cov.set_defaults(func=cmd_covariogram)
     return parser

@@ -437,34 +437,37 @@ def _normal_ks(col: np.ndarray) -> float:
 
 
 def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
-                    matrix: np.ndarray) -> list[Metric]:
+                    powers) -> list[Metric]:
+    """Every theory value first, then powers() -> the (R, n_alphas) matrix, so
+    a value that cannot be computed stops the run before any replication."""
     window = config.window
     alphas = config.alphas
     k_se = config.tolerance("mean_se_mult")
     rel = config.tolerance("cov_rel")
+    mean_theory = [(expectation_exact(window, t, delta, alpha),
+                    expectation_bounds(window, t, delta, alpha)) for alpha in alphas]
+    pairs = [(i, j, a, b) for i, a in enumerate(alphas) for j, b in enumerate(alphas[i:], i)]
+    cov_theory = [(covariance_exact(window, t, delta, a, b),
+                   covariance_bounds(window, t, delta, a, b)) for _, _, a, b in pairs]
+    matrix = powers()
     means, cov, se = empirical_moments(matrix)
     cse = covariance_entry_se(matrix)
     metrics = []
-    for i, alpha in enumerate(alphas):
+    for i, (alpha, (exact, bounds)) in enumerate(zip(alphas, mean_theory)):
         mean, mse = float(means[i]), float(se[i])
         metrics += [
-            _within(f"mean[alpha={alpha}] vs exact", mean,
-                    expectation_exact(window, t, delta, alpha), k_se * mse, "mean_se_mult",
+            _within(f"mean[alpha={alpha}] vs exact", mean, exact, k_se * mse, "mean_se_mult",
                     "mean: closed-form radial covariogram integral", se=mse),
-            _sandwich(config, f"mean[alpha={alpha}] in sandwich", mean,
-                      expectation_bounds(window, t, delta, alpha), mse,
+            _sandwich(config, f"mean[alpha={alpha}] in sandwich", mean, bounds, mse,
                       "mean sandwich: volume and surface-correction bounds")]
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(alphas[i:], i):
-            value, vse = float(cov[i, j]), float(cse[i, j])
-            exact = covariance_exact(window, t, delta, a, b)
-            metrics += [
-                _sandwich(config, f"cov[{a},{b}] in sandwich", value,
-                          covariance_bounds(window, t, delta, a, b), vse,
-                          "covariance sandwich with inner-parallel volume bound"),
-                _within(f"cov[{a},{b}] vs exact", value, exact, max(rel * abs(exact), k_se * vse),
-                        "cov_rel", "covariance: quadrature of the two-point moment split",
-                        se=vse)]
+    for (i, j, a, b), (exact, bounds) in zip(pairs, cov_theory):
+        value, vse = float(cov[i, j]), float(cse[i, j])
+        metrics += [
+            _sandwich(config, f"cov[{a},{b}] in sandwich", value, bounds, vse,
+                      "covariance sandwich with inner-parallel volume bound"),
+            _within(f"cov[{a},{b}] vs exact", value, exact, max(rel * abs(exact), k_se * vse),
+                    "cov_rel", "covariance: quadrature of the two-point moment split",
+                    se=vse)]
     return metrics
 
 
@@ -472,22 +475,24 @@ def verify_moments(config: ExperimentConfig) -> ExperimentReport:
     """Sample means/covariances against exact values and sandwiches."""
     t = config.intensity()
     delta = config.delta_for(t)
-    return _finish(config, _moment_metrics(config, t, delta, _length_powers(config)))
+    return _finish(config, _moment_metrics(config, t, delta, lambda: _length_powers(config)))
 
 
 def verify_clt(config: ExperimentConfig) -> ExperimentReport:
     """Standardized KS against the normal law along a t-grid, with the
     explicit Kolmogorov bound and a log-log rate-shape check."""
     grid = config.intensity_grid()
+    # every bound before the first replication: one that fails stops the run early
+    bounds = [[kolmogorov_bound(config.window, t, config.delta_for(t), alpha)
+               for alpha in config.alphas] for t in grid]
     metrics: list[Metric] = []
     ks_by_alpha = {a: [] for a in config.alphas}
     for b_idx, t in enumerate(grid):
-        delta = config.delta_for(t)
         powers = _length_powers(config, t=t, batch=b_idx)
         for i, alpha in enumerate(config.alphas):
             ks = _normal_ks(powers[:, i])
             ks_by_alpha[alpha].append(ks)
-            bound = kolmogorov_bound(config.window, t, delta, alpha)
+            bound = bounds[b_idx][i]
             metrics.append(_below(f"KS[alpha={alpha}, t={t:g}] vs normal bound", ks, bound, "ks",
                                   "normal approximation: explicit Kolmogorov-distance bound",
                                   theory=bound))

@@ -1,7 +1,7 @@
 """Convex observation windows: volume, surface area, covariogram, sampling.
 
 Windows are axis-aligned boxes [0, s_1] x ... x [0, s_d] or centered balls.
-Both have closed-form covariograms g(y) = V(W ∩ (W + y)) (balls up to d = 3),
+Both have closed-form covariograms g(y) = V(W ∩ (W + y)) in every dimension,
 which is what makes exact moment formulas for the Gilbert graph computable.
 """
 
@@ -13,12 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
+from scipy.special import betainc
 
 from .errors import NonIntegrableError, QuadratureError, UnsupportedDimensionError
-
-# Default sampling budget / stream for Monte Carlo covariograms (ball d >= 4).
-BALL_MC_DEFAULT_SAMPLES = 1_000_000
-BALL_MC_DEFAULT_SEED = 20_2406
 
 _RADIAL_EPSREL = 1e-10
 _RADIAL_LIMIT = 400
@@ -113,30 +110,18 @@ def inner_parallel_volume_lower_bound(window: ConvexWindow, delta: float) -> flo
     return window.volume - window.surface_area * delta
 
 
-def covariogram_is_exact(window: ConvexWindow) -> bool:
-    """True when the covariogram has a closed form (boxes; balls up to d=3)."""
-    return window.kind == "box" or window.dim <= 3
-
-
-def covariogram(window: ConvexWindow, y, *, mc_samples: int = BALL_MC_DEFAULT_SAMPLES) -> float:
-    """g_W(y) = V(W ∩ (W + y)).
-
-    Closed form except for balls with d >= 4, which fall back to Monte Carlo
-    (flag via covariogram_is_exact) on a fixed stream, so that path is
-    deterministic too.
-    """
+def covariogram(window: ConvexWindow, y) -> float:
+    """g_W(y) = V(W ∩ (W + y)), in closed form."""
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != window.dim:
         raise ValueError(f"y must have dimension {window.dim}")
     if window.kind == "box":
         s = np.asarray(window.sides)
         return float(np.prod(np.maximum(s - np.abs(y), 0.0)))
-    r = float(np.linalg.norm(y))
-    return _ball_covariogram_radial(window, r, mc_samples=mc_samples)
+    return _ball_covariogram_radial(window, float(np.linalg.norm(y)))
 
 
-def _ball_covariogram_radial(window: ConvexWindow, r: float, *,
-                             mc_samples: int = BALL_MC_DEFAULT_SAMPLES) -> float:
+def _ball_covariogram_radial(window: ConvexWindow, r: float) -> float:
     R, d = window.radius, window.dim
     if r >= 2.0 * R:
         return 0.0
@@ -146,9 +131,8 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float, *,
         return 2.0 * R * R * math.acos(r / (2.0 * R)) - 0.5 * r * math.sqrt(4.0 * R * R - r * r)
     if d == 3:
         return (math.pi / 12.0) * (4.0 * R + r) * (2.0 * R - r) ** 2
-    y = np.zeros(d)
-    y[0] = r
-    return covariogram_mc(window, y, mc_samples, np.random.default_rng(BALL_MC_DEFAULT_SEED))
+    # Two caps of height R - r/2; each is V/2 times a regularized incomplete beta.
+    return window.volume * float(betainc((d + 1) / 2, 0.5, 1.0 - (r / (2.0 * R)) ** 2))
 
 
 def covariogram_mc(window: ConvexWindow, y, n_samples: int, rng: np.random.Generator) -> float:
@@ -234,60 +218,52 @@ def _box_subset_norms(sides) -> list[float]:
     return sorted(math.sqrt(v) for v in set(acc) if v > 0.0)
 
 
-def _box_angular(radii, sides: tuple[float, ...]) -> np.ndarray:
-    """G(r) for a box, via recursive sphere-slice reduction (exact up to d=4)."""
-    r = np.asarray(radii, dtype=float)
+@lru_cache(maxsize=1024)
+def _box_angular(sides: tuple[float, ...], r: float) -> float:
+    """G(r) for a box, via recursive sphere-slice reduction (exact up to d=4).
+
+    Cached per (sides, r): radial quadratures over the same [0, delta] with the
+    same breakpoints evaluate G at the same Kronrod nodes whatever the
+    exponent, so a mean and a covariance on one box share every G value.
+    """
     d = len(sides)
     if d == 1:
-        return 2.0 * np.maximum(sides[0] - r, 0.0)
+        return 2.0 * max(sides[0] - r, 0.0)
     if d == 2:
-        return 4.0 * _quarter_box_arc(r, sides[0], sides[1])
+        return float(4.0 * _quarter_box_arc(r, sides[0], sides[1]))
     if d > 4:
         raise UnsupportedDimensionError(
             f"exact box angular covariogram supported up to d=4, got d={d}")
     # G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx
     inner_sides = sides[:-1]
     s_last = sides[-1]
-    out = np.zeros_like(r)
-    flat = r.reshape(-1)
-    vals = np.zeros_like(flat)
-    inner_norms = _box_subset_norms(inner_sides)
-    for idx, rv in enumerate(flat):
-        if rv <= 0.0:
-            vals[idx] = 2.0 * s_last * _box_angular(np.zeros(1), inner_sides)[0]
-            continue
-        # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
-        breaks = {0.0, 1.0}
-        if s_last / rv < 1.0:
-            breaks.add(s_last / rv)
-        for m in inner_norms:
-            if m < rv:
-                breaks.add(math.sqrt(max(0.0, 1.0 - (m / rv) ** 2)))
-        # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
-        pts = sorted(math.asin(min(b, 1.0)) for b in breaks)
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            psi, w = _gl_nodes(a, b, 48)
-            x = np.sin(psi)
-            rho = np.cos(psi)
-            fac = np.maximum(s_last - rv * x, 0.0) * rho
-            if d > 3:
-                fac = fac * rho ** (d - 3)
-            total += float(np.sum(w * fac * _box_angular(rv * rho, inner_sides)))
-        vals[idx] = 2.0 * total
-    out.reshape(-1)[:] = vals
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _box_angular_at(sides: tuple[float, ...], r: float) -> float:
-    """G(r) of a box at one radius, cached per (sides, r).
-
-    Radial quadratures over the same [0, delta] with the same breakpoints
-    evaluate G at the same Kronrod nodes whatever the exponent, so a mean and
-    a covariance on one box share every G value.
-    """
-    return float(_box_angular(np.asarray([r]), sides)[0])
+    if r <= 0.0:
+        return 2.0 * s_last * _box_angular(inner_sides, 0.0)
+    # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
+    breaks = {0.0, 1.0}
+    if s_last / r < 1.0:
+        breaks.add(s_last / r)
+    for m in _box_subset_norms(inner_sides):
+        if m < r:
+            breaks.add(math.sqrt(max(0.0, 1.0 - (m / r) ** 2)))
+    # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
+    pts = np.array(sorted(math.asin(min(b, 1.0)) for b in breaks))
+    psi, w = _gl_nodes(pts[:-1], pts[1:], 48)  # one row of nodes per segment
+    x = np.sin(psi)
+    rho = np.cos(psi)
+    fac = np.maximum(s_last - r * x, 0.0) * rho
+    if d == 3:
+        inner = 4.0 * _quarter_box_arc(r * rho, *inner_sides)
+    else:
+        # d = 3 values at the nodes, uncached: no two radii share a node, and
+        # caching them would evict the d = 4 values the quadratures do share.
+        fac = fac * rho
+        inner = np.array([_box_angular.__wrapped__(inner_sides, float(v)) for v in (r * rho).flat])
+        inner = inner.reshape(rho.shape)
+    total = 0.0
+    for part in np.sum(w * fac * inner, axis=1):  # segment sums, added in order
+        total += float(part)
+    return 2.0 * total
 
 
 def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
@@ -298,11 +274,8 @@ def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
     if r >= window.diameter:
         return 0.0
     if window.kind == "ball":
-        if d > 3:
-            raise UnsupportedDimensionError(
-                "exact ball covariogram requires d <= 3; use covariogram_mc")
         return d * unit_ball_volume(d) * _ball_covariogram_radial(window, r)
-    return _box_angular_at(window.sides, r)
+    return _box_angular(window.sides, r)
 
 
 def _radial_breakpoints(window: ConvexWindow, rmax: float) -> list[float]:
@@ -325,10 +298,6 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
     if delta <= 0:
         raise ValueError("delta must be > 0")
     rmax = min(delta, window.diameter)
-    if window.kind == "ball" and d > 3:
-        raise UnsupportedDimensionError(
-            "exact radial covariogram integral for balls requires d <= 3")
-
     if window.kind == "ball":
         dk = d * unit_ball_volume(d)
 
@@ -336,18 +305,13 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
             if r <= 0.0:
                 return 0.0
             return r ** (alpha + d - 1) * dk * _ball_covariogram_radial(window, r)
-    elif d == 1:
-        s = window.sides[0]
-
-        def integrand(r):
-            return r**alpha * 2.0 * max(s - r, 0.0)
     else:
         sides = window.sides
 
         def integrand(r):
             if r <= 0.0:
                 return 0.0
-            return r ** (alpha + d - 1) * _box_angular_at(sides, r)
+            return r ** (alpha + d - 1) * _box_angular(sides, r)
 
     points = _radial_breakpoints(window, rmax)
     val, err = integrate.quad(

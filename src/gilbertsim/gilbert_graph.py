@@ -36,7 +36,6 @@ class EdgeSet:
     i: np.ndarray  # int64
     j: np.ndarray  # int64
     lengths: np.ndarray  # float64
-    delta: float
     sample: PointSample
 
     @property
@@ -93,7 +92,7 @@ def build_edges(sample: PointSample, delta: float) -> EdgeSet:
     keep = lengths <= delta
     if not keep.all():
         i, j, lengths = i[keep], j[keep], lengths[keep]
-    return EdgeSet(i=i, j=j, lengths=lengths, delta=float(delta), sample=sample)
+    return EdgeSet(i=i, j=j, lengths=lengths, sample=sample)
 
 
 def build_edges_bruteforce(sample: PointSample, delta: float) -> EdgeSet:
@@ -120,7 +119,7 @@ def build_edges_bruteforce(sample: PointSample, delta: float) -> EdgeSet:
         pair_j.append(b)
         lengths.append(dist[mask])
     return EdgeSet(i=np.concatenate(pair_i), j=np.concatenate(pair_j),
-                   lengths=np.concatenate(lengths), delta=float(delta), sample=sample)
+                   lengths=np.concatenate(lengths), sample=sample)
 
 
 def length_power(edges: EdgeSet, alphas) -> np.ndarray:

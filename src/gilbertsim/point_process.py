@@ -34,10 +34,6 @@ class PointSample:
     """One realization of a point process inside a window."""
 
     points: np.ndarray  # shape (n, dim)
-    window: ConvexWindow
-    model: str  # "poisson" | "binomial"
-    intensity: float | None = None  # Poisson intensity t
-    size: int | None = None  # binomial n
 
     @property
     def n_points(self) -> int:
@@ -63,7 +59,7 @@ def sample_poisson(window: ConvexWindow, t: float, rng: np.random.Generator) -> 
         raise ValueError("intensity t must be > 0")
     n = int(rng.poisson(t * window.volume))
     pts = _draw_distinct(window, n, rng)
-    return PointSample(points=pts, window=window, model="poisson", intensity=float(t))
+    return PointSample(points=pts)
 
 
 def sample_binomial(window: ConvexWindow, n: int, rng: np.random.Generator) -> PointSample:
@@ -71,4 +67,4 @@ def sample_binomial(window: ConvexWindow, n: int, rng: np.random.Generator) -> P
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = _draw_distinct(window, int(n), rng)
-    return PointSample(points=pts, window=window, model="binomial", size=int(n))
+    return PointSample(points=pts)

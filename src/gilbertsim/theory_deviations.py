@@ -69,20 +69,23 @@ class LdiInput:
             raise ValueError("binomial mode needs n >= 1")
 
 
+def _scales(inp: LdiInput) -> tuple[float, float, float]:
+    """(c, N, f) = (t, t V, 1) for Poisson points and (n, n, V) for n binomial
+    points, which bound like Poisson points at t = n / V; f = 1 is exact."""
+    if inp.mode == "poisson":
+        return inp.t, inp.t * inp.window.volume, 1.0
+    return inp.n, inp.n, inp.window.volume
+
+
 def _xstar_terms(inp: LdiInput) -> tuple[float, float]:
     """(log-term L, sqrt numerator Q) with objective
     A(s) + sqrt(Q/((u+m) s) + A(s)^2), A(s) = (L + e^s - 1)/(2s)."""
     d = inp.window.dim
     kd = unit_ball_volume(d)
-    v = inp.window.volume
-    if inp.mode == "poisson":
-        rate = inp.t * kd * inp.delta**d
-        log_term = math.log(inp.t * v) / rate
-        q = inp.u**2 / (8.0 * inp.t**2 * kd**2 * inp.delta ** (2 * d + inp.alpha))
-    else:
-        rate = inp.n * kd * inp.delta**d
-        log_term = math.log(inp.n) * v / rate
-        q = v**2 * inp.u**2 / (8.0 * inp.n**2 * kd**2 * inp.delta ** (2 * d + inp.alpha))
+    c, count, f = _scales(inp)
+    rate = c * kd * inp.delta**d
+    log_term = math.log(count) * f / rate
+    q = f**2 * inp.u**2 / (8.0 * c**2 * kd**2 * inp.delta ** (2 * d + inp.alpha))
     return log_term, q
 
 
@@ -138,11 +141,8 @@ def ldi_bound(inp: LdiInput) -> float:
     xstar = ldi_xstar(inp)
     d = inp.window.dim
     kd = unit_ball_volume(d)
-    if inp.mode == "poisson":
-        denom = 8.0 * inp.t * kd * inp.delta ** (d + inp.alpha) * xstar * (inp.u + inp.median)
-    else:
-        denom = 8.0 * inp.n * kd * inp.delta ** (d + inp.alpha) * xstar * (inp.u + inp.median) \
-            / inp.window.volume
+    c, _, f = _scales(inp)
+    denom = 8.0 * c * kd * inp.delta ** (d + inp.alpha) * xstar * (inp.u + inp.median) / f
     return min(1.0, 8.0 * math.exp(-inp.u**2 / denom))
 
 
@@ -152,12 +152,9 @@ def ldi_envelope(inp: LdiInput) -> float:
         raise DegenerateInputError("u + median must be positive")
     d = inp.window.dim
     kd = unit_ball_volume(d)
-    v = inp.window.volume
+    c, count, f = _scales(inp)
     da = inp.delta**inp.alpha
-    if inp.mode == "poisson":
-        lead = math.log(inp.t * v) * da + 2.0 * inp.t * kd * inp.delta ** (d + inp.alpha)
-    else:
-        lead = math.log(inp.n) * da + 2.0 * inp.n * kd * inp.delta ** (d + inp.alpha) / v
+    lead = math.log(count) * da + 2.0 * c * kd * inp.delta ** (d + inp.alpha) / f
     quad = inp.u**2 / (8.0 * lead * (inp.u + inp.median))
     root = inp.u / math.sqrt(8.0 * da * (inp.u + inp.median))
     return min(1.0, 8.0 * math.exp(-0.5 * min(quad, root)))

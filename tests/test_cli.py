@@ -268,6 +268,34 @@ def test_two_alpha_ldi_without_thermodynamic_grid_is_accepted(monkeypatch):
                   "--schedule", "1,0.5", "--alpha", "0,1", "--reps", "10"])
 
 
+@pytest.mark.parametrize("kind,alpha", [("Moments", "0"), ("CLT", "1")])
+def test_theory_values_computed_before_replications(kind, alpha, monkeypatch, capsys):
+    # the exact box covariance (Moments, and CLT's Kolmogorov bound here) needs
+    # delta <= min(side)/2: the run exits 2 before building any graph
+    built = []
+
+    def counting(sample, delta):
+        built.append(delta)
+        return gg.build_edges(sample, delta)
+
+    monkeypatch.setattr(experiments, "build_edges", counting)
+    rc = cli.main(["verify", "--kind", kind, "--window", "box:1x1", "--t", "200",
+                   "--delta", "0.6", "--alpha", alpha, "--reps", "300", "--seed", "1"])
+    assert (rc, built) == (2, [])
+    assert "requires delta <= min(side)/2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--window", "box:1x1", "--t", "1e300", "--delta", "0.05"],
+    ["--window", "box:1x1", "--t", "1e120", "--delta", "0.05"],
+    ["--window", "box:100x100", "--t", "5e102", "--delta", "0.5"],  # t**3 finite, value inf
+], ids=["t1e300", "t1e120", "infinite"])
+def test_predict_overflow_exits_2(args, capsys):
+    assert cli.main(["predict", "--alpha", "0"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: a prediction ")
+
+
 # t^2 kappa_2 delta^2 V / 2 = 2.5e7 expected edges at t (or n) = 200000 and
 # delta = 0.02 on the unit square, above the 2e7 budget; 1.4e7 at t = 150000,
 # which fits once but not twice.
@@ -328,10 +356,10 @@ def test_predict_shares_covariogram_values_across_exponents(capsys):
     # 2 means and 3 covariances run 11 radial quadratures over [0, delta];
     # with delta < min(side)/5 there is no kink inside, each quadrature is one
     # 21-node Kronrod rule, and all of them evaluate G at the same 21 radii.
-    geometry._box_angular_at.cache_clear()
+    geometry._box_angular.cache_clear()
     assert cli.main(["predict", "--window", "box:1.0x0.8x0.6", "--t", "500",
                      "--delta", "0.1", "--alpha", "0,1"]) == 0
-    info = geometry._box_angular_at.cache_info()
+    info = geometry._box_angular.cache_info()
     assert (info.misses, info.hits) == (21, 11 * 21 - 21)
     capsys.readouterr()
 
@@ -451,16 +479,16 @@ def test_covariogram_subcommand(tmp_path, capsys):
                    "--rmax", "2.0", "--steps", "5"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "r,covariogram,estimated"
+    assert lines[0] == "r,covariogram"
     rows = [line.split(",") for line in lines[1:]]
     assert float(rows[0][1]) == pytest.approx(math.pi)
     assert float(rows[2][1]) == pytest.approx(
         2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0))
     assert float(rows[4][1]) == 0.0
-    assert all(r[2] == "0" for r in rows)
+    assert all(len(r) == 2 for r in rows)
     rc = cli.main(["covariogram", "--window", "box:1x1", "--direction", "1,0,0"])
     assert rc == 2  # dimension mismatch
-    for bad in (["--steps", "-1"], ["--mc-samples", "0"], ["--direction", "1,x"]):
+    for bad in (["--steps", "-1"], ["--steps", "0"], ["--direction", "1,x"]):
         argv = ["covariogram", "--window", "ball:1.0@d=4", "--direction", "1,0,0,0"]
         assert cli.main(argv + bad) == 2
     # non-finite directions and radii, and negative radii, print no table

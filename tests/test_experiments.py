@@ -139,9 +139,9 @@ def test_verify_moments_detects_wrong_prediction():
     # harness self-test: judging against predictions at a wrong delta fails
     c = cfg(replications=2000)
     powers = ex._length_powers(c)
-    good = ex._moment_metrics(c, 100.0, 0.05, powers)
+    good = ex._moment_metrics(c, 100.0, 0.05, lambda: powers)
     assert all(m.verdict for m in good)
-    bad = ex._moment_metrics(c, 100.0, 0.065, powers)
+    bad = ex._moment_metrics(c, 100.0, 0.065, lambda: powers)
     assert any(not m.verdict for m in bad)
 
 

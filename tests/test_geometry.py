@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import betainc
 
 from gilbertsim import geometry as geo
-from gilbertsim.errors import NonIntegrableError, UnsupportedDimensionError
+from gilbertsim.errors import NonIntegrableError
 
 PI = math.pi
 
@@ -81,13 +82,29 @@ def test_covariogram_mc_matches_closed_form():
     assert geo.covariogram_mc(w, (3.0, 0.0), 100, rng) == 0.0
 
 
-def test_covariogram_ball_high_dim_is_estimated():
-    b4 = geo.ConvexWindow.ball(1.0, 4)
-    assert not geo.covariogram_is_exact(b4)
-    val = geo.covariogram(b4, (0.3, 0, 0, 0), mc_samples=200_000)
-    assert 0.0 < val < b4.volume
-    # default stream makes the estimate deterministic
-    assert val == geo.covariogram(b4, (0.3, 0, 0, 0), mc_samples=200_000)
+def test_ball_formula_matches_closed_forms():
+    # the two-cap form V * I_{1-(r/2R)^2}((d+1)/2, 1/2) that serves d >= 4
+    # equals the d <= 3 closed forms
+    for d in (1, 2, 3):
+        w = geo.ConvexWindow.ball(1.3, d)
+        for r in np.linspace(0.0, 2.6, 27)[:-1]:
+            general = w.volume * float(betainc((d + 1) / 2, 0.5, 1.0 - (r / 2.6) ** 2))
+            closed = geo._ball_covariogram_radial(w, float(r))
+            assert general == pytest.approx(closed, rel=1e-13, abs=1e-13 * w.volume)
+
+
+def test_covariogram_ball_high_dim_matches_monte_carlo():
+    n = 200_000
+    for d in (4, 5, 6):
+        w = geo.ConvexWindow.ball(1.0, d)
+        for k, r in enumerate((0.3, 0.9, 1.5)):
+            y = np.zeros(d)
+            y[0] = r
+            val = geo.covariogram(w, y)
+            assert 0.0 < val < w.volume
+            est = geo.covariogram_mc(w, y, n, np.random.default_rng(100 * d + k))
+            p = val / w.volume
+            assert abs(est - val) <= 4.0 * w.volume * math.sqrt(p * (1.0 - p) / n)
 
 
 def test_radial_integral_disc_moments():
@@ -102,7 +119,7 @@ def test_radial_integral_disc_moments():
 
 def test_radial_integral_small_delta_asymptote():
     for w in (geo.ConvexWindow.box((1.0, 1.0)), geo.ConvexWindow.ball(0.9, 3),
-              geo.ConvexWindow.box((2.0, 1.0, 0.5))):
+              geo.ConvexWindow.box((2.0, 1.0, 0.5)), geo.ConvexWindow.box((1.0, 0.8, 0.6, 0.5))):
         d = w.dim
         for alpha in (-0.5, 0.0, 1.0):
             lead = d * geo.unit_ball_volume(d) / (alpha + d) * w.volume
@@ -151,6 +168,7 @@ def test_covariogram_invariants_random(w, coords):
 @example(geo.ConvexWindow.box((1.0,)))
 @example(geo.ConvexWindow.box((1.0, 1.0)))
 @example(geo.ConvexWindow.box((2.0, 1.0, 0.5)))
+@example(geo.ConvexWindow.ball(0.8, 4))
 def test_radial_integral_total_mass_identity(w):
     # ∫ g_W = V(W)^2: the radial integral over a ball containing W - W
     val = geo.covariogram_radial_integral(w, w.diameter * 1.01, 0.0)
@@ -159,7 +177,7 @@ def test_radial_integral_total_mass_identity(w):
 
 def test_radial_integral_cold_cache_equals_warm():
     # G is cached per (sides, r); cached values must give the same bits as a
-    # cold cache and as an integrand that calls _box_angular itself.
+    # cold cache and as an integrand that calls the uncached _box_angular.
     cases = [(sides, delta, alpha)
              for sides in ((1.0, 0.7), (1.3, 0.6), (1.0, 0.8, 0.6), (2.0, 1.0, 0.5))
              for delta in (0.05, 0.25, 0.9, 3.0)
@@ -169,10 +187,10 @@ def test_radial_integral_cold_cache_equals_warm():
         return {c: geo.covariogram_radial_integral(geo.ConvexWindow.box(c[0]), c[1], c[2])
                 for c in order}
 
-    geo._box_angular_at.cache_clear()
+    geo._box_angular.cache_clear()
     cold = values(cases)
     warm = values(cases)
-    geo._box_angular_at.cache_clear()
+    geo._box_angular.cache_clear()
     cold_reversed = values(cases[::-1])
     assert cold == warm == cold_reversed
     for sides, delta, alpha in cases[::7]:
@@ -180,7 +198,7 @@ def test_radial_integral_cold_cache_equals_warm():
         rmax = min(delta, w.diameter)
         points = geo._radial_breakpoints(w, rmax)
         direct = integrate.quad(
-            lambda r: r ** (alpha + w.dim - 1) * float(geo._box_angular(np.asarray([r]), sides)[0]),
+            lambda r: r ** (alpha + w.dim - 1) * geo._box_angular.__wrapped__(sides, r),
             0.0, rmax, points=points or None, epsabs=0.0, epsrel=geo._RADIAL_EPSREL,
             limit=geo._RADIAL_LIMIT)[0]
         assert cold[(sides, delta, alpha)] == direct
@@ -196,8 +214,8 @@ def test_radial_integral_rejects_divergent_exponent():
     w = geo.ConvexWindow.box((1.0, 1.0))
     with pytest.raises(NonIntegrableError):
         geo.covariogram_radial_integral(w, 0.1, -2.0)
-    with pytest.raises(UnsupportedDimensionError):
-        geo.covariogram_radial_integral(geo.ConvexWindow.ball(1.0, 4), 0.1, 0.0)
+    with pytest.raises(NonIntegrableError):
+        geo.covariogram_radial_integral(geo.ConvexWindow.ball(1.0, 4), 0.1, -4.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,6 +224,7 @@ def test_radial_integral_rejects_divergent_exponent():
 @example(geo.ConvexWindow.ball(0.8, 2), 0.45)
 @example(geo.ConvexWindow.box((1.0, 0.7, 1.3)), 0.45)
 @example(geo.ConvexWindow.ball(0.6, 3), 0.45)
+@example(geo.ConvexWindow.box((1.0, 0.8, 0.6, 0.5)), 0.45)
 def test_sphere_integral_lipschitz_sandwich(w, u):
     # d kappa_d V >= G(r) >= d kappa_d V - kappa_{d-1} S r on an r-grid up to u * diam W
     d = w.dim

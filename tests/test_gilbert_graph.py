@@ -14,9 +14,8 @@ from gilbertsim import point_process as pp
 W2 = geo.ConvexWindow.box((1.0, 1.0))
 
 
-def make_sample(points, window=W2):
-    pts = np.asarray(points, dtype=float)
-    return pp.PointSample(points=pts, window=window, model="binomial", size=len(pts))
+def make_sample(points):
+    return pp.PointSample(points=np.asarray(points, dtype=float))
 
 
 def test_three_point_example():
@@ -85,7 +84,7 @@ def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
     axes = snap.draw(st.lists(st.integers(0, 2 * window.dim - 1),
                               min_size=len(rows), max_size=len(rows)))
     snap_to_boundary(window, pts, rows, axes)
-    s = make_sample(pts, window)
+    s = make_sample(pts)
     assert edgesets_identical(gg.build_edges(s, delta), gg.build_edges_bruteforce(s, delta))
 
 
@@ -101,8 +100,7 @@ def test_property_lattice_ties_at_delta(d, m, spacing, origin, diagonal):
     grid = np.stack(np.meshgrid(*[np.arange(m)] * d, indexing="ij"), -1).reshape(-1, d)
     pts = origin + spacing * grid
     delta = spacing * math.sqrt(min(diagonal, d))
-    window = geo.ConvexWindow.box((origin + spacing * m,) * d)
-    s = make_sample(pts, window)
+    s = make_sample(pts)
     fast = gg.build_edges(s, delta)
     assert edgesets_identical(fast, gg.build_edges_bruteforce(s, delta))
     assert np.all(fast.lengths <= delta)
@@ -182,14 +180,13 @@ def test_rigid_motion_and_scaling_invariance():
     base = gg.build_edges(make_sample(pts), delta)
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    big = geo.ConvexWindow.box((4.0, 4.0))
-    moved = make_sample(pts @ rot.T + np.array([1.3, 0.9]), big)
+    moved = make_sample(pts @ rot.T + np.array([1.3, 0.9]))
     rotated = gg.build_edges(moved, delta)
     assert rotated.n_edges == base.n_edges  # L^(0) invariant under rigid motions
     assert gg.length_power(rotated, (1.0,))[0] == pytest.approx(
         gg.length_power(base, (1.0,))[0], rel=1e-9)
     # exact scaling by a power of two: L^(alpha) multiplies by s^alpha exactly
-    scaled = gg.build_edges(make_sample(2.0 * pts, big), 2.0 * delta)
+    scaled = gg.build_edges(make_sample(2.0 * pts), 2.0 * delta)
     assert np.array_equal(scaled.i, base.i) and np.array_equal(scaled.j, base.j)
     for alpha in (0.0, 1.0, 2.0):
         assert gg.length_power(scaled, (alpha,))[0] == pytest.approx(
