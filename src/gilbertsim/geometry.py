@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy import integrate
@@ -198,8 +199,9 @@ def _quarter_box_arc(radii, a: float, b: float) -> np.ndarray:
     out[small] = a * b * (math.pi / 2.0)
     Rp = R[~small]
     if Rp.size:
-        lo = np.arccos(np.minimum(a / Rp, 1.0))
-        hi = np.arcsin(np.minimum(b / Rp, 1.0))
+        with np.errstate(over="ignore"):  # a / R = inf for subnormal R clamps to 1
+            lo = np.arccos(np.minimum(a / Rp, 1.0))
+            hi = np.arcsin(np.minimum(b / Rp, 1.0))
 
         def anti(phi):
             return a * b * phi + a * Rp * np.cos(phi) - b * Rp * np.sin(phi) \
@@ -210,60 +212,116 @@ def _quarter_box_arc(radii, a: float, b: float) -> np.ndarray:
     return out
 
 
-def _box_subset_norms(sides) -> list[float]:
+@lru_cache(maxsize=256)
+def _box_subset_norms(sides: tuple[float, ...]) -> tuple[float, ...]:
     """Norms sqrt(sum of squares) over nonempty side subsets: kink radii of G."""
     acc = [0.0]
     for s in sides:
         acc = [v for v in acc] + [v + s * s for v in acc]
-    return sorted(math.sqrt(v) for v in set(acc) if v > 0.0)
+    return tuple(sorted(math.sqrt(v) for v in set(acc) if v > 0.0))
+
+
+def _box_angular_many(sides: tuple[float, ...], radii) -> np.ndarray:
+    """G(r) for a box at each radius, via recursive sphere-slice reduction (d <= 4).
+
+    Each value is bitwise what the same radius gives alone, whatever the other
+    radii: every step is elementwise except the per-segment node sums.
+    """
+    r = np.asarray(radii, dtype=float).reshape(-1)
+    d = len(sides)
+    if d == 1:
+        return 2.0 * np.maximum(sides[0] - r, 0.0)
+    if d == 2:
+        return 4.0 * _quarter_box_arc(r, sides[0], sides[1])
+    if d > 4:
+        raise UnsupportedDimensionError(
+            f"exact box angular covariogram supported up to d=4, got d={d}")
+    if d == 3:
+        return _sphere_slices(sides, r)
+    # d = 4 one outer radius at a time, its inner d = 3 values in one array
+    # call: batching every outer radius builds ~10^7-element grids and is slower.
+    return np.concatenate([_sphere_slices(sides, r[i:i + 1]) for i in range(r.size)])
+
+
+def _sphere_slices(sides: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    # G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx
+    inner_sides = sides[:-1]
+    s_last = sides[-1]
+    out = np.empty_like(r)
+    pos = r > 0.0
+    if not pos.all():
+        out[~pos] = 2.0 * s_last * _box_angular_many(inner_sides, np.zeros(1))[0]
+    rp = r[pos]
+    if not rp.size:
+        return out
+    norms = _box_subset_norms(inner_sides)
+    rows = []
+    for v in rp.tolist():
+        # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
+        breaks = {0.0, 1.0}
+        if s_last / v < 1.0:
+            breaks.add(s_last / v)
+        for m in norms:
+            if m < v:
+                breaks.add(math.sqrt(max(0.0, 1.0 - (m / v) ** 2)))
+        # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
+        rows.append(sorted(math.asin(min(b, 1.0)) for b in breaks))
+    # Pad to a common segment count with zero-width segments at pi/2: their
+    # weights are 0, so they add only zeros to a radius's sum.
+    width = max(len(p) for p in rows)
+    pts = np.array([p + p[-1:] * (width - len(p)) for p in rows])
+    psi, w = _gl_nodes(pts[:, :-1], pts[:, 1:], 48)  # (radii, segments, nodes)
+    x = np.sin(psi)
+    rho = np.cos(psi)
+    rr = rp[:, None, None]
+    fac = np.maximum(s_last - rr * x, 0.0) * rho
+    if len(sides) == 3:
+        inner = 4.0 * _quarter_box_arc(rr * rho, *inner_sides)
+    else:
+        fac = fac * rho
+        inner = _box_angular_many(inner_sides, (rr * rho).ravel()).reshape(rho.shape)
+    total = np.zeros(rp.size)
+    for part in np.sum(w * fac * inner, axis=-1).T:  # segment sums, added in order
+        total = total + part
+    out[pos] = 2.0 * total
+    return out
 
 
 @lru_cache(maxsize=1024)
 def _box_angular(sides: tuple[float, ...], r: float) -> float:
-    """G(r) for a box, via recursive sphere-slice reduction (exact up to d=4).
+    """G(r) for a box: `_box_angular_many` on one radius, cached per (sides, r).
 
-    Cached per (sides, r): radial quadratures over the same [0, delta] with the
-    same breakpoints evaluate G at the same Kronrod nodes whatever the
-    exponent, so a mean and a covariance on one box share every G value.
+    Radial quadratures fetch their first-pass Kronrod nodes from
+    `_kronrod_prefetch`; this cache serves QUADPACK's later subdivisions and
+    single-radius callers.
     """
-    d = len(sides)
-    if d == 1:
-        return 2.0 * max(sides[0] - r, 0.0)
-    if d == 2:
-        return float(4.0 * _quarter_box_arc(r, sides[0], sides[1]))
-    if d > 4:
-        raise UnsupportedDimensionError(
-            f"exact box angular covariogram supported up to d=4, got d={d}")
-    # G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx
-    inner_sides = sides[:-1]
-    s_last = sides[-1]
-    if r <= 0.0:
-        return 2.0 * s_last * _box_angular(inner_sides, 0.0)
-    # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
-    breaks = {0.0, 1.0}
-    if s_last / r < 1.0:
-        breaks.add(s_last / r)
-    for m in _box_subset_norms(inner_sides):
-        if m < r:
-            breaks.add(math.sqrt(max(0.0, 1.0 - (m / r) ** 2)))
-    # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
-    pts = np.array(sorted(math.asin(min(b, 1.0)) for b in breaks))
-    psi, w = _gl_nodes(pts[:-1], pts[1:], 48)  # one row of nodes per segment
-    x = np.sin(psi)
-    rho = np.cos(psi)
-    fac = np.maximum(s_last - r * x, 0.0) * rho
-    if d == 3:
-        inner = 4.0 * _quarter_box_arc(r * rho, *inner_sides)
-    else:
-        # d = 3 values at the nodes, uncached: no two radii share a node, and
-        # caching them would evict the d = 4 values the quadratures do share.
-        fac = fac * rho
-        inner = np.array([_box_angular.__wrapped__(inner_sides, float(v)) for v in (r * rho).flat])
-        inner = inner.reshape(rho.shape)
-    total = 0.0
-    for part in np.sum(w * fac * inner, axis=1):  # segment sums, added in order
-        total += float(part)
-    return 2.0 * total
+    return float(_box_angular_many(sides, np.array([r]))[0])
+
+
+# Nonzero abscissae of QUADPACK's 21-point Kronrod rule (qk21's xgk[0:10]).
+_KRONROD_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
+
+
+@lru_cache(maxsize=64)
+def _kronrod_prefetch(sides: tuple[float, ...], ends: tuple[float, ...]) -> MappingProxyType:
+    """{r: G(r)} at the 21 Kronrod nodes of each interval [ends[i], ends[i+1]].
+
+    These are the radii QUADPACK's first pass evaluates, with its arithmetic
+    (centre -/+ half-length * abscissa), so one array call serves every radial
+    quadrature over the same intervals; a radius that does not match is only
+    a miss.
+    """
+    a = np.array(ends[:-1])
+    b = np.array(ends[1:])
+    centre = (0.5 * (a + b))[:, None]
+    absc = (0.5 * (b - a))[:, None] * _KRONROD_X
+    nodes = np.concatenate([centre, centre - absc, centre + absc], axis=1).ravel()
+    return MappingProxyType(dict(zip(nodes.tolist(), _box_angular_many(sides, nodes).tolist())))
 
 
 def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
@@ -298,6 +356,7 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
     if delta <= 0:
         raise ValueError("delta must be > 0")
     rmax = min(delta, window.diameter)
+    points = _radial_breakpoints(window, rmax)
     if window.kind == "ball":
         dk = d * unit_ball_volume(d)
 
@@ -307,13 +366,16 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
             return r ** (alpha + d - 1) * dk * _ball_covariogram_radial(window, r)
     else:
         sides = window.sides
+        prefetched = _kronrod_prefetch(sides, (0.0, *points, rmax))
 
         def integrand(r):
             if r <= 0.0:
                 return 0.0
-            return r ** (alpha + d - 1) * _box_angular(sides, r)
+            g = prefetched.get(r)
+            if g is None:
+                g = _box_angular(sides, r)
+            return r ** (alpha + d - 1) * g
 
-    points = _radial_breakpoints(window, rmax)
     val, err = integrate.quad(
         integrand, 0.0, rmax, points=points or None,
         epsabs=0.0, epsrel=_RADIAL_EPSREL, limit=_RADIAL_LIMIT)

@@ -176,8 +176,9 @@ def test_radial_integral_total_mass_identity(w):
 
 
 def test_radial_integral_cold_cache_equals_warm():
-    # G is cached per (sides, r); cached values must give the same bits as a
-    # cold cache and as an integrand that calls the uncached _box_angular.
+    # G is cached per (sides, r) and prefetched per quadrature; cached values
+    # must give the same bits as cold caches and as an integrand that calls
+    # the uncached _box_angular.
     cases = [(sides, delta, alpha)
              for sides in ((1.0, 0.7), (1.3, 0.6), (1.0, 0.8, 0.6), (2.0, 1.0, 0.5))
              for delta in (0.05, 0.25, 0.9, 3.0)
@@ -187,10 +188,14 @@ def test_radial_integral_cold_cache_equals_warm():
         return {c: geo.covariogram_radial_integral(geo.ConvexWindow.box(c[0]), c[1], c[2])
                 for c in order}
 
-    geo._box_angular.cache_clear()
+    def clear():
+        geo._box_angular.cache_clear()
+        geo._kronrod_prefetch.cache_clear()
+
+    clear()
     cold = values(cases)
     warm = values(cases)
-    geo._box_angular.cache_clear()
+    clear()
     cold_reversed = values(cases[::-1])
     assert cold == warm == cold_reversed
     for sides, delta, alpha in cases[::7]:
@@ -202,6 +207,93 @@ def test_radial_integral_cold_cache_equals_warm():
             0.0, rmax, points=points or None, epsabs=0.0, epsrel=geo._RADIAL_EPSREL,
             limit=geo._RADIAL_LIMIT)[0]
         assert cold[(sides, delta, alpha)] == direct
+
+
+def _box_angular_per_radius(sides, r):
+    """Reference G: one radius at a time at every level, segment sums added in a loop."""
+    d = len(sides)
+    if d == 1:
+        return 2.0 * max(sides[0] - r, 0.0)
+    if d == 2:
+        return float(4.0 * geo._quarter_box_arc(r, sides[0], sides[1]))
+    inner_sides, s_last = sides[:-1], sides[-1]
+    if r <= 0.0:
+        return 2.0 * s_last * _box_angular_per_radius(inner_sides, 0.0)
+    breaks = {0.0, 1.0}
+    if s_last / r < 1.0:
+        breaks.add(s_last / r)
+    for m in geo._box_subset_norms(inner_sides):
+        if m < r:
+            breaks.add(math.sqrt(max(0.0, 1.0 - (m / r) ** 2)))
+    pts = np.array(sorted(math.asin(min(b, 1.0)) for b in breaks))
+    psi, w = geo._gl_nodes(pts[:-1], pts[1:], 48)
+    rho = np.cos(psi)
+    fac = np.maximum(s_last - r * np.sin(psi), 0.0) * rho
+    if d == 3:
+        inner = 4.0 * geo._quarter_box_arc(r * rho, *inner_sides)
+    else:
+        fac = fac * rho
+        inner = np.array([_box_angular_per_radius(inner_sides, float(v))
+                          for v in (r * rho).flat]).reshape(rho.shape)
+    total = 0.0
+    for part in np.sum(w * fac * inner, axis=1):
+        total += float(part)
+    return 2.0 * total
+
+
+@st.composite
+def boxes_and_radii(draw):
+    d = draw(st.sampled_from((1, 2, 2, 3, 3, 3, 3, 4)))
+    sides = tuple(draw(st.floats(0.2, 2.0)) for _ in range(d))
+    diam = math.sqrt(sum(s * s for s in sides))
+    # kink radii: 0, the subset norms, s_last and the diameter
+    kinks = (0.0, *geo._box_subset_norms(sides), sides[-1], diam)
+    radius = st.sampled_from(kinks) | st.floats(0.0, diam)
+    return sides, draw(st.lists(radius, min_size=1, max_size=3 if d == 4 else 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes_and_radii())
+@example(((1.0, 0.8, 0.6), [0.1, 1.0, 0.6, 0.0, 1.4142135623730951]))
+@example(((1.0, 0.8, 0.6, 0.5), [1.3, 0.5, 0.0]))
+@example(((1.0, 1.0, 1.0), [1.4142135623730951, 2.0687434969888587e-301]))
+def test_box_angular_many_equals_one_radius_at_a_time(case):
+    # Padding ragged segment lists with zero-width segments changes no bit:
+    # a batch, in any order and with duplicates, gives each radius's value
+    # alone, and the per-radius reference loop's value.
+    sides, radii = case
+    radii = radii + radii[::-1]
+    batch = [float(v).hex() for v in geo._box_angular_many(sides, radii)]
+    assert batch == [geo._box_angular.__wrapped__(sides, r).hex() for r in radii]
+    assert batch == [_box_angular_per_radius(sides, r).hex() for r in radii]
+
+
+@pytest.mark.parametrize("sides, rmax", [
+    ((1.0, 1.0), 0.05),
+    ((1.0, 1.0), 2.0),
+    ((1.0, 0.8, 0.6), 0.1),
+    ((2.0, 1.0, 0.5), 3.0),
+    ((1.0, 0.8, 0.6, 0.5), 0.9),
+])
+def test_kronrod_prefetch_holds_quadpack_first_pass(sides, rmax):
+    # The prefetch reproduces QUADPACK's node arithmetic; if scipy changes it,
+    # every node becomes a scalar-cache miss and only this test notices.
+    w = geo.ConvexWindow.box(sides)
+    rmax = min(rmax, w.diameter)
+    points = geo._radial_breakpoints(w, rmax)
+    ends = (0.0, *points, rmax)
+    requested = []
+
+    def integrand(r):
+        requested.append(r)
+        return r * math.exp(-r)
+
+    integrate.quad(integrand, 0.0, rmax, points=points or None, epsabs=0.0,
+                   epsrel=geo._RADIAL_EPSREL, limit=geo._RADIAL_LIMIT)
+    first_pass = requested[:21 * (len(ends) - 1)]
+    prefetched = geo._kronrod_prefetch(sides, ends)
+    assert len(prefetched) == len(set(first_pass)) == 21 * (len(ends) - 1)
+    assert set(first_pass) <= set(prefetched)
 
 
 def test_radial_integral_monotone_in_delta():
