@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 from scipy import integrate
@@ -291,37 +290,10 @@ def _sphere_slices(sides: tuple[float, ...], r: np.ndarray) -> np.ndarray:
 def _box_angular(sides: tuple[float, ...], r: float) -> float:
     """G(r) for a box: `_box_angular_many` on one radius, cached per (sides, r).
 
-    Radial quadratures fetch their first-pass Kronrod nodes from
-    `_kronrod_prefetch`; this cache serves QUADPACK's later subdivisions and
-    single-radius callers.
+    Only radial quadratures with delta > min(side) and single-radius callers
+    reach it; smaller delta takes the closed-form series.
     """
     return float(_box_angular_many(sides, np.array([r]))[0])
-
-
-# Nonzero abscissae of QUADPACK's 21-point Kronrod rule (qk21's xgk[0:10]).
-_KRONROD_X = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720])
-
-
-@lru_cache(maxsize=64)
-def _kronrod_prefetch(sides: tuple[float, ...], ends: tuple[float, ...]) -> MappingProxyType:
-    """{r: G(r)} at the 21 Kronrod nodes of each interval [ends[i], ends[i+1]].
-
-    These are the radii QUADPACK's first pass evaluates, with its arithmetic
-    (centre -/+ half-length * abscissa), so one array call serves every radial
-    quadrature over the same intervals; a radius that does not match is only
-    a miss.
-    """
-    a = np.array(ends[:-1])
-    b = np.array(ends[1:])
-    centre = (0.5 * (a + b))[:, None]
-    absc = (0.5 * (b - a))[:, None] * _KRONROD_X
-    nodes = np.concatenate([centre, centre - absc, centre + absc], axis=1).ravel()
-    return MappingProxyType(dict(zip(nodes.tolist(), _box_angular_many(sides, nodes).tolist())))
 
 
 def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
@@ -344,17 +316,45 @@ def _radial_breakpoints(window: ConvexWindow, rmax: float) -> list[float]:
     return [p for p in pts if 0.0 < p < rmax]
 
 
-def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float) -> float:
-    """∫_{B(0,delta)} ||y||^alpha g_W(y) dy, exact adaptive quadrature.
+def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> float:
+    """∫_{B(0,delta)} ||y||^alpha prod(s_i - |y_i|) dy, exact for delta <= min(side).
 
-    Requires alpha > -d (else the integral diverges at the origin).
-    Target relative accuracy 1e-8 or better; raises QuadratureError on failure.
+    Expanding the product gives sum_k (-1)^k e_{d-k}(s) omega_{d,k}
+    delta^(alpha+d+k) / (alpha+d+k), with e_j the elementary symmetric
+    polynomials of the sides (the box's intrinsic volumes) and
+    omega_{d,k} = ∫_{S^{d-1}} |u_1|...|u_k| du = 2 pi^((d-k)/2) / Gamma((d+k)/2).
+    """
+    d = len(sides)
+    e = [1.0]  # coefficients of prod(1 + s_i x): e[j] = e_j(s)
+    for s in sides:
+        e = [a + s * b for a, b in zip(e + [0.0], [0.0] + e)]
+    total = 0.0
+    for k in range(d + 1):
+        p = alpha + d + k
+        omega = 2.0 * math.pi ** ((d - k) / 2.0) / math.gamma((d + k) / 2.0)
+        total += (-1) ** k * e[d - k] * omega * delta**p / p
+    return total
+
+
+def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float) -> float:
+    """∫_{B(0,delta)} ||y||^alpha g_W(y) dy (alpha > -d; boxes need d <= 4).
+
+    A box with delta <= min(side) takes the closed-form series
+    `_box_radial_series`.  Larger delta and balls take adaptive quadrature of
+    r^(alpha+d-1) G(r) at epsrel 1e-10, split at G's kinks; it raises
+    QuadratureError when the error estimate exceeds 1e-7 relative.
     """
     d = window.dim
     if alpha <= -d:
         raise NonIntegrableError(f"alpha must exceed -d = {-d}, got {alpha}")
     if delta <= 0:
         raise ValueError("delta must be > 0")
+    if window.kind == "box":
+        if d > 4:
+            raise UnsupportedDimensionError(
+                f"exact box radial covariogram integral supported up to d=4, got d={d}")
+        if delta <= min(window.sides):
+            return _box_radial_series(window.sides, delta, alpha)
     rmax = min(delta, window.diameter)
     points = _radial_breakpoints(window, rmax)
     if window.kind == "ball":
@@ -366,15 +366,11 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
             return r ** (alpha + d - 1) * dk * _ball_covariogram_radial(window, r)
     else:
         sides = window.sides
-        prefetched = _kronrod_prefetch(sides, (0.0, *points, rmax))
 
         def integrand(r):
             if r <= 0.0:
                 return 0.0
-            g = prefetched.get(r)
-            if g is None:
-                g = _box_angular(sides, r)
-            return r ** (alpha + d - 1) * g
+            return r ** (alpha + d - 1) * _box_angular(sides, r)
 
     val, err = integrate.quad(
         integrand, 0.0, rmax, points=points or None,

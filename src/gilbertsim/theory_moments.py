@@ -18,10 +18,11 @@ coordinate, so the layer with m active walls equals delta^(a+b+2d+m) times a
 delta-free sum.  The delta = 1 deficit tables are built once per (d, g) and
 kept in a small LRU cache; every box and every delta reuses them.
 
-The radial moments R_g need no cache of their own here: every R_g over the
-same [0, delta] evaluates the box's angular covariogram at the same quadrature
-nodes, and geometry caches those values per (sides, r), so a repeated R_g
-costs only the quadrature loop.
+The radial moments R_g come from `geometry.covariogram_radial_integral`: for a
+box with delta <= min(side) (every box covariance, since it needs
+delta <= min(side)/2) that is a closed-form series over the box's intrinsic
+volumes, so no quadrature and no cache is involved; larger delta and balls
+use adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -104,7 +105,12 @@ def expectation_exact(window: ConvexWindow, t: float, delta: float, alpha: float
 
 def expectation_bounds(window: ConvexWindow, t: float, delta: float, alpha: float) -> tuple[float, float]:
     """Sandwich for E L^(alpha); upper is the leading term, lower subtracts
-    the surface correction (kappa_{d-1}/(2(a+d+1))) t^2 delta^(a+d+1) S(W)."""
+    the surface correction (kappa_{d-1}/(2(a+d+1))) t^2 delta^(a+d+1) S(W).
+
+    For a box with delta <= min(side) these are (t^2/2) times the first one
+    and the first two terms of the exact radial series
+    (`geometry._box_radial_series`); the remaining terms are the gap.
+    """
     d = window.dim
     if alpha <= -d:
         raise NonIntegrableError(f"alpha must exceed -d = {-d}")
@@ -343,14 +349,8 @@ def covariance_bounds(window: ConvexWindow, t: float, delta: float,
 
 
 def variance_asymptotic(window: ConvexWindow, t: float, delta: float, alpha: float) -> float:
-    """Leading-order variance for alpha > -d/2."""
-    d = window.dim
-    if alpha <= -d / 2.0:
-        raise DivergentCovarianceError("variance asymptotics require alpha > -d/2")
-    kd = unit_ball_volume(d)
-    term1 = d * kd / (2.0 * (2.0 * alpha + d)) * t * t * delta ** (2.0 * alpha + d)
-    term2 = d * d * kd * kd / (alpha + d) ** 2 * t**3 * delta ** (2.0 * alpha + 2.0 * d)
-    return (term1 + term2) * window.volume
+    """Leading-order variance for alpha > -d/2: the covariance sandwich's upper value."""
+    return covariance_bounds(window, t, delta, alpha, alpha)[1]
 
 
 def sigma_matrix(alphas, dim: int, volume: float, regime: RegimeSchedule) -> np.ndarray:

@@ -353,20 +353,14 @@ def test_report_json_rejects_non_finite_floats():
 
 
 def test_predict_shares_covariogram_values_across_exponents(capsys):
-    # 2 means and 3 covariances run 11 radial quadratures over [0, delta];
-    # with delta < min(side)/5 there is no kink inside, each quadrature is one
-    # 21-node Kronrod rule, and all of them share one prefetch of those 21 G
-    # values: the first computes it, the other 10 reuse it, and no node falls
-    # back to the scalar G.
-    geometry._kronrod_prefetch.cache_clear()
+    # 2 means and 3 covariances need 11 radial moments over [0, delta]; with
+    # delta <= min(side) every one is the box's closed-form series, so no
+    # exponent evaluates the angular covariogram G at all.
     geometry._box_angular.cache_clear()
     assert cli.main(["predict", "--window", "box:1.0x0.8x0.6", "--t", "500",
                      "--delta", "0.1", "--alpha", "0,1"]) == 0
-    info = geometry._kronrod_prefetch.cache_info()
-    assert (info.misses, info.hits) == (1, 10)
-    assert geometry._box_angular.cache_info().misses == 0
-    assert len(geometry._kronrod_prefetch((1.0, 0.8, 0.6), (0.0, 0.1))) == 21
-    assert geometry._kronrod_prefetch.cache_info().hits == 11
+    info = geometry._box_angular.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
     capsys.readouterr()
 
 

@@ -10,7 +10,7 @@ from scipy import integrate
 from scipy.special import betainc
 
 from gilbertsim import geometry as geo
-from gilbertsim.errors import NonIntegrableError
+from gilbertsim.errors import NonIntegrableError, UnsupportedDimensionError
 
 PI = math.pi
 
@@ -176,26 +176,23 @@ def test_radial_integral_total_mass_identity(w):
 
 
 def test_radial_integral_cold_cache_equals_warm():
-    # G is cached per (sides, r) and prefetched per quadrature; cached values
-    # must give the same bits as cold caches and as an integrand that calls
-    # the uncached _box_angular.
+    # With delta > min(side) the box integral is a quadrature over G, cached
+    # per (sides, r); cached values must give the same bits as a cold cache
+    # and as an integrand that calls the uncached _box_angular.
     cases = [(sides, delta, alpha)
              for sides in ((1.0, 0.7), (1.3, 0.6), (1.0, 0.8, 0.6), (2.0, 1.0, 0.5))
-             for delta in (0.05, 0.25, 0.9, 3.0)
+             for delta in (0.9, 1.5, 3.0)
              for alpha in (-0.5, 0.0, 1.0, 2.0)]
+    assert all(delta > min(sides) for sides, delta, _ in cases)
 
     def values(order):
         return {c: geo.covariogram_radial_integral(geo.ConvexWindow.box(c[0]), c[1], c[2])
                 for c in order}
 
-    def clear():
-        geo._box_angular.cache_clear()
-        geo._kronrod_prefetch.cache_clear()
-
-    clear()
+    geo._box_angular.cache_clear()
     cold = values(cases)
     warm = values(cases)
-    clear()
+    geo._box_angular.cache_clear()
     cold_reversed = values(cases[::-1])
     assert cold == warm == cold_reversed
     for sides, delta, alpha in cases[::7]:
@@ -207,6 +204,42 @@ def test_radial_integral_cold_cache_equals_warm():
             0.0, rmax, points=points or None, epsabs=0.0, epsrel=geo._RADIAL_EPSREL,
             limit=geo._RADIAL_LIMIT)[0]
         assert cold[(sides, delta, alpha)] == direct
+
+
+@st.composite
+def boxes_delta_alpha(draw):
+    """A box with d = 1 to 4, delta in [min(side)/1000, min(side)], alpha in [0.1 - d, 3]."""
+    d = draw(st.sampled_from((1, 2, 2, 3, 3, 4)))
+    sides = tuple(draw(st.floats(0.2, 2.0)) for _ in range(d))
+    delta = min(sides) * draw(st.floats(1e-3, 1.0))
+    alpha = draw(st.floats(-d + 0.1, 3.0))
+    return sides, delta, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes_delta_alpha())
+@example(((1.0, 0.8, 0.6), 0.6, 1.0))
+@example(((1.0, 0.8, 0.6, 0.5), 0.5, -2.5))
+@example(((0.7,), 0.7, -0.9))
+@example(((1.3,), 0.2, -0.9))
+def test_radial_integral_box_series_matches_quadrature(case):
+    # For delta <= min(side) the box takes the closed-form series; G has no
+    # kink inside (0, delta], so one plain quadrature of r^(alpha+d-1) G(r)
+    # over the uncached G is an independent reference.
+    sides, delta, alpha = case
+    d = len(sides)
+    ref = integrate.quad(
+        lambda r: r ** (alpha + d - 1) * geo._box_angular.__wrapped__(sides, r),
+        0.0, delta, epsabs=0.0, epsrel=geo._RADIAL_EPSREL, limit=geo._RADIAL_LIMIT)[0]
+    val = geo.covariogram_radial_integral(geo.ConvexWindow.box(sides), delta, alpha)
+    assert val == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 2.0])
+def test_radial_integral_rejects_box_above_d4(delta):
+    w = geo.ConvexWindow.box((1.0, 0.9, 0.8, 0.7, 0.6))
+    with pytest.raises(UnsupportedDimensionError):
+        geo.covariogram_radial_integral(w, delta, 0.0)
 
 
 def _box_angular_per_radius(sides, r):
@@ -266,34 +299,6 @@ def test_box_angular_many_equals_one_radius_at_a_time(case):
     batch = [float(v).hex() for v in geo._box_angular_many(sides, radii)]
     assert batch == [geo._box_angular.__wrapped__(sides, r).hex() for r in radii]
     assert batch == [_box_angular_per_radius(sides, r).hex() for r in radii]
-
-
-@pytest.mark.parametrize("sides, rmax", [
-    ((1.0, 1.0), 0.05),
-    ((1.0, 1.0), 2.0),
-    ((1.0, 0.8, 0.6), 0.1),
-    ((2.0, 1.0, 0.5), 3.0),
-    ((1.0, 0.8, 0.6, 0.5), 0.9),
-])
-def test_kronrod_prefetch_holds_quadpack_first_pass(sides, rmax):
-    # The prefetch reproduces QUADPACK's node arithmetic; if scipy changes it,
-    # every node becomes a scalar-cache miss and only this test notices.
-    w = geo.ConvexWindow.box(sides)
-    rmax = min(rmax, w.diameter)
-    points = geo._radial_breakpoints(w, rmax)
-    ends = (0.0, *points, rmax)
-    requested = []
-
-    def integrand(r):
-        requested.append(r)
-        return r * math.exp(-r)
-
-    integrate.quad(integrand, 0.0, rmax, points=points or None, epsabs=0.0,
-                   epsrel=geo._RADIAL_EPSREL, limit=geo._RADIAL_LIMIT)
-    first_pass = requested[:21 * (len(ends) - 1)]
-    prefetched = geo._kronrod_prefetch(sides, ends)
-    assert len(prefetched) == len(set(first_pass)) == 21 * (len(ends) - 1)
-    assert set(first_pass) <= set(prefetched)
 
 
 def test_radial_integral_monotone_in_delta():

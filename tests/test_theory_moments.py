@@ -1,5 +1,6 @@
 """Exact moment formulas, sandwiches, Sigma matrices, and CLT-bound terms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +45,51 @@ def test_expectation_sandwich_sweep():
         val = tm.expectation_exact(w, t, delta, alpha)
         lo, hi = tm.expectation_bounds(w, t, delta, alpha)
         assert lo - 1e-12 * abs(hi) <= val <= hi + 1e-12 * abs(hi)
+
+
+def _box_series_terms(sides, delta, alpha):
+    """Terms k = 0..d of a box's radial moment for delta <= min(side):
+    (-1)^k e_{d-k}(s) omega_{d,k} delta^(a+d+k) / (a+d+k)."""
+    d = len(sides)
+    terms = []
+    for k in range(d + 1):
+        e = sum(math.prod(c) for c in itertools.combinations(sides, d - k))
+        omega = 2.0 * PI ** ((d - k) / 2.0) / math.gamma((d + k) / 2.0)
+        p = alpha + d + k
+        terms.append((-1) ** k * e * omega * delta**p / p)
+    return terms
+
+
+@st.composite
+def box_sandwich_cases(draw):
+    d = draw(st.integers(1, 4))
+    sides = tuple(draw(st.floats(0.2, 2.0)) for _ in range(d))
+    # delta >= min(side)/4 keeps the k >= 2 tail far above the rounding of
+    # exact - lower, a difference of two nearly equal numbers
+    delta = min(sides) * draw(st.floats(0.25, 1.0))
+    alpha = draw(st.floats(-d + 0.1, 3.0))
+    return sides, delta, alpha, draw(st.floats(1.0, 1e4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_sandwich_cases())
+@example(((1.0, 1.0), 0.25, 0.0, 100.0))
+@example(((1.0, 0.8, 0.6, 0.5), 0.5, -3.5, 300.0))
+@example(((0.7,), 0.7, -0.9, 10.0))
+def test_property_box_expectation_sandwich_is_series_cut(case):
+    # For a box with delta <= min(side) the sandwich is the exact series cut
+    # after k = 0 (upper) and k = 1 (lower); the k >= 2 tail is its gap.
+    sides, delta, alpha, t = case
+    w = geo.ConvexWindow.box(sides)
+    terms = [0.5 * t * t * v for v in _box_series_terms(sides, delta, alpha)]
+    lo, hi = tm.expectation_bounds(w, t, delta, alpha)
+    exact = tm.expectation_exact(w, t, delta, alpha)
+    assert hi == pytest.approx(terms[0], rel=1e-12)
+    assert lo == pytest.approx(terms[0] + terms[1], rel=1e-12)
+    if len(sides) == 1:  # no tail: the lower value is exact
+        assert exact == pytest.approx(lo, rel=1e-12)
+    else:
+        assert exact - lo == pytest.approx(sum(terms[2:]), rel=1e-12)
 
 
 def test_expectation_interval_width_vanishes_like_delta():
