@@ -45,11 +45,17 @@ class ConvexWindow:
         if self.kind == "box":
             if len(self.sides) != self.dim:
                 raise ValueError("box needs one side length per dimension")
-            if any(not (s > 0) for s in self.sides):
-                raise ValueError("box side lengths must be strictly positive")
+            if any(not (0 < s < math.inf) for s in self.sides):
+                raise ValueError("box side lengths must be positive and finite")
         else:
-            if not (self.radius > 0):
-                raise ValueError("ball radius must be strictly positive")
+            if not (0 < self.radius < math.inf):
+                raise ValueError("ball radius must be positive and finite")
+        try:
+            volume = self.volume
+        except OverflowError:  # radius**dim of a huge ball
+            volume = math.inf
+        if not (0 < volume < math.inf):
+            raise ValueError(f"window volume {volume!r} must be positive and finite")
 
     @classmethod
     def box(cls, sides) -> "ConvexWindow":
@@ -220,80 +226,51 @@ def _box_subset_norms(sides: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(sorted(math.sqrt(v) for v in set(acc) if v > 0.0))
 
 
-def _box_angular_many(sides: tuple[float, ...], radii) -> np.ndarray:
-    """G(r) for a box at each radius, via recursive sphere-slice reduction (d <= 4).
+@lru_cache(maxsize=1024)
+def _box_angular(sides: tuple[float, ...], r: float) -> float:
+    """G(r) for a box (d <= 4), cached per (sides, r).
 
-    Each value is bitwise what the same radius gives alone, whatever the other
-    radii: every step is elementwise except the per-segment node sums.
+    d = 1 and 2 are closed form.  d = 3 and 4 reduce one dimension by sphere
+    slices, G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx,
+    with a 48-node Gauss rule on each segment between the integrand's kinks.
+    A 4-d G takes its inner d = 3 values one node at a time from the uncached
+    function: through the cache they would evict the values quadratures share.
+    Reached by radial quadratures with delta > min(side) and by
+    `covariogram_sphere_integral`; smaller delta takes the closed-form series.
     """
-    r = np.asarray(radii, dtype=float).reshape(-1)
     d = len(sides)
     if d == 1:
-        return 2.0 * np.maximum(sides[0] - r, 0.0)
+        return 2.0 * max(sides[0] - r, 0.0)
     if d == 2:
-        return 4.0 * _quarter_box_arc(r, sides[0], sides[1])
+        return float(4.0 * _quarter_box_arc(r, sides[0], sides[1]))
     if d > 4:
         raise UnsupportedDimensionError(
             f"exact box angular covariogram supported up to d=4, got d={d}")
-    if d == 3:
-        return _sphere_slices(sides, r)
-    # d = 4 one outer radius at a time, its inner d = 3 values in one array
-    # call: batching every outer radius builds ~10^7-element grids and is slower.
-    return np.concatenate([_sphere_slices(sides, r[i:i + 1]) for i in range(r.size)])
-
-
-def _sphere_slices(sides: tuple[float, ...], r: np.ndarray) -> np.ndarray:
-    # G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx
-    inner_sides = sides[:-1]
-    s_last = sides[-1]
-    out = np.empty_like(r)
-    pos = r > 0.0
-    if not pos.all():
-        out[~pos] = 2.0 * s_last * _box_angular_many(inner_sides, np.zeros(1))[0]
-    rp = r[pos]
-    if not rp.size:
-        return out
-    norms = _box_subset_norms(inner_sides)
-    rows = []
-    for v in rp.tolist():
-        # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
-        breaks = {0.0, 1.0}
-        if s_last / v < 1.0:
-            breaks.add(s_last / v)
-        for m in norms:
-            if m < v:
-                breaks.add(math.sqrt(max(0.0, 1.0 - (m / v) ** 2)))
-        # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
-        rows.append(sorted(math.asin(min(b, 1.0)) for b in breaks))
-    # Pad to a common segment count with zero-width segments at pi/2: their
-    # weights are 0, so they add only zeros to a radius's sum.
-    width = max(len(p) for p in rows)
-    pts = np.array([p + p[-1:] * (width - len(p)) for p in rows])
-    psi, w = _gl_nodes(pts[:, :-1], pts[:, 1:], 48)  # (radii, segments, nodes)
-    x = np.sin(psi)
+    inner_sides, s_last = sides[:-1], sides[-1]
+    if r <= 0.0:
+        return 2.0 * s_last * _box_angular.__wrapped__(inner_sides, 0.0)
+    # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
+    breaks = {0.0, 1.0}
+    if s_last / r < 1.0:
+        breaks.add(s_last / r)
+    for m in _box_subset_norms(inner_sides):
+        if m < r:
+            breaks.add(math.sqrt(max(0.0, 1.0 - (m / r) ** 2)))
+    # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
+    pts = np.array(sorted(math.asin(min(b, 1.0)) for b in breaks))
+    psi, w = _gl_nodes(pts[:-1], pts[1:], 48)  # (segments, nodes)
     rho = np.cos(psi)
-    rr = rp[:, None, None]
-    fac = np.maximum(s_last - rr * x, 0.0) * rho
-    if len(sides) == 3:
-        inner = 4.0 * _quarter_box_arc(rr * rho, *inner_sides)
+    fac = np.maximum(s_last - r * np.sin(psi), 0.0) * rho
+    if d == 3:
+        inner = 4.0 * _quarter_box_arc(r * rho, *inner_sides)
     else:
         fac = fac * rho
-        inner = _box_angular_many(inner_sides, (rr * rho).ravel()).reshape(rho.shape)
-    total = np.zeros(rp.size)
-    for part in np.sum(w * fac * inner, axis=-1).T:  # segment sums, added in order
-        total = total + part
-    out[pos] = 2.0 * total
-    return out
-
-
-@lru_cache(maxsize=1024)
-def _box_angular(sides: tuple[float, ...], r: float) -> float:
-    """G(r) for a box: `_box_angular_many` on one radius, cached per (sides, r).
-
-    Only radial quadratures with delta > min(side) and single-radius callers
-    reach it; smaller delta takes the closed-form series.
-    """
-    return float(_box_angular_many(sides, np.array([r]))[0])
+        inner = np.array([_box_angular.__wrapped__(inner_sides, v)
+                          for v in (r * rho).ravel().tolist()]).reshape(rho.shape)
+    total = 0.0
+    for part in np.sum(w * fac * inner, axis=1).tolist():  # segment sums, added in order
+        total += part
+    return 2.0 * total
 
 
 def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
@@ -308,12 +285,9 @@ def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
     return _box_angular(window.sides, r)
 
 
-def _radial_breakpoints(window: ConvexWindow, rmax: float) -> list[float]:
-    if window.kind == "box":
-        pts = _box_subset_norms(window.sides)
-    else:
-        pts = [2.0 * window.radius]
-    return [p for p in pts if 0.0 < p < rmax]
+def _radial_breakpoints(sides: tuple[float, ...], rmax: float) -> list[float]:
+    """G's kinks inside (0, rmax): the box's subset norms below rmax."""
+    return [p for p in _box_subset_norms(sides) if p < rmax]
 
 
 def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> float:
@@ -356,9 +330,9 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
         if delta <= min(window.sides):
             return _box_radial_series(window.sides, delta, alpha)
     rmax = min(delta, window.diameter)
-    points = _radial_breakpoints(window, rmax)
     if window.kind == "ball":
         dk = d * unit_ball_volume(d)
+        points = None
 
         def integrand(r):
             if r <= 0.0:
@@ -366,6 +340,7 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
             return r ** (alpha + d - 1) * dk * _ball_covariogram_radial(window, r)
     else:
         sides = window.sides
+        points = _radial_breakpoints(sides, rmax) or None
 
         def integrand(r):
             if r <= 0.0:
@@ -373,7 +348,7 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
             return r ** (alpha + d - 1) * _box_angular(sides, r)
 
     val, err = integrate.quad(
-        integrand, 0.0, rmax, points=points or None,
+        integrand, 0.0, rmax, points=points,
         epsabs=0.0, epsrel=_RADIAL_EPSREL, limit=_RADIAL_LIMIT)
     if not math.isfinite(val):
         raise QuadratureError("radial covariogram integral did not converge")

@@ -55,18 +55,6 @@ class CompoundPoissonModel:
         return math.exp(-self.y_mean)
 
 
-def cp_density(u, model: CompoundPoissonModel) -> np.ndarray:
-    """Summand density (d/(alpha c)) u^(d/alpha - 1) on [0, c^(alpha/d)]."""
-    u = np.asarray(u, dtype=float)
-    d, a, c = model.dim, model.alpha, model.c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = d / (a * c) * np.where(u > 0, u, 1.0) ** (d / a - 1.0)
-    out = np.where((u >= 0.0) & (u <= model.x_max), vals, 0.0)
-    if d / a > 1.0:
-        out = np.where(u == 0.0, 0.0, out)
-    return out if out.shape else float(out)
-
-
 def sample_compound_poisson(model: CompoundPoissonModel, rng: np.random.Generator,
                             size: int) -> np.ndarray:
     """size draws of Z = sum_{i<=Y} X_i; X via inverse CDF X = c^(a/d) U^(a/d)."""

@@ -44,6 +44,30 @@ def test_parse_window_forms():
             cli.parse_window(bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--window", "box:1e-200x1e-200", "--n", "10", "--delta", "0.1",
+     "--alpha", "0", "--reps", "2"],
+    ["covariogram", "--window", "ball:inf@d=2", "--direction", "1,0", "--steps", "3",
+     "--rmax", "1"],
+    ["covariogram", "--window", "box:1xinf", "--direction", "1,0", "--steps", "3",
+     "--rmax", "1"],
+    ["covariogram", "--window", "box:nanx1", "--direction", "1,0", "--steps", "3",
+     "--rmax", "1"],
+    ["covariogram", "--window", "ball:1e-200@d=2", "--direction", "1,0", "--steps", "3",
+     "--rmax", "1"],
+    ["predict", "--window", "ball:1e200@d=2", "--t", "10", "--delta", "0.1", "--alpha", "0"],
+    ["predict", "--window", "box:1e200x1e200", "--t", "10", "--delta", "0.1", "--alpha", "0"],
+])
+def test_unusable_window_exits_2_naming_it(argv, capsys):
+    # non-finite sizes, and finite ones whose volume under- or overflows to 0 or inf
+    window = argv[argv.index("--window") + 1]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad window {window!r}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_load_config_minimal(tmp_path):
     raw = cli.load_config(write_cfg(tmp_path, MINIMAL))
     assert raw["window"] == "box:1x1"
