@@ -205,6 +205,10 @@ def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
     delta = config.delta_for(t)
     window = config.window
     params = {"window": window.label(), "t": t, "delta": delta}
+    # covariances first: a window the exact covariance rejects exits 2 before
+    # any expectation quadrature runs
+    covs = {(a, b): covariance_exact(window, t, delta, a, b)
+            for i, a in enumerate(config.alphas) for b in config.alphas[i:]}
     preds = []
     for alpha in config.alphas:
         p = dict(params, alpha=alpha)
@@ -220,13 +224,10 @@ def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
             name=f"variance_asymptotic[alpha={alpha}]",
             value=variance_asymptotic(window, t, delta, alpha), params=p,
             anchor="leading-order variance"))
-    for i, a in enumerate(config.alphas):
-        for b in config.alphas[i:]:
-            preds.append(TheoryPrediction(
-                name=f"covariance[{a},{b}]",
-                value=covariance_exact(window, t, delta, a, b),
-                params=dict(params, alpha=a, beta=b),
-                anchor="covariance: quadrature of the two-point moment split"))
+    for (a, b), cov in covs.items():
+        preds.append(TheoryPrediction(
+            name=f"covariance[{a},{b}]", value=cov, params=dict(params, alpha=a, beta=b),
+            anchor="covariance: quadrature of the two-point moment split"))
     if config.schedule is not None and len(config.alphas) >= 2:
         sig = sigma_matrix(config.alphas, window.dim, window.volume, config.schedule)
         vector = dict(params, alphas=list(config.alphas),

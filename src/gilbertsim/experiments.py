@@ -244,11 +244,12 @@ class EmpiricalCdf:
         return np.searchsorted(self.sorted, x, side="left") / self.n
 
 
-def ks_statistic(samples, cdf, cdf_left=None) -> float:
+def ks_statistic(samples, cdf, cdf_left=None, mass: float = 1.0) -> float:
     """sup_x |F_hat - F| over the sample points, both one-sided gaps.
 
-    cdf_left supplies F(x-) for reference CDFs with atoms; +inf samples count
-    as empirical mass never reached by the target CDF.
+    cdf_left supplies F(x-) for reference CDFs with atoms.  mass is the target
+    law's mass below +inf, the rest an atom at +inf; the empirical mass of the
+    finite samples is scored against it.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -258,14 +259,14 @@ def ks_statistic(samples, cdf, cdf_left=None) -> float:
     xs = np.sort(x[finite])
     k = xs.size
     if k == 0:
-        return 1.0
+        return mass
     fvals = np.asarray(cdf(xs), dtype=float)
     lvals = np.asarray(cdf_left(xs), dtype=float) if cdf_left is not None else fvals
     hi = np.arange(1, k + 1) / n
     lo = np.arange(0, k) / n
     d = max(float(np.max(hi - fvals)), float(np.max(lvals - lo)))
     if k < n:
-        d = max(d, 1.0 - k / n)
+        d = max(d, abs(mass - k / n))
     return max(d, 0.0)
 
 
@@ -613,28 +614,34 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     rows = run_replications(config, reduce)
     metrics: list[Metric] = []
     for m in range(1, 6):
+        # with c finite the law keeps P(Poisson(kd V c/2) < m) at +inf (fewer than m edges)
         ks = ks_statistic(rescale * rows[:, m - 1], lambda u, m=m: np.array(
-            [order_statistic_cdf(m, float(x), limit, v, d) for x in np.atleast_1d(u)]))
+            [order_statistic_cdf(m, float(x), limit, v, d) for x in np.atleast_1d(u)]),
+            mass=order_statistic_cdf(m, math.inf, limit, v, d))
         tol_name = "ks_first_order_stat" if m == 1 else "ks"
         metrics.append(_below(f"KS order statistic m={m}", ks, config.tolerance(tol_name),
                               tol_name, "order-statistic limit law of rescaled edge-length powers"))
     counts = rows[:, 5:]
-    for k, (lo, hi) in enumerate(intervals):
-        # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
-        nu = 0.5 * kd * v * (min(hi ** (d / alpha), c) - min(lo ** (d / alpha), c))
+    # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
+    nus = [0.5 * kd * v * (min(hi ** (d / alpha), c) - min(lo ** (d / alpha), c))
+           for lo, hi in intervals]
+    for k, ((lo, hi), nu) in enumerate(zip(intervals, nus)):
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
         metrics.append(_within(f"interval count mean [{lo:.4g},{hi:.4g})",
                                float(counts[:, k].mean()), nu,
                                config.tolerance("mean_se_mult") * se, "mean_se_mult",
                                "intensity measure of the limiting edge-length process", se=se))
-    # A count that is the same in every replication has no correlation: NaN
-    # here, and the check fails.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cc = np.corrcoef(counts, rowvar=False)
-    metrics.append(_below("interval count max |corr|",
-                          float(np.max(np.abs(cc - np.eye(cc.shape[0])))),
-                          config.tolerance("corr_max"), "corr_max",
-                          "independence over disjoint sets in the Poisson process limit"))
+    # An interval beyond the limit's total mass kd V c/2 holds no point and is
+    # left out.  Any other count that is the same in every replication has no
+    # correlation: NaN here, and the check fails.
+    live = [k for k, nu in enumerate(nus) if nu > 0]
+    if len(live) >= 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cc = np.corrcoef(counts[:, live], rowvar=False)
+        metrics.append(_below("interval count max |corr|",
+                              float(np.max(np.abs(cc - np.eye(cc.shape[0])))),
+                              config.tolerance("corr_max"), "corr_max",
+                              "independence over disjoint sets in the Poisson process limit"))
     return _finish(config, metrics)
 
 
@@ -795,7 +802,7 @@ def run_verification(config: ExperimentConfig) -> ExperimentReport:
     """Check the alphas, the model and the edge budget, then dispatch to the
     suite named by config.kind."""
     _check_alphas(config)
-    if config.kind in ("Moments", "MultivariateCov"):
+    if config.kind in ("Moments", "CLT", "MultivariateCov"):
         require_poisson(config, config.kind)
     if config.kind != "PPConditions":  # quadrature only, builds no graph
         check_edge_budget(config)

@@ -235,8 +235,8 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
     with a 48-node Gauss rule on each segment between the integrand's kinks.
     A 4-d G takes its inner d = 3 values one node at a time from the uncached
     function: through the cache they would evict the values quadratures share.
-    Reached by radial quadratures with delta > min(side) and by
-    `covariogram_sphere_integral`; smaller delta takes the closed-form series.
+    Reached only by radial quadratures with delta > min(side); smaller delta
+    takes the closed-form series.
     """
     d = len(sides)
     if d == 1:
@@ -271,18 +271,6 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
     for part in np.sum(w * fac * inner, axis=1).tolist():  # segment sums, added in order
         total += part
     return 2.0 * total
-
-
-def covariogram_sphere_integral(window: ConvexWindow, r: float) -> float:
-    """G(r) = ∫_{S^{d-1}} g_W(r u) du (counting measure on S^0 when d=1)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    d = window.dim
-    if r >= window.diameter:
-        return 0.0
-    if window.kind == "ball":
-        return d * unit_ball_volume(d) * _ball_covariogram_radial(window, r)
-    return _box_angular(window.sides, r)
 
 
 def _radial_breakpoints(sides: tuple[float, ...], rmax: float) -> list[float]:

@@ -97,6 +97,8 @@ def order_statistic_survival(m: int, u: float, limit: EdgeLengthProcessLimit,
     if u < 0:
         raise ValueError("u must be >= 0")
     nu = pp_intensity(limit, u, volume, dim)
+    if math.isinf(nu):  # u = inf with c = inf: no mass left above
+        return 0.0
     acc = 0.0
     term = 1.0
     for j in range(m):

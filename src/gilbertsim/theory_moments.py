@@ -125,48 +125,44 @@ def interior_moment(dim: int, delta: float, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary-layer kernels.  K1/K2/K3 are moments of ||z||^g over the unit ball
-# truncated by 1, 2, or 3 orthogonal half-spaces z_i < -w_i; they reduce to
-# radial integrals of spherical cap/wedge measures.  Each kernel, and so each
-# deficit D_g, is homogeneous: D_g(delta u; delta) = delta^(g+d) D_g(u; 1), so
-# they are tabulated once at delta = 1 and scaled.
+# Boundary-layer kernels.  K_j(w_1, ..., w_j) is the moment of ||z||^g over the
+# unit ball truncated by j orthogonal half-spaces z_i < -w_i, w_i in [0, 1].
+# K_1 is `_k1`; for j >= 2, K_j is a radial Gauss integral of r^(g+d-1) times
+# the measure of the cap {u on the unit sphere: u_i >= w_i/r}, an arc of S^1
+# (`_circle_measure`) in 2-d and Gauss slices of that arc (`_sphere_measure`)
+# in 3-d.  Each kernel, and so each deficit D_g, is homogeneous:
+# D_g(delta u; delta) = delta^(g+d) D_g(u; 1), so they are tabulated once at
+# delta = 1 and scaled.
 # ---------------------------------------------------------------------------
 
 _GL_FACE = 64
-_GL_EDGE = 40
-_GL_CORNER = 12
-_GL_WEDGE = 32  # slice nodes of the d = 3 wedge measure
+_GL_LAYERS = (_GL_FACE, 40, 12)  # Gauss order of the face, edge and corner layers
+_GL_SLICES = 32  # slice nodes of the two-wall sphere measure
 
 
-def _wedge_measure_2d(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Arc measure of {u in S^1: u_1 >= h1, u_2 >= h2}, h in [0, 1]."""
-    return np.maximum(np.arccos(np.clip(h1, 0.0, 1.0)) - np.arcsin(np.clip(h2, 0.0, 1.0)), 0.0)
+def _circle_measure(h: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """Arc measure of {u in S^1: rho u_i >= h_i} for one or two walls h_i >= 0.
+
+    Divides by rho itself, so no full-grid quotient outlives its arccos.
+    """
+    arc = np.arccos(np.minimum(h[0] / rho, 1.0))
+    if len(h) == 1:
+        return 2.0 * arc
+    return np.maximum(arc - np.arcsin(np.minimum(h[1] / rho, 1.0)), 0.0)
 
 
-def _wedge_measure_3d(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Measure of {u in S^2: u_1 >= h1, u_2 >= h2} (slice integral over x)."""
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    top = np.sqrt(np.maximum(1.0 - h2 * h2, 0.0))
-    lo = np.minimum(h1, top)
-    x, w = _gl_nodes(lo, top, _GL_WEDGE)
+def _sphere_measure(h: list[np.ndarray], order: int) -> np.ndarray:
+    """Measure of {u in S^2: u_i >= h_i} for two or three walls h_i >= 0: an
+    order-point Gauss integral over u_1 of the circle measure of the rest."""
+    h1, *rest = h
+    top = 1.0
+    for hi in rest:
+        top = top - hi * hi
+    top = np.sqrt(np.maximum(top, 0.0))
+    x, w = _gl_nodes(np.minimum(h1, top), top, order)
     rho = np.sqrt(np.maximum(1.0 - x * x, 1e-300))
-    arc = 2.0 * np.arccos(np.minimum(h2[..., None] / rho, 1.0))
-    return np.einsum("...k,...k->...", w, arc)
-
-
-def _corner_measure_3d(h1, h2, h3, order: int = 32) -> np.ndarray:
-    """Measure of {u in S^2: u_i >= h_i, i=1..3}."""
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    h3 = np.asarray(h3, dtype=float)
-    top = np.sqrt(np.maximum(1.0 - h2 * h2 - h3 * h3, 0.0))
-    lo = np.minimum(h1, top)
-    x, w = _gl_nodes(lo, top, order)
-    rho = np.sqrt(np.maximum(1.0 - x * x, 1e-300))
-    ang = np.arccos(np.minimum(h2[..., None] / rho, 1.0)) \
-        - np.arcsin(np.minimum(h3[..., None] / rho, 1.0))
-    return np.einsum("...k,...k->...", w, np.maximum(ang, 0.0))
+    del x  # one slice grid fewer alive while the arcs are formed (16 MB at d = 3)
+    return np.einsum("...k,...k->...", w, _circle_measure([hi[..., None] for hi in rest], rho))
 
 
 def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
@@ -183,60 +179,41 @@ def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", wt, r ** (gamma + 1.0) * (2.0 * np.arccos(h)))
 
 
-def _wedge_geometry(dim: int, w1: np.ndarray, w2: np.ndarray, order: int):
-    """Radial nodes r and weights x wedge measure for K2 at wall distances w1, w2."""
-    lo = np.minimum(np.sqrt(w1 * w1 + w2 * w2), 1.0)
-    r, wt = _gl_nodes(lo, 1.0, order)
+def _kernel(dim: int, gamma: float, walls: list[np.ndarray], order: int) -> np.ndarray:
+    """K_j at wall distances walls = [w_1, ..., w_j], by an order-point radial
+    Gauss rule (slices: `_GL_SLICES` for two walls, order for three)."""
+    if len(walls) == 1:
+        return _k1(dim, gamma, walls[0])
+    r, wt = _gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
     rs = np.maximum(r, 1e-300)
-    h1 = w1[..., None] / rs
-    h2 = w2[..., None] / rs
-    ang = _wedge_measure_2d(h1, h2) if dim == 2 else _wedge_measure_3d(h1, h2)
-    return r, wt * ang
-
-
-def _corner_geometry(w1: np.ndarray, w2: np.ndarray, w3: np.ndarray, order: int):
-    """Radial nodes r and weights x corner measure for the d=3 kernel K3."""
-    lo = np.minimum(np.sqrt(w1 * w1 + w2 * w2 + w3 * w3), 1.0)
-    r, wt = _gl_nodes(lo, 1.0, order)
-    rs = np.maximum(r, 1e-300)
-    ang = _corner_measure_3d(w1[..., None] / rs, w2[..., None] / rs, w3[..., None] / rs,
-                             order=order)
-    return r, wt * ang
-
-
-def _radial_moment(geometry, dim: int, gamma: float) -> np.ndarray:
-    """sum_k weight_k r_k^(g+d-1): the kernel of one (nodes, weights) geometry."""
-    r, weights = geometry
-    return np.einsum("...k,...k->...", weights, r ** (gamma + dim - 1.0))
+    if dim == 2:
+        cap = _circle_measure([w[..., None] for w in walls], rs)
+    else:
+        slices = _GL_SLICES if len(walls) == 2 else order
+        cap = _sphere_measure([w[..., None] / rs for w in walls], slices)
+    return np.einsum("...k,...k->...", wt * cap, r ** (gamma + dim - 1.0))
 
 
 @functools.lru_cache(maxsize=32)
 def _unit_deficits(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
     """delta = 1 deficit tables of a box's boundary layers, read-only.
 
-    Entry m-1 is D_g on the m-wall layer's tensor Gauss grid: K1 on the
-    64 face nodes, K1 + K1 - K2 on the 40x40 edge grid (d >= 2), and the
-    inclusion-exclusion D3 on the 12^3 corner grid (d = 3).
+    Entry m-1 is D_g on the m-wall layer's tensor Gauss grid (orders
+    `_GL_LAYERS`): by inclusion-exclusion, the sum over j = 1..m of
+    (-1)^(j+1) times K_j placed on every j-subset of the m wall axes.
     """
-    tables = [_k1(dim, gamma, _gl_nodes(0.0, 1.0, _GL_FACE)[0])]
-    if dim >= 2:
-        g = _gl_nodes(0.0, 1.0, _GL_EDGE)[0]
-        W1, W2 = np.meshgrid(g, g, indexing="ij")
-        k1 = _k1(dim, gamma, g)
-        k2 = _radial_moment(_wedge_geometry(dim, W1, W2, _GL_EDGE), dim, gamma)
-        tables.append(k1[:, None] + k1[None, :] - k2)
-    if dim == 3:
-        g = _gl_nodes(0.0, 1.0, _GL_CORNER)[0]
-        W1, W2 = np.meshgrid(g, g, indexing="ij")
-        W31, W32, W33 = np.meshgrid(g, g, g, indexing="ij")
-        k1 = _k1(dim, gamma, g)
-        k2 = _radial_moment(_wedge_geometry(dim, W1, W2, _GL_CORNER), dim, gamma)
-        k3 = _radial_moment(_corner_geometry(W31, W32, W33, _GL_CORNER), dim, gamma)
-        k1s = k1[:, None, None] + k1[None, :, None] + k1[None, None, :]
-        k2s = k2[:, :, None] + k2[:, None, :] + k2[None, :, :]
-        tables.append(k1s - k2s + k3)
-    for table in tables:
+    tables = []
+    for m, order in enumerate(_GL_LAYERS[:dim], start=1):
+        g = _gl_nodes(0.0, 1.0, order)[0]
+        table = 0.0
+        for j in range(1, m + 1):
+            k = _kernel(dim, gamma, np.meshgrid(*[g] * j, indexing="ij"), order)
+            level = 0.0
+            for axes in itertools.combinations(range(m), j):
+                level = level + k.reshape([order if i in axes else 1 for i in range(m)])
+            table = table + level if j % 2 else table - level
         table.flags.writeable = False
+        tables.append(table)
     return tuple(tables)
 
 
@@ -257,8 +234,7 @@ def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta
         raise UnsupportedDimensionError(
             "exact covariance for boxes requires delta <= min(side)/2")
     total = 0.0
-    orders = (_GL_FACE, _GL_EDGE, _GL_CORNER)
-    layers = zip(orders, _unit_deficits(d, alpha), _unit_deficits(d, beta))
+    layers = zip(_GL_LAYERS, _unit_deficits(d, alpha), _unit_deficits(d, beta))
     for m, (order, da, db) in enumerate(layers, start=1):
         w = _gl_nodes(0.0, 1.0, order)[1]
         weights = functools.reduce(np.multiply.outer, [w] * m)

@@ -261,6 +261,7 @@ def test_one_alpha_kinds_reject_a_second_alpha(kind, args, alphas, monkeypatch, 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--kind", "Moments", "--alpha", "0,1", "--reps", "10"],
+    ["verify", "--kind", "CLT", "--alpha", "0", "--reps", "60"],
     ["verify", "--kind", "MultivariateCov", "--alpha", "0,1", "--reps", "10",
      "--schedule", "1,0.5"],
     ["predict", "--alpha", "0,1"],
@@ -386,6 +387,17 @@ def test_predict_shares_covariogram_values_across_exponents(capsys):
     info = geometry._box_angular.cache_info()
     assert (info.hits, info.misses) == (0, 0)
     capsys.readouterr()
+
+
+def test_predict_rejects_unsupported_covariance_before_expectations(capsys):
+    # a 4-d box has no exact covariance; with delta > min(side) its means
+    # would need the slow 4-d angular covariogram, so none may be computed first
+    geometry._box_angular.cache_clear()
+    assert cli.main(["predict", "--window", "box:1x0.8x0.6x0.5", "--t", "10",
+                     "--delta", "0.7", "--alpha", "0"]) == 2
+    info = geometry._box_angular.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    assert "exact box covariance implemented for d <= 3" in capsys.readouterr().err
 
 
 def test_shared_parser_leaks_no_state(tmp_path, capsys):

@@ -101,6 +101,16 @@ def test_ks_statistic_cases():
     assert val == pytest.approx(0.5)
 
 
+def test_ks_statistic_scores_infinite_samples_against_the_laws_atom():
+    # half the mass of the target law sits at +inf: F(x) = x/2 on [0, 1], and
+    # samples from that law (+inf with probability 1/2) are close to it
+    rng = np.random.default_rng(4)
+    n = 10_000
+    x = np.where(rng.random(n) < 0.5, rng.random(n), math.inf)
+    assert ex.ks_statistic(x, lambda u: 0.5 * np.asarray(u), mass=0.5) <= 1.63 / math.sqrt(n)
+    assert ex.ks_statistic([math.inf] * 3, lambda u: 0.5 * np.asarray(u), mass=0.5) == 0.5
+
+
 def test_clopper_pearson_upper():
     # k=0: closed form 1 - (1-conf)^(1/n)
     n = 1000
@@ -217,6 +227,18 @@ def test_verify_order_statistics_small():
     assert rep.passed
     assert sum("KS order statistic" in m.name for m in rep.metrics) == 5
     assert any("interval count" in m.name for m in rep.metrics)
+
+
+def test_verify_order_statistics_finite_edge_constant():
+    # t^2 delta^d -> c = 1: the limit has kd V c/2 = pi/2 edges on average, so
+    # the m-th order statistic is +inf with P(Poisson(pi/2) < m) and the third
+    # unit-mass interval holds no point; it is left out of the correlation
+    c = cfg(kind="OrderStatistics", alphas=(2.0,), replications=1500, t=500.0,
+            delta=None, schedule=RegimeSchedule(1.0, 1.0), master_seed=1)
+    rep = ex.verify_order_statistics(c)
+    assert rep.passed
+    (corr,) = [m for m in rep.metrics if m.name == "interval count max |corr|"]
+    assert math.isfinite(corr.empirical)
 
 
 def test_verify_ldi_small_both_models():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from gilbertsim import geometry as geo
 from gilbertsim import theory_limits as tl
@@ -67,6 +68,17 @@ def test_order_statistic_survival_values():
         assert tl.order_statistic_cdf(1, u, lim, 1.0, 2) == pytest.approx(1.0 - s1)
         # consistency: m=1 survival equals exp(-nu([0,u]))
         assert s1 == pytest.approx(math.exp(-tl.pp_intensity(lim, u, 1.0, 2)))
+
+
+def test_order_statistic_cdf_at_infinity_is_the_mass_below_it():
+    # c = inf: every order statistic is finite; c finite: fewer than m edges
+    # (a Poisson(kd V c/2) count) leave the m-th at +inf
+    lim = tl.EdgeLengthProcessLimit(alpha=2.0)
+    capped = tl.EdgeLengthProcessLimit(alpha=2.0, edge_constant=1.0)
+    for m in range(1, 6):
+        assert tl.order_statistic_cdf(m, math.inf, lim, 1.0, 2) == 1.0
+        assert tl.order_statistic_cdf(m, math.inf, capped, 1.0, 2) == pytest.approx(
+            1.0 - sps.poisson.cdf(m - 1, PI / 2.0), rel=1e-12)
 
 
 def test_order_statistic_survival_uses_intensity_exponent():

@@ -185,6 +185,35 @@ def test_box_covariance_cold_cache_equals_warm():
     assert not any(table.flags.writeable for table in tm._unit_deficits(3, 0.0))
 
 
+@st.composite
+def dims_and_exponents(draw):
+    d = draw(st.sampled_from((2, 3)))
+    return d, draw(st.floats(-d + 0.05, 5.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims_and_exponents())
+@example((2, -1.95))
+@example((3, -2.95))
+@example((3, 5.0))
+def test_property_unit_deficit_tables_bounded_monotone_symmetric(case):
+    # D_g on the m-wall layer lies in [0, (1 - 2^-m) C_g]: at most the m
+    # half-balls cut by the walls, less their overlaps.  It shrinks as any wall
+    # moves away, and the walls play symmetric roles; the d = 3 slice
+    # quadrature breaks that symmetry by its own error (about 4e-5 C_g).
+    d, gamma = case
+    full = d * geo.unit_ball_volume(d) / (gamma + d)
+    sym_tol = (1e-15 if d == 2 else 1e-4) * full
+    for m, table in enumerate(tm._unit_deficits(d, gamma), start=1):
+        assert table.ndim == m
+        assert np.all(table >= 0.0)
+        assert np.all(table <= (1.0 - 2.0**-m) * full)
+        for axis in range(m):
+            assert np.all(np.diff(table, axis=axis) < 0.0)
+        for perm in itertools.permutations(range(m)):
+            assert np.max(np.abs(table - table.transpose(perm))) <= sym_tol
+
+
 def test_box_covariance_rejects_d4_before_quadrature():
     window = geo.ConvexWindow.box((1.0, 1.0, 1.0, 1.0))
     with pytest.raises(UnsupportedDimensionError,
