@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import betaincinv, ndtr
 
 from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
@@ -276,7 +276,7 @@ def clopper_pearson_upper(k: int, n: int, confidence: float) -> float:
         raise ValueError("need 0 <= k <= n")
     if k == n:
         return 1.0
-    return float(sps.beta.ppf(confidence, k + 1, n - k))
+    return float(betaincinv(k + 1, n - k, confidence))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,7 @@ def _normal_ks(col: np.ndarray) -> float:
     """KS distance between the standardised column and the standard normal law."""
     sd = col.std(ddof=1)
     z = (col - col.mean()) / sd if sd > 0 else col * 0.0
-    return ks_statistic(z, sps.norm.cdf)
+    return ks_statistic(z, ndtr)
 
 
 def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
@@ -445,11 +445,13 @@ def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
     alphas = config.alphas
     k_se = config.tolerance("mean_se_mult")
     rel = config.tolerance("cov_rel")
-    mean_theory = [(expectation_exact(window, t, delta, alpha),
-                    expectation_bounds(window, t, delta, alpha)) for alpha in alphas]
+    # covariances first: a window without an exact covariance stops the run
+    # before any mean's quadrature
     pairs = [(i, j, a, b) for i, a in enumerate(alphas) for j, b in enumerate(alphas[i:], i)]
     cov_theory = [(covariance_exact(window, t, delta, a, b),
                    covariance_bounds(window, t, delta, a, b)) for _, _, a, b in pairs]
+    mean_theory = [(expectation_exact(window, t, delta, alpha),
+                    expectation_bounds(window, t, delta, alpha)) for alpha in alphas]
     matrix = powers()
     means, cov, se = empirical_moments(matrix)
     cse = covariance_entry_se(matrix)
@@ -551,7 +553,7 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
     d = config.window.dim
     (alpha,) = config.alphas
-    c = config.schedule.edge_constant(d) if config.schedule is not None else math.inf
+    c = config.schedule.limit(2, d) if config.schedule is not None else math.inf
     if not 0 < c < math.inf:
         raise ConfigError("CompoundPoisson needs a schedule with t^2 delta^d -> c in (0, inf)")
     model = CompoundPoissonModel(c=c, dim=d, alpha=alpha, volume=config.window.volume)
@@ -583,7 +585,7 @@ def _edge_limit(config: ExperimentConfig) -> float:
     """
     if config.schedule is None:
         return math.inf
-    c = config.schedule.edge_constant(config.window.dim)
+    c = config.schedule.limit(2, config.window.dim)
     if c <= 0:
         raise ConfigError(f"{config.kind} needs t^2 delta^d -> c in (0, inf]; "
                           f"this schedule gives c = 0")

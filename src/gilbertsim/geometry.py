@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import integrate
@@ -226,17 +226,15 @@ def _box_subset_norms(sides: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(sorted(math.sqrt(v) for v in set(acc) if v > 0.0))
 
 
-@lru_cache(maxsize=1024)
 def _box_angular(sides: tuple[float, ...], r: float) -> float:
-    """G(r) for a box (d <= 4), cached per (sides, r).
+    """G(r) for a box (d <= 4).
 
     d = 1 and 2 are closed form.  d = 3 and 4 reduce one dimension by sphere
     slices, G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx,
-    with a 48-node Gauss rule on each segment between the integrand's kinks.
-    A 4-d G takes its inner d = 3 values one node at a time from the uncached
-    function: through the cache they would evict the values quadratures share.
-    Reached only by radial quadratures with delta > min(side); smaller delta
-    takes the closed-form series.
+    with a 48-node Gauss rule on each segment between the integrand's kinks;
+    a 4-d G takes its inner d = 3 values one node at a time.  Reached only by
+    radial quadratures with delta > min(side); smaller delta takes the
+    closed-form series.
     """
     d = len(sides)
     if d == 1:
@@ -248,7 +246,7 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
             f"exact box angular covariogram supported up to d=4, got d={d}")
     inner_sides, s_last = sides[:-1], sides[-1]
     if r <= 0.0:
-        return 2.0 * s_last * _box_angular.__wrapped__(inner_sides, 0.0)
+        return 2.0 * s_last * _box_angular(inner_sides, 0.0)
     # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
     breaks = {0.0, 1.0}
     if s_last / r < 1.0:
@@ -265,17 +263,12 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
         inner = 4.0 * _quarter_box_arc(r * rho, *inner_sides)
     else:
         fac = fac * rho
-        inner = np.array([_box_angular.__wrapped__(inner_sides, v)
+        inner = np.array([_box_angular(inner_sides, v)
                           for v in (r * rho).ravel().tolist()]).reshape(rho.shape)
     total = 0.0
     for part in np.sum(w * fac * inner, axis=1).tolist():  # segment sums, added in order
         total += part
     return 2.0 * total
-
-
-def _radial_breakpoints(sides: tuple[float, ...], rmax: float) -> list[float]:
-    """G's kinks inside (0, rmax): the box's subset norms below rmax."""
-    return [p for p in _box_subset_norms(sides) if p < rmax]
 
 
 def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> float:
@@ -303,8 +296,10 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
 
     A box with delta <= min(side) takes the closed-form series
     `_box_radial_series`.  Larger delta and balls take adaptive quadrature of
-    r^(alpha+d-1) G(r) at epsrel 1e-10, split at G's kinks; it raises
-    QuadratureError when the error estimate exceeds 1e-7 relative.
+    r^(alpha+d-1) * scale * angular(r) at epsrel 1e-10: a ball has scale
+    d kappa_d and its radial covariogram, a box scale 1 and `_box_angular`,
+    split at its subset norms.  Raises QuadratureError when the error estimate
+    exceeds 1e-7 relative.
     """
     d = window.dim
     if alpha <= -d:
@@ -319,21 +314,18 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
             return _box_radial_series(window.sides, delta, alpha)
     rmax = min(delta, window.diameter)
     if window.kind == "ball":
-        dk = d * unit_ball_volume(d)
+        scale = d * unit_ball_volume(d)
+        angular = partial(_ball_covariogram_radial, window)
         points = None
-
-        def integrand(r):
-            if r <= 0.0:
-                return 0.0
-            return r ** (alpha + d - 1) * dk * _ball_covariogram_radial(window, r)
     else:
-        sides = window.sides
-        points = _radial_breakpoints(sides, rmax) or None
+        scale = 1.0
+        angular = partial(_box_angular, window.sides)
+        points = [p for p in _box_subset_norms(window.sides) if p < rmax] or None
 
-        def integrand(r):
-            if r <= 0.0:
-                return 0.0
-            return r ** (alpha + d - 1) * _box_angular(sides, r)
+    def integrand(r):
+        if r <= 0.0:
+            return 0.0
+        return r ** (alpha + d - 1) * scale * angular(r)
 
     val, err = integrate.quad(
         integrand, 0.0, rmax, points=points,

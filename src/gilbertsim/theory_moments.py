@@ -74,18 +74,12 @@ class RegimeSchedule:
             return "thermodynamic"
         return "dense"
 
-    def degree_constant(self, dim: int) -> float:
-        """lim t * delta_t^d (0, a^d, or inf)."""
-        kind = self.classify(dim)
-        if kind == "sparse":
-            return 0.0
-        if kind == "thermodynamic":
-            return self.a**dim
-        return math.inf
+    def limit(self, k: int, dim: int) -> float:
+        """lim t^k * delta_t^d: 0, a^d or inf as gamma is above, at or below k/d.
 
-    def edge_constant(self, dim: int) -> float:
-        """lim t^2 * delta_t^d (0, a^d, or inf)."""
-        crit = 2.0 / dim
+        k = 1 is the degree constant, k = 2 the edge constant.
+        """
+        crit = k / dim
         if self.gamma > crit:
             return 0.0
         if self.gamma == crit:
@@ -344,7 +338,7 @@ def sigma_matrix(alphas, dim: int, volume: float, regime: RegimeSchedule) -> np.
         return s1
     if kind == "dense":
         return s2
-    c = regime.degree_constant(dim)
+    c = regime.limit(1, dim)
     if c <= 1.0:
         return s1 + c * s2
     return s1 / c + s2

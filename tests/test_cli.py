@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -377,27 +379,76 @@ def test_report_json_rejects_non_finite_floats():
         experiments.report_to_json(report)
 
 
-def test_predict_shares_covariogram_values_across_exponents(capsys):
+def count_box_angular_calls(monkeypatch) -> list:
+    """Record the radius of every box angular covariogram G(r) call.
+
+    G's recursion looks up the module global, so inner calls are counted too.
+    """
+    calls = []
+    box_angular = geometry._box_angular
+
+    def counting(sides, r):
+        calls.append(r)
+        return box_angular(sides, r)
+
+    monkeypatch.setattr(geometry, "_box_angular", counting)
+    return calls
+
+
+def test_predict_shares_covariogram_values_across_exponents(monkeypatch, capsys):
     # 2 means and 3 covariances need 11 radial moments over [0, delta]; with
     # delta <= min(side) every one is the box's closed-form series, so no
     # exponent evaluates the angular covariogram G at all.
-    geometry._box_angular.cache_clear()
+    calls = count_box_angular_calls(monkeypatch)
     assert cli.main(["predict", "--window", "box:1.0x0.8x0.6", "--t", "500",
                      "--delta", "0.1", "--alpha", "0,1"]) == 0
-    info = geometry._box_angular.cache_info()
-    assert (info.hits, info.misses) == (0, 0)
+    assert calls == []
     capsys.readouterr()
 
 
-def test_predict_rejects_unsupported_covariance_before_expectations(capsys):
+def test_predict_rejects_unsupported_covariance_before_expectations(monkeypatch, capsys):
     # a 4-d box has no exact covariance; with delta > min(side) its means
     # would need the slow 4-d angular covariogram, so none may be computed first
-    geometry._box_angular.cache_clear()
+    calls = count_box_angular_calls(monkeypatch)
     assert cli.main(["predict", "--window", "box:1x0.8x0.6x0.5", "--t", "10",
                      "--delta", "0.7", "--alpha", "0"]) == 2
-    info = geometry._box_angular.cache_info()
-    assert (info.hits, info.misses) == (0, 0)
+    assert calls == []
     assert "exact box covariance implemented for d <= 3" in capsys.readouterr().err
+
+
+def test_verify_moments_rejects_unsupported_covariance_before_means(monkeypatch, capsys):
+    # as predict: Moments computes its covariances first, so a 4-d box exits 2
+    # before any mean's G quadrature and before any graph is built
+    calls = count_box_angular_calls(monkeypatch)
+    built = []
+
+    def counting(sample, delta):
+        built.append(delta)
+        return gg.build_edges(sample, delta)
+
+    monkeypatch.setattr(experiments, "build_edges", counting)
+    assert cli.main(["verify", "--kind", "Moments", "--window", "box:1x0.8x0.6x0.5",
+                     "--t", "10", "--delta", "0.7", "--alpha", "0", "--reps", "10"]) == 2
+    assert (calls, built) == ([], [])
+    assert "exact box covariance implemented for d <= 3" in capsys.readouterr().err
+
+
+def test_predict_rejects_ball_covariance_above_d3(capsys):
+    assert cli.main(["predict", "--window", "ball:1@d=4", "--t", "10",
+                     "--delta", "0.1", "--alpha", "0"]) == 2
+    assert "exact ball covariance requires d <= 3" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and the package needs none of it: it uses
+    # scipy.special's ndtr and betaincinv
+    code = "import sys, gilbertsim.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_shared_parser_leaks_no_state(tmp_path, capsys):

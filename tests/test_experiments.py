@@ -120,6 +120,21 @@ def test_clopper_pearson_upper():
     assert 0.001 < ex.clopper_pearson_upper(3, n, 0.999) < 0.02
 
 
+def test_scipy_special_replacements_match_scipy_stats_bitwise():
+    # _normal_ks uses ndtr and clopper_pearson_upper betaincinv in place of
+    # scipy.stats' norm.cdf and beta.ppf, which compute the same values
+    x = np.linspace(-40.0, 40.0, 20_001)
+    assert np.array_equal(ex.ndtr(x), sps.norm.cdf(x))
+    col = np.random.default_rng(5).standard_exponential(500)
+    z = (col - col.mean()) / col.std(ddof=1)
+    assert ex._normal_ks(col) == ex.ks_statistic(z, sps.norm.cdf)
+    for n in (50, 137, 1000, 20_000):
+        for k in sorted({0, 1, 2, n // 7, n // 2, n - 1}):
+            for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+                assert ex.clopper_pearson_upper(k, n, conf) == float(
+                    sps.beta.ppf(conf, k + 1, n - k))
+
+
 def test_covariance_entry_se_heavy_tail_honest():
     rng = np.random.default_rng(9)
     p = 0.01

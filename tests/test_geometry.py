@@ -175,35 +175,24 @@ def test_radial_integral_total_mass_identity(w):
     assert val == pytest.approx(w.volume**2, rel=1e-6)
 
 
-def test_radial_integral_cold_cache_equals_warm():
-    # With delta > min(side) the box integral is a quadrature over G, cached
-    # per (sides, r); cached values must give the same bits as a cold cache
-    # and as an integrand that calls the uncached _box_angular.
+def test_radial_integral_box_quadrature_splits_at_subset_norms():
+    # With delta > min(side) the box integral is a quadrature over G, split
+    # at the box's subset norms below min(delta, diameter); it must give the
+    # same bits as integrate.quad called directly with those breakpoints.
     cases = [(sides, delta, alpha)
              for sides in ((1.0, 0.7), (1.3, 0.6), (1.0, 0.8, 0.6), (2.0, 1.0, 0.5))
              for delta in (0.9, 1.5, 3.0)
              for alpha in (-0.5, 0.0, 1.0, 2.0)]
     assert all(delta > min(sides) for sides, delta, _ in cases)
-
-    def values(order):
-        return {c: geo.covariogram_radial_integral(geo.ConvexWindow.box(c[0]), c[1], c[2])
-                for c in order}
-
-    geo._box_angular.cache_clear()
-    cold = values(cases)
-    warm = values(cases)
-    geo._box_angular.cache_clear()
-    cold_reversed = values(cases[::-1])
-    assert cold == warm == cold_reversed
     for sides, delta, alpha in cases[::7]:
         w = geo.ConvexWindow.box(sides)
         rmax = min(delta, w.diameter)
-        points = geo._radial_breakpoints(sides, rmax)
+        points = [p for p in geo._box_subset_norms(sides) if p < rmax]
         direct = integrate.quad(
-            lambda r: r ** (alpha + w.dim - 1) * geo._box_angular.__wrapped__(sides, r),
+            lambda r: r ** (alpha + w.dim - 1) * geo._box_angular(sides, r),
             0.0, rmax, points=points or None, epsabs=0.0, epsrel=geo._RADIAL_EPSREL,
             limit=geo._RADIAL_LIMIT)[0]
-        assert cold[(sides, delta, alpha)] == direct
+        assert geo.covariogram_radial_integral(w, delta, alpha) == direct
 
 
 @st.composite
@@ -225,11 +214,11 @@ def boxes_delta_alpha(draw):
 def test_radial_integral_box_series_matches_quadrature(case):
     # For delta <= min(side) the box takes the closed-form series; G has no
     # kink inside (0, delta], so one plain quadrature of r^(alpha+d-1) G(r)
-    # over the uncached G is an independent reference.
+    # is an independent reference.
     sides, delta, alpha = case
     d = len(sides)
     ref = integrate.quad(
-        lambda r: r ** (alpha + d - 1) * geo._box_angular.__wrapped__(sides, r),
+        lambda r: r ** (alpha + d - 1) * geo._box_angular(sides, r),
         0.0, delta, epsabs=0.0, epsrel=geo._RADIAL_EPSREL, limit=geo._RADIAL_LIMIT)[0]
     val = geo.covariogram_radial_integral(geo.ConvexWindow.box(sides), delta, alpha)
     assert val == pytest.approx(ref, rel=1e-10)

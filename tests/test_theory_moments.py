@@ -344,11 +344,32 @@ def test_sigma_matrix_thermo_continuity():
 def test_regime_schedule_classification():
     assert tm.RegimeSchedule(1.0, 0.75).classify(2) == "sparse"
     assert tm.RegimeSchedule(2.0, 0.5).classify(2) == "thermodynamic"
-    assert tm.RegimeSchedule(2.0, 0.5).degree_constant(2) == pytest.approx(4.0)
+    assert tm.RegimeSchedule(2.0, 0.5).limit(1, 2) == pytest.approx(4.0)
+    assert tm.RegimeSchedule(1.0, 0.75).limit(1, 2) == 0.0
     assert tm.RegimeSchedule(1.0, 0.3).classify(2) == "dense"
-    assert tm.RegimeSchedule(1.0, 1.0).edge_constant(2) == pytest.approx(1.0)
-    assert tm.RegimeSchedule(1.0, 0.8).edge_constant(2) == math.inf
-    assert tm.RegimeSchedule(1.0, 1.2).edge_constant(2) == 0.0
+    assert tm.RegimeSchedule(1.0, 0.3).limit(1, 2) == math.inf
+    assert tm.RegimeSchedule(1.0, 1.0).limit(2, 2) == pytest.approx(1.0)
+    assert tm.RegimeSchedule(1.0, 0.8).limit(2, 2) == math.inf
+    assert tm.RegimeSchedule(1.0, 1.2).limit(2, 2) == 0.0
+    # gamma exactly at k/d is the thermodynamic boundary for that k
+    assert tm.RegimeSchedule(3.0, 1.0 / 3.0).limit(1, 3) == 27.0
+    assert tm.RegimeSchedule(3.0, 2.0 / 3.0).limit(2, 3) == 27.0
+
+
+@pytest.mark.parametrize("exponents,rel", [((0.0, 1.0, 2.0), 1e-9), ((-0.45, -0.2), 1e-6)])
+def test_one_dimensional_ball_is_the_segment_box(exponents, rel):
+    # a 1-d ball of radius R is the segment [-R, R], so its exact moments are
+    # those of box:(2R); the ball I_hh takes its d = 1 branch.  Near the r^gamma
+    # singularity of negative exponents the fixed ball rule is good to ~3e-7.
+    for R, frac in itertools.product((0.25, 1.0, 3.0), (0.02, 0.2, 0.5)):
+        ball, box = geo.ConvexWindow.ball(R, 1), geo.ConvexWindow.box((2.0 * R,))
+        delta = 2.0 * R * frac
+        for a in exponents:
+            assert tm.expectation_exact(ball, 7.0, delta, a) == pytest.approx(
+                tm.expectation_exact(box, 7.0, delta, a), rel=1e-9)
+            for b in exponents:
+                assert tm.covariance_exact(ball, 7.0, delta, a, b) == pytest.approx(
+                    tm.covariance_exact(box, 7.0, delta, a, b), rel=rel)
 
 
 def test_growth_orders_of_expectation():
