@@ -3,7 +3,7 @@
 Config files are flat `key = value` lines with `#` comments; flags override
 config values. Seed precedence: --seed flag, then GILBERT_SEED, then config,
 then 0. Exit codes: 0 success (all verdicts pass), 1 failed verdicts,
-2 usage/config errors.
+2 usage/config errors, including overflow or division by zero at extreme inputs.
 """
 
 from __future__ import annotations
@@ -246,10 +246,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # predictions do not simulate; a default reps satisfies the config invariant
     config = resolve_config({"reps": "2", **raw}, args)
     require_poisson(config, "predict")
-    try:
-        preds = _predictions(config)
-    except OverflowError as exc:
-        raise ConfigError(f"a prediction overflows at these inputs: {exc}") from None
+    preds = _predictions(config)
     payload = [{"name": p.name, "value": p.value, "params": p.params,
                 "paper_anchor": p.anchor, "estimated": p.estimated}
                for p in preds]
@@ -347,6 +344,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except GilbertSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # overflow or division by zero at extreme inputs
+        print(f"error: {type(exc).__name__} at these inputs: {exc}", file=sys.stderr)
         return 2
 
 

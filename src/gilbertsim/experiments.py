@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown kind {self.kind!r}")
         if self.replications < 2:
             raise ConfigError("replications must be >= 2")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed!r}")
         if self.delta is None and self.schedule is None:
             raise ConfigError("either delta or schedule must be given")
         positive = [("t", self.t), ("n", self.n), ("delta", self.delta)]

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc
+from scipy.special import beta, betainc
 
 from .errors import NonIntegrableError, QuadratureError, UnsupportedDimensionError
 
@@ -294,38 +293,37 @@ def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> 
 def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float) -> float:
     """∫_{B(0,delta)} ||y||^alpha g_W(y) dy (alpha > -d; boxes need d <= 4).
 
-    A box with delta <= min(side) takes the closed-form series
-    `_box_radial_series`.  Larger delta and balls take adaptive quadrature of
-    r^(alpha+d-1) * scale * angular(r) at epsrel 1e-10: a ball has scale
-    d kappa_d and its radial covariogram, a box scale 1 and `_box_angular`,
-    split at its subset norms.  Raises QuadratureError when the error estimate
-    exceeds 1e-7 relative.
+    A ball is closed form: with q = alpha + d and rho = min(delta, 2R), it is
+    (d kappa_d / q) [rho^q g(rho) + kappa_{d-1} (2R)^q R^d B((rho/2R)^2; (q+1)/2, (d+1)/2)]
+    by parts, as g'(r) = -kappa_{d-1} (R^2 - r^2/4)^((d-1)/2); B is the incomplete beta.
+    A box with delta <= min(side) takes `_box_radial_series`; larger delta takes
+    adaptive quadrature of r^(alpha+d-1) G(r) at epsrel 1e-10, split at the subset
+    norms, and raises QuadratureError past 1e-7 relative error.
     """
     d = window.dim
     if alpha <= -d:
         raise NonIntegrableError(f"alpha must exceed -d = {-d}, got {alpha}")
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    if window.kind == "box":
-        if d > 4:
-            raise UnsupportedDimensionError(
-                f"exact box radial covariogram integral supported up to d=4, got d={d}")
-        if delta <= min(window.sides):
-            return _box_radial_series(window.sides, delta, alpha)
-    rmax = min(delta, window.diameter)
     if window.kind == "ball":
-        scale = d * unit_ball_volume(d)
-        angular = partial(_ball_covariogram_radial, window)
-        points = None
-    else:
-        scale = 1.0
-        angular = partial(_box_angular, window.sides)
-        points = [p for p in _box_subset_norms(window.sides) if p < rmax] or None
+        R, q = window.radius, alpha + d
+        rmax = min(delta, 2.0 * R)  # g vanishes beyond 2R
+        a, b = (q + 1) / 2.0, (d + 1) / 2.0
+        caps = float(betainc(a, b, (rmax / (2.0 * R)) ** 2) * beta(a, b))
+        caps *= unit_ball_volume(d - 1) * (2.0 * R) ** q * R**d
+        edge = rmax**q * _ball_covariogram_radial(window, rmax)
+        return d * unit_ball_volume(d) / q * (edge + caps)
+    if d > 4:
+        raise UnsupportedDimensionError(
+            f"exact box radial covariogram integral supported up to d=4, got d={d}")
+    if delta <= min(window.sides):
+        return _box_radial_series(window.sides, delta, alpha)
+    from scipy import integrate  # slow to import (scipy.optimize); only this case needs it
+    rmax = min(delta, window.diameter)
+    points = [p for p in _box_subset_norms(window.sides) if p < rmax] or None
 
     def integrand(r):
-        if r <= 0.0:
-            return 0.0
-        return r ** (alpha + d - 1) * scale * angular(r)
+        return r ** (alpha + d - 1) * _box_angular(window.sides, r)
 
     val, err = integrate.quad(
         integrand, 0.0, rmax, points=points,

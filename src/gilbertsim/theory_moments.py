@@ -389,7 +389,8 @@ def d3_bound(window: ConvexWindow, t: float, delta: float, alphas,
     m = len(alphas)
     d = window.dim
     sig = sigma_matrix(alphas, d, window.volume, regime)
-    norms = np.array([normalization(t, delta, a, d) for a in alphas])
+    # plain floats, so a norm that underflows to 0 raises ZeroDivisionError below
+    norms = [normalization(t, delta, a, d) for a in alphas]
     cov = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):

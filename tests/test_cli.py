@@ -151,6 +151,26 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot read config")
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["verify", "--kind", "Moments"]])
+@pytest.mark.parametrize("route", ["flag", "env", "config"])
+def test_negative_seed_exits_2(command, route, tmp_path, monkeypatch, capsys):
+    # a negative seed is a config error naming the seed, from every route
+    argv = command + ["--window", "box:1x1", "--t", "100", "--delta", "0.05",
+                      "--alpha", "0", "--reps", "2"]
+    monkeypatch.delenv("GILBERT_SEED", raising=False)
+    if route == "flag":
+        argv += ["--seed", "-1"]
+    elif route == "env":
+        monkeypatch.setenv("GILBERT_SEED", "-3")
+    else:
+        argv += ["--config", write_cfg(tmp_path, "seed = -1\n")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be >= 0, got -")
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, MINIMAL + "seed = 9\n")
     raw = cli.load_config(path)
@@ -312,15 +332,41 @@ def test_theory_values_computed_before_replications(kind, alpha, monkeypatch, ca
     assert "requires delta <= min(side)/2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["--window", "box:1x1", "--t", "1e300", "--delta", "0.05"],
-    ["--window", "box:1x1", "--t", "1e120", "--delta", "0.05"],
-    ["--window", "box:100x100", "--t", "5e102", "--delta", "0.5"],  # t**3 finite, value inf
+@pytest.mark.parametrize("args,prefix", [
+    (["--window", "box:1x1", "--t", "1e300", "--delta", "0.05"],
+     "error: OverflowError at these inputs: "),
+    (["--window", "box:1x1", "--t", "1e120", "--delta", "0.05"],
+     "error: OverflowError at these inputs: "),
+    (["--window", "box:100x100", "--t", "5e102", "--delta", "0.5"],  # t**3 finite, value inf
+     "error: a prediction is not finite at these inputs: "),
 ], ids=["t1e300", "t1e120", "infinite"])
-def test_predict_overflow_exits_2(args, capsys):
+def test_predict_overflow_exits_2(args, prefix, capsys):
     assert cli.main(["predict", "--alpha", "0"] + args) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: a prediction ")
+    assert captured.out == "" and captured.err.startswith(prefix)
+
+
+_BOX = ["--window", "box:1x1", "--t", "10", "--alpha", "1", "--reps", "3"]
+
+
+@pytest.mark.parametrize("argv,exc", [
+    (["verify", "--kind", "CLT", *_BOX, "--delta", "1e300"], "OverflowError"),
+    (["simulate", *_BOX, "--delta", "1e300"], "OverflowError"),
+    (["verify", "--kind", "CLT", *_BOX, "--delta", "1e-300"], "ZeroDivisionError"),
+    (["verify", "--kind", "LDI", *_BOX, "--delta", "1e-300"], "ZeroDivisionError"),
+    (["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "1e300", "--delta", "1e-200",
+      "--alpha", "1", "--reps", "3"], "OverflowError"),
+    (["predict", "--window", "box:1x1", "--t", "10", "--alpha", "0,1",
+      "--schedule", "1e-300,0.5"], "ZeroDivisionError"),
+], ids=["clt_edge_budget", "simulate_edge_budget", "clt_kolmogorov", "ldi_xstar",
+        "moments_covariance", "predict_d3_bound"])
+def test_arithmetic_failure_exits_2(argv, exc, capsys):
+    # overflow or division by zero at extreme inputs is one error line, not a traceback
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {exc} at these inputs: ")
+    assert captured.err.count("\n") == 1
 
 
 # t^2 kappa_2 delta^2 V / 2 = 2.5e7 expected edges at t (or n) = 200000 and
@@ -439,16 +485,36 @@ def test_predict_rejects_ball_covariance_above_d3(capsys):
     assert "exact ball covariance requires d <= 3" in capsys.readouterr().err
 
 
+def run_fresh_python(code: str, *args: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is slow to import and the package needs none of it: it uses
     # scipy.special's ndtr and betaincinv
     code = "import sys, gilbertsim.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert run_fresh_python(code).strip() == "False"
+
+
+def test_box_runs_leave_scipy_integrate_unloaded(tmp_path):
+    # scipy.integrate loads scipy.optimize and scipy.sparse.linalg; only a
+    # box radial moment with delta > min(side) imports it, and neither a box
+    # predict nor a box Moments run reaches that case
+    code = "\n".join([
+        "import sys",
+        "from gilbertsim import cli",
+        "common = ['--window', 'box:1x0.8x0.6', '--t', '100', '--delta', '0.1',",
+        "          '--alpha', '0,1', '--out', sys.argv[1]]",
+        "assert cli.main(['predict'] + common) == 0",
+        "assert cli.main(['verify', '--kind', 'Moments', '--reps', '5'] + common) in (0, 1)",
+        "print('scipy.integrate' in sys.modules)",
+    ])
+    assert run_fresh_python(code, str(tmp_path / "out.json")).strip() == "False"
 
 
 def test_shared_parser_leaks_no_state(tmp_path, capsys):

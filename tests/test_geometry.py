@@ -224,6 +224,91 @@ def test_radial_integral_box_series_matches_quadrature(case):
     assert val == pytest.approx(ref, rel=1e-10)
 
 
+@st.composite
+def balls_delta_alpha(draw):
+    """A ball with d = 1 to 6, R in [0.2, 2], delta/2R in [1e-3, 1.2], alpha in (0.05 - d, 3]."""
+    d = draw(st.integers(1, 6))
+    radius = draw(st.floats(0.2, 2.0))
+    delta = 2.0 * radius * draw(st.floats(1e-3, 1.2))
+    alpha = draw(st.floats(-d + 0.05, 3.0, exclude_min=True))
+    return geo.ConvexWindow.ball(radius, d), delta, alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(balls_delta_alpha())
+@example((geo.ConvexWindow.ball(1.0, 2), 0.05, 1.0))
+@example((geo.ConvexWindow.ball(0.3, 6), 2.4 * 0.3, -5.9))
+@example((geo.ConvexWindow.ball(2.0, 4), 4e-3, -3.9))
+@example((geo.ConvexWindow.ball(0.2, 5), 0.4, 3.0))
+def test_radial_integral_ball_closed_form_matches_quadrature(case):
+    # Reference: (d kappa_d / q) ∫_0^{rho^q} g(s^(1/q)) ds with q = alpha + d and
+    # rho = min(delta, 2R), the radial moment after r = s^(1/q); its integrand
+    # is bounded, unlike r^(alpha+d-1) g(r) near alpha = -d.
+    w, delta, alpha = case
+    d, q = w.dim, alpha + w.dim
+    rho = min(delta, w.diameter)
+    ref = integrate.quad(lambda s: geo._ball_covariogram_radial(w, s ** (1.0 / q)),
+                         0.0, rho**q, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    ref *= d * geo.unit_ball_volume(d) / q
+    assert geo.covariogram_radial_integral(w, delta, alpha) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("ratio", [0.01, 0.3, 0.9, 1.0, 1.5])
+def test_radial_integral_ball_exact_polynomial_moments(radius, ratio):
+    # For d = 1 and 3 the ball covariogram is a polynomial in r <= 2R,
+    # g = 2R - r and (pi/12)(16R^3 - 12R^2 r + r^3), so each moment is exact.
+    delta = 2.0 * radius * ratio
+    rho = min(delta, 2.0 * radius)
+    for alpha in (-0.9, -0.5, 0.0, 1.0, 2.5):
+        p = alpha + 1.0
+        exact = 2.0 * (2.0 * radius * rho**p / p - rho ** (p + 1) / (p + 1))
+        val = geo.covariogram_radial_integral(geo.ConvexWindow.ball(radius, 1), delta, alpha)
+        assert val == pytest.approx(exact, rel=1e-13)
+    for alpha in (-2.9, -1.0, 0.0, 1.0, 2.5):
+        q = alpha + 3.0
+        exact = (PI**2 / 3.0) * (16.0 * radius**3 * rho**q / q
+                                 - 12.0 * radius**2 * rho ** (q + 1) / (q + 1)
+                                 + rho ** (q + 3) / (q + 3))
+        val = geo.covariogram_radial_integral(geo.ConvexWindow.ball(radius, 3), delta, alpha)
+        assert val == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 2.0])
+def test_radial_integral_ball_near_divergent_exponent(d, radius):
+    # alpha = -d + 0.05 with delta/2R = 1e-4: adaptive quadrature of
+    # r^(alpha+d-1) g(r) missed its error target here.  The closed form must sit
+    # in the Lipschitz sandwich d kappa_d V >= G(r) >= d kappa_d V - kappa_{d-1} S r,
+    # integrated against r^(q-1) over [0, delta].
+    w = geo.ConvexWindow.ball(radius, d)
+    delta, q = 2.0 * radius * 1e-4, 0.05
+    val = geo.covariogram_radial_integral(w, delta, q - d)
+    hi = d * geo.unit_ball_volume(d) * w.volume * delta**q / q
+    lo = hi - geo.unit_ball_volume(d - 1) * w.surface_area * delta ** (q + 1) / (q + 1)
+    assert math.isfinite(val) and lo * (1 - 1e-12) <= val <= hi * (1 + 1e-12)
+
+
+def test_radial_integral_ball_calls_no_quadrature(monkeypatch):
+    calls = []
+    quad = integrate.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counting)
+    for d in range(1, 7):
+        w = geo.ConvexWindow.ball(0.8, d)
+        for delta in (0.01, 0.8, 1.6, 3.0):
+            for alpha in (-d + 0.5, 0.0, 2.0):
+                geo.covariogram_radial_integral(w, delta, alpha)
+    assert calls == []
+    # the counter sees the one case that still integrates: a box with delta > min(side)
+    geo.covariogram_radial_integral(geo.ConvexWindow.box((1.0, 0.7)), 0.9, 0.0)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0])
 def test_radial_integral_rejects_box_above_d4(delta):
     w = geo.ConvexWindow.box((1.0, 0.9, 0.8, 0.7, 0.6))
