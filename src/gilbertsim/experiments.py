@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv, ndtr
 
 from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
@@ -30,7 +29,7 @@ from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
 from .theory_limits import (CompoundPoissonModel, EdgeLengthProcessLimit,
                             order_statistic_cdf, pp_condition_limits,
-                            pp_conditions, sample_compound_poisson)
+                            pp_conditions, pp_radius, sample_compound_poisson)
 from .theory_moments import (RegimeSchedule, covariance_bounds,
                              covariance_exact, expectation_bounds,
                              expectation_exact, kolmogorov_bound,
@@ -55,6 +54,12 @@ DEFAULT_TOLERANCES = {
 # and its reduction) peaks at about 57 B per edge (peak RSS, 1.9e6 edges in
 # d = 2), so the cap is about 1.1 GB.
 EDGE_BUDGET = 2e7
+# Expected points a run may hold in memory at once. A replication with almost
+# no edges (the points, their duplicate check, the kd-tree and the pair sort)
+# peaks at about 16 d + 32 B per point: 46 B (box) and 64 B (ball) in d = 2,
+# 129 B (box) and 144 B (ball) in d = 7 (peak RSS of `simulate`, 2e6 points).
+# So the cap is 0.5-1.4 GB, and it keeps t V below numpy's Poisson limit.
+POINT_BUDGET = 1e7
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,10 @@ class ExperimentConfig:
         for key, val in positive:
             if val is not None and not (math.isfinite(val) and val > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+        if self.schedule is not None:
+            for key, val in [(k, v) for k, v in positive if k != "delta"]:
+                if val is not None and not self.schedule.delta_at(val) > 0:
+                    raise ConfigError(f"the schedule's delta underflows to 0 at {key} = {val!r}")
         for alpha in self.alphas:
             if not math.isfinite(alpha):
                 raise ConfigError(f"alpha must be finite, got {alpha!r}")
@@ -182,11 +191,22 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
     """Rows reduce(r, sample, edges), one per replication r, stacked in replication order.
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
-    rows are the same whether they run serially or on n_jobs threads.
+    rows are the same whether they run serially or on n_jobs threads. Before
+    any replication runs, a ConfigError rejects a run whose expected points,
+    t V (Poisson) or n (binomial) times the replications in flight, exceed
+    POINT_BUDGET.
     """
     intensity = t if t is not None else config.intensity()
     dlt = config.delta_for(float(intensity))
     n_reps = int(reps if reps is not None else config.replications)
+    points = float(intensity) * (config.window.volume if config.model == "poisson" else 1.0)
+    in_flight = min(config.n_jobs, n_reps)
+    if points * in_flight > POINT_BUDGET:
+        name = "t" if config.model == "poisson" else "n"
+        raise ConfigError(
+            f"at {name} = {intensity:g} a replication expects {points:.3g} points and "
+            f"{in_flight} run at once, above the budget of {POINT_BUDGET:.3g} points in "
+            f"memory; lower {name} or n_jobs")
 
     def one(r: int):
         sample = replication_sample(config, intensity, r, stream=stream, batch=batch)
@@ -278,6 +298,8 @@ def clopper_pearson_upper(k: int, n: int, confidence: float) -> float:
         raise ValueError("need 0 <= k <= n")
     if k == n:
         return 1.0
+    from scipy.special import betaincinv  # slow to import; loaded on first use
+
     return float(betaincinv(k + 1, n - k, confidence))
 
 
@@ -434,6 +456,8 @@ def _ks_along_grid(config: ExperimentConfig, ks_list: list[float], final: str,
 
 def _normal_ks(col: np.ndarray) -> float:
     """KS distance between the standardised column and the standard normal law."""
+    from scipy.special import ndtr  # slow to import; loaded on first use
+
     sd = col.std(ddof=1)
     z = (col - col.mean()) / sd if sd > 0 else col * 0.0
     return ks_statistic(z, ndtr)
@@ -736,8 +760,19 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     (alpha,) = config.alphas
     edge_c = _edge_limit(config)
     kd = unit_ball_volume(d)
+    levels = (0.5, 1.0, 2.0)
+    for u in levels:  # before any quadrature: u^(1/alpha) leaves the floats at a tiny alpha
+        for t in grid:
+            try:
+                usable = pp_radius(d, t, config.delta_for(t), alpha, u) > 0.0
+            except OverflowError:
+                usable = False
+            if not usable:
+                raise ConfigError(
+                    f"PPConditions: rho = min(delta, u^(1/alpha) t^(-2/d)) underflows to 0 "
+                    f"or overflows at alpha = {alpha!r}, u = {u!r}, t = {t!r}")
     metrics: list[Metric] = []
-    for u in (0.5, 1.0, 2.0):
+    for u in levels:
         a_vals, r_vals = zip(*(pp_conditions(config.window, t, config.delta_for(t), alpha, u)
                                for t in grid))
         limit = pp_condition_limits(config.window, alpha, u, edge_c)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta, betainc
 
 from .errors import NonIntegrableError, QuadratureError, UnsupportedDimensionError
 
@@ -136,6 +135,8 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float) -> float:
         return 2.0 * R * R * math.acos(r / (2.0 * R)) - 0.5 * r * math.sqrt(4.0 * R * R - r * r)
     if d == 3:
         return (math.pi / 12.0) * (4.0 * R + r) * (2.0 * R - r) ** 2
+    from scipy.special import betainc  # slow to import; only balls need it
+
     # Two caps of height R - r/2; each is V/2 times a regularized incomplete beta.
     return window.volume * float(betainc((d + 1) / 2, 0.5, 1.0 - (r / (2.0 * R)) ** 2))
 
@@ -306,6 +307,8 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if window.kind == "ball":
+        from scipy.special import beta, betainc  # slow to import; only balls need it
+
         R, q = window.radius, alpha + d
         rmax = min(delta, 2.0 * R)  # g vanishes beyond 2R
         a, b = (q + 1) / 2.0, (d + 1) / 2.0

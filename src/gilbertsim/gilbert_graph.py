@@ -14,6 +14,9 @@ ties at exactly delta included.
 Candidate pairs are put in (i, j) order by sorting one fused key i*n + j. The
 key is int32 when n^2 <= int32 max (n <= 46340) and int64 above; EdgeSet's
 i and j are int64 either way.
+
+scipy.spatial is imported inside build_edges, so importing this module (and
+the CLI) loads none of scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .point_process import PointSample
 
@@ -82,6 +84,8 @@ def build_edges(sample: PointSample, delta: float) -> EdgeSet:
     """Exact edge set: kd-tree candidates, re-filtered at length <= delta."""
     if not (delta > 0):
         raise ValueError("delta must be > 0")
+    from scipy.spatial import cKDTree  # slow to import; a box predict needs none of it
+
     pts = sample.points
     # The tree rounds its distances its own way; the widened radius keeps every
     # pair whose canonical length is <= delta among the candidates.

@@ -114,6 +114,11 @@ def order_statistic_cdf(m: int, u: float, limit: EdgeLengthProcessLimit,
     return 1.0 - order_statistic_survival(m, u, limit, volume, dim)
 
 
+def pp_radius(dim: int, t: float, delta: float, alpha: float, u: float) -> float:
+    """rho = min{delta, u^(1/alpha) t^(-2/d)}, the radius of the conditions at (t, u)."""
+    return min(delta, u ** (1.0 / alpha) * t ** (-2.0 / dim))
+
+
 def pp_conditions(window: ConvexWindow, t: float, delta: float,
                   alpha: float, u: float) -> tuple[float, float]:
     """The convergence conditions (a_t(u), r_t(u)) at finite t.
@@ -124,7 +129,7 @@ def pp_conditions(window: ConvexWindow, t: float, delta: float,
     if not (u > 0 and alpha > 0):
         raise ValueError("u and alpha must be > 0")
     d = window.dim
-    rho = min(delta, u ** (1.0 / alpha) * t ** (-2.0 / d))
+    rho = pp_radius(d, t, delta, alpha, u)
     a_t = 0.5 * t * t * covariogram_radial_integral(window, rho, 0.0)
     r_t = t * unit_ball_volume(d) * rho**d
     return (a_t, r_t)

@@ -16,7 +16,10 @@ For boxes the deficit D_g = C_g - h_g is homogeneous, D_g(delta u; delta) =
 delta^(g+d) D_g(u; 1), and each Gauss weight scales by delta per wall
 coordinate, so the layer with m active walls equals delta^(a+b+2d+m) times a
 delta-free sum.  The delta = 1 deficit tables are built once per (d, g) and
-kept in a small LRU cache; every box and every delta reuses them.
+kept in a small LRU cache; every box and every delta reuses them.  A table's
+g-free part, the radial nodes and the Gauss weights times the cap measure of
+each kernel with two or three walls, is built once per (d, walls, order) and
+shared by every g, so only the factor r^(g+d-1) is evaluated per g.
 
 The radial moments R_g come from `geometry.covariogram_radial_integral`: for a
 box with delta <= min(side) (every box covariance, since it needs
@@ -124,7 +127,8 @@ def interior_moment(dim: int, delta: float, gamma: float) -> float:
 # K_1 is `_k1`; for j >= 2, K_j is a radial Gauss integral of r^(g+d-1) times
 # the measure of the cap {u on the unit sphere: u_i >= w_i/r}, an arc of S^1
 # (`_circle_measure`) in 2-d and Gauss slices of that arc (`_sphere_measure`)
-# in 3-d.  Each kernel, and so each deficit D_g, is homogeneous:
+# in 3-d; its g-free part is cached by `_cap_rule`.  Each kernel, and so each
+# deficit D_g, is homogeneous:
 # D_g(delta u; delta) = delta^(g+d) D_g(u; 1), so they are tabulated once at
 # delta = 1 and scaled.
 # ---------------------------------------------------------------------------
@@ -165,7 +169,10 @@ def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
         return (1.0 - w ** (gamma + 1.0)) / (gamma + 1.0)
     if dim == 3:
         t1 = (1.0 - w ** (gamma + 3.0)) / (gamma + 3.0)
-        t2 = w * (1.0 - w ** (gamma + 2.0)) / (gamma + 2.0)
+        if gamma == -2.0:  # the limit of (1 - w^e) / e as e -> 0
+            t2 = -w * np.log(w)
+        else:
+            t2 = w * (1.0 - w ** (gamma + 2.0)) / (gamma + 2.0)
         return 2.0 * math.pi * (t1 - t2)
     # d == 2: radial Gauss with the arc measure 2 arccos(w/r) of the cap
     r, wt = _gl_nodes(w, 1.0, _GL_FACE)
@@ -173,19 +180,34 @@ def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", wt, r ** (gamma + 1.0) * (2.0 * np.arccos(h)))
 
 
-def _kernel(dim: int, gamma: float, walls: list[np.ndarray], order: int) -> np.ndarray:
-    """K_j at wall distances walls = [w_1, ..., w_j], by an order-point radial
-    Gauss rule (slices: `_GL_SLICES` for two walls, order for three)."""
-    if len(walls) == 1:
-        return _k1(dim, gamma, walls[0])
+@functools.lru_cache(maxsize=4)
+def _cap_rule(dim: int, j: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gamma-free part of K_j (j >= 2) on the j-wall Gauss grid of the
+    given order: the radial nodes r and the Gauss weights times the cap
+    measure, both read-only (radial order `order`; slices: `_GL_SLICES` for
+    two walls, order for three)."""
+    g = _gl_nodes(0.0, 1.0, order)[0]
+    walls = np.meshgrid(*[g] * j, indexing="ij")
     r, wt = _gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
     rs = np.maximum(r, 1e-300)
     if dim == 2:
         cap = _circle_measure([w[..., None] for w in walls], rs)
     else:
-        slices = _GL_SLICES if len(walls) == 2 else order
+        slices = _GL_SLICES if j == 2 else order
         cap = _sphere_measure([w[..., None] / rs for w in walls], slices)
-    return np.einsum("...k,...k->...", wt * cap, r ** (gamma + dim - 1.0))
+    weighted = wt * cap
+    for a in (r, weighted):
+        a.flags.writeable = False
+    return r, weighted
+
+
+def _kernel(dim: int, gamma: float, j: int, order: int) -> np.ndarray:
+    """K_j on the j-wall tensor Gauss grid of the given order: `_k1` for one
+    wall, else the cached cap rule against r^(g+d-1)."""
+    if j == 1:
+        return _k1(dim, gamma, _gl_nodes(0.0, 1.0, order)[0])
+    r, weighted = _cap_rule(dim, j, order)
+    return np.einsum("...k,...k->...", weighted, r ** (gamma + dim - 1.0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -198,10 +220,9 @@ def _unit_deficits(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
     """
     tables = []
     for m, order in enumerate(_GL_LAYERS[:dim], start=1):
-        g = _gl_nodes(0.0, 1.0, order)[0]
         table = 0.0
         for j in range(1, m + 1):
-            k = _kernel(dim, gamma, np.meshgrid(*[g] * j, indexing="ij"), order)
+            k = _kernel(dim, gamma, j, order)
             level = 0.0
             for axes in itertools.combinations(range(m), j):
                 level = level + k.reshape([order if i in axes else 1 for i in range(m)])

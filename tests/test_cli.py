@@ -400,6 +400,58 @@ def test_edge_budget_leaves_smaller_runs_and_predict_alone(monkeypatch, capsys):
                      "--alpha", "1"]) == 0
 
 
+# E[points] = t V (or n) per replication: 3e299 points on box:1e150x1e150, past
+# numpy's Poisson limit, and 6e8 on ball:2@d=7 at t = 1e6 (31 GB of
+# coordinates); the schedules make delta so small that the edge budget passes.
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "Moments", "--window", "box:1e150x1e150", "--t", "0.3",
+     "--schedule", "1e-300,0.5", "--alpha", "1e-9", "--reps", "2"],
+    ["simulate", "--window", "ball:2@d=7", "--t", "1e6", "--schedule", "1,50", "--alpha", "1",
+     "--reps", "3"],
+    ["simulate", "--window", "box:1x1", "--n", "20000000", "--delta", "1e-9", "--alpha", "1",
+     "--reps", "3"],
+], ids=["poisson_limit", "ball_d7", "binomial"])
+def test_point_budget_exits_2_before_replications(argv, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "replication_sample", _no_replications)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at ")
+    assert f"above the budget of {experiments.POINT_BUDGET:.3g} points in memory" in err
+
+
+@pytest.mark.parametrize("alpha,named", [
+    ("1e-9", "alpha = 1e-09, u = 0.5"),  # 0.5^(1e9) underflows to 0.0
+    ("0.00095", "alpha = 0.00095, u = 2.0"),  # 0.5^(1/alpha) is subnormal, 2^(1/alpha) overflows
+], ids=["underflow", "overflow"])
+def test_pp_conditions_rho_underflow_exits_2_before_quadrature(alpha, named, monkeypatch,
+                                                               capsys):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran before the config was rejected")
+
+    monkeypatch.setattr(experiments, "pp_conditions", no_quadrature)
+    rc = cli.main(["verify", "--kind", "PPConditions", "--window", "box:1x1", "--alpha", alpha,
+                   "--t-grid", "1e-3,1", "--delta", "0.05", "--reps", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PPConditions: rho")
+    assert named in err
+
+
+@pytest.mark.parametrize("command,args", [
+    ("simulate", ["--t", "10"]),
+    ("verify", ["--kind", "Moments", "--t", "10"]),
+    ("verify", ["--kind", "PPConditions", "--t-grid", "1e3,1e4"]),
+])
+def test_schedule_delta_underflow_exits_2(command, args, monkeypatch, capsys):
+    # delta_t = 1e-300 * t^-50 is 0.0 in floating point
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    rc = cli.main([command, "--window", "box:1x1", "--schedule", "1e-300,50", "--alpha", "1",
+                   "--reps", "5"] + args)
+    assert rc == 2
+    assert "the schedule's delta underflows to 0" in capsys.readouterr().err
+
+
 def test_undefined_correlation_reported_as_valid_json(tmp_path, capsys):
     # with 2 replications an interval count can be equal in both, so its
     # correlation is undefined: the report says "nan" and the check fails
@@ -495,10 +547,32 @@ def run_fresh_python(code: str, *args: str) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and the package needs none of it: it uses
-    # scipy.special's ndtr and betaincinv
+    # scipy.stats is slow to import and the package needs none of it: KS and
+    # Clopper-Pearson use scipy.special's ndtr and betaincinv, imported on
+    # first use (importing the CLI loads no scipy module at all, see below)
     code = "import sys, gilbertsim.cli; print('scipy.stats' in sys.modules)"
     assert run_fresh_python(code).strip() == "False"
+
+
+def test_box_predict_loads_neither_scipy_special_nor_spatial(tmp_path):
+    # importing the CLI loads no scipy; a box predict or covariogram needs
+    # neither scipy.special (balls, KS, Clopper-Pearson) nor scipy.spatial
+    # (build_edges), and a ball predict needs scipy.special only
+    code = "\n".join([
+        "import sys",
+        "from gilbertsim import cli",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "assert cli.main(['predict', '--window', 'box:1x0.8x0.6', '--t', '100',",
+        "                 '--delta', '0.1', '--alpha', '0,1', '--out', sys.argv[1]]) == 0",
+        "assert cli.main(['covariogram', '--window', 'box:1x0.8', '--direction', '1,0',",
+        "                 '--out', sys.argv[1]]) == 0",
+        "print('scipy.special' in sys.modules, 'scipy.spatial' in sys.modules)",
+        "assert cli.main(['predict', '--window', 'ball:1@d=2', '--t', '100',",
+        "                 '--delta', '0.1', '--alpha', '0,1', '--out', sys.argv[1]]) == 0",
+        "print('scipy.special' in sys.modules, 'scipy.spatial' in sys.modules)",
+    ])
+    lines = run_fresh_python(code, str(tmp_path / "out.txt")).splitlines()
+    assert lines == ["[]", "False False", "True False"]
 
 
 def test_box_runs_leave_scipy_integrate_unloaded(tmp_path):

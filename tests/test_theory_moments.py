@@ -185,6 +185,28 @@ def test_box_covariance_cold_cache_equals_warm():
     assert not any(table.flags.writeable for table in tm._unit_deficits(3, 0.0))
 
 
+def _clear_table_caches():
+    tm._unit_deficits.cache_clear()
+    tm._cap_rule.cache_clear()
+
+
+def test_cap_rule_cache_keeps_table_bits():
+    # the gamma-free cap rule is built once per (d, j, order) and shared by
+    # every gamma: a table from a warm rule equals one built from scratch
+    _clear_table_caches()
+    tm._unit_deficits(3, 0.0)
+    warm = tm._unit_deficits(3, 1.0)
+    _clear_table_caches()
+    cold = tm._unit_deficits(3, 1.0)
+    assert len(warm) == len(cold) == 3
+    for a, b in zip(warm, cold):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    tm._unit_deficits(2, 0.5)
+    assert tm._cap_rule.cache_info().currsize <= 4
+    for key in [(2, 2, 40), (3, 2, 40), (3, 3, 12)]:
+        assert not any(a.flags.writeable for a in tm._cap_rule(*key))
+
+
 @st.composite
 def dims_and_exponents(draw):
     d = draw(st.sampled_from((2, 3)))
@@ -195,6 +217,7 @@ def dims_and_exponents(draw):
 @given(dims_and_exponents())
 @example((2, -1.95))
 @example((3, -2.95))
+@example((3, -2.0))
 @example((3, 5.0))
 def test_property_unit_deficit_tables_bounded_monotone_symmetric(case):
     # D_g on the m-wall layer lies in [0, (1 - 2^-m) C_g]: at most the m
