@@ -3,7 +3,8 @@
 Config files are flat `key = value` lines with `#` comments; flags override
 config values. Seed precedence: --seed flag, then GILBERT_SEED, then config,
 then 0. Exit codes: 0 success (all verdicts pass), 1 failed verdicts,
-2 usage/config errors, including overflow or division by zero at extreme inputs.
+2 usage/config errors, including overflow, division by zero or an invalid
+floating-point value at extreme inputs (numpy raises instead of warning).
 """
 
 from __future__ import annotations
@@ -341,11 +342,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except GilbertSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # overflow or division by zero at extreme inputs
+    except ArithmeticError as exc:  # overflow, division by zero, numpy's FloatingPointError
         print(f"error: {type(exc).__name__} at these inputs: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ sandwich, below, decreasing).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -177,11 +178,12 @@ def check_edge_budget(config: ExperimentConfig) -> None:
         t = value if config.model == "poisson" else value / window.volume
         edges = (t * t * unit_ball_volume(window.dim) * config.delta_for(value) ** window.dim
                  * window.volume / 2.0)
-        if edges * in_flight > EDGE_BUDGET:
+        if not edges * in_flight <= EDGE_BUDGET:  # a NaN estimate fails too
+            note = "" if math.isfinite(edges) else ", an estimate that is not finite,"
             raise ConfigError(
                 f"at {'t' if config.model == 'poisson' else 'n'} = {value:g} a replication "
-                f"expects up to {edges:.3g} edges (t^2 kappa_d delta^d V / 2) and {in_flight} "
-                f"run at once, above the budget of {EDGE_BUDGET:.3g} edges in memory; "
+                f"expects up to {edges:.3g} edges (t^2 kappa_d delta^d V / 2){note} and "
+                f"{in_flight} run at once, above the budget of {EDGE_BUDGET:.3g} edges in memory; "
                 f"lower t, n, delta or n_jobs")
 
 
@@ -191,7 +193,8 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
     """Rows reduce(r, sample, edges), one per replication r, stacked in replication order.
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
-    rows are the same whether they run serially or on n_jobs threads. Before
+    rows are the same whether they run serially or on n_jobs threads; each
+    thread keeps the caller's numpy floating-point error handling. Before
     any replication runs, a ConfigError rejects a run whose expected points,
     t V (Poisson) or n (binomial) times the replications in flight, exceed
     POINT_BUDGET.
@@ -213,7 +216,9 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
         return reduce(r, sample, build_edges(sample, dlt))
 
     if config.n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.n_jobs) as pool:
+        # a worker thread starts from numpy's default error handling, not the caller's
+        keep_errstate = functools.partial(np.seterr, **np.geterr())
+        with ThreadPoolExecutor(max_workers=config.n_jobs, initializer=keep_errstate) as pool:
             return np.array(list(pool.map(one, range(n_reps))))
     return np.array([one(r) for r in range(n_reps)])
 

@@ -71,9 +71,14 @@ class LdiInput:
 
 def _scales(inp: LdiInput) -> tuple[float, float, float]:
     """(c, N, f) = (t, t V, 1) for Poisson points and (n, n, V) for n binomial
-    points, which bound like Poisson points at t = n / V; f = 1 is exact."""
+    points, which bound like Poisson points at t = n / V; f = 1 is exact.
+    The bounds take log N, so an N that underflows to 0 is degenerate."""
     if inp.mode == "poisson":
-        return inp.t, inp.t * inp.window.volume, 1.0
+        count = inp.t * inp.window.volume
+        if not count > 0:
+            raise DegenerateInputError(
+                f"the bounds take log(t V), and t V = {count!r} underflows to 0")
+        return inp.t, count, 1.0
     return inp.n, inp.n, inp.window.volume
 
 

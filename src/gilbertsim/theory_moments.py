@@ -19,7 +19,9 @@ delta-free sum.  The delta = 1 deficit tables are built once per (d, g) and
 kept in a small LRU cache; every box and every delta reuses them.  A table's
 g-free part, the radial nodes and the Gauss weights times the cap measure of
 each kernel with two or three walls, is built once per (d, walls, order) and
-shared by every g, so only the factor r^(g+d-1) is evaluated per g.
+shared by every g, so only the factor r^(g+d-1) is evaluated per g.  In 3-d
+that cap measure is built one slab of the first wall coordinate at a time, so
+a cold build holds one slab's slice grid (under 1 MB) and peaks at a few MB.
 
 The radial moments R_g come from `geometry.covariogram_radial_integral`: for a
 box with delta <= min(side) (every box covariance, since it needs
@@ -159,7 +161,6 @@ def _sphere_measure(h: list[np.ndarray], order: int) -> np.ndarray:
     top = np.sqrt(np.maximum(top, 0.0))
     x, w = _gl_nodes(np.minimum(h1, top), top, order)
     rho = np.sqrt(np.maximum(1.0 - x * x, 1e-300))
-    del x  # one slice grid fewer alive while the arcs are formed (16 MB at d = 3)
     return np.einsum("...k,...k->...", w, _circle_measure([hi[..., None] for hi in rest], rho))
 
 
@@ -192,9 +193,10 @@ def _cap_rule(dim: int, j: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     rs = np.maximum(r, 1e-300)
     if dim == 2:
         cap = _circle_measure([w[..., None] for w in walls], rs)
-    else:
+    else:  # one slab of the first wall coordinate at a time: a slice grid of < 1 MB
         slices = _GL_SLICES if j == 2 else order
-        cap = _sphere_measure([w[..., None] / rs for w in walls], slices)
+        cap = np.stack([_sphere_measure([w[k][..., None] / rs[k] for w in walls], slices)
+                        for k in range(order)])
     weighted = wt * cap
     for a in (r, weighted):
         a.flags.writeable = False
@@ -282,8 +284,9 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
         hi = np.minimum(R + ell, delta)
         full = dk * lo ** (gamma + d) / (gamma + d)
         r, wr = _gl_nodes(lo, hi, _GL_FACE)
-        rs = np.maximum(r, 1e-300)
-        c = (R * R - ell[..., None] ** 2 - r * r) / (2.0 * np.maximum(ell[..., None], 1e-300) * rs)
+        # the floor is on the product: ell * r underflows to 0 when delta is
+        # negligible against R, where the numerator is 0 too
+        c = (R * R - ell[..., None] ** 2 - r * r) / (2.0 * np.maximum(ell[..., None] * r, 1e-300))
         # measure{u . e1 <= c} = full sphere - cap{u1 >= c}
         if d == 1:
             meas = (c >= -1.0).astype(float) + (c >= 1.0)

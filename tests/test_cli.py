@@ -1,5 +1,8 @@
 """CLI parsing, config handling, exit codes, and output determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -8,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gilbertsim import cli, experiments, geometry
 from gilbertsim import gilbert_graph as gg
@@ -354,7 +359,7 @@ _BOX = ["--window", "box:1x1", "--t", "10", "--alpha", "1", "--reps", "3"]
     (["simulate", *_BOX, "--delta", "1e300"], "OverflowError"),
     (["verify", "--kind", "CLT", *_BOX, "--delta", "1e-300"], "ZeroDivisionError"),
     (["verify", "--kind", "LDI", *_BOX, "--delta", "1e-300"], "ZeroDivisionError"),
-    (["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "1e300", "--delta", "1e-200",
+    (["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "1e120", "--delta", "1e-200",
       "--alpha", "1", "--reps", "3"], "OverflowError"),
     (["predict", "--window", "box:1x1", "--t", "10", "--alpha", "0,1",
       "--schedule", "1e-300,0.5"], "ZeroDivisionError"),
@@ -387,6 +392,19 @@ def test_edge_budget_exits_2_before_replications(command, args, cfg, tmp_path, m
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: at ")
+    assert f"above the budget of {experiments.EDGE_BUDGET:.3g} edges in memory" in err
+
+
+@pytest.mark.parametrize("delta", ["1e-200", "0.05"], ids=["nan", "inf"])
+def test_edge_budget_rejects_a_non_finite_estimate(delta, monkeypatch, capsys):
+    # at t = 1e300, t * t is inf; with delta^2 = 0.0 the estimate is NaN, and
+    # NaN > budget is False
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    assert cli.main(["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "1e300",
+                     "--delta", delta, "--alpha", "1", "--reps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at t = 1e+300 ")
+    assert "an estimate that is not finite" in err
     assert f"above the budget of {experiments.EDGE_BUDGET:.3g} edges in memory" in err
 
 
@@ -745,3 +763,101 @@ kind = LDI
     lines = open(table).read().strip().split("\n")
     assert lines[0] == "u,empirical_tail,ldi_bound,ldi_envelope"
     assert len(lines) == 21
+
+
+# CLI fuzz: argv drawn from fixed pools over the four subcommands. Each number
+# is a usable value (three draws in four) or one of HOSTILE: zero, an
+# underflowing and an overflowing magnitude, nan, inf and a negative number.
+# Windows include tiny and huge boxes and balls; --reps stays <= 5 and t at 30,
+# so a usable run takes milliseconds, and the edge and point budgets stop a
+# hostile size before any sample is drawn.
+HOSTILE = ("0", "1e-300", "1e30", "nan", "inf", "-1")
+FUZZ_WINDOWS = ("box:1x1", "box:0.5", "box:1x0.8x0.6", "ball:1@d=2", "ball:0.7@d=3",
+                "box:1e-30x1e-30", "box:1e30x1e30", "ball:1e-30@d=2", "ball:1e30@d=3")
+
+
+def _number(*usable):
+    pool = st.sampled_from(usable)
+    return st.one_of(pool, pool, pool, st.sampled_from(HOSTILE))
+
+
+def _numbers(*usable):
+    return st.lists(_number(*usable), min_size=1, max_size=2).map(",".join)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"{name}={v}"])  # "=" keeps "-1" a value for argparse
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["simulate", "predict", "verify", "covariogram"]))
+    argv = [command, "--window=" + draw(st.sampled_from(FUZZ_WINDOWS))]
+    if command == "covariogram":
+        argv += draw(_flag("--direction", _numbers("1", "0.5")))
+        argv.append("--steps=" + draw(st.sampled_from(["3", "1", "0", "-1"])))
+        return argv + draw(st.one_of(st.just([]), _flag("--rmax", _number("0.5", "2"))))
+    argv += draw(st.one_of(_flag("--t", _number("30")), _flag("--n", _number("20")),
+                           _flag("--t-grid", _numbers("10", "30"))))
+    schedule = st.tuples(_number("1", "0.5"), _number("0.5", "1", "0.3")).map(",".join)
+    argv += draw(st.one_of(_flag("--delta", _number("0.1", "0.02")),
+                           _flag("--schedule", schedule)))
+    argv += draw(_flag("--alpha", _numbers("1", "0", "2", "-0.5", "0.5")))
+    if command != "predict":
+        argv += draw(_flag("--reps", _number("2", "3", "5")))
+    if command == "verify":
+        argv += draw(_flag("--kind", st.sampled_from(experiments.VERIFICATION_KINDS)))
+    return argv + draw(st.one_of(st.just([]), _flag("--seed", _number("7"))))
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} in the JSON output")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+# crashes that fuzzing found: log(t V) of an underflowed point count, 0/0 in
+# a ball's covariance with delta negligible against R, numpy overflow in the
+# length powers and in a ball's covariance, inf * 0 in the order statistics
+@example(argv=["verify", "--window=box:1e-30x1e-30", "--t=1e-300", "--delta=0.1",
+               "--alpha=1", "--reps=2", "--kind=LDI"])
+@example(argv=["predict", "--window=ball:1e-30@d=2", "--t=30", "--delta=1e-300", "--alpha=1"])
+@example(argv=["simulate", "--window=box:1e30x1e30", "--n=20", "--delta=1e30", "--alpha=1e30",
+               "--reps=2"])
+@example(argv=["predict", "--window=ball:1e30@d=3", "--t=30", "--delta=1e30", "--alpha=1"])
+@example(argv=["verify", "--window=box:0.5", "--t=1e-300", "--delta=0.1", "--alpha=1",
+               "--reps=2", "--kind=OrderStatistics"])
+def test_property_cli_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
+    # no exception escapes main, the exit code is 0, 1 or 2, and stdout is
+    # empty on exit 2, else valid JSON (predict, verify) or a CSV of floats
+    # (simulate, covariogram) with no bare NaN
+    monkeypatch.chdir(tmp_path)  # LDI writes its tables next to the report
+    monkeypatch.delenv("GILBERT_SEED", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    text = out.getvalue()
+    if rc == 2:
+        assert text == ""
+    elif argv[0] in ("predict", "verify"):
+        json.loads(text, parse_constant=_reject_constant)
+    else:
+        header, *rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert not any(math.isnan(float(field)) for row in rows for field in row)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_floating_point_errors_exit_2_serial_and_threaded(n_jobs, tmp_path, capsys):
+    # numpy raises instead of warning inside main, and the replications that
+    # run on worker threads keep that setting
+    cfg = write_cfg(tmp_path, f"n_jobs = {n_jobs}\n")
+    argv = ["simulate", "--window", "box:1e30x1e30", "--n", "20", "--delta", "1e30",
+            "--alpha", "1e30", "--reps", "4", "--config", cfg]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: FloatingPointError at these inputs: "
+                            "overflow encountered in power\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,38 @@ def test_cap_rule_cache_keeps_table_bits():
     assert tm._cap_rule.cache_info().currsize <= 4
     for key in [(2, 2, 40), (3, 2, 40), (3, 3, 12)]:
         assert not any(a.flags.writeable for a in tm._cap_rule(*key))
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_cap_rule_slabs_equal_the_one_shot_sphere_measure(j):
+    # the 3-d cap measure is built one slab of the first wall coordinate at a
+    # time; each step is elementwise or a sum over the slice axis alone, so it
+    # keeps the bits of one _sphere_measure call on the whole grid
+    order = 6
+    g = tm._gl_nodes(0.0, 1.0, order)[0]
+    walls = np.meshgrid(*[g] * j, indexing="ij")
+    r, wt = tm._gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
+    rs = np.maximum(r, 1e-300)
+    slices = tm._GL_SLICES if j == 2 else order
+    oracle = wt * tm._sphere_measure([w[..., None] / rs for w in walls], slices)
+    nodes, weighted = tm._cap_rule(3, j, order)
+    assert nodes.tobytes() == r.tobytes()
+    assert weighted.shape == oracle.shape == (order,) * (j + 1)
+    assert weighted.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("key", [(3, 2, 40), (3, 3, 12)])
+def test_cold_cap_rule_peaks_below_8_mb(key):
+    # one first-wall slab of slice nodes is alive at a time; built in one
+    # piece, the edge rule peaked at 66 MB and the corner rule at 11 MB
+    tm._cap_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        tm._cap_rule(*key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @st.composite
