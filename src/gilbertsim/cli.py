@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GilbertSimError
 from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
-                          ExperimentConfig, check_edge_budget, ldi_table_to_csv,
+                          ExperimentConfig, check_memory_budget, ldi_table_to_csv,
                           replications_to_csv, report_to_json, require_poisson,
                           run_replications, run_verification, simulate_row)
 from .geometry import ConvexWindow, covariogram
@@ -88,7 +88,6 @@ _SETTINGS = {
     "kind": ("--kind", "|".join(VERIFICATION_KINDS), canonical_kind),
     "n_jobs": (None, None, int),
 }
-_CONFIG_KEYS = tuple(_SETTINGS)
 
 
 def _convert(key: str, text: str):
@@ -119,7 +118,7 @@ def load_config(path: str) -> dict:
         value = value.strip()
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in _CONFIG_KEYS and not key.startswith("tol_"):
+        if key not in _SETTINGS and not key.startswith("tol_"):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key.startswith("tol_") and key[4:] not in DEFAULT_TOLERANCES:
             raise ConfigError(f"{path}:{lineno}: unknown tolerance key {key!r}")
@@ -183,7 +182,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
-    check_edge_budget(config)
+    check_memory_budget(config)
     row = simulate_row(config.alphas)
     first = {}
 

@@ -164,27 +164,33 @@ def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
     return sample_binomial(config.window, int(intensity), rng)
 
 
-def check_edge_budget(config: ExperimentConfig) -> None:
-    """Reject a run whose replications would hold more than EDGE_BUDGET edges.
-
-    E[edges] <= t^2 kappa_d delta^d V / 2 (g_W <= V), checked before any
-    replication runs at every intensity the config names, times the n_jobs
-    replications in flight. A binomial count n is intensity t = n / V.
+def check_memory_budget(config: ExperimentConfig) -> None:
+    """Before any quadrature or replication, reject a run whose n_jobs replications
+    in flight would hold, at any t or n of the config, more than EDGE_BUDGET edges
+    (E[edges] <= t^2 kappa_d delta^d V / 2, as g_W <= V; checked first) or more than
+    POINT_BUDGET points (t V). A binomial count n is intensity t = n / V.
     """
     window = config.window
-    single = config.t if config.model == "poisson" else config.n
+    poisson = config.model == "poisson"
+    name = "t" if poisson else "n"
+    single = config.t if poisson else config.n
     in_flight = min(config.n_jobs, config.replications)
     for value in [v for v in (single, *(config.t_grid or ())) if v is not None]:
-        t = value if config.model == "poisson" else value / window.volume
+        t = value if poisson else value / window.volume
         edges = (t * t * unit_ball_volume(window.dim) * config.delta_for(value) ** window.dim
                  * window.volume / 2.0)
         if not edges * in_flight <= EDGE_BUDGET:  # a NaN estimate fails too
             note = "" if math.isfinite(edges) else ", an estimate that is not finite,"
             raise ConfigError(
-                f"at {'t' if config.model == 'poisson' else 'n'} = {value:g} a replication "
-                f"expects up to {edges:.3g} edges (t^2 kappa_d delta^d V / 2){note} and "
-                f"{in_flight} run at once, above the budget of {EDGE_BUDGET:.3g} edges in memory; "
-                f"lower t, n, delta or n_jobs")
+                f"at {name} = {value:g} a replication expects up to {edges:.3g} edges "
+                f"(t^2 kappa_d delta^d V / 2){note} and {in_flight} run at once, above the "
+                f"budget of {EDGE_BUDGET:.3g} edges in memory; lower t, n, delta or n_jobs")
+        points = float(value) * (window.volume if poisson else 1.0)
+        if points * in_flight > POINT_BUDGET:
+            raise ConfigError(
+                f"at {name} = {value:g} a replication expects {points:.3g} points and "
+                f"{in_flight} run at once, above the budget of {POINT_BUDGET:.3g} points in "
+                f"memory; lower {name} or n_jobs")
 
 
 def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
@@ -194,22 +200,11 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads; each
-    thread keeps the caller's numpy floating-point error handling. Before
-    any replication runs, a ConfigError rejects a run whose expected points,
-    t V (Poisson) or n (binomial) times the replications in flight, exceed
-    POINT_BUDGET.
+    thread keeps the caller's numpy floating-point error handling.
     """
     intensity = t if t is not None else config.intensity()
     dlt = config.delta_for(float(intensity))
     n_reps = int(reps if reps is not None else config.replications)
-    points = float(intensity) * (config.window.volume if config.model == "poisson" else 1.0)
-    in_flight = min(config.n_jobs, n_reps)
-    if points * in_flight > POINT_BUDGET:
-        name = "t" if config.model == "poisson" else "n"
-        raise ConfigError(
-            f"at {name} = {intensity:g} a replication expects {points:.3g} points and "
-            f"{in_flight} run at once, above the budget of {POINT_BUDGET:.3g} points in "
-            f"memory; lower {name} or n_jobs")
 
     def one(r: int):
         sample = replication_sample(config, intensity, r, stream=stream, batch=batch)
@@ -580,6 +575,19 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
+def _limit_rescale(config: ExperimentConfig, t: float) -> float:
+    """t^(2 alpha/d), which rescales the length power to its limit law at t."""
+    (alpha,) = config.alphas
+    try:
+        rescale = t ** (2.0 * alpha / config.window.dim)
+    except OverflowError:
+        rescale = math.inf
+    if not 0.0 < rescale < math.inf:
+        raise ConfigError(f"{config.kind}: the rescale t^(2 alpha/d) underflows to 0 or "
+                          f"overflows at alpha = {alpha!r}, t = {t!r}")
+    return rescale
+
+
 def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
     d = config.window.dim
@@ -587,14 +595,15 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     c = config.schedule.limit(2, d) if config.schedule is not None else math.inf
     if not 0 < c < math.inf:
         raise ConfigError("CompoundPoisson needs a schedule with t^2 delta^d -> c in (0, inf)")
+    grid = config.intensity_grid()
+    rescales = [_limit_rescale(config, t) for t in grid]
     model = CompoundPoissonModel(c=c, dim=d, alpha=alpha, volume=config.window.volume)
     ref_rng = replication_rng(config.master_seed, 0, STREAM_REFERENCE)
     ref_cdf = EmpiricalCdf(sample_compound_poisson(model, ref_rng, 1_000_000))
     ks_list = []
-    for b_idx, t in enumerate(config.intensity_grid()):
+    for b_idx, (t, rescale) in enumerate(zip(grid, rescales)):
         powers = _length_powers(config, t=t, batch=b_idx)[:, 0]
-        ks_list.append(ks_statistic(t ** (2.0 * alpha / d) * powers, ref_cdf,
-                                    cdf_left=ref_cdf.left))
+        ks_list.append(ks_statistic(rescale * powers, ref_cdf, cdf_left=ref_cdf.left))
     atom = float(np.mean(powers == 0.0))  # at the largest t
     se = math.sqrt(max(atom * (1.0 - atom), 1e-12) / config.replications)
     metrics = [_within("void probability P(L=0)", atom, model.atom_at_zero,
@@ -631,7 +640,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     (alpha,) = config.alphas
     c = _edge_limit(config)
     limit = EdgeLengthProcessLimit(alpha=alpha, edge_constant=c)
-    rescale = t ** (2.0 * alpha / d)
+    rescale = _limit_rescale(config, t)
     kd = unit_ball_volume(d)
     v = config.window.volume
     # Interval boundaries with unit limiting mass each: nu([0,u_k]) = k.
@@ -843,11 +852,11 @@ def require_poisson(config: ExperimentConfig, what: str) -> None:
 
 
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check the alphas, the model and the edge budget, then dispatch to the
+    """Check the alphas, the model and the memory budget, then dispatch to the
     suite named by config.kind."""
     _check_alphas(config)
-    if config.kind in ("Moments", "CLT", "MultivariateCov"):
+    if config.kind != "LDI":
         require_poisson(config, config.kind)
     if config.kind != "PPConditions":  # quadrature only, builds no graph
-        check_edge_budget(config)
+        check_memory_budget(config)
     return _VERIFIERS[config.kind](config)

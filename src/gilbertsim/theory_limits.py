@@ -41,15 +41,6 @@ class CompoundPoissonModel:
         return self.c ** (self.alpha / self.dim)
 
     @property
-    def x_mean(self) -> float:
-        """Mean summand: (d/(d+alpha)) c^(alpha/d)."""
-        return self.dim / (self.dim + self.alpha) * self.x_max
-
-    @property
-    def mean(self) -> float:
-        return self.y_mean * self.x_mean
-
-    @property
     def atom_at_zero(self) -> float:
         """P(Z = 0) = exp(-y_mean)."""
         return math.exp(-self.y_mean)

@@ -292,10 +292,15 @@ def test_one_alpha_kinds_reject_a_second_alpha(kind, args, alphas, monkeypatch, 
     ["verify", "--kind", "MultivariateCov", "--alpha", "0,1", "--reps", "10",
      "--schedule", "1,0.5"],
     ["predict", "--alpha", "0,1"],
+    ["verify", "--kind", "OrderStatistics", "--alpha", "2", "--reps", "10"],
+    ["verify", "--kind", "CompoundPoisson", "--alpha", "2", "--reps", "10",
+     "--schedule", "1,1"],
+    ["verify", "--kind", "PPConditions", "--alpha", "2", "--reps", "10",
+     "--t-grid", "200,400"],
 ])
 def test_poisson_formulas_reject_binomial_runs(argv, monkeypatch, capsys):
-    # these compare with the Poisson formulas at t = n, which do not describe
-    # n binomial points
+    # these compare with the Poisson formulas at t = n (rescaled by t, or along
+    # a schedule's delta_t), which do not describe n binomial points
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
     rc = cli.main(argv + ["--window", "box:1x1", "--n", "400", "--delta", "0.05"])
     assert rc == 2
@@ -359,8 +364,9 @@ _BOX = ["--window", "box:1x1", "--t", "10", "--alpha", "1", "--reps", "3"]
     (["simulate", *_BOX, "--delta", "1e300"], "OverflowError"),
     (["verify", "--kind", "CLT", *_BOX, "--delta", "1e-300"], "ZeroDivisionError"),
     (["verify", "--kind", "LDI", *_BOX, "--delta", "1e-300"], "ZeroDivisionError"),
-    (["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "1e120", "--delta", "1e-200",
-      "--alpha", "1", "--reps", "3"], "OverflowError"),
+    # 1e6 points; (1e99)^4 overflows in the interior covariance moment
+    (["verify", "--kind", "Moments", "--window", "box:1e100x1e100", "--t", "1e-194",
+      "--delta", "1e99", "--alpha", "2", "--reps", "3"], "OverflowError"),
     (["predict", "--window", "box:1x1", "--t", "10", "--alpha", "0,1",
       "--schedule", "1e-300,0.5"], "ZeroDivisionError"),
 ], ids=["clt_edge_budget", "simulate_edge_budget", "clt_kolmogorov", "ldi_xstar",
@@ -419,8 +425,9 @@ def test_edge_budget_leaves_smaller_runs_and_predict_alone(monkeypatch, capsys):
 
 
 # E[points] = t V (or n) per replication: 3e299 points on box:1e150x1e150, past
-# numpy's Poisson limit, and 6e8 on ball:2@d=7 at t = 1e6 (31 GB of
-# coordinates); the schedules make delta so small that the edge budget passes.
+# numpy's Poisson limit, 6e8 on ball:2@d=7 at t = 1e6 (31 GB of coordinates),
+# and 2e7 at the second t of a grid, checked before the first t's replications;
+# delta is so small that the edge budget passes.
 @pytest.mark.parametrize("argv", [
     ["verify", "--kind", "Moments", "--window", "box:1e150x1e150", "--t", "0.3",
      "--schedule", "1e-300,0.5", "--alpha", "1e-9", "--reps", "2"],
@@ -428,13 +435,34 @@ def test_edge_budget_leaves_smaller_runs_and_predict_alone(monkeypatch, capsys):
      "--reps", "3"],
     ["simulate", "--window", "box:1x1", "--n", "20000000", "--delta", "1e-9", "--alpha", "1",
      "--reps", "3"],
-], ids=["poisson_limit", "ball_d7", "binomial"])
+    ["verify", "--kind", "CLT", "--window", "box:1x1", "--t-grid", "1e6,2e7", "--delta", "1e-4",
+     "--alpha", "1", "--reps", "20"],
+], ids=["poisson_limit", "ball_d7", "binomial", "t_grid"])
 def test_point_budget_exits_2_before_replications(argv, monkeypatch, capsys):
     monkeypatch.setattr(experiments, "replication_sample", _no_replications)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: at ")
     assert f"above the budget of {experiments.POINT_BUDGET:.3g} points in memory" in err
+
+
+# t^(2 alpha/d) is 1e-600 (0.0 in floating point) or 1e500 (OverflowError)
+@pytest.mark.parametrize("kind,args,named", [
+    ("OrderStatistics", ["--window", "box:0.5", "--t", "1e-300", "--delta", "0.1", "--alpha", "1"],
+     "alpha = 1.0, t = 1e-300"),
+    ("OrderStatistics", ["--window", "box:1x1", "--t", "1e5", "--delta", "0.001",
+                         "--alpha", "100"], "alpha = 100.0, t = 100000.0"),
+    ("CompoundPoisson", ["--window", "box:1x1", "--t-grid", "1e-3,1", "--schedule", "1,1",
+                         "--alpha", "200"], "alpha = 200.0, t = 0.001"),
+    ("CompoundPoisson", ["--window", "box:1x1", "--t-grid", "10,1e5", "--schedule", "1,1",
+                         "--alpha", "100"], "alpha = 100.0, t = 100000.0"),
+], ids=["order_underflow", "order_overflow", "cp_underflow", "cp_overflow"])
+def test_limit_rescale_leaving_the_floats_exits_2(kind, args, named, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "replication_sample", _no_replications)
+    assert cli.main(["verify", "--kind", kind, "--reps", "2"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: the rescale t^(2 alpha/d) underflows")
+    assert named in err
 
 
 @pytest.mark.parametrize("alpha,named", [
