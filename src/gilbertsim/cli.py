@@ -1,10 +1,12 @@
 """Command-line front end: simulate, predict, verify, covariogram.
 
-Config files are flat `key = value` lines with `#` comments; flags override
-config values. Seed precedence: --seed flag, then GILBERT_SEED, then config,
-then 0. Exit codes: 0 success (all verdicts pass), 1 failed verdicts,
-2 usage/config errors, including overflow, division by zero or an invalid
-floating-point value at extreme inputs (numpy raises instead of warning).
+Config files are flat `key = value` lines with `#` comments, one per run
+setting; flags override config values. Verdict tolerances are fixed, not
+settings. A window is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence:
+--seed flag, then GILBERT_SEED, then config, then 0. Exit codes: 0 success
+(all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
+overflow, division by zero or an invalid floating-point value at extreme
+inputs (numpy raises instead of warning).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GilbertSimError
-from .experiments import (VERIFICATION_KINDS, DEFAULT_TOLERANCES,
-                          ExperimentConfig, check_memory_budget, ldi_table_to_csv,
+from .experiments import (VERIFICATION_KINDS, ExperimentConfig,
+                          check_memory_budget, ldi_table_to_csv,
                           replications_to_csv, report_to_json, require_poisson,
                           run_replications, run_verification, simulate_row)
 from .geometry import ConvexWindow, covariogram
@@ -32,23 +34,17 @@ from .theory_moments import (RegimeSchedule, TheoryPrediction,
                              variance_asymptotic)
 
 
-def parse_window(text: str, dim: int | None = None) -> ConvexWindow:
-    """box:1x1, box:2x1x0.5, ball:1.0@d=3 (or ball:R with an explicit dim)."""
+def parse_window(text: str) -> ConvexWindow:
+    """box:1x1, box:2x1x0.5 or ball:1.0@d=3."""
     try:
         kind, _, rest = text.partition(":")
         if kind == "box" and rest:
             return ConvexWindow.box([float(s) for s in rest.split("x")])
         if kind == "ball" and rest:
             radius, _, dpart = rest.partition("@")
-            if dpart:
-                if not dpart.startswith("d="):
-                    raise ValueError("ball dimension must look like @d=3")
-                d = int(dpart[2:])
-            elif dim is not None:
-                d = int(dim)
-            else:
-                raise ValueError("ball window needs @d=<dim> or an explicit dim")
-            return ConvexWindow.ball(float(radius), d)
+            if not dpart.startswith("d="):
+                raise ValueError("ball window needs its dimension as @d=<dim>")
+            return ConvexWindow.ball(float(radius), int(dpart[2:]))
     except ValueError as exc:
         raise ConfigError(f"bad window {text!r}: {exc}") from None
     raise ConfigError(f"bad window {text!r}: expected box:<s1>x<s2>... or ball:<r>@d=<dim>")
@@ -73,9 +69,9 @@ def canonical_kind(text: str) -> str:
 # Run settings: config key -> (flag, help, converter). Flags are built from it
 # with dest = key and no argparse type, so flag and config values share one
 # converter. model and n_jobs are config-only; --kind is on `verify` only.
+# These 12 keys are every setting of a run: verdict tolerances are fixed.
 _SETTINGS = {
     "window": ("--window", "box:1x1 | box:2x1x0.5 | ball:1.0@d=3", str),
-    "dim": ("--dim", "dimension for ball:<r> windows", int),
     "model": (None, None, str),
     "t": ("--t", "Poisson intensity", float),
     "n": ("--n", "binomial point count", int),
@@ -91,10 +87,9 @@ _SETTINGS = {
 
 
 def _convert(key: str, text: str):
-    """A run setting's value from its text; tol_* keys are floats."""
-    cast = float if key.startswith("tol_") else _SETTINGS[key][2]
+    """A run setting's value from its text."""
     try:
-        return cast(text)
+        return _SETTINGS[key][2](text)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {key!r}: {exc}") from None
 
@@ -118,10 +113,8 @@ def load_config(path: str) -> dict:
         value = value.strip()
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in _SETTINGS and not key.startswith("tol_"):
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key.startswith("tol_") and key[4:] not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"{path}:{lineno}: unknown tolerance key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
         raw[key] = value
@@ -140,7 +133,7 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     if "t" in flags:
         model = "poisson"
     elif "n" in flags:
-        model = model or "binomial"
+        model = "binomial"
     elif model is None:
         model = "poisson" if ("t" in merged or "t_grid" in merged) else (
             "binomial" if "n" in merged else None)
@@ -157,7 +150,7 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"GILBERT_SEED must be an integer, got {env!r}") from None
     return ExperimentConfig(
-        window=parse_window(values["window"], values.get("dim")),
+        window=parse_window(values["window"]),
         model=model,
         alphas=values["alphas"],
         replications=values["reps"], master_seed=values.get("seed", 0),
@@ -167,7 +160,6 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
         t_grid=values.get("t_grid"),
         schedule=values.get("schedule"),
         delta=values.get("delta"),
-        tolerances={k[4:]: v for k, v in values.items() if k.startswith("tol_")},
         n_jobs=values.get("n_jobs", 1))
 
 
@@ -275,7 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_covariogram(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ConfigError("--steps must be >= 1")
-    window = parse_window(args.window, args.dim)
+    window = parse_window(args.window)
     try:
         direction = np.array(_parse_floats(args.direction), dtype=float)
     except ValueError:
@@ -328,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser("covariogram", help="tabulate the covariogram along a direction")
     p_cov.add_argument("--window", required=True)
-    p_cov.add_argument("--dim", type=int)
     p_cov.add_argument("--direction", required=True, help="comma vector, e.g. 1,0")
     p_cov.add_argument("--rmax", type=float)
     p_cov.add_argument("--steps", type=int, default=101)

@@ -36,7 +36,8 @@ from .theory_moments import (RegimeSchedule, covariance_bounds,
                              expectation_exact, kolmogorov_bound,
                              normalization, sigma_matrix)
 
-DEFAULT_TOLERANCES = {
+# Fixed verdict tolerances; each report lists them under config.tolerances.
+TOLERANCES = {
     "mean_se_mult": 4.0,      # mean-type checks: |empirical - theory| <= k*SE
     "cov_rel": 0.10,          # relative error vs exact covariance
     "cov_entry_abs": 0.1,     # absolute entry tolerance for Sigma (or 4*SE)
@@ -76,7 +77,6 @@ class ExperimentConfig:
     t_grid: tuple[float, ...] | None = None
     schedule: RegimeSchedule | None = None
     delta: float | None = None
-    tolerances: dict = field(default_factory=dict)
     n_jobs: int = 1
 
     def __post_init__(self):
@@ -106,15 +106,6 @@ class ExperimentConfig:
             raise ConfigError(f"alphas must be distinct, got {list(self.alphas)!r}")
         if self.n_jobs < 1:
             raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs!r}")
-        for key, val in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}")
-            signed = key in ("slope_max", "tail_slope_min")
-            if not math.isfinite(val) or (val <= 0 and not signed):
-                raise ConfigError(f"tolerance {key!r} must be finite and > 0, got {val!r}")
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def intensity(self) -> float:
         """The single intensity of a run: t (Poisson model) or n (binomial)."""
@@ -140,7 +131,7 @@ class ExperimentConfig:
             "replications": self.replications,
             "seed": self.master_seed,
             "kind": self.kind,
-            "tolerances": {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)},
+            "tolerances": dict(TOLERANCES),
         }
         if self.t is not None:
             out["t"] = self.t
@@ -224,8 +215,13 @@ def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
                             **kwargs)
 
 
-def empirical_moments(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column means, unbiased covariance, and standard errors of the means."""
+def empirical_moments(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Column means, unbiased covariance, standard errors of the means, and
+    moment-based standard errors of the covariance entries.
+
+    Var(s_ij) ~ (E[(x_i-mu_i)^2 (x_j-mu_j)^2] - c_ij^2)/R; unlike the
+    normal-theory formula this stays honest for the heavy-tailed small-t data.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     r = matrix.shape[0]
     if r < 2:
@@ -233,23 +229,10 @@ def empirical_moments(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     means = matrix.mean(axis=0)
     cov = np.atleast_2d(np.cov(matrix, rowvar=False, ddof=1))
     se = matrix.std(axis=0, ddof=1) / math.sqrt(r)
-    return means, cov, se
-
-
-def covariance_entry_se(matrix: np.ndarray) -> np.ndarray:
-    """Moment-based standard errors of sample covariance entries.
-
-    Var(s_ij) ~ (E[(x_i-mu_i)^2 (x_j-mu_j)^2] - c_ij^2)/R; unlike the
-    normal-theory formula this stays honest for the heavy-tailed small-t data.
-    """
-    x = np.atleast_2d(np.asarray(matrix, dtype=float))
-    r = x.shape[0]
-    if r < 2:
-        raise TooFewReplicationsError("need at least 2 replications")
-    z = x - x.mean(axis=0)
-    cov = z.T @ z / (r - 1)
+    z = matrix - means
     m22 = (z**2).T @ (z**2) / r
-    return np.sqrt(np.maximum(m22 - cov**2, 0.0) / r)
+    cov_se = np.sqrt(np.maximum(m22 - (z.T @ z / (r - 1))**2, 0.0) / r)
+    return means, cov, se, cov_se
 
 
 class EmpiricalCdf:
@@ -316,7 +299,11 @@ class Metric:
     verdict: bool
     anchor: str
     se: float | None = None
-    tolerance_value: float | None = None  # None: config.tolerance(tolerance_name)
+    tolerance_value: float | None = None  # None: TOLERANCES[tolerance_name]
+
+    def __post_init__(self):
+        if self.tolerance_value is None:
+            self.tolerance_value = TOLERANCES[self.tolerance_name]
 
 
 @dataclass
@@ -396,11 +383,7 @@ def ldi_table_to_csv(table: dict) -> str:
 
 def _finish(config: ExperimentConfig, metrics: list[Metric],
             tables: dict | None = None) -> ExperimentReport:
-    """The suite's report; each metric without a per-entry tolerance value
-    reports config.tolerance(tolerance_name), the value its verdict used."""
-    for m in metrics:
-        if m.tolerance_value is None:
-            m.tolerance_value = config.tolerance(m.tolerance_name)
+    """The suite's report: the config's echo, its metrics and any tables."""
     return ExperimentReport(config=config.echo(), metrics=metrics,
                             seed=config.master_seed, version=__version__,
                             tables=tables or {})
@@ -421,11 +404,10 @@ def _within(name: str, empirical, theory, allowed: float, tolerance_name: str,
                   verdict=gap <= allowed, anchor=anchor)
 
 
-def _sandwich(config: ExperimentConfig, name: str, value: float, bounds, se: float,
-              anchor: str) -> Metric:
+def _sandwich(name: str, value: float, bounds, se: float, anchor: str) -> Metric:
     """Pass when value lies in the theory sandwich (lo, hi), each end widened by k*SE."""
     lo, hi = bounds
-    widen = config.tolerance("mean_se_mult") * se
+    widen = TOLERANCES["mean_se_mult"] * se
     return Metric(name=name, empirical=value, theory=bounds, se=se,
                   tolerance_name="mean_se_mult", verdict=lo - widen <= value <= hi + widen,
                   anchor=anchor)
@@ -444,11 +426,11 @@ def _decreasing(name: str, values, tolerance_name: str, anchor: str, theory=None
                   verdict=all(b < a for a, b in zip(values[:-1], values[1:])), anchor=anchor)
 
 
-def _ks_along_grid(config: ExperimentConfig, ks_list: list[float], final: str,
-                   final_anchor: str, falling: str, falling_anchor: str) -> list[Metric]:
+def _ks_along_grid(ks_list: list[float], final: str, final_anchor: str, falling: str,
+                   falling_anchor: str) -> list[Metric]:
     """The KS at the largest t below its tolerance and, on a grid of two or
     more t, the KS distances strictly decreasing along it."""
-    metrics = [_below(final, ks_list[-1], config.tolerance("ks"), "ks", final_anchor)]
+    metrics = [_below(final, ks_list[-1], TOLERANCES["ks"], "ks", final_anchor)]
     if len(ks_list) >= 2:
         metrics.append(_decreasing(falling, ks_list, "ks", falling_anchor))
     return metrics
@@ -469,8 +451,8 @@ def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
     a value that cannot be computed stops the run before any replication."""
     window = config.window
     alphas = config.alphas
-    k_se = config.tolerance("mean_se_mult")
-    rel = config.tolerance("cov_rel")
+    k_se = TOLERANCES["mean_se_mult"]
+    rel = TOLERANCES["cov_rel"]
     # covariances first: a window without an exact covariance stops the run
     # before any mean's quadrature
     pairs = [(i, j, a, b) for i, a in enumerate(alphas) for j, b in enumerate(alphas[i:], i)]
@@ -479,20 +461,19 @@ def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
     mean_theory = [(expectation_exact(window, t, delta, alpha),
                     expectation_bounds(window, t, delta, alpha)) for alpha in alphas]
     matrix = powers()
-    means, cov, se = empirical_moments(matrix)
-    cse = covariance_entry_se(matrix)
+    means, cov, se, cse = empirical_moments(matrix)
     metrics = []
     for i, (alpha, (exact, bounds)) in enumerate(zip(alphas, mean_theory)):
         mean, mse = float(means[i]), float(se[i])
         metrics += [
             _within(f"mean[alpha={alpha}] vs exact", mean, exact, k_se * mse, "mean_se_mult",
                     "mean: closed-form radial covariogram integral", se=mse),
-            _sandwich(config, f"mean[alpha={alpha}] in sandwich", mean, bounds, mse,
+            _sandwich(f"mean[alpha={alpha}] in sandwich", mean, bounds, mse,
                       "mean sandwich: volume and surface-correction bounds")]
     for (i, j, a, b), (exact, bounds) in zip(pairs, cov_theory):
         value, vse = float(cov[i, j]), float(cse[i, j])
         metrics += [
-            _sandwich(config, f"cov[{a},{b}] in sandwich", value, bounds, vse,
+            _sandwich(f"cov[{a},{b}] in sandwich", value, bounds, vse,
                       "covariance sandwich with inner-parallel volume bound"),
             _within(f"cov[{a},{b}] vs exact", value, exact, max(rel * abs(exact), k_se * vse),
                     "cov_rel", "covariance: quadrature of the two-point moment split",
@@ -527,13 +508,13 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
                                   theory=bound))
     for alpha, ks_list in ks_by_alpha.items():
         metrics += _ks_along_grid(
-            config, ks_list, f"KS[alpha={alpha}] final",
+            ks_list, f"KS[alpha={alpha}] final",
             "normal approximation at the largest intensity", f"KS[alpha={alpha}] decreasing",
             "normal approximation error decays with intensity")
         if len(ks_list) >= 2:
             slope = float(np.polyfit(np.log(grid), np.log(ks_list), 1)[0])
             metrics.append(_below(f"KS[alpha={alpha}] log-log slope", slope,
-                                  config.tolerance("slope_max"), "slope_max",
+                                  TOLERANCES["slope_max"], "slope_max",
                                   "rate shape: KS decays like an inverse square root",
                                   theory=-0.5))
     return _finish(config, metrics)
@@ -551,11 +532,10 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     norms = np.array([normalization(t, delta, a, d) for a in alphas])
     exacts = np.array([expectation_exact(config.window, t, delta, a) for a in alphas])
     scaled = (_length_powers(config) - exacts) / norms
-    _, cov, _ = empirical_moments(scaled)
+    _, cov, _, cse = empirical_moments(scaled)
     sig = sigma_matrix(alphas, d, config.window.volume, config.schedule)
-    cse = covariance_entry_se(scaled)
-    abs_tol = config.tolerance("cov_entry_abs")
-    k_se = config.tolerance("mean_se_mult")
+    abs_tol = TOLERANCES["cov_entry_abs"]
+    k_se = TOLERANCES["mean_se_mult"]
     metrics = []
     for i, a in enumerate(alphas):
         for j, b in enumerate(alphas[i:], i):
@@ -565,11 +545,11 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
                                    se=float(cse[i, j]), tolerance_value=tol))
     if config.schedule.classify(d) == "dense":
         metrics.append(_below("dense-regime smallest eigenvalue",
-                              float(np.linalg.eigvalsh(cov)[0]), config.tolerance("eig_max"),
+                              float(np.linalg.eigvalsh(cov)[0]), TOLERANCES["eig_max"],
                               "eig_max", "rank-one limit covariance in the dense regime"))
     else:
         metrics += [_below(f"marginal KS[alpha={alpha}]", _normal_ks(scaled[:, i]),
-                           config.tolerance("ks"), "ks",
+                           TOLERANCES["ks"], "ks",
                            "multivariate normal limit: marginal distribution check")
                     for i, alpha in enumerate(alphas)]
     return _finish(config, metrics)
@@ -607,10 +587,10 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     atom = float(np.mean(powers == 0.0))  # at the largest t
     se = math.sqrt(max(atom * (1.0 - atom), 1e-12) / config.replications)
     metrics = [_within("void probability P(L=0)", atom, model.atom_at_zero,
-                       config.tolerance("mean_se_mult") * se, "mean_se_mult",
+                       TOLERANCES["mean_se_mult"] * se, "mean_se_mult",
                        "compound Poisson limit: atom at zero", se=se)]
     metrics += _ks_along_grid(
-        config, ks_list, "KS vs compound-Poisson reference (final)",
+        ks_list, "KS vs compound-Poisson reference (final)",
         "compound Poisson limit of the rescaled functional",
         "KS vs compound-Poisson reference decreasing",
         "compound Poisson approximation improves with intensity")
@@ -661,7 +641,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
             [order_statistic_cdf(m, float(x), limit, v, d) for x in np.atleast_1d(u)]),
             mass=order_statistic_cdf(m, math.inf, limit, v, d))
         tol_name = "ks_first_order_stat" if m == 1 else "ks"
-        metrics.append(_below(f"KS order statistic m={m}", ks, config.tolerance(tol_name),
+        metrics.append(_below(f"KS order statistic m={m}", ks, TOLERANCES[tol_name],
                               tol_name, "order-statistic limit law of rescaled edge-length powers"))
     counts = rows[:, 5:]
     # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
@@ -671,7 +651,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
         metrics.append(_within(f"interval count mean [{lo:.4g},{hi:.4g})",
                                float(counts[:, k].mean()), nu,
-                               config.tolerance("mean_se_mult") * se, "mean_se_mult",
+                               TOLERANCES["mean_se_mult"] * se, "mean_se_mult",
                                "intensity measure of the limiting edge-length process", se=se))
     # An interval beyond the limit's total mass kd V c/2 holds no point and is
     # left out.  Any other count that is the same in every replication has no
@@ -682,7 +662,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
             cc = np.corrcoef(counts[:, live], rowvar=False)
         metrics.append(_below("interval count max |corr|",
                               float(np.max(np.abs(cc - np.eye(cc.shape[0])))),
-                              config.tolerance("corr_max"), "corr_max",
+                              TOLERANCES["corr_max"], "corr_max",
                               "independence over disjoint sets in the Poisson process limit"))
     return _finish(config, metrics)
 
@@ -698,7 +678,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     bounds on a u-grid; optional thermodynamic slope test along a t-grid."""
     metrics: list[Metric] = []
     tables: dict = {}
-    conf = config.tolerance("cp_confidence")
+    conf = TOLERANCES["cp_confidence"]
     reps = config.replications
     intensity = config.intensity()
     delta = config.delta_for(intensity)
@@ -761,7 +741,7 @@ def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
     # the one check that passes strictly above its tolerance
     return Metric(
         name="thermodynamic tail exponent slope", empirical=slope, theory=None,
-        tolerance_name="tail_slope_min", verdict=slope > config.tolerance("tail_slope_min"),
+        tolerance_name="tail_slope_min", verdict=slope > TOLERANCES["tail_slope_min"],
         anchor="thermodynamic-regime deviation exponent shape")
 
 
@@ -792,7 +772,7 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
         limit = pp_condition_limits(config.window, alpha, u, edge_c)
         metrics += [
             _within(f"a_t(u={u}) at largest t", a_vals[-1], limit,
-                    config.tolerance("a_limit_rel") * abs(limit), "a_limit_rel",
+                    TOLERANCES["a_limit_rel"] * abs(limit), "a_limit_rel",
                     "mean count condition of the process limit"),
             _decreasing(f"r_t(u={u}) decreasing to zero", list(r_vals), "r_const_rel",
                         "local mass condition of the process limit", theory=0.0)]
@@ -802,7 +782,7 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
                   < min(config.delta_for(t), config.window.inradius)]
         if ratios:
             metrics.append(_within(f"r_t*t constancy (u={u})", ratios, 1.0,
-                                   config.tolerance("r_const_rel"), "r_const_rel",
+                                   TOLERANCES["r_const_rel"], "r_const_rel",
                                    "interior local-mass value below the inradius"))
     return _finish(config, metrics)
 

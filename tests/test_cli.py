@@ -44,9 +44,7 @@ def test_parse_window_forms():
     assert w.dim == 3 and w.sides == (2.0, 1.0, 0.5)
     w = cli.parse_window("ball:1.0@d=3")
     assert w.kind == "ball" and w.dim == 3 and w.radius == 1.0
-    w = cli.parse_window("ball:0.5", dim=2)
-    assert w.dim == 2
-    for bad in ("ball:1.0", "box:", "sphere:1", "box:1xq", "ball:1@n=3"):
+    for bad in ("ball:1.0", "ball:0.5", "box:", "sphere:1", "box:1xq", "ball:1@n=3"):
         with pytest.raises(ConfigError):
             cli.parse_window(bad)
 
@@ -86,7 +84,7 @@ def test_load_config_rejects_duplicates_and_unknown(tmp_path):
         cli.load_config(write_cfg(tmp_path, "t = 1\nt = 2\n"))
     with pytest.raises(ConfigError, match="unknown key 'frobnicate'"):
         cli.load_config(write_cfg(tmp_path, "frobnicate = 1\n"))
-    with pytest.raises(ConfigError, match="unknown tolerance key 'tol_bogus'"):
+    with pytest.raises(ConfigError, match="unknown key 'tol_bogus'"):
         cli.load_config(write_cfg(tmp_path, "tol_bogus = 1\n"))
     with pytest.raises(ConfigError):
         cli.load_config(str(tmp_path / "missing.cfg"))
@@ -120,14 +118,14 @@ def test_t_grid_flag_implies_poisson(tmp_path):
 
 @pytest.mark.parametrize("cfg,argv,model,intensity", [
     ("t = 100\n", ["--n", "400"], "binomial", 400.0),
-    ("model = poisson\nt = 100\n", ["--n", "400"], "poisson", 100.0),
+    ("model = poisson\nt = 100\n", ["--n", "400"], "binomial", 400.0),
     ("model = binomial\nn = 400\n", ["--t", "100"], "poisson", 100.0),
     ("n = 400\n", [], "binomial", 400.0),
     ("t_grid = 100,400\n", [], "poisson", None),
 ])
 def test_model_precedence(cfg, argv, model, intensity, tmp_path):
-    # a --t flag means poisson; a --n flag means the config's model, or
-    # binomial; otherwise the config's model, or what t, t_grid or n imply
+    # a --t flag means poisson and a --n flag binomial; otherwise the
+    # config's model, or what t, t_grid or n imply
     raw = cli.load_config(write_cfg(tmp_path, cfg + "window = box:1x1\ndelta = 0.05\n"))
     args = cli.build_parser().parse_args(["simulate", "--alpha", "0", "--reps", "2"] + argv)
     config = cli.resolve_config(raw, args)
@@ -138,7 +136,7 @@ def test_model_precedence(cfg, argv, model, intensity, tmp_path):
 
 @pytest.mark.parametrize("flag,value,key", [
     ("--t", "abc", "t"), ("--n", "1e3", "n"), ("--reps", "x", "reps"),
-    ("--seed", "1.5", "seed"), ("--dim", "x", "dim"), ("--delta", "x", "delta"),
+    ("--seed", "1.5", "seed"), ("--delta", "x", "delta"),
 ])
 def test_bad_flag_value_exits_2_naming_its_key(flag, value, key, capsys):
     # flags and config values go through one converter, so a bad flag is a
@@ -219,16 +217,17 @@ def test_verify_reports_identical_bytes(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_verify_exit_codes(tmp_path, capsys):
+def test_verify_exit_codes(tmp_path, capsys, monkeypatch):
     # unknown config key -> 2, named on stderr
     bad = write_cfg(tmp_path, "window = box:1x1\nwidth = 3\n", "bad.cfg")
     assert cli.main(["verify", "--config", bad]) == 2
     assert "width" in capsys.readouterr().err
-    # impossible tolerance forces a failed verdict -> exit 1
-    path = write_cfg(tmp_path, MINIMAL + "tol_cov_rel = 1e-9\ntol_mean_se_mult = 1e-9\n",
-                     "strict.cfg")
-    assert cli.main(["verify", "--config", path, "--seed", "1",
-                     "--out", str(tmp_path / "strict.json")]) == 1
+    # a wrong theory mean forces a failed verdict -> exit 1
+    path = write_cfg(tmp_path, MINIMAL, "strict.cfg")
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "expectation_exact", lambda *args: 1e9)
+        assert cli.main(["verify", "--config", path, "--seed", "1",
+                         "--out", str(tmp_path / "strict.json")]) == 1
     # order statistics need alpha > 0
     for alpha in ("0", "-1"):
         assert cli.main(["verify", "--kind", "OrderStatistics", "--window", "box:1x1",
@@ -238,6 +237,41 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 def _no_replications(*args, **kwargs):
     raise AssertionError("a replication ran before the config was rejected")
+
+
+@pytest.mark.parametrize("args,config,message", [
+    (["--kind", "Everything", "--t", "100", "--delta", "0.05"], None,
+     "unknown kind 'Everything'; choose one of Moments, CLT,"),
+    (["--t", "100", "--delta", "0.05"], "reps 10\n", "expected key = value, got 'reps 10'"),
+    (["--t", "100", "--delta", "0.05"], "seed =\n", "empty value for key 'seed'"),
+    (["--delta", "0.05"], None, "missing required key 'model' (or t / n)"),
+    (["--kind", "MultivariateCov", "--t", "100", "--delta", "0.05"], None,
+     "MultivariateCov needs a schedule"),
+    (["--kind", "CompoundPoisson", "--t-grid", "50,200", "--schedule", "1,0.5"], None,
+     "CompoundPoisson needs a schedule with t^2 delta^d -> c in (0, inf)"),
+], ids=["unknown_kind", "line_without_equals", "empty_value", "no_intensity_or_model",
+        "multivariate_without_schedule", "compound_poisson_without_finite_c"])
+def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    argv = ["verify", "--window", "box:1x1", "--alpha", "2", "--reps", "10"] + args
+    if config is not None:
+        argv += ["--config", write_cfg(tmp_path, config)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_ball_dimension_has_one_spelling(capsys):
+    # ball:<r>@d=<dim>; there is no --dim flag
+    assert cli.main(["predict", "--window", "ball:0.5", "--t", "100", "--delta", "0.05",
+                     "--alpha", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad window 'ball:0.5': ")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--window", "box:1x1", "--dim", "3", "--t", "100",
+                  "--delta", "0.05", "--alpha", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,args,alpha", [
@@ -667,7 +701,11 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys):
 
 
 # Config-file values that do not convert; stderr names their key.
-UNCONVERTIBLE = ("dim = x", "tol_ks = abc", "reps = x")
+UNCONVERTIBLE = ("reps = x",)
+# Keys of settings that no longer exist (a ball's separate dimension and the
+# verdict tolerances, now fixed); stderr names each as an unknown key.
+REMOVED_KEYS = ("dim = x", "tol_ks = abc", "tol_slope_max = nan",
+                "tol_tail_slope_min = inf", "tol_ks = 0")
 
 
 @pytest.mark.parametrize("bad", [
@@ -682,8 +720,7 @@ UNCONVERTIBLE = ("dim = x", "tol_ks = abc", "reps = x")
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0"],
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
     # config-file lines
-    *UNCONVERTIBLE, "n_jobs = -3", "n_jobs = 0", "tol_slope_max = nan",
-    "tol_tail_slope_min = inf", "tol_ks = 0",
+    *UNCONVERTIBLE, *REMOVED_KEYS, "n_jobs = -3", "n_jobs = 0",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate", "predict"])
 def test_bad_numbers_exit_2(command, bad, tmp_path, capsys):
@@ -699,7 +736,9 @@ def test_bad_numbers_exit_2(command, bad, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     if bad in UNCONVERTIBLE:
-        assert repr(key) in err
+        assert f"invalid value for {key!r}" in err
+    if bad in REMOVED_KEYS:
+        assert f"unknown key {key!r}" in err
 
 
 def test_simulate_csv_and_edge_dump(tmp_path):

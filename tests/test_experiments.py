@@ -30,22 +30,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cfg(delta=None)
     with pytest.raises(ConfigError):
-        cfg(tolerances={"bogus": 1.0})
-    with pytest.raises(ConfigError):
         cfg(kind="Everything")
     for bad in (dict(delta=0.0), dict(delta=math.inf), dict(t=-5.0), dict(t=math.nan),
                 dict(model="binomial", t=None, n=0), dict(t_grid=(100.0, 0.0)),
-                dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3),
-                dict(tolerances={"slope_max": math.nan}), dict(tolerances={"ks": math.inf}),
-                dict(tolerances={"cov_rel": 0.0}), dict(tolerances={"tail_slope_min": -math.inf})):
+                dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3)):
         with pytest.raises(ConfigError):
             cfg(**bad)
-    assert cfg(tolerances={"ks": 0.04}).tolerance("ks") == 0.04
-    assert cfg().tolerance("ks") == 0.05
-    # the signed slope thresholds accept their defaults and negative values
-    for key in ("slope_max", "tail_slope_min"):
-        for value in (ex.DEFAULT_TOLERANCES[key], 0.0, -1.0):
-            assert cfg(tolerances={key: value}).tolerance(key) == value
 
 
 def _powers_points_degree(r, sample, edges):
@@ -75,14 +65,14 @@ def test_run_replications_mean_matches_oracle():
 
 def test_empirical_moments():
     data = np.array([[1.0, 2.0], [3.0, 6.0], [5.0, 4.0]])
-    means, cov, se = ex.empirical_moments(data)
+    means, cov, se, cov_se = ex.empirical_moments(data)
     assert means == pytest.approx([3.0, 4.0])
     assert cov[0, 0] == pytest.approx(4.0)  # hand: var of 1,3,5
     assert cov[0, 1] == pytest.approx(2.0)  # hand: ((-2)(-2)+0+2*0)/2
     assert se[0] == pytest.approx(2.0 / math.sqrt(3.0))
     const = np.ones((5, 1))
-    m, c, s = ex.empirical_moments(const)
-    assert c[0, 0] == 0.0 and s[0] == 0.0
+    m, c, s, cs = ex.empirical_moments(const)
+    assert c[0, 0] == 0.0 and s[0] == 0.0 and cs[0, 0] == 0.0
     with pytest.raises(TooFewReplicationsError):
         ex.empirical_moments(np.ones((1, 2)))
 
@@ -140,7 +130,7 @@ def test_covariance_entry_se_heavy_tail_honest():
     rng = np.random.default_rng(9)
     p = 0.01
     x = (rng.random((2000, 1)) < p).astype(float)
-    se = ex.covariance_entry_se(x)[0, 0]
+    se = ex.empirical_moments(x)[3][0, 0]
     # true sampling sd of the variance estimate is ~sqrt(p/R), far above the
     # normal-theory value var*sqrt(2/R)
     assert se == pytest.approx(math.sqrt(p / 2000.0), rel=0.35)
@@ -280,12 +270,12 @@ def test_verify_ldi_thermo_slope():
 
 def test_reported_tolerance_is_the_verdict_tolerance():
     c = cfg(kind="LDI", alphas=(0.0,), replications=50, t=200.0,
-            t_grid=(200.0, 400.0, 800.0), delta=None, schedule=RegimeSchedule(1.0, 0.5),
-            tolerances={"tail_slope_min": -1.0, "cp_confidence": 0.99})
+            t_grid=(200.0, 400.0, 800.0), delta=None, schedule=RegimeSchedule(1.0, 0.5))
     rep = ex.verify_ldi(c)
     assert any(m.tolerance_name == "tail_slope_min" for m in rep.metrics)
     for m in rep.metrics:
-        assert m.tolerance_value == c.tolerance(m.tolerance_name), m.name
+        assert m.tolerance_value == ex.TOLERANCES[m.tolerance_name], m.name
+    assert rep.config["tolerances"] == ex.TOLERANCES
 
 
 def test_verify_pp_conditions():

@@ -22,64 +22,56 @@ from gilbertsim import ConvexWindow, RegimeSchedule, cli, d3_bound
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Cases whose intensity comes only from a t-grid get the model from a config
-# file holding `model = poisson`.
-MODEL_CONFIG = "model = poisson\n"
-
 VERIFY = ["verify", "--reps", "50", "--alpha"]
 CASES = {
-    "verify_moments_box": (VERIFY + ["0,1", "--kind", "Moments", "--window", "box:1x1",
-                                     "--t", "100", "--delta", "0.05", "--seed", "1"], False),
-    "verify_moments_ball": (VERIFY + ["0,1", "--kind", "Moments", "--window", "ball:1@d=2",
-                                      "--t", "100", "--delta", "0.05", "--seed", "2"], False),
-    "verify_clt": (VERIFY + ["1", "--kind", "CLT", "--window", "box:0.2x0.2",
-                             "--t-grid", "200,800", "--schedule", "1,0.5", "--seed", "3"], True),
-    "verify_mv_thermo": (VERIFY + ["0,1", "--kind", "MultivariateCov", "--window", "box:1x1",
-                                   "--t", "800", "--schedule", "1,0.5", "--seed", "4"], False),
-    "verify_mv_dense": (VERIFY + ["0,1", "--kind", "MultivariateCov", "--window", "box:1x1",
-                                  "--t", "2000", "--schedule", "1,0.3", "--seed", "5"], False),
-    "verify_cp": (VERIFY + ["2", "--kind", "CompoundPoisson", "--window", "box:1x1",
-                            "--t-grid", "50,200", "--schedule", "1,1", "--seed", "6"], True),
-    "verify_order": (VERIFY + ["2", "--kind", "OrderStatistics", "--window", "box:1x1",
-                               "--t", "500", "--schedule", "1,0.8", "--seed", "7"], False),
-    "verify_ldi_poisson": (VERIFY + ["0,1", "--kind", "LDI", "--window", "box:1x1",
-                                     "--t", "100", "--delta", "0.05", "--seed", "8"], False),
-    "verify_ldi_binomial": (VERIFY + ["0", "--kind", "LDI", "--window", "box:1x1",
-                                      "--n", "100", "--delta", "0.05", "--seed", "9"], False),
-    "verify_ldi_thermo": (VERIFY + ["0", "--kind", "LDI", "--window", "box:1x1", "--t", "200",
-                                    "--t-grid", "200,400,800", "--schedule", "1,0.5",
-                                    "--seed", "10"], False),
-    "verify_pp": (["verify", "--reps", "2", "--alpha", "2", "--kind", "PPConditions",
-                   "--window", "box:1x1", "--t-grid", "100,1000,10000",
-                   "--schedule", "1,0.8", "--seed", "11"], True),
-    "simulate": (["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
-                  "--alpha", "0,1", "--reps", "4", "--seed", "5"], False),
-    "predict_box2d": (["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
-                       "--alpha", "0,1,-0.5"], False),
-    "predict_box3d": (["predict", "--window", "box:1x0.8x0.6", "--t", "500",
-                       "--delta", "0.1", "--alpha", "0,1"], False),
-    "predict_ball2d": (["predict", "--window", "ball:1@d=2", "--t", "100",
-                        "--delta", "0.05", "--alpha", "0,1"], False),
-    "predict_schedule": (["predict", "--window", "box:1x1", "--t", "400",
-                          "--schedule", "1,0.5", "--alpha", "0,1"], False),
-    "covariogram_ball4d": (["covariogram", "--window", "ball:1@d=4", "--direction", "1,0,0,0",
-                            "--steps", "5"], False),
-    "covariogram_box3d": (["covariogram", "--window", "box:1x0.8x0.6", "--direction", "1,1,1",
-                           "--steps", "5"], False),
+    "verify_moments_box": VERIFY + ["0,1", "--kind", "Moments", "--window", "box:1x1",
+                                    "--t", "100", "--delta", "0.05", "--seed", "1"],
+    "verify_moments_ball": VERIFY + ["0,1", "--kind", "Moments", "--window", "ball:1@d=2",
+                                     "--t", "100", "--delta", "0.05", "--seed", "2"],
+    "verify_clt": VERIFY + ["1", "--kind", "CLT", "--window", "box:0.2x0.2",
+                            "--t-grid", "200,800", "--schedule", "1,0.5", "--seed", "3"],
+    "verify_mv_thermo": VERIFY + ["0,1", "--kind", "MultivariateCov", "--window", "box:1x1",
+                                  "--t", "800", "--schedule", "1,0.5", "--seed", "4"],
+    "verify_mv_dense": VERIFY + ["0,1", "--kind", "MultivariateCov", "--window", "box:1x1",
+                                 "--t", "2000", "--schedule", "1,0.3", "--seed", "5"],
+    "verify_cp": VERIFY + ["2", "--kind", "CompoundPoisson", "--window", "box:1x1",
+                           "--t-grid", "50,200", "--schedule", "1,1", "--seed", "6"],
+    "verify_order": VERIFY + ["2", "--kind", "OrderStatistics", "--window", "box:1x1",
+                              "--t", "500", "--schedule", "1,0.8", "--seed", "7"],
+    "verify_ldi_poisson": VERIFY + ["0,1", "--kind", "LDI", "--window", "box:1x1",
+                                    "--t", "100", "--delta", "0.05", "--seed", "8"],
+    "verify_ldi_binomial": VERIFY + ["0", "--kind", "LDI", "--window", "box:1x1",
+                                     "--n", "100", "--delta", "0.05", "--seed", "9"],
+    "verify_ldi_thermo": VERIFY + ["0", "--kind", "LDI", "--window", "box:1x1", "--t", "200",
+                                   "--t-grid", "200,400,800", "--schedule", "1,0.5",
+                                   "--seed", "10"],
+    "verify_pp": ["verify", "--reps", "2", "--alpha", "2", "--kind", "PPConditions",
+                  "--window", "box:1x1", "--t-grid", "100,1000,10000",
+                  "--schedule", "1,0.8", "--seed", "11"],
+    "simulate": ["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
+                 "--alpha", "0,1", "--reps", "4", "--seed", "5"],
+    "predict_box2d": ["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
+                      "--alpha", "0,1,-0.5"],
+    "predict_box3d": ["predict", "--window", "box:1x0.8x0.6", "--t", "500",
+                      "--delta", "0.1", "--alpha", "0,1"],
+    "predict_ball2d": ["predict", "--window", "ball:1@d=2", "--t", "100",
+                       "--delta", "0.05", "--alpha", "0,1"],
+    "predict_schedule": ["predict", "--window", "box:1x1", "--t", "400",
+                         "--schedule", "1,0.5", "--alpha", "0,1"],
+    "covariogram_ball4d": ["covariogram", "--window", "ball:1@d=4", "--direction", "1,0,0,0",
+                           "--steps", "5"],
+    "covariogram_box3d": ["covariogram", "--window", "box:1x0.8x0.6", "--direction", "1,1,1",
+                          "--steps", "5"],
 }
 
 
 def run_case(name: str, directory: Path) -> dict[str, bytes]:
     """Run one case writing into directory; returns {file name: bytes}."""
-    argv, needs_model = CASES[name]
+    argv = CASES[name]
     ext = "json" if argv[0] in ("verify", "predict") else "csv"
     argv = argv + ["--out", str(directory / f"{name}.{ext}")]
     if argv[0] == "simulate":
         argv += ["--edges-out", str(directory / f"{name}.edges.csv")]
-    if needs_model:
-        config = directory / "model.cfg"
-        config.write_text(MODEL_CONFIG)
-        argv += ["--config", str(config)]
     with contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
     assert rc in (0, 1), f"{name}: exit {rc}"
