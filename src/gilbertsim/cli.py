@@ -2,8 +2,11 @@
 
 Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
-settings. A window is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence:
---seed flag, then GILBERT_SEED, then config, then 0. Exit codes: 0 success
+settings. A --t or --t-grid flag picks the Poisson model and --n the binomial
+one (flags of both exit 2); the other model's intensity in the config file is
+dropped, so a report lists only the intensity its run samples at. A window is
+box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
+GILBERT_SEED, then config, then 0. Exit codes: 0 success
 (all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
 overflow, division by zero or an invalid floating-point value at extreme
 inputs (numpy raises instead of warning).
@@ -21,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GilbertSimError
-from .experiments import (VERIFICATION_KINDS, ExperimentConfig,
+from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
                           check_memory_budget, ldi_table_to_csv,
                           replications_to_csv, report_to_json, require_poisson,
                           run_replications, run_verification, simulate_row)
@@ -68,14 +71,15 @@ def canonical_kind(text: str) -> str:
 
 # Run settings: config key -> (flag, help, converter). Flags are built from it
 # with dest = key and no argparse type, so flag and config values share one
-# converter. model and n_jobs are config-only; --kind is on `verify` only.
+# converter. Each key is an ExperimentConfig field, under the name _FIELDS
+# gives it. model and n_jobs are config-only; --kind is on `verify` only.
 # These 12 keys are every setting of a run: verdict tolerances are fixed.
 _SETTINGS = {
-    "window": ("--window", "box:1x1 | box:2x1x0.5 | ball:1.0@d=3", str),
+    "window": ("--window", "box:1x1 | box:2x1x0.5 | ball:1.0@d=3", parse_window),
     "model": (None, None, str),
     "t": ("--t", "Poisson intensity", float),
     "n": ("--n", "binomial point count", int),
-    "t_grid": ("--t-grid", "comma list of intensities", _parse_floats),
+    "t_grid": ("--t-grid", "comma list of Poisson intensities", _parse_floats),
     "schedule": ("--schedule", "a,gamma for delta_t = a * t^-gamma", _parse_schedule),
     "delta": ("--delta", "distance parameter", float),
     "alphas": ("--alpha", "comma list of length-power exponents", _parse_floats),
@@ -84,6 +88,8 @@ _SETTINGS = {
     "kind": ("--kind", "|".join(VERIFICATION_KINDS), canonical_kind),
     "n_jobs": (None, None, int),
 }
+# the settings whose ExperimentConfig field has another name
+_FIELDS = {"reps": "replications", "seed": "master_seed"}
 
 
 def _convert(key: str, text: str):
@@ -129,16 +135,6 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     for key in ("window", "alphas", "reps"):
         if key not in merged:
             raise ConfigError(f"missing required key {key!r}")
-    model = merged.get("model")
-    if "t" in flags:
-        model = "poisson"
-    elif "n" in flags:
-        model = "binomial"
-    elif model is None:
-        model = "poisson" if ("t" in merged or "t_grid" in merged) else (
-            "binomial" if "n" in merged else None)
-    if model is None:
-        raise ConfigError("missing required key 'model' (or t / n)")
     env = None if "seed" in flags else os.environ.get("GILBERT_SEED")
     if env is not None:
         merged.pop("seed", None)  # GILBERT_SEED beats the config file
@@ -149,18 +145,27 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
             values["seed"] = int(env)
         except ValueError:
             raise ConfigError(f"GILBERT_SEED must be an integer, got {env!r}") from None
-    return ExperimentConfig(
-        window=parse_window(values["window"]),
-        model=model,
-        alphas=values["alphas"],
-        replications=values["reps"], master_seed=values.get("seed", 0),
-        kind=values.get("kind", "Moments"),
-        t=values.get("t"),
-        n=values.get("n"),
-        t_grid=values.get("t_grid"),
-        schedule=values.get("schedule"),
-        delta=values.get("delta"),
-        n_jobs=values.get("n_jobs", 1))
+    # a flag of a model's intensity picks the model; then the config's model,
+    # then the model of the intensity the config gives
+    if "t" in flags or "t_grid" in flags:
+        if "n" in flags:
+            raise ConfigError("--t or --t-grid (Poisson model) and --n (binomial model) "
+                              "pick different models; give one")
+        values["model"] = "poisson"
+    elif "n" in flags:
+        values["model"] = "binomial"
+    elif "model" not in values:
+        if "t" in values or "t_grid" in values:
+            values["model"] = "poisson"
+        elif "n" in values:
+            values["model"] = "binomial"
+        else:
+            raise ConfigError("missing required key 'model' (or t / n)")
+    # a run holds only its model's intensity; the other's came from the config file
+    for key in ("n",) if values["model"] == "poisson" else ("t", "t_grid"):
+        values.pop(key, None)
+    return ExperimentConfig(**{"master_seed": 0, "kind": "Moments",
+                               **{_FIELDS.get(key, key): value for key, value in values.items()}})
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -265,8 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_covariogram(args: argparse.Namespace) -> int:
-    if args.steps < 1:
-        raise ConfigError("--steps must be >= 1")
+    if not 1 <= args.steps <= POINT_BUDGET:  # the table's rows are held in memory
+        raise ConfigError(f"--steps must be between 1 and {POINT_BUDGET:.3g}, got {args.steps}")
     window = parse_window(args.window)
     try:
         direction = np.array(_parse_floats(args.direction), dtype=float)

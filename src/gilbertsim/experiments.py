@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed!r}")
         if self.delta is None and self.schedule is None:
             raise ConfigError("either delta or schedule must be given")
+        if self.model == "poisson" and self.n is not None:
+            raise ConfigError("a Poisson run takes t or t_grid, not n")
+        if self.model == "binomial" and (self.t is not None or self.t_grid is not None):
+            raise ConfigError("a binomial run takes n, not t or t_grid")
         positive = [("t", self.t), ("n", self.n), ("delta", self.delta)]
         positive += [("t_grid", v) for v in self.t_grid or ()]
         for key, val in positive:
@@ -123,26 +127,14 @@ class ExperimentConfig:
         return tuple(self.t_grid) if self.t_grid else (self.intensity(),)
 
     def echo(self) -> dict:
-        out = {
-            "window": self.window.label(),
-            "dim": self.window.dim,
-            "model": self.model,
-            "alphas": list(self.alphas),
-            "replications": self.replications,
-            "seed": self.master_seed,
-            "kind": self.kind,
-            "tolerances": dict(TOLERANCES),
-        }
-        if self.t is not None:
-            out["t"] = self.t
-        if self.n is not None:
-            out["n"] = self.n
-        if self.t_grid:
-            out["t_grid"] = list(self.t_grid)
+        """The report's record of the run: every set field but n_jobs, which
+        serial and parallel runs must not differ by."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "n_jobs"
+               and getattr(self, f.name) not in (None, ())}
+        out.update(window=self.window.label(), dim=self.window.dim,
+                   seed=out.pop("master_seed"), tolerances=dict(TOLERANCES))
         if self.schedule is not None:
             out["schedule"] = {"a": self.schedule.a, "gamma": self.schedule.gamma}
-        if self.delta is not None:
-            out["delta"] = self.delta
         return out
 
 
@@ -164,9 +156,8 @@ def check_memory_budget(config: ExperimentConfig) -> None:
     window = config.window
     poisson = config.model == "poisson"
     name = "t" if poisson else "n"
-    single = config.t if poisson else config.n
     in_flight = min(config.n_jobs, config.replications)
-    for value in [v for v in (single, *(config.t_grid or ())) if v is not None]:
+    for value in [v for v in (config.t, config.n, *(config.t_grid or ())) if v is not None]:
         t = value if poisson else value / window.volume
         edges = (t * t * unit_ball_volume(window.dim) * config.delta_for(value) ** window.dim
                  * window.volume / 2.0)
@@ -669,7 +660,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
 
 def _thermo_slope_runs(config: ExperimentConfig) -> bool:
     """LDI's slope test runs on a Poisson t-grid under a thermodynamic schedule."""
-    return (bool(config.t_grid) and config.schedule is not None and config.model == "poisson"
+    return (bool(config.t_grid) and config.schedule is not None
             and config.schedule.classify(config.window.dim) == "thermodynamic")
 
 
@@ -680,9 +671,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     tables: dict = {}
     conf = TOLERANCES["cp_confidence"]
     reps = config.replications
-    intensity = config.intensity()
-    delta = config.delta_for(intensity)
-    t, n = (intensity, None) if config.model == "poisson" else (None, int(intensity))
+    delta = config.delta_for(config.intensity())
     pilot = _length_powers(config, reps=max(2, reps // 2), stream=STREAM_PILOT)
     test = _length_powers(config)
     for i, alpha in enumerate(config.alphas):
@@ -695,7 +684,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
         devs = np.abs(test[:, i] - med)
         hits = [int(np.count_nonzero(devs >= u)) for u in u_grid]
         inputs = [LdiInput(mode=config.model, window=config.window, delta=delta, alpha=alpha,
-                           median=med, u=u, t=t, n=n) for u in u_grid]
+                           median=med, u=u, t=config.t, n=config.n) for u in u_grid]
         table = tables[f"ldi_alpha_{alpha}"] = {
             "u": u_grid, "empirical_tail": [k / reps for k in hits],
             "ldi_bound": [ldi_bound(inp) for inp in inputs],

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from gilbertsim import cli, experiments, geometry
 from gilbertsim import gilbert_graph as gg
 from gilbertsim.errors import ConfigError
+from gilbertsim.theory_moments import RegimeSchedule
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -122,16 +124,41 @@ def test_t_grid_flag_implies_poisson(tmp_path):
     ("model = binomial\nn = 400\n", ["--t", "100"], "poisson", 100.0),
     ("n = 400\n", [], "binomial", 400.0),
     ("t_grid = 100,400\n", [], "poisson", None),
+    ("n = 400\n", ["--t", "100", "--t-grid", "100,200", "--schedule", "1,0.5"], "poisson", 100.0),
+    ("model = binomial\nn = 400\n", ["--t-grid", "100,200"], "poisson", None),
 ])
 def test_model_precedence(cfg, argv, model, intensity, tmp_path):
-    # a --t flag means poisson and a --n flag binomial; otherwise the
-    # config's model, or what t, t_grid or n imply
+    # a --t or --t-grid flag means poisson and a --n flag binomial; otherwise
+    # the config's model, or what t, t_grid or n imply. The other model's
+    # intensity is dropped, so the report lists only the one the run samples at.
     raw = cli.load_config(write_cfg(tmp_path, cfg + "window = box:1x1\ndelta = 0.05\n"))
     args = cli.build_parser().parse_args(["simulate", "--alpha", "0", "--reps", "2"] + argv)
     config = cli.resolve_config(raw, args)
     assert config.model == model
     if intensity is not None:
         assert config.intensity() == intensity
+    other = ("n",) if model == "poisson" else ("t", "t_grid")
+    assert not set(other) & set(config.echo())
+
+
+def test_every_setting_is_a_config_field_and_echoed():
+    # the settings are written once, as ExperimentConfig fields: a key added to
+    # _SETTINGS and not to the fields (or the reverse) fails here, not as a TypeError
+    names = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    assert {cli._FIELDS.get(key, key) for key in cli._SETTINGS} == names
+    window = cli.parse_window("box:1x1")
+    for model, intensity in (("poisson", dict(t=100.0, t_grid=(100.0, 200.0))),
+                             ("binomial", dict(n=400))):
+        config = experiments.ExperimentConfig(
+            window=window, model=model, alphas=(0.0, 1.0), replications=10, master_seed=3,
+            kind="LDI", schedule=RegimeSchedule(a=1.0, gamma=0.5), delta=0.05, n_jobs=2,
+            **intensity)
+        echoed = config.echo()
+        assert set(echoed) == ({"window", "dim", "model", "alphas", "replications", "seed",
+                                "kind", "schedule", "delta", "tolerances"} | set(intensity))
+        assert echoed["window"] == "box:1.0x1.0" and echoed["dim"] == 2 and echoed["seed"] == 3
+        assert echoed["schedule"] == {"a": 1.0, "gamma": 0.5}
+        assert echoed["tolerances"] == experiments.TOLERANCES
 
 
 @pytest.mark.parametrize("flag,value,key", [
@@ -249,8 +276,13 @@ def _no_replications(*args, **kwargs):
      "MultivariateCov needs a schedule"),
     (["--kind", "CompoundPoisson", "--t-grid", "50,200", "--schedule", "1,0.5"], None,
      "CompoundPoisson needs a schedule with t^2 delta^d -> c in (0, inf)"),
+    (["--kind", "LDI", "--t", "100", "--n", "400", "--delta", "0.05"], None,
+     "--t or --t-grid (Poisson model) and --n (binomial model) pick different models"),
+    (["--kind", "LDI", "--t-grid", "100,200", "--n", "400", "--delta", "0.05"], None,
+     "--t or --t-grid (Poisson model) and --n (binomial model) pick different models"),
 ], ids=["unknown_kind", "line_without_equals", "empty_value", "no_intensity_or_model",
-        "multivariate_without_schedule", "compound_poisson_without_finite_c"])
+        "multivariate_without_schedule", "compound_poisson_without_finite_c",
+        "t_and_n_flags", "t_grid_and_n_flags"])
 def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
@@ -329,8 +361,7 @@ def test_one_alpha_kinds_reject_a_second_alpha(kind, args, alphas, monkeypatch, 
     ["verify", "--kind", "OrderStatistics", "--alpha", "2", "--reps", "10"],
     ["verify", "--kind", "CompoundPoisson", "--alpha", "2", "--reps", "10",
      "--schedule", "1,1"],
-    ["verify", "--kind", "PPConditions", "--alpha", "2", "--reps", "10",
-     "--t-grid", "200,400"],
+    ["verify", "--kind", "PPConditions", "--alpha", "2", "--reps", "10"],
 ])
 def test_poisson_formulas_reject_binomial_runs(argv, monkeypatch, capsys):
     # these compare with the Poisson formulas at t = n (rescaled by t, or along
@@ -803,6 +834,15 @@ def test_covariogram_subcommand(tmp_path, capsys):
     for bad in (["--steps", "-1"], ["--steps", "0"], ["--direction", "1,x"]):
         argv = ["covariogram", "--window", "ball:1.0@d=4", "--direction", "1,0,0,0"]
         assert cli.main(argv + bad) == 2
+    # the table's rows are held in memory: more than POINT_BUDGET of them is one
+    # error line, before np.linspace allocates anything
+    capsys.readouterr()
+    for steps in (int(experiments.POINT_BUDGET) + 1, 10**17, 10**19):
+        argv = ["covariogram", "--window", "box:1x1", "--direction", "1,0"]
+        assert cli.main(argv + ["--steps", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --steps must be between")
+        assert captured.err.count("\n") == 1
     # non-finite directions and radii, and negative radii, print no table
     capsys.readouterr()
     for bad in (["--direction", "1,nan"], ["--direction", "1,inf"], ["--direction", "0,0"],

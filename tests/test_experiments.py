@@ -33,7 +33,10 @@ def test_config_validation():
         cfg(kind="Everything")
     for bad in (dict(delta=0.0), dict(delta=math.inf), dict(t=-5.0), dict(t=math.nan),
                 dict(model="binomial", t=None, n=0), dict(t_grid=(100.0, 0.0)),
-                dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3)):
+                dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3),
+                # a run holds only its model's intensity
+                dict(n=400), dict(model="binomial", n=400),
+                dict(model="binomial", t=None, n=400, t_grid=(100.0, 200.0))):
         with pytest.raises(ConfigError):
             cfg(**bad)
 

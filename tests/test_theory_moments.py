@@ -529,3 +529,41 @@ def test_d3_first_sum_order_delta_in_thermo():
     c_fit = sums[0][0] / sums[0][1]
     for acc, delta in sums[1:]:
         assert acc <= 2.0 * c_fit * delta
+
+
+# Slack on the predicted decay of the covariance-to-Sigma gap per decade of t.
+# Over 300 random boxes and alpha pairs the largest ratio to 10^-rho was 1.060
+# (3-d dense, t = 1e4 -> 1e5); the 1x0.8x0.6 box reaches 1.053 there, and 1.087
+# at t = 1e3 -> 1e4, which this test does not use.
+DECAY_SLACK = 0.15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(*[st.floats(0.5, 2.0)] * d)),
+       st.lists(st.sampled_from(ALPHA_GRID), min_size=2, max_size=2, unique=True))
+@example((1.0, 1.0), [0.0, 1.0])
+@example((1.0, 0.8, 0.6), [0.0, 1.0])
+def test_scaled_covariance_tends_to_sigma_at_the_predicted_rate(sides, alphas):
+    # Along delta_t = t^-gamma the scaled exact covariance tends to sigma_matrix
+    # in every regime. Its relative gap falls per decade of t by 10^-rho, with
+    # rho = gamma at the thermodynamic point (the surface layer S delta / V) and
+    # otherwise min(|1 - gamma d|, gamma): t delta^d (sparse) or 1/(t delta^d)
+    # (dense), or the surface layer when that is slower.
+    window = geo.ConvexWindow.box(sides)
+    d = window.dim
+    for gamma in (1.5 / d, 1.0 / d, 0.6 / d):  # sparse, thermodynamic, dense
+        sched = tm.RegimeSchedule(a=1.0, gamma=gamma)
+        sig = tm.sigma_matrix(alphas, d, window.volume, sched)
+
+        def gap(t):
+            delta = sched.delta_at(t)
+            norms = [tm.normalization(t, delta, a, d) for a in alphas]
+            return max(abs(tm.covariance_exact(window, t, delta, alphas[i], alphas[j])
+                           / (norms[i] * norms[j]) - sig[i, j]) / abs(sig[i, j])
+                       for i in range(2) for j in range(i, 2))
+
+        thermo = sched.classify(d) == "thermodynamic"
+        rho = gamma if thermo else min(abs(1.0 - gamma * d), gamma)
+        gaps = [gap(t) for t in (1e4, 1e5, 1e6)]
+        for before, after in zip(gaps, gaps[1:]):
+            assert after <= 10.0 ** -rho * (1.0 + DECAY_SLACK) * before
