@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -62,6 +63,8 @@ EDGE_BUDGET = 2e7
 # 129 B (box) and 144 B (ball) in d = 7 (peak RSS of `simulate`, 2e6 points).
 # So the cap is 0.5-1.4 GB, and it keeps t V below numpy's Poisson limit.
 POINT_BUDGET = 1e7
+# Worker threads a run may start, one per replication in flight.
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,8 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha must be finite, got {alpha!r}")
         if len(set(self.alphas)) != len(self.alphas):
             raise ConfigError(f"alphas must be distinct, got {list(self.alphas)!r}")
-        if self.n_jobs < 1:
-            raise ConfigError(f"n_jobs must be >= 1, got {self.n_jobs!r}")
+        if not 1 <= self.n_jobs <= MAX_JOBS:
+            raise ConfigError(f"n_jobs must be between 1 and {MAX_JOBS}, got {self.n_jobs!r}")
 
     def intensity(self) -> float:
         """The single intensity of a run: t (Poisson model) or n (binomial)."""
@@ -514,8 +517,6 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
 def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     """Scaled covariance against the regime matrix; marginal normality or
     dense-regime rank collapse."""
-    if config.schedule is None:
-        raise ConfigError("MultivariateCov needs a schedule")
     t = config.intensity()
     delta = config.delta_for(t)
     d = config.window.dim
@@ -563,9 +564,7 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
     d = config.window.dim
     (alpha,) = config.alphas
-    c = config.schedule.limit(2, d) if config.schedule is not None else math.inf
-    if not 0 < c < math.inf:
-        raise ConfigError("CompoundPoisson needs a schedule with t^2 delta^d -> c in (0, inf)")
+    c = _edge_limit(config)
     grid = config.intensity_grid()
     rescales = [_limit_rescale(config, t) for t in grid]
     model = CompoundPoissonModel(c=c, dim=d, alpha=alpha, volume=config.window.volume)
@@ -589,18 +588,8 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _edge_limit(config: ExperimentConfig) -> float:
-    """c = lim t^2 delta^d of the run's schedule, inf without a schedule.
-
-    The edge-length process limits need a positive limit; a schedule whose
-    t^2 delta^d tends to 0 has no edges in the limit.
-    """
-    if config.schedule is None:
-        return math.inf
-    c = config.schedule.limit(2, config.window.dim)
-    if c <= 0:
-        raise ConfigError(f"{config.kind} needs t^2 delta^d -> c in (0, inf]; "
-                          f"this schedule gives c = 0")
-    return c
+    """c = lim t^2 delta^d of the run's schedule: 0, a^d or inf; inf without a schedule."""
+    return math.inf if config.schedule is None else config.schedule.limit(2, config.window.dim)
 
 
 def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
@@ -658,12 +647,6 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
-def _thermo_slope_runs(config: ExperimentConfig) -> bool:
-    """LDI's slope test runs on a Poisson t-grid under a thermodynamic schedule."""
-    return (bool(config.t_grid) and config.schedule is not None
-            and config.schedule.classify(config.window.dim) == "thermodynamic")
-
-
 def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     """Empirical tails (Clopper-Pearson upper bounds) below both deviation
     bounds on a u-grid; optional thermodynamic slope test along a t-grid."""
@@ -702,7 +685,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
                 empirical=worst_margin, theory=0.0, tolerance_name="cp_confidence",
                 verdict=all(up <= b for up, b in zip(uppers, table[column])),
                 anchor=f"median deviation inequality, {form}"))
-    if _thermo_slope_runs(config):
+    if config.t_grid:  # a grid only under a thermodynamic schedule (_SUITES' rule)
         metrics.append(_thermo_slope_metric(config))
     return _finish(config, metrics, tables)
 
@@ -737,8 +720,6 @@ def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
 def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     """Tabulate the convergence conditions along a t-grid (quadrature only)."""
     grid = config.intensity_grid()
-    if len(grid) < 2:
-        raise ConfigError("PPConditions needs a t_grid")
     d = config.window.dim
     (alpha,) = config.alphas
     edge_c = _edge_limit(config)
@@ -776,40 +757,29 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
-_VERIFIERS = {
-    "Moments": verify_moments,
-    "CLT": verify_clt,
-    "MultivariateCov": verify_multivariate,
-    "CompoundPoisson": verify_compound_poisson,
-    "OrderStatistics": verify_order_statistics,
-    "LDI": verify_ldi,
-    "PPConditions": verify_pp_conditions,
+# The rules of each verify kind, checked before any quadrature or replication
+# (README's suite table mirrors them): verifier, alpha range, "one alpha" or "many"
+# (LDI: one with a t_grid), Poisson model, builds graphs (the memory budget
+# applies), schedule, the interval c = lim t^2 delta^d lies in (inf without a
+# schedule), and the intensities it samples at (see run_verification).
+Suite = namedtuple("Suite", "verify alpha alphas poisson graph schedule c intensities")
+_SUITES = {
+    "Moments": Suite(verify_moments, "> -d/2", "many", True, True, False, "[0, inf]",
+                     "one t or n"),
+    "CLT": Suite(verify_clt, "> -d/2", "many", True, True, False, "[0, inf]",
+                 "one t or a t_grid"),
+    "MultivariateCov": Suite(verify_multivariate, "> -d/2", "many", True, True, True,
+                             "[0, inf]", "one t or n"),
+    "CompoundPoisson": Suite(verify_compound_poisson, "> 0", "one alpha", True, True, True,
+                             "(0, inf)", "one t or a t_grid"),
+    "OrderStatistics": Suite(verify_order_statistics, "> 0", "one alpha", True, True, False,
+                             "(0, inf]", "one t or n"),
+    "LDI": Suite(verify_ldi, ">= 0", "one alpha with a t_grid", False, True, False, "[0, inf]",
+                 "one t or n, and a thermodynamic t_grid"),
+    "PPConditions": Suite(verify_pp_conditions, "> 0", "one alpha", True, False, False,
+                          "(0, inf]", "a t_grid of two or more"),
 }
-VERIFICATION_KINDS = tuple(_VERIFIERS)
-
-
-def _check_alphas(config: ExperimentConfig) -> None:
-    """Reject alphas the suite cannot check before any replication runs.
-
-    Moments, CLT and MultivariateCov need Var L^(alpha) finite, alpha > -d/2;
-    the limit laws need alpha > 0 and the deviation bounds alpha >= 0.
-    CompoundPoisson, OrderStatistics, PPConditions and LDI's thermodynamic
-    slope check exactly one alpha: their metric names carry none.
-    """
-    if config.kind in ("Moments", "CLT", "MultivariateCov"):
-        floor, strict = -config.window.dim / 2.0, True
-    else:
-        floor, strict = 0.0, config.kind != "LDI"
-    bad = [a for a in config.alphas if a < floor or (strict and a == floor)]
-    if bad:
-        raise ConfigError(f"{config.kind} needs alpha {'>' if strict else '>='} {floor:g}, "
-                          f"got {bad!r}")
-    one_alpha = config.kind in ("CompoundPoisson", "OrderStatistics", "PPConditions") \
-        or (config.kind == "LDI" and _thermo_slope_runs(config))
-    if one_alpha and len(config.alphas) > 1:
-        raise ConfigError(f"{config.kind} checks exactly one alpha"
-                          f"{' with a thermodynamic t_grid' if config.kind == 'LDI' else ''}, "
-                          f"got {list(config.alphas)!r}")
+VERIFICATION_KINDS = tuple(_SUITES)
 
 
 def require_poisson(config: ExperimentConfig, what: str) -> None:
@@ -821,11 +791,41 @@ def require_poisson(config: ExperimentConfig, what: str) -> None:
 
 
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check the alphas, the model and the memory budget, then dispatch to the
-    suite named by config.kind."""
-    _check_alphas(config)
-    if config.kind != "LDI":
-        require_poisson(config, config.kind)
-    if config.kind != "PPConditions":  # quadrature only, builds no graph
+    """Check every rule of the config's suite, each error naming the kind, then
+    the memory budget if the suite builds graphs; then run the suite."""
+    suite = _SUITES[config.kind]
+    kind, alphas, grid = config.kind, list(config.alphas), list(config.t_grid or ())
+    op, bound = suite.alpha.split()
+    floor = -config.window.dim / 2.0 if bound == "-d/2" else float(bound)
+    bad = [a for a in alphas if a < floor or (op == ">" and a == floor)]
+    if bad:
+        raise ConfigError(f"{kind} needs alpha {op} {floor:g}, got {bad!r}")
+    if suite.poisson:
+        require_poisson(config, kind)
+    if suite.schedule and config.schedule is None:
+        raise ConfigError(f"{kind} needs a schedule")
+    c = _edge_limit(config)
+    if (c == 0 and suite.c[0] == "(") or (c == math.inf and suite.c[-1] == ")"):
+        raise ConfigError(f"{kind} needs a schedule with t^2 delta^d -> c in {suite.c}; "
+                          f"this run gives c = {c:g}")
+    thermo = config.schedule is not None \
+        and config.schedule.classify(config.window.dim) == "thermodynamic"
+    # whether the kind samples at the one t or n, and the fewest t of a t_grid it samples at
+    use_single, least = {"one t or n": (True, 0), "one t or a t_grid": (not grid, 1),
+                         "a t_grid of two or more": (False, 2),
+                         "one t or n, and a thermodynamic t_grid": (True, 2 if thermo else 0),
+                         }[suite.intensities]
+    name, single = ("t", config.t) if config.model == "poisson" else ("n", config.n)
+    if grid and not least:
+        raise ConfigError(f"{kind} samples at {suite.intensities}, not at the t_grid {grid!r}")
+    if single is not None and not use_single:
+        raise ConfigError(f"{kind} samples at {suite.intensities}, not at {name} = {single:g}")
+    if 0 < len(grid) < least or not (use_single or grid):
+        raise ConfigError(f"{kind} needs a t_grid of two or more t, got {grid!r}")
+    if use_single and single is None:
+        raise ConfigError(f"{kind} needs a single {name}")
+    if len(alphas) > 1 and (suite.alphas == "one alpha" or (suite.alphas != "many" and grid)):
+        raise ConfigError(f"{kind} checks exactly {suite.alphas}, got {alphas!r}")
+    if suite.graph:
         check_memory_budget(config)
-    return _VERIFIERS[config.kind](config)
+    return suite.verify(config)

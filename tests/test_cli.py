@@ -9,6 +9,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,9 +282,35 @@ def _no_replications(*args, **kwargs):
      "--t or --t-grid (Poisson model) and --n (binomial model) pick different models"),
     (["--kind", "LDI", "--t-grid", "100,200", "--n", "400", "--delta", "0.05"], None,
      "--t or --t-grid (Poisson model) and --n (binomial model) pick different models"),
+    # each kind samples only at the intensities its _SUITES row names; a config
+    # naming another exits 2 before the memory budget, which 1e8 would break
+    (["--kind", "PPConditions", "--t", "100", "--delta", "0.05"], None,
+     "PPConditions samples at a t_grid of two or more, not at t = 100"),
+    (["--kind", "PPConditions", "--t-grid", "100", "--delta", "0.05"], None,
+     "PPConditions needs a t_grid of two or more t, got [100.0]"),
+    (["--kind", "Moments", "--t-grid", "100,200", "--delta", "0.05"], None,
+     "Moments samples at one t or n, not at the t_grid [100.0, 200.0]"),
+    (["--kind", "MultivariateCov", "--t-grid", "100,200", "--schedule", "1,0.5"], None,
+     "MultivariateCov samples at one t or n, not at the t_grid [100.0, 200.0]"),
+    (["--kind", "OrderStatistics", "--t-grid", "100,200", "--schedule", "1,0.8"], None,
+     "OrderStatistics samples at one t or n, not at the t_grid [100.0, 200.0]"),
+    (["--kind", "Moments", "--t", "100", "--t-grid", "100,1e8", "--delta", "0.05"], None,
+     "Moments samples at one t or n, not at the t_grid [100.0, 100000000.0]"),
+    (["--kind", "CLT", "--t", "1e8", "--t-grid", "100,200", "--delta", "0.05"], None,
+     "CLT samples at one t or a t_grid, not at t = 1e+08"),
+    (["--kind", "Moments", "--delta", "0.05"], "model = poisson\n", "Moments needs a single t"),
+    (["--kind", "LDI", "--t", "100", "--t-grid", "100,200", "--schedule", "1,0.8"], None,
+     "LDI samples at one t or n, and a thermodynamic t_grid, not at the t_grid [100.0, 200.0]"),
+    (["--kind", "LDI", "--t", "100", "--t-grid", "100", "--schedule", "1,0.5"], None,
+     "LDI needs a t_grid of two or more t, got [100.0]"),
+    (["--kind", "LDI", "--t-grid", "100,200", "--schedule", "1,0.5"], None,
+     "LDI needs a single t"),
 ], ids=["unknown_kind", "line_without_equals", "empty_value", "no_intensity_or_model",
         "multivariate_without_schedule", "compound_poisson_without_finite_c",
-        "t_and_n_flags", "t_grid_and_n_flags"])
+        "t_and_n_flags", "t_grid_and_n_flags", "pp_conditions_one_t", "pp_conditions_one_t_grid",
+        "moments_t_grid_only", "multivariate_t_grid_only", "order_statistics_t_grid_only",
+        "moments_unsampled_t_grid", "clt_unsampled_t", "moments_no_t",
+        "ldi_t_grid_not_thermodynamic", "ldi_slope_t_grid_of_one", "ldi_t_grid_only"])
 def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
@@ -751,7 +779,7 @@ REMOVED_KEYS = ("dim = x", "tol_ks = abc", "tol_slope_max = nan",
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0"],
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
     # config-file lines
-    *UNCONVERTIBLE, *REMOVED_KEYS, "n_jobs = -3", "n_jobs = 0",
+    *UNCONVERTIBLE, *REMOVED_KEYS, "n_jobs = -3", "n_jobs = 0", "n_jobs = 65",
 ])
 @pytest.mark.parametrize("command", ["verify", "simulate", "predict"])
 def test_bad_numbers_exit_2(command, bad, tmp_path, capsys):
@@ -954,6 +982,79 @@ def test_property_cli_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
         header, *rows = list(csv.reader(io.StringIO(text)))
         assert rows and all(len(row) == len(header) for row in rows)
         assert not any(math.isnan(float(field)) for row in rows for field in row)
+
+
+# Small verify runs that meet their kind's _SUITES row, from the fuzz pools'
+# usable values. The windows are 2-d, where the pool's gamma = 1 gives
+# CompoundPoisson a finite c and gamma = 0.5 gives LDI's slope test a
+# thermodynamic schedule.
+@st.composite
+def usable_verify_argv(draw):
+    kind = draw(st.sampled_from(experiments.VERIFICATION_KINDS))
+    suite = experiments._SUITES[kind]
+    argv = ["verify", "--kind", kind,
+            "--window", draw(st.sampled_from(("box:1x1", "ball:1@d=2"))),
+            "--reps", draw(st.sampled_from(("2", "3", "5"))),
+            "--seed", draw(st.sampled_from(("0", "7")))]
+    pool = [a for a in ("1", "0", "2", "-0.5", "0.5")
+            if {"> -d/2": True, "> 0": float(a) > 0, ">= 0": float(a) >= 0}[suite.alpha]]
+    slope_grid = suite.intensities == "one t or n, and a thermodynamic t_grid" \
+        and draw(st.booleans())
+    one = suite.alphas == "one alpha" or slope_grid
+    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=1 if one else 2,
+                           unique=True))
+    gamma = "0.5" if slope_grid else "1" if suite.c == "(0, inf)" else \
+        draw(st.sampled_from(("0.5", "1", "0.3")))
+    spacing = ["--schedule", draw(st.sampled_from(("1", "0.5"))) + "," + gamma]
+    if not (suite.schedule or slope_grid or suite.c == "(0, inf)"):
+        spacing = draw(st.sampled_from((spacing, ["--delta", "0.1"], ["--delta", "0.02"])))
+    single = ["--t", "30"] if suite.poisson or slope_grid else \
+        draw(st.sampled_from((["--t", "30"], ["--n", "20"])))
+    grid = draw(st.sampled_from((["--t", "30"], ["--t-grid", "10,30"])))
+    intensity = {"one t or n": single, "one t or a t_grid": grid,
+                 "a t_grid of two or more": ["--t-grid", "10,30"],
+                 "one t or n, and a thermodynamic t_grid":
+                     single + ["--t-grid", "10,30"] * slope_grid}[suite.intensities]
+    return argv + spacing + intensity + ["--alpha", ",".join(alphas)]
+
+
+def _run_files(argv, directory, n_jobs) -> dict:
+    """Exit code and every file a run writes: the report and LDI's CSV tables."""
+    directory.mkdir()
+    cfg = write_cfg(directory, f"n_jobs = {n_jobs}\n", "jobs.cfg")
+    with contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv + ["--config", cfg, "--out", str(directory / "report.json")])
+    written = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "jobs.cfg"}
+    return {"rc": rc, **written}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=usable_verify_argv())
+@example(argv=["verify", "--kind", "Moments", "--window", "box:1x1", "--reps", "3", "--seed", "7",
+               "--delta", "0.1", "--t", "30", "--alpha", "0,1"])
+@example(argv=["verify", "--kind", "CLT", "--window", "box:1x1", "--reps", "5", "--seed", "0",
+               "--schedule", "1,0.5", "--t-grid", "10,30", "--alpha", "1"])
+@example(argv=["verify", "--kind", "MultivariateCov", "--window", "ball:1@d=2", "--reps", "5",
+               "--seed", "7", "--schedule", "1,0.3", "--t", "30", "--alpha", "0,1"])
+@example(argv=["verify", "--kind", "CompoundPoisson", "--window", "box:1x1", "--reps", "5",
+               "--seed", "7", "--schedule", "1,1", "--t-grid", "10,30", "--alpha", "2"])
+@example(argv=["verify", "--kind", "OrderStatistics", "--window", "box:1x1", "--reps", "5",
+               "--seed", "0", "--schedule", "1,0.5", "--t", "30", "--alpha", "2"])
+@example(argv=["verify", "--kind", "LDI", "--window", "box:1x1", "--reps", "5", "--seed", "7",
+               "--schedule", "1,0.5", "--t", "30", "--t-grid", "10,30", "--alpha", "0"])
+@example(argv=["verify", "--kind", "LDI", "--window", "box:1x1", "--reps", "3", "--seed", "0",
+               "--n", "20", "--delta", "0.1", "--alpha", "0,1"])
+@example(argv=["verify", "--kind", "PPConditions", "--window", "box:1x1", "--reps", "2",
+               "--seed", "0", "--schedule", "1,0.5", "--t-grid", "10,30", "--alpha", "1"])
+def test_property_every_kind_writes_the_same_bytes_serial_rerun_and_threaded(argv):
+    # a config meeting its kind's rules runs (exit 0 or 1), and a rerun and a
+    # run on 2 threads write byte-identical reports and LDI tables
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [_run_files(argv, Path(tmp) / name, n_jobs)
+                for name, n_jobs in (("serial", 1), ("rerun", 1), ("threaded", 2))]
+    assert runs[0]["rc"] in (0, 1) and "report.json" in runs[0]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])

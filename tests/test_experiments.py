@@ -1,6 +1,7 @@
 """Harness: estimators, KS machinery, determinism, and the verification suites."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +35,14 @@ def test_config_validation():
     for bad in (dict(delta=0.0), dict(delta=math.inf), dict(t=-5.0), dict(t=math.nan),
                 dict(model="binomial", t=None, n=0), dict(t_grid=(100.0, 0.0)),
                 dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3),
+                # each job is an OS thread: MAX_JOBS of them at most
+                dict(n_jobs=ex.MAX_JOBS + 1),
                 # a run holds only its model's intensity
                 dict(n=400), dict(model="binomial", n=400),
                 dict(model="binomial", t=None, n=400, t_grid=(100.0, 200.0))):
         with pytest.raises(ConfigError):
             cfg(**bad)
+    assert cfg(n_jobs=ex.MAX_JOBS).n_jobs == 64  # only checked; no thread starts
 
 
 def _powers_points_degree(r, sample, edges):
@@ -298,3 +302,19 @@ def test_run_verification_dispatch():
     rep = ex.run_verification(cfg(replications=100))
     assert rep.config["kind"] == "Moments"
     assert rep.version
+
+
+def test_readme_suite_table_matches_suites():
+    # README's table of verify kinds is _SUITES written out, row for row, so
+    # the documented rules cannot drift from the checked ones
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| kind | alpha | alphas | model | graphs | schedule | c | samples at |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    yes = {True: "yes", False: "no"}
+    assert rows == [[f"`{kind}`", s.alpha, s.alphas, "Poisson" if s.poisson else "either",
+                     yes[s.graph], yes[s.schedule], s.c, s.intensities]
+                    for kind, s in ex._SUITES.items()]
