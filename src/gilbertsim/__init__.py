@@ -7,12 +7,12 @@ length-power functionals, and verifies them by seeded Monte Carlo.
 
 __version__ = "0.1.0"
 
-from .geometry import (ConvexWindow, covariogram, covariogram_mc,
+from .geometry import (ConvexWindow, covariogram,
                        covariogram_radial_integral,
                        inner_parallel_volume_lower_bound, sample_uniform,
                        unit_ball_volume)
 from .gilbert_graph import (EdgeSet, build_edges, build_edges_bruteforce,
-                            length_power, local_statistic, max_degree)
+                            length_power, max_degree)
 from .point_process import (PointSample, replication_rng, sample_binomial,
                             sample_poisson)
 from .theory_moments import (RegimeSchedule, TheoryPrediction,
@@ -24,10 +24,10 @@ from .theory_moments import (RegimeSchedule, TheoryPrediction,
 __all__ = [
     "ConvexWindow", "EdgeSet", "PointSample", "RegimeSchedule",
     "TheoryPrediction", "__version__", "build_edges", "build_edges_bruteforce",
-    "covariance_bounds", "covariance_exact", "covariogram", "covariogram_mc",
+    "covariance_bounds", "covariance_exact", "covariogram",
     "covariogram_radial_integral", "d3_bound", "expectation_bounds",
     "expectation_exact", "inner_parallel_volume_lower_bound",
-    "kolmogorov_bound", "length_power", "local_statistic", "m_bounds",
+    "kolmogorov_bound", "length_power", "m_bounds",
     "max_degree", "replication_rng", "sample_binomial", "sample_poisson",
     "sample_uniform", "sigma_matrix", "unit_ball_volume", "variance_asymptotic",
 ]

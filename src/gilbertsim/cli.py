@@ -2,9 +2,10 @@
 
 Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
-settings. A --t or --t-grid flag picks the Poisson model and --n the binomial
-one (flags of both exit 2); the other model's intensity in the config file is
-dropped, so a report lists only the intensity its run samples at. A window is
+settings. n picks the binomial model and t or t_grid the Poisson one; a config
+naming both exits 2, and a --t or --t-grid flag drops the config file's n and
+--n its t and t_grid. simulate and predict reject a t_grid, and an unwritable
+output path exits 2. A window is
 box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
 GILBERT_SEED, then config, then 0. Exit codes: 0 success
 (all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
@@ -72,11 +73,11 @@ def canonical_kind(text: str) -> str:
 # Run settings: config key -> (flag, help, converter). Flags are built from it
 # with dest = key and no argparse type, so flag and config values share one
 # converter. Each key is an ExperimentConfig field, under the name _FIELDS
-# gives it. model and n_jobs are config-only; --kind is on `verify` only.
-# These 12 keys are every setting of a run: verdict tolerances are fixed.
+# gives it. n_jobs is config-only; --kind is on `verify` only.
+# These 11 keys are every setting of a run: verdict tolerances are fixed, and
+# the intensity given picks the model (n binomial, t or t_grid Poisson).
 _SETTINGS = {
     "window": ("--window", "box:1x1 | box:2x1x0.5 | ball:1.0@d=3", parse_window),
-    "model": (None, None, str),
     "t": ("--t", "Poisson intensity", float),
     "n": ("--n", "binomial point count", int),
     "t_grid": ("--t-grid", "comma list of Poisson intensities", _parse_floats),
@@ -145,33 +146,31 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
             values["seed"] = int(env)
         except ValueError:
             raise ConfigError(f"GILBERT_SEED must be an integer, got {env!r}") from None
-    # a flag of a model's intensity picks the model; then the config's model,
-    # then the model of the intensity the config gives
+    # a flag of one model's intensity drops the other model's from the config file
     if "t" in flags or "t_grid" in flags:
         if "n" in flags:
             raise ConfigError("--t or --t-grid (Poisson model) and --n (binomial model) "
                               "pick different models; give one")
-        values["model"] = "poisson"
+        values.pop("n", None)
     elif "n" in flags:
-        values["model"] = "binomial"
-    elif "model" not in values:
-        if "t" in values or "t_grid" in values:
-            values["model"] = "poisson"
-        elif "n" in values:
-            values["model"] = "binomial"
-        else:
-            raise ConfigError("missing required key 'model' (or t / n)")
-    # a run holds only its model's intensity; the other's came from the config file
-    for key in ("n",) if values["model"] == "poisson" else ("t", "t_grid"):
-        values.pop(key, None)
+        values.pop("t", None)
+        values.pop("t_grid", None)
+    if not values.keys() & {"t", "t_grid", "n"}:
+        raise ConfigError("missing required key 't', 't_grid' or 'n'")
+    if "t_grid" in values and args.command != "verify":  # simulate and predict sample once
+        raise ConfigError(f"{args.command} samples at one t or n, "
+                          f"not at the t_grid {list(values['t_grid'])!r}")
     return ExperimentConfig(**{"master_seed": 0, "kind": "Moments",
                                **{_FIELDS.get(key, key): value for key, value in values.items()}})
 
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -70,7 +70,6 @@ MAX_JOBS = 64
 @dataclass(frozen=True)
 class ExperimentConfig:
     window: ConvexWindow
-    model: str  # "poisson" | "binomial"
     alphas: tuple[float, ...]
     replications: int
     master_seed: int
@@ -83,8 +82,6 @@ class ExperimentConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.model not in ("poisson", "binomial"):
-            raise ConfigError(f"unknown model {self.model!r}")
         if self.kind not in VERIFICATION_KINDS:
             raise ConfigError(f"unknown kind {self.kind!r}")
         if self.replications < 2:
@@ -93,10 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed!r}")
         if self.delta is None and self.schedule is None:
             raise ConfigError("either delta or schedule must be given")
-        if self.model == "poisson" and self.n is not None:
-            raise ConfigError("a Poisson run takes t or t_grid, not n")
-        if self.model == "binomial" and (self.t is not None or self.t_grid is not None):
-            raise ConfigError("a binomial run takes n, not t or t_grid")
+        if self.n is not None and (self.t is not None or self.t_grid is not None):
+            raise ConfigError("t or t_grid (Poisson model) and n (binomial model) "
+                              "pick different models; give one")
         positive = [("t", self.t), ("n", self.n), ("delta", self.delta)]
         positive += [("t_grid", v) for v in self.t_grid or ()]
         for key, val in positive:
@@ -114,11 +110,16 @@ class ExperimentConfig:
         if not 1 <= self.n_jobs <= MAX_JOBS:
             raise ConfigError(f"n_jobs must be between 1 and {MAX_JOBS}, got {self.n_jobs!r}")
 
+    @property
+    def model(self) -> str:
+        """The point process: n binomial points if n is given, else Poisson."""
+        return "poisson" if self.n is None else "binomial"
+
     def intensity(self) -> float:
         """The single intensity of a run: t (Poisson model) or n (binomial)."""
-        value = self.t if self.model == "poisson" else self.n
+        value = self.t if self.n is None else self.n
         if value is None:
-            raise ConfigError(f"this run needs a single {'t' if self.model == 'poisson' else 'n'}")
+            raise ConfigError("this run needs a single t")
         return float(value)
 
     def delta_for(self, t: float) -> float:
@@ -130,11 +131,11 @@ class ExperimentConfig:
         return tuple(self.t_grid) if self.t_grid else (self.intensity(),)
 
     def echo(self) -> dict:
-        """The report's record of the run: every set field but n_jobs, which
-        serial and parallel runs must not differ by."""
+        """The report's record of the run: its model and every set field but
+        n_jobs, which serial and parallel runs must not differ by."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "n_jobs"
                and getattr(self, f.name) not in (None, ())}
-        out.update(window=self.window.label(), dim=self.window.dim,
+        out.update(window=self.window.label(), dim=self.window.dim, model=self.model,
                    seed=out.pop("master_seed"), tolerances=dict(TOLERANCES))
         if self.schedule is not None:
             out["schedule"] = {"a": self.schedule.a, "gamma": self.schedule.gamma}
@@ -666,8 +667,8 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
         u_grid = [float(u) for u in np.geomspace(scale / 50.0, 2.0 * scale, 20)]
         devs = np.abs(test[:, i] - med)
         hits = [int(np.count_nonzero(devs >= u)) for u in u_grid]
-        inputs = [LdiInput(mode=config.model, window=config.window, delta=delta, alpha=alpha,
-                           median=med, u=u, t=config.t, n=config.n) for u in u_grid]
+        inputs = [LdiInput(window=config.window, delta=delta, alpha=alpha, median=med, u=u,
+                           t=config.t, n=config.n) for u in u_grid]
         table = tables[f"ldi_alpha_{alpha}"] = {
             "u": u_grid, "empirical_tail": [k / reps for k in hits],
             "ldi_bound": [ldi_bound(inp) for inp in inputs],

@@ -141,24 +141,6 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float) -> float:
     return window.volume * float(betainc((d + 1) / 2, 0.5, 1.0 - (r / (2.0 * R)) ** 2))
 
 
-def covariogram_mc(window: ConvexWindow, y, n_samples: int, rng: np.random.Generator) -> float:
-    """Monte Carlo covariogram: V(W) * P(X - y in W) for X uniform in W."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if float(np.linalg.norm(y)) >= window.diameter:
-        return 0.0
-    hits = 0
-    remaining = int(n_samples)
-    chunk = 1_000_000
-    while remaining > 0:
-        k = min(chunk, remaining)
-        x = sample_uniform(window, rng, k)
-        hits += int(np.count_nonzero(window.contains(x - y)))
-        remaining -= k
-    return window.volume * hits / float(n_samples)
-
-
 def sample_uniform(window: ConvexWindow, rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points in the window, shape (n, dim)."""
     if window.kind == "box":

@@ -7,9 +7,9 @@ build_edges_bruteforce is the O(n^2) oracle with the same output contract.
 
 The one canonical length formula is _pair_distance: the squared coordinate
 differences added left to right, one column at a time,
-sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). Every edge length, the oracle's
-<= delta mask and local_statistic come from it, so the results agree bitwise,
-ties at exactly delta included.
+sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). Every edge length and the oracle's
+<= delta mask come from it, so the results agree bitwise, ties at exactly
+delta included.
 
 Candidate pairs are put in (i, j) order by sorting one fused key i*n + j. The
 key is int32 when n^2 <= int32 max (n <= 46340) and int64 above; EdgeSet's
@@ -136,20 +136,6 @@ def length_power(edges: EdgeSet, alphas) -> np.ndarray:
     for k, alpha in enumerate(alphas):
         out[k] = float(np.sum(edges.lengths**alpha))
     return out
-
-
-def local_statistic(sample: PointSample, idx: int, delta: float, alpha: float) -> float:
-    """Sum of length^alpha over edges incident to vertex idx."""
-    pts = sample.points
-    n = pts.shape[0]
-    if not 0 <= idx < n:
-        raise IndexError(f"vertex index {idx} out of range")
-    dist = _pair_distance(pts, idx, np.arange(n))
-    mask = (dist <= delta)
-    mask[idx] = False
-    if not mask.any():
-        return 0.0
-    return float(np.sum(dist[mask] ** alpha))
 
 
 def max_degree(edges: EdgeSet) -> int:

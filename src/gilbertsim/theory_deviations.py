@@ -43,9 +43,9 @@ def chernoff_binomial_tail(m: int, p: float, y: float) -> float:
 
 @dataclass(frozen=True)
 class LdiInput:
-    """Inputs for a median deviation bound; alpha >= 0 is required."""
+    """Inputs for a median deviation bound; alpha >= 0 is required. Exactly one
+    of t (a Poisson process of intensity t) and n (n binomial points) is given."""
 
-    mode: str  # "poisson" | "binomial"
     window: ConvexWindow
     delta: float
     alpha: float
@@ -55,25 +55,23 @@ class LdiInput:
     n: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("poisson", "binomial"):
-            raise ValueError("mode must be 'poisson' or 'binomial'")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.median < 0 or self.u < 0:
             raise ValueError("median and u must be >= 0")
         if not (self.delta > 0):
             raise ValueError("delta must be > 0")
-        if self.mode == "poisson" and not (self.t and self.t > 0):
-            raise ValueError("poisson mode needs t > 0")
-        if self.mode == "binomial" and not (self.n and self.n >= 1):
-            raise ValueError("binomial mode needs n >= 1")
+        if (self.t is None) == (self.n is None):
+            raise ValueError("give exactly one of t (Poisson) and n (binomial)")
+        if not (self.t > 0 if self.n is None else self.n >= 1):
+            raise ValueError("t must be > 0, or n >= 1")
 
 
 def _scales(inp: LdiInput) -> tuple[float, float, float]:
     """(c, N, f) = (t, t V, 1) for Poisson points and (n, n, V) for n binomial
     points, which bound like Poisson points at t = n / V; f = 1 is exact.
     The bounds take log N, so an N that underflows to 0 is degenerate."""
-    if inp.mode == "poisson":
+    if inp.n is None:
         count = inp.t * inp.window.volume
         if not count > 0:
             raise DegenerateInputError(

@@ -21,6 +21,7 @@ from gilbertsim import theory_deviations as td
 from gilbertsim import theory_moments as tm
 from gilbertsim.experiments import ExperimentConfig
 from gilbertsim.theory_moments import RegimeSchedule
+from test_geometry import covariogram_mc
 
 PI = math.pi
 BOX = geo.ConvexWindow.box((1.0, 1.0))
@@ -65,7 +66,7 @@ def test_acceptance_01_neighbor_search_oracle():
 
 @pytest.fixture(scope="module")
 def moment_run():
-    config = ExperimentConfig(window=BOX, model="poisson", alphas=(0.0, 1.0),
+    config = ExperimentConfig(window=BOX, alphas=(0.0, 1.0),
                               replications=5000, master_seed=0, kind="Moments",
                               t=200.0, delta=0.05)
     return config, ex.verify_moments(config)
@@ -98,13 +99,13 @@ def test_acceptance_03_covariance(moment_run):
 
 def test_acceptance_04_asymptotic_covariance_matrix():
     started = time.monotonic()
-    thermo = ExperimentConfig(window=BOX, model="poisson", alphas=(0.0, 1.0),
+    thermo = ExperimentConfig(window=BOX, alphas=(0.0, 1.0),
                               replications=5000, master_seed=0,
                               kind="MultivariateCov", t=5000.0,
                               schedule=RegimeSchedule(1.0, 0.5))
     rep_t = ex.verify_multivariate(thermo)
     sigma_ok = all(m.verdict for m in rep_t.metrics if m.name.startswith("Sigma["))
-    dense = ExperimentConfig(window=BOX, model="poisson", alphas=(0.0, 1.0),
+    dense = ExperimentConfig(window=BOX, alphas=(0.0, 1.0),
                              replications=5000, master_seed=0,
                              kind="MultivariateCov", t=5000.0,
                              schedule=RegimeSchedule(1.0, 0.3))
@@ -121,7 +122,7 @@ def test_acceptance_05_clt_kolmogorov():
     # Small window: the per-t normal-approximation error (0.09 -> 0.03) stays
     # above the R=2000 KS sampling floor, so the t^(-1/2) decay is measurable.
     config = ExperimentConfig(window=geo.ConvexWindow.box((0.15, 0.15)),
-                              model="poisson", alphas=(1.0,),
+                              alphas=(1.0,),
                               replications=2000, master_seed=0, kind="CLT",
                               t_grid=(500.0, 2000.0, 8000.0),
                               schedule=RegimeSchedule(1.0, 0.5))
@@ -134,7 +135,7 @@ def test_acceptance_05_clt_kolmogorov():
 
 def test_acceptance_06_compound_poisson():
     started = time.monotonic()
-    config = ExperimentConfig(window=BOX, model="poisson", alphas=(2.0,),
+    config = ExperimentConfig(window=BOX, alphas=(2.0,),
                               replications=10_000, master_seed=0,
                               kind="CompoundPoisson", t_grid=(50.0, 100.0, 200.0),
                               schedule=RegimeSchedule(1.0, 1.0))
@@ -149,7 +150,7 @@ def test_acceptance_06_compound_poisson():
 
 def test_acceptance_07_order_statistics_weibull():
     started = time.monotonic()
-    config = ExperimentConfig(window=BOX, model="poisson", alphas=(2.0,),
+    config = ExperimentConfig(window=BOX, alphas=(2.0,),
                               replications=5000, master_seed=0,
                               kind="OrderStatistics", t=500.0,
                               schedule=RegimeSchedule(1.0, 0.8))
@@ -169,7 +170,7 @@ def test_acceptance_08_pp_conditions():
     started = time.monotonic()
     oks = []
     for gamma in (0.8, 1.0):  # infinite-edge and constant-edge regimes
-        config = ExperimentConfig(window=BOX, model="poisson", alphas=(2.0,),
+        config = ExperimentConfig(window=BOX, alphas=(2.0,),
                                   replications=2, master_seed=0,
                                   kind="PPConditions",
                                   t_grid=(1e3, 1e4, 1e5),
@@ -185,7 +186,7 @@ def test_acceptance_09_ldi_validity():
     started = time.monotonic()
     oks = []
     for model, kw in (("poisson", {"t": 500.0}), ("binomial", {"n": 500})):
-        config = ExperimentConfig(window=BOX, model=model, alphas=(0.0, 1.0),
+        config = ExperimentConfig(window=BOX, alphas=(0.0, 1.0),
                                   replications=20_000, master_seed=0, kind="LDI",
                                   delta=0.05, **kw)
         report = ex.verify_ldi(config)
@@ -221,7 +222,7 @@ def test_acceptance_11_xstar_certificate():
         mode = "poisson" if rng.random() < 0.5 else "binomial"
         kw = {"t": float(rng.uniform(5.0, 5000.0))} if mode == "poisson" \
             else {"n": int(rng.integers(5, 5000))}
-        inp = td.LdiInput(mode=mode, window=BOX, delta=float(rng.uniform(0.01, 0.2)),
+        inp = td.LdiInput(window=BOX, delta=float(rng.uniform(0.01, 0.2)),
                           alpha=float(rng.uniform(0.0, 2.0)),
                           median=float(rng.uniform(0.0, 500.0)),
                           u=float(rng.uniform(0.0, 2000.0)), **kw)
@@ -234,7 +235,7 @@ def test_acceptance_11_xstar_certificate():
     # analytic case: unit log-term and u = 0 gives x* = e
     t = 2000.0
     delta = math.sqrt(math.log(t) / (t * PI))
-    inp = td.LdiInput(mode="poisson", window=BOX, delta=delta, alpha=0.0,
+    inp = td.LdiInput(window=BOX, delta=delta, alpha=0.0,
                       median=5.0, u=0.0, t=t)
     ok &= abs(td.ldi_xstar(inp) - math.e) <= 1e-9
     report_line(11, "x* optimizer certificate", ok, started, 10.0)
@@ -258,7 +259,7 @@ def test_acceptance_12_covariogram_mc_and_total_mass():
             p = exact / w.volume
             if 0.02 <= p <= 0.98:
                 break
-        est = geo.covariogram_mc(w, y, n, pp.replication_rng(12, trial))
+        est = covariogram_mc(w, y, n, pp.replication_rng(12, trial))
         se = w.volume * math.sqrt(p * (1.0 - p) / n)
         ok &= abs(est - exact) <= 4.0 * se
     for sides in ((1.0,), (1.0, 1.0), (2.0, 1.0, 0.5)):
@@ -271,7 +272,6 @@ def test_acceptance_12_covariogram_mc_and_total_mass():
 def test_acceptance_13_determinism(tmp_path):
     started = time.monotonic()
     cfg_text = """window = box:1x1
-model = poisson
 t = 150
 delta = 0.05
 alphas = 0,1

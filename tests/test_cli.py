@@ -32,7 +32,6 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 MINIMAL = """
 # minimal moments config
 window = box:1x1
-model = poisson
 t = 100
 delta = 0.05
 alphas = 0,1
@@ -96,7 +95,6 @@ def test_load_config_rejects_duplicates_and_unknown(tmp_path):
 
 def test_schedule_derives_delta(tmp_path):
     text = """window = box:1x1
-model = poisson
 t_grid = 100,400
 schedule = 1.0,0.5
 alphas = 1
@@ -114,27 +112,34 @@ def test_t_grid_flag_implies_poisson(tmp_path):
             "--schedule", "1,0.5", "--alpha", "1", "--reps", "50"]
     flags_only = str(tmp_path / "flags.json")
     assert cli.main(argv + ["--out", flags_only]) in (0, 1)
-    with_model = str(tmp_path / "model.json")
-    model_cfg = write_cfg(tmp_path, "model = poisson\n")
-    assert cli.main(argv + ["--config", model_cfg, "--out", with_model]) in (0, 1)
-    assert open(flags_only, "rb").read() == open(with_model, "rb").read()
+    # the --t-grid flag drops the config file's n, so the report is the same
+    with_n = str(tmp_path / "n.json")
+    n_cfg = write_cfg(tmp_path, "n = 400\n")
+    assert cli.main(argv + ["--config", n_cfg, "--out", with_n]) in (0, 1)
+    assert open(flags_only, "rb").read() == open(with_n, "rb").read()
 
 
 @pytest.mark.parametrize("cfg,argv,model,intensity", [
     ("t = 100\n", ["--n", "400"], "binomial", 400.0),
-    ("model = poisson\nt = 100\n", ["--n", "400"], "binomial", 400.0),
-    ("model = binomial\nn = 400\n", ["--t", "100"], "poisson", 100.0),
+    ("t = 100\nt_grid = 100,200\n", ["--n", "400"], "binomial", 400.0),
+    ("n = 400\n", ["--t", "100"], "poisson", 100.0),
     ("n = 400\n", [], "binomial", 400.0),
     ("t_grid = 100,400\n", [], "poisson", None),
     ("n = 400\n", ["--t", "100", "--t-grid", "100,200", "--schedule", "1,0.5"], "poisson", 100.0),
-    ("model = binomial\nn = 400\n", ["--t-grid", "100,200"], "poisson", None),
+    ("n = 400\n", ["--t-grid", "100,200"], "poisson", None),
+    ("t = 100\nn = 300\n", [], None, None),
 ])
 def test_model_precedence(cfg, argv, model, intensity, tmp_path):
-    # a --t or --t-grid flag means poisson and a --n flag binomial; otherwise
-    # the config's model, or what t, t_grid or n imply. The other model's
-    # intensity is dropped, so the report lists only the one the run samples at.
+    # n means binomial and t or t_grid poisson; a config file naming both exits 2.
+    # A --t or --t-grid flag drops the config file's n and a --n flag its t and
+    # t_grid, so the report lists only the intensity the run samples at. verify,
+    # unlike simulate and predict, takes a t_grid.
     raw = cli.load_config(write_cfg(tmp_path, cfg + "window = box:1x1\ndelta = 0.05\n"))
-    args = cli.build_parser().parse_args(["simulate", "--alpha", "0", "--reps", "2"] + argv)
+    args = cli.build_parser().parse_args(["verify", "--alpha", "0", "--reps", "2"] + argv)
+    if model is None:
+        with pytest.raises(ConfigError, match="pick different models"):
+            cli.resolve_config(raw, args)
+        return
     config = cli.resolve_config(raw, args)
     assert config.model == model
     if intensity is not None:
@@ -152,15 +157,25 @@ def test_every_setting_is_a_config_field_and_echoed():
     for model, intensity in (("poisson", dict(t=100.0, t_grid=(100.0, 200.0))),
                              ("binomial", dict(n=400))):
         config = experiments.ExperimentConfig(
-            window=window, model=model, alphas=(0.0, 1.0), replications=10, master_seed=3,
+            window=window, alphas=(0.0, 1.0), replications=10, master_seed=3,
             kind="LDI", schedule=RegimeSchedule(a=1.0, gamma=0.5), delta=0.05, n_jobs=2,
             **intensity)
         echoed = config.echo()
         assert set(echoed) == ({"window", "dim", "model", "alphas", "replications", "seed",
                                 "kind", "schedule", "delta", "tolerances"} | set(intensity))
         assert echoed["window"] == "box:1.0x1.0" and echoed["dim"] == 2 and echoed["seed"] == 3
+        assert echoed["model"] == model
         assert echoed["schedule"] == {"a": 1.0, "gamma": 0.5}
         assert echoed["tolerances"] == experiments.TOLERANCES
+
+
+def test_readme_config_example_resolves(tmp_path):
+    # README's config example is a config `verify` accepts, so it names no removed key
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    raw = cli.load_config(write_cfg(tmp_path, example))
+    config = cli.resolve_config(raw, cli.build_parser().parse_args(["verify"]))
+    assert config.kind == "Moments"
 
 
 @pytest.mark.parametrize("flag,value,key", [
@@ -273,7 +288,7 @@ def _no_replications(*args, **kwargs):
      "unknown kind 'Everything'; choose one of Moments, CLT,"),
     (["--t", "100", "--delta", "0.05"], "reps 10\n", "expected key = value, got 'reps 10'"),
     (["--t", "100", "--delta", "0.05"], "seed =\n", "empty value for key 'seed'"),
-    (["--delta", "0.05"], None, "missing required key 'model' (or t / n)"),
+    (["--delta", "0.05"], None, "missing required key 't', 't_grid' or 'n'"),
     (["--kind", "MultivariateCov", "--t", "100", "--delta", "0.05"], None,
      "MultivariateCov needs a schedule"),
     (["--kind", "CompoundPoisson", "--t-grid", "50,200", "--schedule", "1,0.5"], None,
@@ -298,23 +313,30 @@ def _no_replications(*args, **kwargs):
      "Moments samples at one t or n, not at the t_grid [100.0, 100000000.0]"),
     (["--kind", "CLT", "--t", "1e8", "--t-grid", "100,200", "--delta", "0.05"], None,
      "CLT samples at one t or a t_grid, not at t = 1e+08"),
-    (["--kind", "Moments", "--delta", "0.05"], "model = poisson\n", "Moments needs a single t"),
+    (["--kind", "Moments"], "delta = 0.05\n", "missing required key 't', 't_grid' or 'n'"),
     (["--kind", "LDI", "--t", "100", "--t-grid", "100,200", "--schedule", "1,0.8"], None,
      "LDI samples at one t or n, and a thermodynamic t_grid, not at the t_grid [100.0, 200.0]"),
     (["--kind", "LDI", "--t", "100", "--t-grid", "100", "--schedule", "1,0.5"], None,
      "LDI needs a t_grid of two or more t, got [100.0]"),
     (["--kind", "LDI", "--t-grid", "100,200", "--schedule", "1,0.5"], None,
      "LDI needs a single t"),
+    # simulate and predict sample at one t or n, whichever way a t_grid comes
+    (["simulate", "--t", "100", "--t-grid", "100,1e8", "--delta", "0.05"], None,
+     "simulate samples at one t or n, not at the t_grid [100.0, 100000000.0]"),
+    (["predict", "--delta", "0.05"], "t_grid = 100,200\n",
+     "predict samples at one t or n, not at the t_grid [100.0, 200.0]"),
 ], ids=["unknown_kind", "line_without_equals", "empty_value", "no_intensity_or_model",
         "multivariate_without_schedule", "compound_poisson_without_finite_c",
         "t_and_n_flags", "t_grid_and_n_flags", "pp_conditions_one_t", "pp_conditions_one_t_grid",
         "moments_t_grid_only", "multivariate_t_grid_only", "order_statistics_t_grid_only",
         "moments_unsampled_t_grid", "clt_unsampled_t", "moments_no_t",
-        "ldi_t_grid_not_thermodynamic", "ldi_slope_t_grid_of_one", "ldi_t_grid_only"])
+        "ldi_t_grid_not_thermodynamic", "ldi_slope_t_grid_of_one", "ldi_t_grid_only",
+        "simulate_t_grid", "predict_config_t_grid"])
 def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    argv = ["verify", "--window", "box:1x1", "--alpha", "2", "--reps", "10"] + args
+    command, args = ("verify", args) if args[0].startswith("--") else (args[0], args[1:])
+    argv = [command, "--window", "box:1x1", "--alpha", "2", "--reps", "10"] + args
     if config is not None:
         argv += ["--config", write_cfg(tmp_path, config)]
     assert cli.main(argv) == 2
@@ -761,10 +783,11 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys):
 
 # Config-file values that do not convert; stderr names their key.
 UNCONVERTIBLE = ("reps = x",)
-# Keys of settings that no longer exist (a ball's separate dimension and the
-# verdict tolerances, now fixed); stderr names each as an unknown key.
+# Keys of settings that no longer exist (a ball's separate dimension, the
+# verdict tolerances, now fixed, and the model, which the intensity given
+# picks); stderr names each as an unknown key.
 REMOVED_KEYS = ("dim = x", "tol_ks = abc", "tol_slope_max = nan",
-                "tol_tail_slope_min = inf", "tol_ks = 0")
+                "tol_tail_slope_min = inf", "tol_ks = 0", "model = poisson")
 
 
 @pytest.mark.parametrize("bad", [
@@ -827,6 +850,23 @@ def test_simulate_csv_and_edge_dump(tmp_path):
     assert open(out).read() == open(out2).read()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"], "--out"),
+    (["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"],
+     "--edges-out"),
+    (["predict", "--t", "100", "--delta", "0.05", "--alpha", "0"], "--out"),
+    (["verify", "--kind", "Moments", "--t", "100", "--delta", "0.05", "--alpha", "0",
+      "--reps", "20"], "--out"),
+    (["covariogram", "--direction", "1,0", "--steps", "3"], "--out"),
+], ids=["simulate", "simulate_edges", "predict", "verify", "covariogram"])
+def test_unwritable_output_exits_2(argv, flag, tmp_path, capsys):
+    # a path that cannot be written is a usage error; verify's exit 1 means failed verdicts
+    path = str(tmp_path / "missing" / "out.txt")
+    assert cli.main(argv + ["--window", "box:1x1", flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+
+
 def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
     # the dump is replication 0's edge set, built once: reps calls, not reps + 1
     built = []
@@ -883,7 +923,6 @@ def test_covariogram_subcommand(tmp_path, capsys):
 
 def test_ldi_verify_writes_table(tmp_path):
     text = """window = box:1x1
-model = poisson
 t = 100
 delta = 0.05
 alphas = 0

@@ -17,15 +17,15 @@ W = ConvexWindow.box((1.0, 1.0))
 
 
 def cfg(**kw):
-    base = dict(window=W, model="poisson", alphas=(0.0, 1.0), replications=200,
+    base = dict(window=W, alphas=(0.0, 1.0), replications=200,
                 master_seed=7, kind="Moments", t=100.0, delta=0.05)
     base.update(kw)
     return ex.ExperimentConfig(**base)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        cfg(model="gamma")
+    with pytest.raises(TypeError):  # the intensity given picks the model
+        cfg(model="poisson")
     with pytest.raises(ConfigError):
         cfg(replications=1)
     with pytest.raises(ConfigError):
@@ -33,13 +33,12 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         cfg(kind="Everything")
     for bad in (dict(delta=0.0), dict(delta=math.inf), dict(t=-5.0), dict(t=math.nan),
-                dict(model="binomial", t=None, n=0), dict(t_grid=(100.0, 0.0)),
+                dict(t=None, n=0), dict(t_grid=(100.0, 0.0)),
                 dict(alphas=(0.0, math.nan)), dict(n_jobs=0), dict(n_jobs=-3),
                 # each job is an OS thread: MAX_JOBS of them at most
                 dict(n_jobs=ex.MAX_JOBS + 1),
                 # a run holds only its model's intensity
-                dict(n=400), dict(model="binomial", n=400),
-                dict(model="binomial", t=None, n=400, t_grid=(100.0, 200.0))):
+                dict(n=400), dict(t=None, n=400, t_grid=(100.0, 200.0))):
         with pytest.raises(ConfigError):
             cfg(**bad)
     assert cfg(n_jobs=ex.MAX_JOBS).n_jobs == 64  # only checked; no thread starts
@@ -256,9 +255,9 @@ def test_verify_order_statistics_finite_edge_constant():
 
 def test_verify_ldi_small_both_models():
     for model, kw in (("poisson", {"t": 500.0}), ("binomial", {"n": 500, "t": None})):
-        c = cfg(kind="LDI", model=model, replications=1000, master_seed=1, **kw)
+        c = cfg(kind="LDI", replications=1000, master_seed=1, **kw)
         rep = ex.verify_ldi(c)
-        assert rep.passed
+        assert rep.passed and rep.config["model"] == model
         table = rep.tables["ldi_alpha_0.0"]
         assert len(table["u"]) == 20
         csv_text = ex.ldi_table_to_csv(table)

@@ -46,7 +46,7 @@ def _poisson_input(u=0.0, alpha=0.0, median=5.0, t=2000.0, delta=None):
     if delta is None:
         # calibrate so ln(tV)/(t kappa_d delta^d) = 1
         delta = math.sqrt(math.log(t) / (t * math.pi))
-    return td.LdiInput(mode="poisson", window=W, delta=delta, alpha=alpha,
+    return td.LdiInput(window=W, delta=delta, alpha=alpha,
                        median=median, u=u, t=t)
 
 
@@ -57,7 +57,7 @@ def test_xstar_analytic_case():
 
 def test_xstar_collapse_at_u_zero():
     # u=0: the square root collapses and x* = 2 inf_s A(s)
-    inp = td.LdiInput(mode="poisson", window=W, delta=0.05, alpha=1.0,
+    inp = td.LdiInput(window=W, delta=0.05, alpha=1.0,
                       median=3.0, u=0.0, t=500.0)
     xs = td.ldi_xstar(inp)
     grid = np.exp(np.linspace(-10, 5, 4001))
@@ -68,7 +68,7 @@ def test_xstar_collapse_at_u_zero():
 
 
 def test_xstar_monotone_in_u():
-    vals = [td.ldi_xstar(td.LdiInput(mode="poisson", window=W, delta=0.05, alpha=0.0,
+    vals = [td.ldi_xstar(td.LdiInput(window=W, delta=0.05, alpha=0.0,
                                      median=900.0, u=u, t=500.0))
             for u in np.linspace(0.0, 2000.0, 9)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -80,7 +80,7 @@ def test_xstar_certificate_random_probes():
         mode = "poisson" if rng.random() < 0.5 else "binomial"
         kw = {"t": float(rng.uniform(5, 3000))} if mode == "poisson" else \
              {"n": int(rng.integers(5, 3000))}
-        inp = td.LdiInput(mode=mode, window=W, delta=float(rng.uniform(0.01, 0.2)),
+        inp = td.LdiInput(window=W, delta=float(rng.uniform(0.01, 0.2)),
                           alpha=float(rng.uniform(0.0, 2.0)),
                           median=float(rng.uniform(0.0, 200.0)),
                           u=float(rng.uniform(0.0, 1000.0)), **kw)
@@ -91,7 +91,7 @@ def test_xstar_certificate_random_probes():
 
 
 def test_degenerate_input_raises():
-    inp = td.LdiInput(mode="poisson", window=W, delta=0.05, alpha=0.0,
+    inp = td.LdiInput(window=W, delta=0.05, alpha=0.0,
                       median=0.0, u=0.0, t=100.0)
     with pytest.raises(DegenerateInputError):
         td.ldi_xstar(inp)
@@ -100,12 +100,12 @@ def test_degenerate_input_raises():
 
 
 def test_ldi_bound_clamps_and_decreases():
-    at_zero = td.LdiInput(mode="poisson", window=W, delta=0.05, alpha=0.0,
+    at_zero = td.LdiInput(window=W, delta=0.05, alpha=0.0,
                           median=10.0, u=0.0, t=500.0)
     assert td.ldi_bound(at_zero) == 1.0  # 8 e^0 clamped
     assert td.ldi_envelope(at_zero) == 1.0
     us = np.linspace(500.0, 6000.0, 12)
-    bounds = [td.ldi_bound(td.LdiInput(mode="poisson", window=W, delta=0.05,
+    bounds = [td.ldi_bound(td.LdiInput(window=W, delta=0.05,
                                        alpha=0.0, median=940.0, u=float(u), t=500.0))
               for u in us]
     declined = [b for b in bounds if b < 1.0]
@@ -117,7 +117,7 @@ def test_ldi_envelope_large_u_shape():
     # large u: exponent ~ -(1/2) sqrt(u / (8 delta^alpha)); envelope -> 0
     delta, alpha, med = 0.05, 1.0, 50.0
     for u in (1e5, 1e6):
-        inp = td.LdiInput(mode="poisson", window=W, delta=delta, alpha=alpha,
+        inp = td.LdiInput(window=W, delta=delta, alpha=alpha,
                           median=med, u=u, t=500.0)
         env = td.ldi_envelope(inp)
         predicted = 8.0 * math.exp(-0.5 * math.sqrt(u / (8.0 * delta**alpha))
@@ -129,12 +129,16 @@ def test_ldi_envelope_large_u_shape():
 def test_binomial_variants_carry_volume_factors():
     w2 = geo.ConvexWindow.box((2.0, 2.0))  # V = 4
     base = dict(delta=0.05, alpha=0.0, median=100.0, u=2000.0)
-    pltz = td.LdiInput(mode="poisson", window=w2, t=500.0, **base)
-    binz = td.LdiInput(mode="binomial", window=w2, n=500, **base)
+    pltz = td.LdiInput(window=w2, t=500.0, **base)
+    binz = td.LdiInput(window=w2, n=500, **base)
     # different closed forms: the binomial exponent carries V(W)
     assert td.ldi_xstar(pltz) != pytest.approx(td.ldi_xstar(binz))
     assert td.ldi_bound(pltz) != pytest.approx(td.ldi_bound(binz))
     assert td.ldi_envelope(pltz) != pytest.approx(td.ldi_envelope(binz))
+    # the intensity given picks the model: exactly one of t and n
+    for both_or_neither in (dict(t=500.0, n=500), {}):
+        with pytest.raises(ValueError, match="exactly one of t"):
+            td.LdiInput(window=w2, **base, **both_or_neither)
 
 
 def test_thermo_exponent_values():
