@@ -4,13 +4,14 @@ Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
 settings. n picks the binomial model and t or t_grid the Poisson one; a config
 naming both exits 2, and a --t or --t-grid flag drops the config file's n and
---n its t and t_grid. simulate and predict reject a t_grid, and an unwritable
-output path exits 2. A window is
-box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
-GILBERT_SEED, then config, then 0. Exit codes: 0 success
-(all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
-overflow, division by zero or an invalid floating-point value at extreme
-inputs (numpy raises instead of warning).
+--n its t and t_grid. delta and schedule follow the same rule. Each run
+command's rules are its row of experiments._SUITES, checked by check_run before
+any work, and an output path that names a directory or lies in none exits 2
+before any work too. A window is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed
+precedence: --seed flag, then GILBERT_SEED, then config, then 0. Exit codes: 0
+success (all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
+overflow, division by zero or an invalid floating-point value at extreme inputs
+(numpy raises instead of warning).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GilbertSimError
-from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
-                          check_memory_budget, ldi_table_to_csv,
-                          replications_to_csv, report_to_json, require_poisson,
+from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig, check_run,
+                          ldi_table_to_csv, replications_to_csv, report_to_json,
                           run_replications, run_verification, simulate_row)
 from .geometry import ConvexWindow, covariogram
 # not called here; perfbench's tracer test checks that cli binds this name
@@ -146,20 +146,21 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
             values["seed"] = int(env)
         except ValueError:
             raise ConfigError(f"GILBERT_SEED must be an integer, got {env!r}") from None
-    # a flag of one model's intensity drops the other model's from the config file
-    if "t" in flags or "t_grid" in flags:
-        if "n" in flags:
-            raise ConfigError("--t or --t-grid (Poisson model) and --n (binomial model) "
-                              "pick different models; give one")
-        values.pop("n", None)
-    elif "n" in flags:
-        values.pop("t", None)
-        values.pop("t_grid", None)
+    # a flag on one side of a pair drops the config file's other side: --t or --t-grid
+    # drops n and --n t and t_grid; --delta drops the schedule and --schedule delta
+    pairs = [(("t", "t_grid"), ("n",), "--t or --t-grid (Poisson model) and --n (binomial "
+              "model) pick different models"),
+             (("delta",), ("schedule",), "--delta and --schedule both set the distance "
+              "parameter")]
+    for one, other, clash in pairs:
+        if flags.keys() & one and flags.keys() & other:
+            raise ConfigError(f"{clash}; give one")
+        for side, dropped in ((one, other), (other, one)):
+            if flags.keys() & side:
+                for key in dropped:
+                    values.pop(key, None)
     if not values.keys() & {"t", "t_grid", "n"}:
         raise ConfigError("missing required key 't', 't_grid' or 'n'")
-    if "t_grid" in values and args.command != "verify":  # simulate and predict sample once
-        raise ConfigError(f"{args.command} samples at one t or n, "
-                          f"not at the t_grid {list(values['t_grid'])!r}")
     return ExperimentConfig(**{"master_seed": 0, "kind": "Moments",
                                **{_FIELDS.get(key, key): value for key, value in values.items()}})
 
@@ -178,7 +179,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
-    check_memory_budget(config)
+    check_run(config, "simulate")
     row = simulate_row(config.alphas)
     first = {}
 
@@ -241,7 +242,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     # predictions do not simulate; a default reps satisfies the config invariant
     config = resolve_config({"reps": "2", **raw}, args)
-    require_poisson(config, "predict")
+    check_run(config, "predict")
     preds = _predictions(config)
     payload = [{"name": p.name, "value": p.value, "params": p.params,
                 "paper_anchor": p.anchor, "estimated": p.estimated}
@@ -336,6 +337,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an output path that cannot be opened exits 2 before any work, not after it
+        for out in (args.out, vars(args).get("edges_out")):
+            if out and os.path.isdir(out):
+                raise ConfigError(f"cannot write {out!r}: it is a directory")
+            if out and not os.path.isdir(os.path.dirname(out) or "."):
+                raise ConfigError(f"cannot write {out!r}: no directory {os.path.dirname(out)!r}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except GilbertSimError as exc:

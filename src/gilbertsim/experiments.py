@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed!r}")
         if self.delta is None and self.schedule is None:
             raise ConfigError("either delta or schedule must be given")
+        if self.delta is not None and self.schedule is not None:
+            raise ConfigError("delta and schedule both set the distance parameter; give one")
         if self.n is not None and (self.t is not None or self.t_grid is not None):
             raise ConfigError("t or t_grid (Poisson model) and n (binomial model) "
                               "pick different models; give one")
@@ -758,11 +760,12 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
-# The rules of each verify kind, checked before any quadrature or replication
-# (README's suite table mirrors them): verifier, alpha range, "one alpha" or "many"
-# (LDI: one with a t_grid), Poisson model, builds graphs (the memory budget
-# applies), schedule, the interval c = lim t^2 delta^d lies in (inf without a
-# schedule), and the intensities it samples at (see run_verification).
+# The rules of every run command, checked by check_run before any quadrature or
+# replication (README's table mirrors them): verifier (None for simulate and
+# predict, which are not verify kinds), alpha range, "one alpha" or "many" (LDI:
+# one with a t_grid), Poisson model, builds graphs (the memory budget applies),
+# schedule, the interval c = lim t^2 delta^d lies in (inf without a schedule),
+# and the intensities it samples at.
 Suite = namedtuple("Suite", "verify alpha alphas poisson graph schedule c intensities")
 _SUITES = {
     "Moments": Suite(verify_moments, "> -d/2", "many", True, True, False, "[0, inf]",
@@ -779,30 +782,25 @@ _SUITES = {
                  "one t or n, and a thermodynamic t_grid"),
     "PPConditions": Suite(verify_pp_conditions, "> 0", "one alpha", True, False, False,
                           "(0, inf]", "a t_grid of two or more"),
+    "simulate": Suite(None, "> -inf", "many", False, True, False, "[0, inf]", "one t or n"),
+    "predict": Suite(None, "> -d/2", "many", True, False, False, "[0, inf]", "one t or n"),
 }
-VERIFICATION_KINDS = tuple(_SUITES)
+VERIFICATION_KINDS = tuple(kind for kind, suite in _SUITES.items() if suite.verify)
 
 
-def require_poisson(config: ExperimentConfig, what: str) -> None:
-    """Reject a binomial run of a check against the Poisson-process formulas,
-    which at t = n do not describe n binomial points (the covariances differ)."""
-    if config.model != "poisson":
-        raise ConfigError(f"{what} needs the Poisson model (t, not n): its theory values "
-                          f"are for a Poisson process")
-
-
-def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check every rule of the config's suite, each error naming the kind, then
-    the memory budget if the suite builds graphs; then run the suite."""
-    suite = _SUITES[config.kind]
-    kind, alphas, grid = config.kind, list(config.alphas), list(config.t_grid or ())
+def check_run(config: ExperimentConfig, kind: str) -> None:
+    """Check every rule of _SUITES[kind] (a verify kind, simulate or predict), each
+    error naming it; then the memory budget if the run builds graphs."""
+    suite = _SUITES[kind]
+    alphas, grid = list(config.alphas), list(config.t_grid or ())
     op, bound = suite.alpha.split()
     floor = -config.window.dim / 2.0 if bound == "-d/2" else float(bound)
     bad = [a for a in alphas if a < floor or (op == ">" and a == floor)]
     if bad:
         raise ConfigError(f"{kind} needs alpha {op} {floor:g}, got {bad!r}")
-    if suite.poisson:
-        require_poisson(config, kind)
+    if suite.poisson and config.model != "poisson":  # at t = n its formulas do not hold
+        raise ConfigError(f"{kind} needs the Poisson model (t, not n): its theory values "
+                          f"are for a Poisson process")
     if suite.schedule and config.schedule is None:
         raise ConfigError(f"{kind} needs a schedule")
     c = _edge_limit(config)
@@ -829,4 +827,9 @@ def run_verification(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(f"{kind} checks exactly {suite.alphas}, got {alphas!r}")
     if suite.graph:
         check_memory_budget(config)
-    return suite.verify(config)
+
+
+def run_verification(config: ExperimentConfig) -> ExperimentReport:
+    """Check the rules of the config's kind, then run its verifier."""
+    check_run(config, config.kind)
+    return _SUITES[config.kind].verify(config)

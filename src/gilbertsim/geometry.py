@@ -89,14 +89,6 @@ class ConvexWindow:
             return min(self.sides) / 2.0
         return self.radius
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean membership for points of shape (..., dim)."""
-        pts = np.asarray(points, dtype=float)
-        if self.kind == "box":
-            s = np.asarray(self.sides)
-            return np.all((pts >= 0.0) & (pts <= s), axis=-1)
-        return np.einsum("...i,...i->...", pts, pts) <= self.radius**2
-
     def label(self) -> str:
         """CLI/config textual form, e.g. box:2x1x0.5 or ball:1.0@d=3."""
         if self.kind == "box":

@@ -128,16 +128,22 @@ def test_t_grid_flag_implies_poisson(tmp_path):
     ("n = 400\n", ["--t", "100", "--t-grid", "100,200", "--schedule", "1,0.5"], "poisson", 100.0),
     ("n = 400\n", ["--t-grid", "100,200"], "poisson", None),
     ("t = 100\nn = 300\n", [], None, None),
+    ("t = 100\nschedule = 1,0.5\n", ["--delta", "0.1"], "poisson", 100.0),
+    ("t = 100\nschedule = 1,0.5\n", [], None, None),
+    ("t = 100\n", ["--delta", "0.1", "--schedule", "1,0.5"], None, None),
 ])
 def test_model_precedence(cfg, argv, model, intensity, tmp_path):
     # n means binomial and t or t_grid poisson; a config file naming both exits 2.
     # A --t or --t-grid flag drops the config file's n and a --n flag its t and
     # t_grid, so the report lists only the intensity the run samples at. verify,
-    # unlike simulate and predict, takes a t_grid.
+    # unlike simulate and predict, takes a t_grid. delta and schedule follow the
+    # same rule: a config naming both exits 2, and either flag drops the other.
     raw = cli.load_config(write_cfg(tmp_path, cfg + "window = box:1x1\ndelta = 0.05\n"))
     args = cli.build_parser().parse_args(["verify", "--alpha", "0", "--reps", "2"] + argv)
     if model is None:
-        with pytest.raises(ConfigError, match="pick different models"):
+        clash = ("set the distance parameter" if "schedule" in cfg + " ".join(argv)
+                 else "pick different models")
+        with pytest.raises(ConfigError, match=clash):
             cli.resolve_config(raw, args)
         return
     config = cli.resolve_config(raw, args)
@@ -146,6 +152,9 @@ def test_model_precedence(cfg, argv, model, intensity, tmp_path):
         assert config.intensity() == intensity
     other = ("n",) if model == "poisson" else ("t", "t_grid")
     assert not set(other) & set(config.echo())
+    # the distance flag wins over the config file's delta or schedule
+    if "--schedule" in argv or "--delta" in argv:
+        assert (config.delta is None) == ("--schedule" in argv)
 
 
 def test_every_setting_is_a_config_field_and_echoed():
@@ -154,18 +163,22 @@ def test_every_setting_is_a_config_field_and_echoed():
     names = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
     assert {cli._FIELDS.get(key, key) for key in cli._SETTINGS} == names
     window = cli.parse_window("box:1x1")
-    for model, intensity in (("poisson", dict(t=100.0, t_grid=(100.0, 200.0))),
-                             ("binomial", dict(n=400))):
+    # a config takes exactly one of delta and schedule: one case each
+    for model, given in (("poisson", dict(t=100.0, t_grid=(100.0, 200.0),
+                                          schedule=RegimeSchedule(a=1.0, gamma=0.5))),
+                         ("binomial", dict(n=400, delta=0.05))):
         config = experiments.ExperimentConfig(
             window=window, alphas=(0.0, 1.0), replications=10, master_seed=3,
-            kind="LDI", schedule=RegimeSchedule(a=1.0, gamma=0.5), delta=0.05, n_jobs=2,
-            **intensity)
+            kind="LDI", n_jobs=2, **given)
         echoed = config.echo()
         assert set(echoed) == ({"window", "dim", "model", "alphas", "replications", "seed",
-                                "kind", "schedule", "delta", "tolerances"} | set(intensity))
+                                "kind", "tolerances"} | set(given))
         assert echoed["window"] == "box:1.0x1.0" and echoed["dim"] == 2 and echoed["seed"] == 3
         assert echoed["model"] == model
-        assert echoed["schedule"] == {"a": 1.0, "gamma": 0.5}
+        if "schedule" in given:
+            assert echoed["schedule"] == {"a": 1.0, "gamma": 0.5}
+        else:
+            assert echoed["delta"] == 0.05
         assert echoed["tolerances"] == experiments.TOLERANCES
 
 
@@ -283,6 +296,10 @@ def _no_replications(*args, **kwargs):
     raise AssertionError("a replication ran before the config was rejected")
 
 
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a quadrature ran before the config was rejected")
+
+
 @pytest.mark.parametrize("args,config,message", [
     (["--kind", "Everything", "--t", "100", "--delta", "0.05"], None,
      "unknown kind 'Everything'; choose one of Moments, CLT,"),
@@ -325,16 +342,24 @@ def _no_replications(*args, **kwargs):
      "simulate samples at one t or n, not at the t_grid [100.0, 100000000.0]"),
     (["predict", "--delta", "0.05"], "t_grid = 100,200\n",
      "predict samples at one t or n, not at the t_grid [100.0, 200.0]"),
+    # predict's covariance exists only for alpha > -d/2: the gate says so before any quadrature
+    (["predict", "--alpha=-1,0", "--t", "100", "--delta", "0.05"], None,
+     "predict needs alpha > -1, got [-1.0]"),
+    # simulate and predict have rows in _SUITES but are not verify kinds
+    (["--kind", "simulate", "--t", "100", "--delta", "0.05"], None,
+     "unknown kind 'simulate'; choose one of Moments, CLT,"),
 ], ids=["unknown_kind", "line_without_equals", "empty_value", "no_intensity_or_model",
         "multivariate_without_schedule", "compound_poisson_without_finite_c",
         "t_and_n_flags", "t_grid_and_n_flags", "pp_conditions_one_t", "pp_conditions_one_t_grid",
         "moments_t_grid_only", "multivariate_t_grid_only", "order_statistics_t_grid_only",
         "moments_unsampled_t_grid", "clt_unsampled_t", "moments_no_t",
         "ldi_t_grid_not_thermodynamic", "ldi_slope_t_grid_of_one", "ldi_t_grid_only",
-        "simulate_t_grid", "predict_config_t_grid"])
+        "simulate_t_grid", "predict_config_t_grid", "predict_alpha_range", "simulate_kind"])
 def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "covariance_exact", _no_quadrature)
     command, args = ("verify", args) if args[0].startswith("--") else (args[0], args[1:])
     argv = [command, "--window", "box:1x1", "--alpha", "2", "--reps", "10"] + args
     if config is not None:
@@ -417,7 +442,8 @@ def test_poisson_formulas_reject_binomial_runs(argv, monkeypatch, capsys):
     # these compare with the Poisson formulas at t = n (rescaled by t, or along
     # a schedule's delta_t), which do not describe n binomial points
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    rc = cli.main(argv + ["--window", "box:1x1", "--n", "400", "--delta", "0.05"])
+    distance = [] if "--schedule" in argv else ["--delta", "0.05"]  # a run takes one
+    rc = cli.main(argv + ["--window", "box:1x1", "--n", "400"] + distance)
     assert rc == 2
     assert "needs the Poisson model" in capsys.readouterr().err
 
@@ -586,10 +612,7 @@ def test_limit_rescale_leaving_the_floats_exits_2(kind, args, named, monkeypatch
 ], ids=["underflow", "overflow"])
 def test_pp_conditions_rho_underflow_exits_2_before_quadrature(alpha, named, monkeypatch,
                                                                capsys):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a quadrature ran before the config was rejected")
-
-    monkeypatch.setattr(experiments, "pp_conditions", no_quadrature)
+    monkeypatch.setattr(experiments, "pp_conditions", _no_quadrature)
     rc = cli.main(["verify", "--kind", "PPConditions", "--window", "box:1x1", "--alpha", alpha,
                    "--t-grid", "1e-3,1", "--delta", "0.05", "--reps", "5"])
     assert rc == 2
@@ -800,7 +823,7 @@ REMOVED_KEYS = ("dim = x", "tol_ks = abc", "tol_slope_max = nan",
     ["--t", "100", "--schedule", "1,nan"],
     ["--t", "100", "--schedule", "inf,0.5"],
     ["--delta", "0.05", "--t", "100", "--alpha", "0,0"],
-    ["--delta", "0.05", "--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
+    ["--t", "100", "--alpha", "0,0", "--schedule", "1,0.5"],
     # config-file lines
     *UNCONVERTIBLE, *REMOVED_KEYS, "n_jobs = -3", "n_jobs = 0", "n_jobs = 65",
 ])
@@ -850,21 +873,31 @@ def test_simulate_csv_and_edge_dump(tmp_path):
     assert open(out).read() == open(out2).read()
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"], "--out"),
-    (["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"],
-     "--edges-out"),
-    (["predict", "--t", "100", "--delta", "0.05", "--alpha", "0"], "--out"),
+SIMULATE = ["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"]
+
+
+@pytest.mark.parametrize("argv,flag,target", [
+    (SIMULATE, "--out", "missing/out.txt"),
+    (SIMULATE, "--edges-out", "missing/out.txt"),
+    (SIMULATE + ["--out", "o.csv"], "--edges-out", "missing/out.txt"),
+    (SIMULATE, "--out", "."),
+    (["predict", "--t", "100", "--delta", "0.05", "--alpha", "0"], "--out", "missing/out.txt"),
     (["verify", "--kind", "Moments", "--t", "100", "--delta", "0.05", "--alpha", "0",
-      "--reps", "20"], "--out"),
-    (["covariogram", "--direction", "1,0", "--steps", "3"], "--out"),
-], ids=["simulate", "simulate_edges", "predict", "verify", "covariogram"])
-def test_unwritable_output_exits_2(argv, flag, tmp_path, capsys):
-    # a path that cannot be written is a usage error; verify's exit 1 means failed verdicts
-    path = str(tmp_path / "missing" / "out.txt")
+      "--reps", "20"], "--out", "missing/out.txt"),
+    (["covariogram", "--direction", "1,0", "--steps", "3"], "--out", "missing/out.txt"),
+], ids=["simulate", "simulate_edges", "simulate_out_and_edges", "simulate_directory",
+        "predict", "verify", "covariogram"])
+def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, capsys):
+    # a path that cannot be written is a usage error, found before any replication;
+    # verify's exit 1 means failed verdicts
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / target)
     assert cli.main(argv + ["--window", "box:1x1", flag, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()  # a good --out is not written either
 
 
 def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):

@@ -15,6 +15,14 @@ from gilbertsim.errors import NonIntegrableError, UnsupportedDimensionError
 PI = math.pi
 
 
+def contains(window: geo.ConvexWindow, points) -> np.ndarray:
+    """Boolean membership in window for points of shape (..., dim)."""
+    pts = np.asarray(points, dtype=float)
+    if window.kind == "box":
+        return np.all((pts >= 0.0) & (pts <= np.asarray(window.sides)), axis=-1)
+    return np.einsum("...i,...i->...", pts, pts) <= window.radius**2
+
+
 def covariogram_mc(window: geo.ConvexWindow, y, n_samples: int,
                    rng: np.random.Generator) -> float:
     """Monte Carlo covariogram: V(W) * P(X - y in W) for X uniform in W."""
@@ -29,7 +37,7 @@ def covariogram_mc(window: geo.ConvexWindow, y, n_samples: int,
     while remaining > 0:
         k = min(chunk, remaining)
         x = geo.sample_uniform(window, rng, k)
-        hits += int(np.count_nonzero(window.contains(x - y)))
+        hits += int(np.count_nonzero(contains(window, x - y)))
         remaining -= k
     return window.volume * hits / float(n_samples)
 
@@ -435,7 +443,7 @@ def test_sample_uniform_ball_containment():
     for d in (1, 2, 3):
         b = geo.ConvexWindow.ball(1.0, d)
         pts = geo.sample_uniform(b, rng, 50_000)
-        assert bool(b.contains(pts).all())
+        assert bool(contains(b, pts).all())
         # radial CDF check: P(||x|| <= s) = s^d
         s = 0.7
         phat = float(np.mean(np.linalg.norm(pts, axis=1) <= s))

@@ -243,6 +243,8 @@ def test_max_degree():
     assert gg.max_degree(single) == 1
     star = make_sample([[0.5, 0.5], [0.55, 0.5], [0.45, 0.5], [0.5, 0.55], [0.5, 0.45]])
     assert gg.max_degree(gg.build_edges(star, 0.06)) == 4
+    isolated_last = make_sample([[0.0, 0.0], [0.05, 0.0], [0.9, 0.9]])
+    assert gg.max_degree(gg.build_edges(isolated_last, 0.1)) == 1
     s = pp.sample_binomial(W2, 400, pp.replication_rng(7, 1))
     e1 = gg.build_edges(s, 0.07)
     e2 = gg.build_edges_bruteforce(s, 0.07)
