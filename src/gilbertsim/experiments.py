@@ -54,8 +54,9 @@ TOLERANCES = {
 }
 
 # Expected edges a run may hold in memory at once. A replication (build_edges
-# and its reduction) peaks at about 57 B per edge (peak RSS, 1.9e6 edges in
-# d = 2), so the cap is about 1.1 GB.
+# and its reduction) peaks at 42-47 B per edge (peak RSS of `simulate` above
+# the RSS after importing the CLI and scipy.spatial, 1.3e6-1.9e6 edges in
+# d = 2), so the cap is about 0.95 GB.
 EDGE_BUDGET = 2e7
 # Expected points a run may hold in memory at once. A replication with almost
 # no edges (the points, their duplicate check, the kd-tree and the pair sort)
@@ -352,11 +353,13 @@ def simulate_row(alphas):
     """The reduction behind `simulate`'s CSV: per alpha, one row
     (L, n_points, max_degree, S1..S5) with S the 5 smallest length powers."""
     def reduce(r, sample, edges):
-        powers = length_power(edges, alphas)
         degree = max_degree(edges)
-        return np.array([[powers[k], sample.n_points, degree,
-                          *_smallest_powers(edges.lengths, alpha, 5)]
-                         for k, alpha in enumerate(alphas)])
+        rows = []
+        for alpha in alphas:
+            powers = edges.lengths**alpha  # L is length_power's float(np.sum(powers))
+            rows.append([float(np.sum(powers)), sample.n_points, degree,
+                         *_smallest_powers(powers, 5)])
+        return np.array(rows)
     return reduce
 
 
@@ -612,9 +615,10 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
 
     def reduce(r, sample, edges):
         # the 5 smallest powers, then the counts of rescaled powers per interval
-        powers = rescale * edges.lengths ** alpha
-        counts = [np.count_nonzero((powers >= lo) & (powers < hi)) for lo, hi in intervals]
-        return np.concatenate([_smallest_powers(edges.lengths, alpha, 5), counts])
+        powers = edges.lengths**alpha
+        scaled = rescale * powers
+        counts = [np.count_nonzero((scaled >= lo) & (scaled < hi)) for lo, hi in intervals]
+        return np.concatenate([_smallest_powers(powers, 5), counts])
 
     rows = run_replications(config, reduce)
     metrics: list[Metric] = []

@@ -1,19 +1,26 @@
 """Gilbert graph edges at radius delta and edge-derived statistics.
 
-build_edges is the performance core: scipy's kd-tree (cKDTree.query_pairs)
-lists candidate pairs within a radius widened by a relative 1e-12, and an
-exact re-filter keeps those whose canonical length is <= delta.
-build_edges_bruteforce is the O(n^2) oracle with the same output contract.
+build_edges is the performance core: scipy's kd-tree, built unbalanced
+(cKDTree(..., balanced_tree=False) builds and queries faster and lists the
+same pairs), lists candidate pairs within a radius widened by a relative
+1e-12 (query_pairs), and an exact re-filter keeps those whose canonical
+length is <= delta. build_edges_bruteforce is the O(n^2) oracle with the
+same output contract.
 
 The one canonical length formula is _pair_distance: the squared coordinate
 differences added left to right, one column at a time,
-sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). Every edge length and the oracle's
+sqrt(((dx0^2 + dx1^2) + dx2^2) + ...), each column gathered from a
+contiguous (d, n) copy of the points. Every edge length and the oracle's
 <= delta mask come from it, so the results agree bitwise, ties at exactly
 delta included.
 
 Candidate pairs are put in (i, j) order by sorting one fused key i*n + j. The
 key is int32 when n^2 <= int32 max (n <= 46340) and int64 above; EdgeSet's
-i and j are int64 either way.
+i and j are int64 either way, written over query_pairs' own (m, 2) buffer.
+
+The reductions take a length power once per alpha: a caller raises the
+lengths to alpha and hands the same array to the sum and to
+_smallest_powers.
 
 scipy.spatial is imported inside build_edges, so importing this module (and
 the CLI) loads none of scipy.
@@ -53,31 +60,39 @@ def _pair_distance(points: np.ndarray, a, b) -> np.ndarray:
     """Canonical edge length formula; every EdgeSet's lengths come from here.
 
     The squared coordinate differences are added left to right, one column at
-    a time: sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). a and b are index arrays
-    that broadcast against each other.
+    a time: sqrt(((dx0^2 + dx1^2) + dx2^2) + ...). Each column is gathered from
+    a contiguous (d, n) copy of the points. a and b are index arrays that
+    broadcast against each other.
     """
-    diff = points.take(a, axis=0) - points.take(b, axis=0)
-    diff *= diff
-    sq = diff[..., 0].copy()
-    for k in range(1, points.shape[1]):
-        sq += diff[..., k]
+    def squared_diff(c):
+        dx = c.take(a) - c.take(b)
+        dx *= dx
+        return dx
+
+    first, *rest = np.ascontiguousarray(points.T)
+    sq = squared_diff(first)
+    for c in rest:
+        sq += squared_diff(c)
     return np.sqrt(sq, out=sq)
 
 
-def _sorted_pairs(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique pairs a < b of vertices 0..n-1, sorted by (a, b), as int64 arrays.
+def _sorted_pairs(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique int64 pairs a < b of vertices 0..n-1, sorted by (a, b): (i, j).
 
     The pairs are unique, so sorting the fused key a*n + b orders them
-    lexicographically; the key is int32 whenever n^2 fits.
+    lexicographically; the key is int32 whenever n^2 fits. i and j are
+    written over the (m, 2) pairs array's buffer, which the key has replaced.
     """
     dtype = np.int32 if n * n <= _INT32_MAX else np.int64
-    key = a.astype(dtype)
-    key *= n
-    key += b.astype(dtype)
+    key = np.multiply(pairs[:, 0], n, dtype=dtype)
+    np.add(key, pairs[:, 1], out=key, dtype=dtype)
     key.sort()
-    i = key // n
-    j = key - i * n
-    return i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    i, j = pairs.reshape(2, -1)
+    q = key // n  # numpy divides by a scalar fastest in the key's own dtype
+    i[...] = q
+    q *= n
+    np.subtract(key, q, out=j)
+    return i, j
 
 
 def build_edges(sample: PointSample, delta: float) -> EdgeSet:
@@ -88,10 +103,12 @@ def build_edges(sample: PointSample, delta: float) -> EdgeSet:
 
     pts = sample.points
     # The tree rounds its distances its own way; the widened radius keeps every
-    # pair whose canonical length is <= delta among the candidates.
-    pairs = cKDTree(pts).query_pairs(delta * (1 + 1e-12), output_type="ndarray")
+    # pair whose canonical length is <= delta among the candidates. An
+    # unbalanced tree builds and queries faster and finds the same pairs.
+    pairs = cKDTree(pts, balanced_tree=False).query_pairs(delta * (1 + 1e-12),
+                                                          output_type="ndarray")
     # query_pairs yields i < j
-    i, j = _sorted_pairs(pairs[:, 0], pairs[:, 1], pts.shape[0])
+    i, j = _sorted_pairs(pairs, pts.shape[0])
     lengths = _pair_distance(pts, i, j)
     keep = lengths <= delta
     if not keep.all():
@@ -142,17 +159,16 @@ def max_degree(edges: EdgeSet) -> int:
     if edges.n_edges == 0:
         return 0
     n = edges.sample.n_points
-    deg = np.bincount(edges.i, minlength=n) + np.bincount(edges.j, minlength=n)
+    deg = np.bincount(edges.i, minlength=n)
+    deg += np.bincount(edges.j, minlength=n)
     return int(deg.max())
 
 
-def _smallest_powers(lengths: np.ndarray, alpha: float, m: int) -> np.ndarray:
-    """m smallest values of length^alpha, sorted, +inf padded (no exponent checks)."""
+def _smallest_powers(powers: np.ndarray, m: int) -> np.ndarray:
+    """m smallest of the given length powers, sorted, +inf padded."""
     out = np.full(m, np.inf)
-    if lengths.size == 0:
+    if powers.size == 0:
         return out
-    powers = lengths**alpha
     k = min(m, powers.size)
     out[:k] = np.sort(np.partition(powers, k - 1)[:k])
     return out
-

@@ -196,7 +196,7 @@ def test_replications_csv_format():
     edges = gg.build_edges(sample, 0.05)
     assert float(first[2]) == gg.length_power(edges, (0.0,))[0]
     assert (int(first[3]), int(first[4])) == (sample.n_points, gg.max_degree(edges))
-    assert [float(v) for v in first[5:]] == list(gg._smallest_powers(edges.lengths, 0.0, 5))
+    assert [float(v) for v in first[5:]] == list(gg._smallest_powers(edges.lengths**0.0, 5))
 
 
 def test_verify_clt_small():

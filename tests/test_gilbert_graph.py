@@ -1,6 +1,7 @@
 """Edge enumeration and edge statistics against the brute-force oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,10 +163,40 @@ def test_sorted_pairs_matches_lexsort_at_key_dtype_boundary(n):
     b = np.concatenate([b, [n - 1, n - 1, n - 1]])
     pairs = np.unique(np.stack([a, b], axis=1), axis=0)
     pairs = pairs[rng.permutation(len(pairs))]
-    i, j = gg._sorted_pairs(pairs[:, 0], pairs[:, 1], n)
+    i, j = gg._sorted_pairs(pairs.copy(), n)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     assert i.dtype == np.int64 and j.dtype == np.int64
     assert np.array_equal(i, pairs[order, 0]) and np.array_equal(j, pairs[order, 1])
+
+
+# simulate_dense's sample (box:1x1, t = 5000, delta = 5000^-0.3, ~225k edges)
+DENSE_T = 5000.0
+DENSE_DELTA = DENSE_T**-0.3
+
+
+@pytest.mark.parametrize("window,t,delta", [
+    (W2, DENSE_T, DENSE_DELTA),
+    (W2, DENSE_T, DENSE_T**-0.5),  # thermodynamic: t delta^2 = 1
+    (geo.ConvexWindow.box((1.0, 1.0, 1.0)), 3000.0, 0.22),  # ~100 neighbors per point
+], ids=["dense", "thermodynamic", "box3d"])
+def test_oracle_equivalence_at_benchmark_size(window, t, delta):
+    s = pp.sample_poisson(window, t, pp.replication_rng(24, 0))
+    assert edgesets_identical(gg.build_edges(s, delta), gg.build_edges_bruteforce(s, delta))
+
+
+def test_dense_build_edges_peaks_below_32_bytes_per_edge():
+    # i and j are written over query_pairs' own buffer, which tracemalloc does
+    # not see; the int32 key and the length gathers take 24 B per edge, and
+    # new int64 i and j arrays would add 16 more
+    s = pp.sample_poisson(W2, DENSE_T, pp.replication_rng(24, 1))
+    gg.build_edges(s, DENSE_DELTA)  # warm-up: scipy's import and first-call state
+    tracemalloc.start()
+    try:
+        edges = gg.build_edges(s, DENSE_DELTA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * edges.n_edges
 
 
 def test_delta_larger_than_window_single_cell():
@@ -257,12 +288,12 @@ def test_max_degree():
 def test_order_statistics():
     s = make_sample([[0.0, 0.0], [0.05, 0.0], [0.05, 0.035]])
     e = gg.build_edges(s, 0.06)  # lengths 0.05 and 0.035 (third pair at ~0.061)
-    got = gg._smallest_powers(e.lengths, 2.0, 3)
+    got = gg._smallest_powers(e.lengths**2.0, 3)
     assert got[0] == pytest.approx(0.035**2)
     assert got[1] == pytest.approx(0.0025)
     assert math.isinf(got[2])
     empty = gg.build_edges(make_sample([[0.0, 0.0]]), 0.1)
-    assert np.all(np.isinf(gg._smallest_powers(empty.lengths, 1.0, 4)))
+    assert np.all(np.isinf(gg._smallest_powers(empty.lengths**1.0, 4)))
 
 
 def test_order_statistics_match_sorted_oracle():
@@ -271,7 +302,7 @@ def test_order_statistics_match_sorted_oracle():
         s = pp.sample_binomial(W2, int(rng.integers(5, 200)), pp.replication_rng(99, trial))
         e = gg.build_edges(s, 0.15)
         alpha = float(rng.uniform(0.5, 3.0))
-        got = gg._smallest_powers(e.lengths, alpha, 1)
+        got = gg._smallest_powers(e.lengths**alpha, 1)
         oracle = np.min(e.lengths) ** alpha if e.n_edges else math.inf
         assert got[0] == pytest.approx(oracle) or (math.isinf(got[0]) and math.isinf(oracle))
 
@@ -282,7 +313,7 @@ def test_smallest_powers_match_full_sort(size, alpha):
     # ties: lengths repeat, and alpha = 0 makes every power 1
     rng = np.random.default_rng(size)
     lengths = rng.choice([0.01, 0.02, 0.03, 0.04], size=size)
-    got = gg._smallest_powers(lengths, alpha, 5)
+    got = gg._smallest_powers(lengths**alpha, 5)
     want = np.full(5, np.inf)
     k = min(5, size)
     want[:k] = np.sort(lengths**alpha)[:k]
