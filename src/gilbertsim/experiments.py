@@ -29,9 +29,7 @@ from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
                             sample_poisson)
 from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
-from .theory_limits import (CompoundPoissonModel, EdgeLengthProcessLimit,
-                            order_statistic_cdf, pp_condition_limits,
-                            pp_conditions, pp_radius, sample_compound_poisson)
+from .theory_limits import EdgeLengthProcessLimit, pp_conditions, pp_radius
 from .theory_moments import (RegimeSchedule, covariance_bounds,
                              covariance_exact, expectation_bounds,
                              expectation_exact, kolmogorov_bound,
@@ -570,19 +568,18 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
     d = config.window.dim
     (alpha,) = config.alphas
-    c = _edge_limit(config)
     grid = config.intensity_grid()
     rescales = [_limit_rescale(config, t) for t in grid]
-    model = CompoundPoissonModel(c=c, dim=d, alpha=alpha, volume=config.window.volume)
+    limit = EdgeLengthProcessLimit(alpha, d, config.window.volume, _edge_limit(config))
     ref_rng = replication_rng(config.master_seed, 0, STREAM_REFERENCE)
-    ref_cdf = EmpiricalCdf(sample_compound_poisson(model, ref_rng, 1_000_000))
+    ref_cdf = EmpiricalCdf(limit.sample_sum(ref_rng, 1_000_000))
     ks_list = []
     for b_idx, (t, rescale) in enumerate(zip(grid, rescales)):
         powers = _length_powers(config, t=t, batch=b_idx)[:, 0]
         ks_list.append(ks_statistic(rescale * powers, ref_cdf, cdf_left=ref_cdf.left))
     atom = float(np.mean(powers == 0.0))  # at the largest t
     se = math.sqrt(max(atom * (1.0 - atom), 1e-12) / config.replications)
-    metrics = [_within("void probability P(L=0)", atom, model.atom_at_zero,
+    metrics = [_within("void probability P(L=0)", atom, limit.atom_at_zero,
                        TOLERANCES["mean_se_mult"] * se, "mean_se_mult",
                        "compound Poisson limit: atom at zero", se=se)]
     metrics += _ks_along_grid(
@@ -604,14 +601,9 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     t = config.intensity()
     d = config.window.dim
     (alpha,) = config.alphas
-    c = _edge_limit(config)
-    limit = EdgeLengthProcessLimit(alpha=alpha, edge_constant=c)
+    limit = EdgeLengthProcessLimit(alpha, d, config.window.volume, _edge_limit(config))
     rescale = _limit_rescale(config, t)
-    kd = unit_ball_volume(d)
-    v = config.window.volume
-    # Interval boundaries with unit limiting mass each: nu([0,u_k]) = k.
-    bounds = [(2.0 * k / (kd * v)) ** (alpha / d) for k in range(4)]
-    intervals = list(zip(bounds[:-1], bounds[1:]))
+    intervals, nus = limit.unit_intervals(3)
 
     def reduce(r, sample, edges):
         # the 5 smallest powers, then the counts of rescaled powers per interval
@@ -625,15 +617,12 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     for m in range(1, 6):
         # with c finite the law keeps P(Poisson(kd V c/2) < m) at +inf (fewer than m edges)
         ks = ks_statistic(rescale * rows[:, m - 1], lambda u, m=m: np.array(
-            [order_statistic_cdf(m, float(x), limit, v, d) for x in np.atleast_1d(u)]),
-            mass=order_statistic_cdf(m, math.inf, limit, v, d))
+            [limit.order_statistic_cdf(m, float(x)) for x in np.atleast_1d(u)]),
+            mass=limit.order_statistic_cdf(m, math.inf))
         tol_name = "ks_first_order_stat" if m == 1 else "ks"
         metrics.append(_below(f"KS order statistic m={m}", ks, TOLERANCES[tol_name],
                               tol_name, "order-statistic limit law of rescaled edge-length powers"))
     counts = rows[:, 5:]
-    # nu([0, u]) = (kd/2) V min(u^(d/alpha), c)
-    nus = [0.5 * kd * v * (min(hi ** (d / alpha), c) - min(lo ** (d / alpha), c))
-           for lo, hi in intervals]
     for k, ((lo, hi), nu) in enumerate(zip(intervals, nus)):
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
         metrics.append(_within(f"interval count mean [{lo:.4g},{hi:.4g})",
@@ -729,7 +718,7 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     grid = config.intensity_grid()
     d = config.window.dim
     (alpha,) = config.alphas
-    edge_c = _edge_limit(config)
+    process_limit = EdgeLengthProcessLimit(alpha, d, config.window.volume, _edge_limit(config))
     kd = unit_ball_volume(d)
     levels = (0.5, 1.0, 2.0)
     for u in levels:  # before any quadrature: u^(1/alpha) leaves the floats at a tiny alpha
@@ -746,7 +735,7 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     for u in levels:
         a_vals, r_vals = zip(*(pp_conditions(config.window, t, config.delta_for(t), alpha, u)
                                for t in grid))
-        limit = pp_condition_limits(config.window, alpha, u, edge_c)
+        limit = process_limit.intensity(u)
         metrics += [
             _within(f"a_t(u={u}) at largest t", a_vals[-1], limit,
                     TOLERANCES["a_limit_rel"] * abs(limit), "a_limit_rel",

@@ -127,10 +127,11 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float) -> float:
         return 2.0 * R * R * math.acos(r / (2.0 * R)) - 0.5 * r * math.sqrt(4.0 * R * R - r * r)
     if d == 3:
         return (math.pi / 12.0) * (4.0 * R + r) * (2.0 * R - r) ** 2
-    from scipy.special import betainc  # slow to import; only balls need it
+    from scipy.special import betaincc  # slow to import; only balls need it
 
-    # Two caps of height R - r/2; each is V/2 times a regularized incomplete beta.
-    return window.volume * float(betainc((d + 1) / 2, 0.5, 1.0 - (r / (2.0 * R)) ** 2))
+    # Two caps of height R - r/2; each is V/2 times a regularized incomplete beta,
+    # I_(1-x)((d+1)/2, 1/2) = 1 - I_x(1/2, (d+1)/2), x = (r/2R)^2: no cancellation at small r.
+    return window.volume * float(betaincc(0.5, (d + 1) / 2, (r / (2.0 * R)) ** 2))
 
 
 def sample_uniform(window: ConvexWindow, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,10 +1,7 @@
-"""Limit objects for rescaled edge-length powers.
-
-Covers the compound-Poisson limit of t^(2a/d) L^(a) when t^2 delta^d -> c,
-the limiting Poisson process of rescaled edge-length powers (with intensity
-nu([0,u]) = (kappa_d/2) V u^(d/a), truncated at c in the constant-edge
-regime), the order-statistic limit laws, and the two convergence conditions
-a_t(u), r_t(u) that drive the point-process limits.
+"""The limiting Poisson process of the rescaled edge-length powers t^(2a/d) |e|^a,
+nu([0,u]) = (kappa_d/2) V min(u^(d/a), c) with c = lim t^2 delta^d, whose order
+statistics give the limit laws and whose sum (c finite) is the compound-Poisson limit
+of t^(2a/d) L^(a); and the finite-t conditions a_t(u), r_t(u) that drive it.
 """
 
 from __future__ import annotations
@@ -18,91 +15,75 @@ from .geometry import ConvexWindow, covariogram_radial_integral, unit_ball_volum
 
 
 @dataclass(frozen=True)
-class CompoundPoissonModel:
-    """Limit law Z = sum_{i<=Y} X_i of the rescaled functional."""
-
-    c: float  # lim t^2 delta_t^d
-    dim: int
-    alpha: float
-    volume: float
-
-    def __post_init__(self):
-        if not (self.c > 0 and self.alpha > 0 and self.volume > 0 and self.dim >= 1):
-            raise ValueError("compound Poisson model needs c, alpha, volume > 0")
-
-    @property
-    def y_mean(self) -> float:
-        """Mean of the Poisson summand count: kappa_d c V / 2."""
-        return unit_ball_volume(self.dim) * self.c * self.volume / 2.0
-
-    @property
-    def x_max(self) -> float:
-        """Upper end of the summand support: c^(alpha/d)."""
-        return self.c ** (self.alpha / self.dim)
-
-    @property
-    def atom_at_zero(self) -> float:
-        """P(Z = 0) = exp(-y_mean)."""
-        return math.exp(-self.y_mean)
-
-
-def sample_compound_poisson(model: CompoundPoissonModel, rng: np.random.Generator,
-                            size: int) -> np.ndarray:
-    """size draws of Z = sum_{i<=Y} X_i; X via inverse CDF X = c^(a/d) U^(a/d)."""
-    counts = rng.poisson(model.y_mean, size)
-    total = int(counts.sum())
-    x = model.x_max * rng.random(total) ** (model.alpha / model.dim)
-    out = np.zeros(size)
-    np.add.at(out, np.repeat(np.arange(size), counts), x)
-    return out
-
-
-@dataclass(frozen=True)
 class EdgeLengthProcessLimit:
-    """Limit regime of the rescaled edge-length-power point process."""
+    """Limiting Poisson process of the rescaled edge-length powers."""
 
     alpha: float
+    dim: int
+    volume: float
     edge_constant: float = math.inf  # c = lim t^2 delta^d, inf when it diverges
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be > 0")
-        if not (self.edge_constant > 0):
-            raise ValueError("edge constant must be > 0")
+        if not (self.alpha > 0 and self.edge_constant > 0 and self.volume > 0 and self.dim >= 1):
+            raise ValueError("the limit needs alpha, edge constant, volume > 0 and dim >= 1")
 
+    def intensity(self, u: float) -> float:
+        """nu([0, u]) = (kappa_d/2) V min(u^(d/alpha), c)."""
+        if u < 0:
+            raise ValueError("u must be >= 0")
+        kd = unit_ball_volume(self.dim)
+        return 0.5 * kd * self.volume * min(u ** (self.dim / self.alpha), self.edge_constant)
 
-def pp_intensity(limit: EdgeLengthProcessLimit, u: float, volume: float, dim: int) -> float:
-    """nu([0, u]) = (kappa_d/2) V min(u^(d/alpha), c)."""
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    kd = unit_ball_volume(dim)
-    return 0.5 * kd * volume * min(u ** (dim / limit.alpha), limit.edge_constant)
-
-
-def order_statistic_survival(m: int, u: float, limit: EdgeLengthProcessLimit,
-                             volume: float, dim: int) -> float:
-    """P(limit of t^(2a/d) S_m > u) = exp(-nu) * sum_{j<m} nu^j / j!,
-    with the measure-derived exponent nu = nu([0, u]) ~ u^(d/alpha)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if u < 0:
-        raise ValueError("u must be >= 0")
-    nu = pp_intensity(limit, u, volume, dim)
-    if math.isinf(nu):  # u = inf with c = inf: no mass left above
-        return 0.0
-    acc = 0.0
-    term = 1.0
-    for j in range(m):
-        if j > 0:
+    def order_statistic_survival(self, m: int, u: float) -> float:
+        """P(limit of t^(2a/d) S_m > u) = exp(-nu) * sum_{j<m} nu^j / j!,
+        with the measure-derived exponent nu = nu([0, u]) ~ u^(d/alpha)."""
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        nu = self.intensity(u)  # raises for u < 0
+        if math.isinf(nu):  # u = inf with c = inf: no mass left above
+            return 0.0
+        acc = term = 1.0
+        for j in range(1, m):
             term *= nu / j
-        acc += term
-    return math.exp(-nu) * acc
+            acc += term
+        return math.exp(-nu) * acc
 
+    def order_statistic_cdf(self, m: int, u: float) -> float:
+        """Distribution function of the limiting m-th order statistic."""
+        return 1.0 - self.order_statistic_survival(m, u)
 
-def order_statistic_cdf(m: int, u: float, limit: EdgeLengthProcessLimit,
-                        volume: float, dim: int) -> float:
-    """Distribution function of the limiting m-th order statistic."""
-    return 1.0 - order_statistic_survival(m, u, limit, volume, dim)
+    def unit_intervals(self, count: int) -> tuple[list[tuple[float, float]], list[float]]:
+        """[u_(k-1), u_k) with nu([0, u_k]) = k uncapped, k = 1..count, and their nu masses."""
+        kd = unit_ball_volume(self.dim)
+        v, d, alpha, c = self.volume, self.dim, self.alpha, self.edge_constant
+        bounds = [(2.0 * k / (kd * v)) ** (alpha / d) for k in range(count + 1)]
+        intervals = list(zip(bounds[:-1], bounds[1:]))
+        nus = [0.5 * kd * v * (min(hi ** (d / alpha), c) - min(lo ** (d / alpha), c))
+               for lo, hi in intervals]
+        return intervals, nus
+
+    @property
+    def _count_mean(self) -> float:
+        """kappa_d c V / 2, the mean point count (intensity(inf) may differ in the last bit)."""
+        return unit_ball_volume(self.dim) * self.edge_constant * self.volume / 2.0
+
+    @property
+    def atom_at_zero(self) -> float:
+        """P(no point) = P(Z = 0) = exp(-kappa_d c V / 2)."""
+        return math.exp(-self._count_mean)
+
+    def sample_sum(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size draws of the compound-Poisson limit Z = sum_{i<=Y} X_i, the sum of
+        the points; X via inverse CDF X = c^(a/d) U^(a/d). Needs c finite."""
+        if math.isinf(self.edge_constant):
+            raise ValueError("the sum of the points is finite only for a finite edge constant")
+        counts = rng.poisson(self._count_mean, size)
+        total = int(counts.sum())
+        p = self.alpha / self.dim
+        x = self.edge_constant ** p * rng.random(total) ** p
+        out = np.zeros(size)
+        np.add.at(out, np.repeat(np.arange(size), counts), x)
+        return out
 
 
 def pp_radius(dim: int, t: float, delta: float, alpha: float, u: float) -> float:
@@ -124,10 +105,3 @@ def pp_conditions(window: ConvexWindow, t: float, delta: float,
     a_t = 0.5 * t * t * covariogram_radial_integral(window, rho, 0.0)
     r_t = t * unit_ball_volume(d) * rho**d
     return (a_t, r_t)
-
-
-def pp_condition_limits(window: ConvexWindow, alpha: float, u: float,
-                        edge_constant: float = math.inf) -> float:
-    """Stated limit of a_t(u): (kappa_d/2) V min(u^(d/alpha), c)."""
-    limit = EdgeLengthProcessLimit(alpha=alpha, edge_constant=edge_constant)
-    return pp_intensity(limit, u, window.volume, window.dim)

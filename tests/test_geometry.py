@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import betainc
+from scipy.special import betaincc
 
 from gilbertsim import geometry as geo
 from gilbertsim.errors import NonIntegrableError, UnsupportedDimensionError
@@ -110,14 +110,29 @@ def test_covariogram_mc_matches_closed_form():
 
 
 def test_ball_formula_matches_closed_forms():
-    # the two-cap form V * I_{1-(r/2R)^2}((d+1)/2, 1/2) that serves d >= 4
-    # equals the d <= 3 closed forms
+    # the two-cap form V * I_{1-(r/2R)^2}((d+1)/2, 1/2) = V * (1 - I_{(r/2R)^2}(1/2, (d+1)/2))
+    # that serves d >= 4 equals the d <= 3 closed forms
     for d in (1, 2, 3):
         w = geo.ConvexWindow.ball(1.3, d)
         for r in np.linspace(0.0, 2.6, 27)[:-1]:
-            general = w.volume * float(betainc((d + 1) / 2, 0.5, 1.0 - (r / 2.6) ** 2))
+            general = w.volume * float(betaincc(0.5, (d + 1) / 2, (r / 2.6) ** 2))
             closed = geo._ball_covariogram_radial(w, float(r))
             assert general == pytest.approx(closed, rel=1e-13, abs=1e-13 * w.volume)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 9])
+def test_covariogram_ball_small_r_matches_taylor(d):
+    # g(r) = V - kappa_{d-1} int_0^r (R^2 - s^2/4)^((d-1)/2) ds
+    #      = V - kappa_{d-1} R^(d-1) (r - (d-1) r^3 / (24 R^2)) + O(r^5)
+    for radius in (0.3, 1.0, 2.0):
+        w = geo.ConvexWindow.ball(radius, d)
+        for x in np.geomspace(1e-6, 1e-3, 7):
+            r = 2.0 * radius * float(x)
+            y = np.zeros(d)
+            y[0] = r
+            taylor = w.volume - geo.unit_ball_volume(d - 1) * radius ** (d - 1) * (
+                r - (d - 1) * r**3 / (24.0 * radius**2))
+            assert geo.covariogram(w, y) == pytest.approx(taylor, rel=1e-13)
 
 
 def test_covariogram_ball_high_dim_matches_monte_carlo():

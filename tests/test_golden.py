@@ -2,9 +2,6 @@
 `predict` and `covariogram` write for a fixed set of seeded calls, compared
 byte for byte with the files under tests/golden/.
 
-predict_schedule.json predates predict's d3_bound entry, so its test removes
-that one entry before comparing.
-
 Regenerate (only when an output is meant to change) from the repository root:
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"
 """
@@ -12,13 +9,12 @@ Regenerate (only when an output is meant to change) from the repository root:
 import contextlib
 import io
 import itertools
-import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from gilbertsim import ConvexWindow, RegimeSchedule, cli, d3_bound
+from gilbertsim import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,13 +91,13 @@ def assert_same_bytes(got: bytes, want: bytes, fname: str) -> None:
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(set(CASES) - {"predict_schedule"}):  # kept without d3_bound
+    for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(name, Path(tmp)).items():
                 (GOLDEN / fname).write_bytes(data)
 
 
-@pytest.mark.parametrize("name", sorted(set(CASES) - {"predict_schedule"}))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     got = run_case(name, tmp_path)
     want = golden_files(name)
@@ -109,18 +105,3 @@ def test_golden_output(name, tmp_path):
     assert sorted(got) == sorted(want)
     for fname in want:
         assert_same_bytes(got[fname], want[fname], fname)
-
-
-def test_predict_schedule_adds_only_d3_bound(tmp_path):
-    # predict with a schedule and >= 2 alphas prints one d3_bound entry more
-    # than its golden, which predates it
-    payload = json.loads(run_case("predict_schedule", tmp_path)["predict_schedule.json"])
-    entries = [p for p in payload if p["name"] == "d3_bound"]
-    assert len(entries) == 1
-    payload.remove(entries[0])
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    assert_same_bytes(text.encode(), golden_files("predict_schedule")["predict_schedule.json"],
-                      "predict_schedule.json")
-    schedule = RegimeSchedule(1.0, 0.5)
-    assert entries[0]["value"] == d3_bound(ConvexWindow.box((1.0, 1.0)), 400.0,
-                                           schedule.delta_at(400.0), (0.0, 1.0), schedule)
