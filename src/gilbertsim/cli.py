@@ -4,14 +4,17 @@ Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
 settings. n picks the binomial model and t or t_grid the Poisson one; a config
 naming both exits 2, and a --t or --t-grid flag drops the config file's n and
---n its t and t_grid. delta and schedule follow the same rule. Each run
-command's rules are its row of experiments._SUITES, checked by check_run before
-any work, and an output path that names a directory or lies in none exits 2
-before any work too. A window is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed
-precedence: --seed flag, then GILBERT_SEED, then config, then 0. Exit codes: 0
-success (all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
-overflow, division by zero or an invalid floating-point value at extreme inputs
-(numpy raises instead of warning).
+--n its t and t_grid. delta and schedule follow the same rule. A config's kind
+is its command's row of experiments._SUITES: verify's comes from --kind, the
+config file or Moments, and simulate and predict are their own kind, whatever
+the config file says. reps is needed where the row builds graphs. A config that
+breaks its row exits 2 before any work, as does an output path that names a
+directory or lies in none. verify --kind LDI also writes <out>.<table>.csv, or
+./report.<table>.csv without --out. A window is box:<s1>x<s2>... or
+ball:<r>@d=<dim>. Seed precedence: --seed flag, then GILBERT_SEED, then config,
+then 0. Exit codes: 0 success (all verdicts pass), 1 failed verdicts, 2
+usage/config errors, including overflow, division by zero or an invalid
+floating-point value at extreme inputs (numpy raises instead of warning).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GilbertSimError
-from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig, check_run,
+from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
                           ldi_table_to_csv, replications_to_csv, report_to_json,
                           run_replications, run_verification, simulate_row)
 from .geometry import ConvexWindow, covariogram
@@ -133,7 +136,7 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     flags = {key: value for key, value in vars(args).items()
              if key in _SETTINGS and value is not None}
     merged = {**raw, **flags}
-    for key in ("window", "alphas", "reps"):
+    for key in ("window", "alphas"):
         if key not in merged:
             raise ConfigError(f"missing required key {key!r}")
     env = None if "seed" in flags else os.environ.get("GILBERT_SEED")
@@ -161,8 +164,9 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
                     values.pop(key, None)
     if not values.keys() & {"t", "t_grid", "n"}:
         raise ConfigError("missing required key 't', 't_grid' or 'n'")
-    return ExperimentConfig(**{"master_seed": 0, "kind": "Moments",
-                               **{_FIELDS.get(key, key): value for key, value in values.items()}})
+    # a config file's kind is verify's, so one file serves every command
+    values["kind"] = values.get("kind", "Moments") if args.command == "verify" else args.command
+    return ExperimentConfig(**{_FIELDS.get(key, key): value for key, value in values.items()})
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -179,7 +183,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
-    check_run(config, "simulate")
     row = simulate_row(config.alphas)
     first = {}
 
@@ -240,9 +243,7 @@ def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
-    # predictions do not simulate; a default reps satisfies the config invariant
-    config = resolve_config({"reps": "2", **raw}, args)
-    check_run(config, "predict")
+    config = resolve_config(raw, args)
     preds = _predictions(config)
     payload = [{"name": p.name, "value": p.value, "params": p.params,
                 "paper_anchor": p.anchor, "estimated": p.estimated}

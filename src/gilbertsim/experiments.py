@@ -70,9 +70,9 @@ MAX_JOBS = 64
 class ExperimentConfig:
     window: ConvexWindow
     alphas: tuple[float, ...]
-    replications: int
-    master_seed: int
-    kind: str
+    kind: str  # a _SUITES key: the verify kind, "simulate" or "predict"
+    replications: int | None = None  # required where the row builds graphs
+    master_seed: int = 0
     t: float | None = None
     n: int | None = None
     t_grid: tuple[float, ...] | None = None
@@ -81,9 +81,9 @@ class ExperimentConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.kind not in VERIFICATION_KINDS:
+        if self.kind not in _SUITES:
             raise ConfigError(f"unknown kind {self.kind!r}")
-        if self.replications < 2:
+        if self.replications is not None and self.replications < 2:
             raise ConfigError("replications must be >= 2")
         if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed!r}")
@@ -106,10 +106,12 @@ class ExperimentConfig:
         for alpha in self.alphas:
             if not math.isfinite(alpha):
                 raise ConfigError(f"alpha must be finite, got {alpha!r}")
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ConfigError(f"alphas must be distinct, got {list(self.alphas)!r}")
+        if not self.alphas or len(set(self.alphas)) != len(self.alphas):
+            raise ConfigError(f"alphas must be one or more distinct values, got "
+                              f"{list(self.alphas)!r}")
         if not 1 <= self.n_jobs <= MAX_JOBS:
             raise ConfigError(f"n_jobs must be between 1 and {MAX_JOBS}, got {self.n_jobs!r}")
+        _check_row(self)
 
     @property
     def model(self) -> str:
@@ -150,34 +152,6 @@ def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
     if config.model == "poisson":
         return sample_poisson(config.window, float(intensity), rng)
     return sample_binomial(config.window, int(intensity), rng)
-
-
-def check_memory_budget(config: ExperimentConfig) -> None:
-    """Before any quadrature or replication, reject a run whose n_jobs replications
-    in flight would hold, at any t or n of the config, more than EDGE_BUDGET edges
-    (E[edges] <= t^2 kappa_d delta^d V / 2, as g_W <= V; checked first) or more than
-    POINT_BUDGET points (t V). A binomial count n is intensity t = n / V.
-    """
-    window = config.window
-    poisson = config.model == "poisson"
-    name = "t" if poisson else "n"
-    in_flight = min(config.n_jobs, config.replications)
-    for value in [v for v in (config.t, config.n, *(config.t_grid or ())) if v is not None]:
-        t = value if poisson else value / window.volume
-        edges = (t * t * unit_ball_volume(window.dim) * config.delta_for(value) ** window.dim
-                 * window.volume / 2.0)
-        if not edges * in_flight <= EDGE_BUDGET:  # a NaN estimate fails too
-            note = "" if math.isfinite(edges) else ", an estimate that is not finite,"
-            raise ConfigError(
-                f"at {name} = {value:g} a replication expects up to {edges:.3g} edges "
-                f"(t^2 kappa_d delta^d V / 2){note} and {in_flight} run at once, above the "
-                f"budget of {EDGE_BUDGET:.3g} edges in memory; lower t, n, delta or n_jobs")
-        points = float(value) * (window.volume if poisson else 1.0)
-        if points * in_flight > POINT_BUDGET:
-            raise ConfigError(
-                f"at {name} = {value:g} a replication expects {points:.3g} points and "
-                f"{in_flight} run at once, above the budget of {POINT_BUDGET:.3g} points in "
-                f"memory; lower {name} or n_jobs")
 
 
 def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
@@ -753,12 +727,11 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
-# The rules of every run command, checked by check_run before any quadrature or
-# replication (README's table mirrors them): verifier (None for simulate and
-# predict, which are not verify kinds), alpha range, "one alpha" or "many" (LDI:
-# one with a t_grid), Poisson model, builds graphs (the memory budget applies),
-# schedule, the interval c = lim t^2 delta^d lies in (inf without a schedule),
-# and the intensities it samples at.
+# The rules of every run command, checked when its config is built (README's table mirrors
+# them): verifier (None for simulate and predict, which are not verify kinds), alpha range,
+# "one alpha" or "many" (LDI: one with a t_grid), Poisson model, builds graphs (reps is
+# required and the memory budget applies), schedule, the interval c = lim t^2 delta^d lies
+# in (inf without a schedule), and the intensities it samples at.
 Suite = namedtuple("Suite", "verify alpha alphas poisson graph schedule c intensities")
 _SUITES = {
     "Moments": Suite(verify_moments, "> -d/2", "many", True, True, False, "[0, inf]",
@@ -781,10 +754,10 @@ _SUITES = {
 VERIFICATION_KINDS = tuple(kind for kind, suite in _SUITES.items() if suite.verify)
 
 
-def check_run(config: ExperimentConfig, kind: str) -> None:
-    """Check every rule of _SUITES[kind] (a verify kind, simulate or predict), each
-    error naming it; then the memory budget if the run builds graphs."""
-    suite = _SUITES[kind]
+def _check_row(config: ExperimentConfig) -> None:
+    """Check every rule of the config's _SUITES row, each error naming its kind;
+    then, if the row builds graphs, reps and the memory budget."""
+    kind, suite = config.kind, _SUITES[config.kind]
     alphas, grid = list(config.alphas), list(config.t_grid or ())
     op, bound = suite.alpha.split()
     floor = -config.window.dim / 2.0 if bound == "-d/2" else float(bound)
@@ -818,11 +791,34 @@ def check_run(config: ExperimentConfig, kind: str) -> None:
         raise ConfigError(f"{kind} needs a single {name}")
     if len(alphas) > 1 and (suite.alphas == "one alpha" or (suite.alphas != "many" and grid)):
         raise ConfigError(f"{kind} checks exactly {suite.alphas}, got {alphas!r}")
-    if suite.graph:
-        check_memory_budget(config)
+    if not suite.graph:
+        return
+    if config.replications is None:
+        raise ConfigError(f"missing required key 'reps': {kind} builds graphs")
+    # The memory budget: the n_jobs replications in flight may hold, at any t or n
+    # of the config, at most EDGE_BUDGET edges (E[edges] <= t^2 kappa_d delta^d V / 2,
+    # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n).
+    window, in_flight = config.window, min(config.n_jobs, config.replications)
+    for value in [v for v in (single, *grid) if v is not None]:
+        t = value if name == "t" else value / window.volume
+        edges = (t * t * unit_ball_volume(window.dim) * config.delta_for(value) ** window.dim
+                 * window.volume / 2.0)
+        if not edges * in_flight <= EDGE_BUDGET:  # a NaN estimate fails too
+            note = "" if math.isfinite(edges) else ", an estimate that is not finite,"
+            raise ConfigError(
+                f"at {name} = {value:g} a replication expects up to {edges:.3g} edges "
+                f"(t^2 kappa_d delta^d V / 2){note} and {in_flight} run at once, above the "
+                f"budget of {EDGE_BUDGET:.3g} edges in memory; lower t, n, delta or n_jobs")
+        points = float(value) * (window.volume if name == "t" else 1.0)
+        if points * in_flight > POINT_BUDGET:
+            raise ConfigError(
+                f"at {name} = {value:g} a replication expects {points:.3g} points and "
+                f"{in_flight} run at once, above the budget of {POINT_BUDGET:.3g} points in "
+                f"memory; lower {name} or n_jobs")
 
 
 def run_verification(config: ExperimentConfig) -> ExperimentReport:
-    """Check the rules of the config's kind, then run its verifier."""
-    check_run(config, config.kind)
+    """The report of the config's verify kind; its rules were checked when it was built."""
+    if _SUITES[config.kind].verify is None:
+        raise ConfigError(f"{config.kind} is not a verify kind")
     return _SUITES[config.kind].verify(config)

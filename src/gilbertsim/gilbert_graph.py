@@ -156,10 +156,12 @@ def length_power(edges: EdgeSet, alphas) -> np.ndarray:
 
 
 def max_degree(edges: EdgeSet) -> int:
+    """The largest vertex degree; edges.i must be sorted, as build_edges and
+    build_edges_bruteforce leave it."""
     if edges.n_edges == 0:
         return 0
     n = edges.sample.n_points
-    deg = np.bincount(edges.i, minlength=n)
+    deg = np.diff(np.searchsorted(edges.i, np.arange(n + 1)))
     deg += np.bincount(edges.j, minlength=n)
     return int(deg.max())
 

@@ -119,18 +119,23 @@ def test_t_grid_flag_implies_poisson(tmp_path):
     assert open(flags_only, "rb").read() == open(with_n, "rb").read()
 
 
+SIMULATE, CLT, LDI = ["simulate"], ["verify", "--kind", "CLT"], ["verify", "--kind", "LDI"]
+
+
+# each argv starts with a command whose row takes the model and intensities it resolves to
 @pytest.mark.parametrize("cfg,argv,model,intensity", [
-    ("t = 100\n", ["--n", "400"], "binomial", 400.0),
-    ("t = 100\nt_grid = 100,200\n", ["--n", "400"], "binomial", 400.0),
-    ("n = 400\n", ["--t", "100"], "poisson", 100.0),
-    ("n = 400\n", [], "binomial", 400.0),
-    ("t_grid = 100,400\n", [], "poisson", None),
-    ("n = 400\n", ["--t", "100", "--t-grid", "100,200", "--schedule", "1,0.5"], "poisson", 100.0),
-    ("n = 400\n", ["--t-grid", "100,200"], "poisson", None),
-    ("t = 100\nn = 300\n", [], None, None),
-    ("t = 100\nschedule = 1,0.5\n", ["--delta", "0.1"], "poisson", 100.0),
-    ("t = 100\nschedule = 1,0.5\n", [], None, None),
-    ("t = 100\n", ["--delta", "0.1", "--schedule", "1,0.5"], None, None),
+    ("t = 100\n", SIMULATE + ["--n", "400"], "binomial", 400.0),
+    ("t = 100\nt_grid = 100,200\n", SIMULATE + ["--n", "400"], "binomial", 400.0),
+    ("n = 400\n", ["verify", "--t", "100"], "poisson", 100.0),
+    ("n = 400\n", SIMULATE, "binomial", 400.0),
+    ("t_grid = 100,400\n", CLT, "poisson", None),
+    ("n = 400\n", LDI + ["--t", "100", "--t-grid", "100,200", "--schedule", "1,0.5"],
+     "poisson", 100.0),
+    ("n = 400\n", CLT + ["--t-grid", "100,200"], "poisson", None),
+    ("t = 100\nn = 300\n", ["verify"], None, None),
+    ("t = 100\nschedule = 1,0.5\n", ["verify", "--delta", "0.1"], "poisson", 100.0),
+    ("t = 100\nschedule = 1,0.5\n", ["verify"], None, None),
+    ("t = 100\n", ["verify", "--delta", "0.1", "--schedule", "1,0.5"], None, None),
 ])
 def test_model_precedence(cfg, argv, model, intensity, tmp_path):
     # n means binomial and t or t_grid poisson; a config file naming both exits 2.
@@ -139,7 +144,7 @@ def test_model_precedence(cfg, argv, model, intensity, tmp_path):
     # unlike simulate and predict, takes a t_grid. delta and schedule follow the
     # same rule: a config naming both exits 2, and either flag drops the other.
     raw = cli.load_config(write_cfg(tmp_path, cfg + "window = box:1x1\ndelta = 0.05\n"))
-    args = cli.build_parser().parse_args(["verify", "--alpha", "0", "--reps", "2"] + argv)
+    args = cli.build_parser().parse_args(argv + ["--alpha", "0", "--reps", "2"])
     if model is None:
         clash = ("set the distance parameter" if "schedule" in cfg + " ".join(argv)
                  else "pick different models")
@@ -164,11 +169,12 @@ def test_every_setting_is_a_config_field_and_echoed():
     assert {cli._FIELDS.get(key, key) for key in cli._SETTINGS} == names
     window = cli.parse_window("box:1x1")
     # a config takes exactly one of delta and schedule: one case each
-    for model, given in (("poisson", dict(t=100.0, t_grid=(100.0, 200.0),
-                                          schedule=RegimeSchedule(a=1.0, gamma=0.5))),
-                         ("binomial", dict(n=400, delta=0.05))):
+    for model, alphas, given in (
+            ("poisson", (1.0,), dict(t=100.0, t_grid=(100.0, 200.0),
+                                     schedule=RegimeSchedule(a=1.0, gamma=0.5))),
+            ("binomial", (0.0, 1.0), dict(n=400, delta=0.05))):
         config = experiments.ExperimentConfig(
-            window=window, alphas=(0.0, 1.0), replications=10, master_seed=3,
+            window=window, alphas=alphas, replications=10, master_seed=3,
             kind="LDI", n_jobs=2, **given)
         echoed = config.echo()
         assert set(echoed) == ({"window", "dim", "model", "alphas", "replications", "seed",
@@ -249,6 +255,27 @@ def test_seed_precedence(tmp_path, monkeypatch):
     raw2 = cli.load_config(write_cfg(tmp_path, MINIMAL, "noseed.cfg"))
     cfgv = cli.resolve_config(raw2, parser.parse_args(["verify"]))
     assert cfgv.master_seed == 0  # default
+
+
+def test_reps_is_required_only_where_graphs_are_built(tmp_path, capsys):
+    window = ["--window", "box:1x1"]
+    assert cli.main(["predict", *window, "--t", "100", "--delta", "0.05", "--alpha", "0"]) == 0
+    out = tmp_path / "pp.json"
+    assert cli.main(["verify", "--kind", "PPConditions", *window, "--t-grid", "100,1000,10000",
+                     "--schedule", "1,0.8", "--alpha", "2", "--out", str(out)]) == 0
+    assert "replications" not in json.loads(out.read_text())["config"]
+    for command in (["simulate"], ["verify", "--kind", "OrderStatistics"]):
+        assert cli.main([*command, *window, "--t", "100", "--delta", "0.05",
+                         "--alpha", "2"]) == 2
+        assert "missing required key 'reps'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+def test_command_is_the_kind_whatever_the_config_file_says(command, tmp_path):
+    # one config file serves every command: its kind is verify's
+    raw = cli.load_config(write_cfg(tmp_path, MINIMAL.replace("Moments", "CLT")))
+    assert cli.resolve_config(raw, cli.build_parser().parse_args([command])).kind == command
+    assert cli.resolve_config(raw, cli.build_parser().parse_args(["verify"])).kind == "CLT"
 
 
 def test_predict_prints_expectation(capsys):
@@ -798,7 +825,7 @@ def test_shared_parser_leaks_no_state(tmp_path, capsys):
     for k, name in enumerate(["predict", "verify", "simulate", "predict"]):
         assert run(name, k) == isolated[name], name
     assert cli.build_parser() is cli.build_parser()
-    # predict fills in reps for itself only; verify still needs it
+    # predict builds no graphs and needs no reps; a Moments verify does
     assert cli.main(["verify", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
                      "--alpha", "0"]) == 2
     assert "missing required key 'reps'" in capsys.readouterr().err

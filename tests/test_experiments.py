@@ -44,6 +44,45 @@ def test_config_validation():
     assert cfg(n_jobs=ex.MAX_JOBS).n_jobs == 64  # only checked; no thread starts
 
 
+# per _SUITES row, what a config needs beyond cfg()'s to meet the row's rules
+KIND_CASES = {
+    "Moments": {}, "CLT": {}, "simulate": {}, "predict": dict(replications=None),
+    "MultivariateCov": dict(delta=None, schedule=RegimeSchedule(1.0, 0.5)),
+    "CompoundPoisson": dict(alphas=(2.0,), delta=None, schedule=RegimeSchedule(1.0, 1.0)),
+    "OrderStatistics": dict(alphas=(2.0,)), "LDI": dict(alphas=(1.0,)),
+    "PPConditions": dict(alphas=(2.0,), replications=None, t=None, t_grid=(100.0, 1000.0)),
+}
+
+
+@pytest.mark.parametrize("kind", [*ex._SUITES, "moments", "verify"])
+def test_config_kind_is_a_suites_key(kind):
+    # a config names the command it serves: a verify kind, simulate or predict
+    if kind not in ex._SUITES:
+        with pytest.raises(ConfigError, match="unknown kind"):
+            cfg(kind=kind)
+        return
+    assert cfg(kind=kind, **KIND_CASES[kind]).kind == kind
+
+
+def test_config_that_breaks_its_row_raises_when_built():
+    # no config exists that its command would reject: a binomial Moments run
+    # would be checked against Poisson theory, and this t is over the edge budget
+    with pytest.raises(ConfigError, match="Moments needs the Poisson model"):
+        cfg(t=None, n=100)
+    with pytest.raises(ConfigError, match="budget of 2e\\+07 edges"):
+        cfg(t=1e5)
+    with pytest.raises(ConfigError, match="missing required key 'reps'"):
+        cfg(replications=None)
+    assert cfg(kind="predict", t=1e5, replications=None).replications is None
+
+
+@pytest.mark.parametrize("kind", ["Moments", "CLT", "simulate", "predict"])
+def test_empty_alphas_raise(kind):
+    # an empty alpha list would pass every verdict vacuously, with no metric
+    with pytest.raises(ConfigError, match=r"one or more distinct values, got \[\]"):
+        cfg(kind=kind, alphas=())
+
+
 def _powers_points_degree(r, sample, edges):
     return np.concatenate([gg.length_power(edges, (0.0, 1.0)),
                            [sample.n_points, gg.max_degree(edges)]])
@@ -301,6 +340,8 @@ def test_run_verification_dispatch():
     rep = ex.run_verification(cfg(replications=100))
     assert rep.config["kind"] == "Moments"
     assert rep.version
+    with pytest.raises(ConfigError, match="simulate is not a verify kind"):
+        ex.run_verification(cfg(kind="simulate"))
 
 
 def test_readme_suite_table_matches_suites():

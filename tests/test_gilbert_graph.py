@@ -282,7 +282,7 @@ def test_max_degree():
     def degrees(e):
         return np.bincount(e.i, minlength=400) + np.bincount(e.j, minlength=400)
     assert np.array_equal(degrees(e1), degrees(e2))
-    assert gg.max_degree(e1) == gg.max_degree(e2)
+    assert gg.max_degree(e1) == gg.max_degree(e2) == degrees(e1).max()
 
 
 def test_order_statistics():
