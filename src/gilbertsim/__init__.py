@@ -15,15 +15,14 @@ from .gilbert_graph import (EdgeSet, build_edges, build_edges_bruteforce,
                             length_power, max_degree)
 from .point_process import (PointSample, replication_rng, sample_binomial,
                             sample_poisson)
-from .theory_moments import (RegimeSchedule, TheoryPrediction,
-                             covariance_bounds, covariance_exact, d3_bound,
-                             expectation_bounds, expectation_exact,
-                             kolmogorov_bound, m_bounds, sigma_matrix,
-                             variance_asymptotic)
+from .theory_moments import (RegimeSchedule, covariance_bounds,
+                             covariance_exact, d3_bound, expectation_bounds,
+                             expectation_exact, kolmogorov_bound, m_bounds,
+                             sigma_matrix, variance_asymptotic)
 
 __all__ = [
     "ConvexWindow", "EdgeSet", "PointSample", "RegimeSchedule",
-    "TheoryPrediction", "__version__", "build_edges", "build_edges_bruteforce",
+    "__version__", "build_edges", "build_edges_bruteforce",
     "covariance_bounds", "covariance_exact", "covariogram",
     "covariogram_radial_integral", "d3_bound", "expectation_bounds",
     "expectation_exact", "inner_parallel_volume_lower_bound",

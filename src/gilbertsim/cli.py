@@ -1,5 +1,7 @@
 """Command-line front end: simulate, predict, verify, covariogram.
 
+It parses, dispatches and writes, and computes no theory: predict's entries and
+every report come from experiments, the covariogram's values from geometry.
 Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
 settings. n picks the binomial model and t or t_grid the Poisson one; a config
@@ -30,15 +32,13 @@ import numpy as np
 
 from .errors import ConfigError, GilbertSimError
 from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
-                          ldi_table_to_csv, replications_to_csv, report_to_json,
-                          run_replications, run_verification, simulate_row)
+                          ldi_table_to_csv, predictions, replications_to_csv,
+                          report_to_json, run_replications, run_verification,
+                          simulate_row)
 from .geometry import ConvexWindow, covariogram
 # not called here; perfbench's tracer test checks that cli binds this name
 from .gilbert_graph import build_edges  # noqa: F401
-from .theory_moments import (RegimeSchedule, TheoryPrediction,
-                             covariance_exact, d3_bound, expectation_bounds,
-                             expectation_exact, sigma_matrix,
-                             variance_asymptotic)
+from .theory_moments import RegimeSchedule
 
 
 def parse_window(text: str) -> ConvexWindow:
@@ -200,56 +200,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _predictions(config: ExperimentConfig) -> list[TheoryPrediction]:
-    t = config.intensity()
-    delta = config.delta_for(t)
-    window = config.window
-    params = {"window": window.label(), "t": t, "delta": delta}
-    # covariances first: a window the exact covariance rejects exits 2 before
-    # any expectation quadrature runs
-    covs = {(a, b): covariance_exact(window, t, delta, a, b)
-            for i, a in enumerate(config.alphas) for b in config.alphas[i:]}
-    preds = []
-    for alpha in config.alphas:
-        p = dict(params, alpha=alpha)
-        preds.append(TheoryPrediction(
-            name=f"expectation[alpha={alpha}]",
-            value=expectation_exact(window, t, delta, alpha), params=p,
-            anchor="mean: closed-form radial covariogram integral"))
-        preds.append(TheoryPrediction(
-            name=f"expectation_bounds[alpha={alpha}]",
-            value=expectation_bounds(window, t, delta, alpha), params=p,
-            anchor="mean sandwich: volume and surface-correction bounds"))
-        preds.append(TheoryPrediction(
-            name=f"variance_asymptotic[alpha={alpha}]",
-            value=variance_asymptotic(window, t, delta, alpha), params=p,
-            anchor="leading-order variance"))
-    for (a, b), cov in covs.items():
-        preds.append(TheoryPrediction(
-            name=f"covariance[{a},{b}]", value=cov, params=dict(params, alpha=a, beta=b),
-            anchor="covariance: quadrature of the two-point moment split"))
-    if config.schedule is not None and len(config.alphas) >= 2:
-        sig = sigma_matrix(config.alphas, window.dim, window.volume, config.schedule)
-        vector = dict(params, alphas=list(config.alphas),
-                      regime=config.schedule.classify(window.dim))
-        preds.append(TheoryPrediction(
-            name="sigma_matrix", value=sig.tolist(), params=vector,
-            anchor="asymptotic covariance matrix by regime"))
-        preds.append(TheoryPrediction(
-            name="d3_bound", value=d3_bound(window, t, delta, config.alphas, config.schedule),
-            params=vector, anchor="multivariate normal approximation: explicit d3 bound"))
-    return preds
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     raw = load_config(args.config) if args.config else {}
     config = resolve_config(raw, args)
-    preds = _predictions(config)
-    payload = [{"name": p.name, "value": p.value, "params": p.params,
-                "paper_anchor": p.anchor, "estimated": p.estimated}
-               for p in preds]
+    entries = predictions(config)
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(entries, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ConfigError(f"a prediction is not finite at these inputs: {exc}") from None
     _write_or_print(text + "\n", args.out)

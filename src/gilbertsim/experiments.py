@@ -31,7 +31,7 @@ from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
 from .theory_limits import EdgeLengthProcessLimit, pp_conditions, pp_radius
 from .theory_moments import (RegimeSchedule, covariance_bounds,
-                             covariance_exact, expectation_bounds,
+                             covariance_exact, d3_bound, expectation_bounds,
                              expectation_exact, kolmogorov_bound,
                              normalization, sigma_matrix)
 
@@ -99,6 +99,9 @@ class ExperimentConfig:
         for key, val in positive:
             if val is not None and not (math.isfinite(val) and val > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+        grid = self.t_grid or ()
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"t_grid must be strictly increasing, got {list(grid)!r}")
         if self.schedule is not None:
             for key, val in [(k, v) for k, v in positive if k != "delta"]:
                 if val is not None and not self.schedule.delta_at(val) > 0:
@@ -417,47 +420,89 @@ def _normal_ks(col: np.ndarray) -> float:
     return ks_statistic(z, ndtr)
 
 
-def _moment_metrics(config: ExperimentConfig, t: float, delta: float,
-                    powers) -> list[Metric]:
-    """Every theory value first, then powers() -> the (R, n_alphas) matrix, so
-    a value that cannot be computed stops the run before any replication."""
-    window = config.window
+# paper anchors of the moment table, shared by `verify --kind Moments` and `predict`
+_MEAN_ANCHOR = "mean: closed-form radial covariogram integral"
+_MEAN_SANDWICH_ANCHOR = "mean sandwich: volume and surface-correction bounds"
+_COV_ANCHOR = "covariance: quadrature of the two-point moment split"
+
+
+def _moment_theory(config: ExperimentConfig, t: float, delta: float):
+    """The moment table at (t, delta): per alpha, (exact mean, mean sandwich), and
+    per index pair i <= j of the alphas, (exact covariance, covariance sandwich).
+
+    Covariances come first: a window without an exact covariance stops the run
+    before any mean's quadrature.
+    """
+    window, alphas = config.window, config.alphas
+    covs = {(i, j): (covariance_exact(window, t, delta, alphas[i], alphas[j]),
+                     covariance_bounds(window, t, delta, alphas[i], alphas[j]))
+            for i in range(len(alphas)) for j in range(i, len(alphas))}
+    means = [(expectation_exact(window, t, delta, alpha),
+              expectation_bounds(window, t, delta, alpha)) for alpha in alphas]
+    return means, covs
+
+
+def verify_moments(config: ExperimentConfig) -> ExperimentReport:
+    """Sample means/covariances against exact values and sandwiches. Every theory
+    value comes first, so one that cannot be computed stops the run before any
+    replication."""
+    t = config.intensity()
     alphas = config.alphas
+    mean_theory, cov_theory = _moment_theory(config, t, config.delta_for(t))
+    means, cov, se, cse = empirical_moments(_length_powers(config))
     k_se = TOLERANCES["mean_se_mult"]
     rel = TOLERANCES["cov_rel"]
-    # covariances first: a window without an exact covariance stops the run
-    # before any mean's quadrature
-    pairs = [(i, j, a, b) for i, a in enumerate(alphas) for j, b in enumerate(alphas[i:], i)]
-    cov_theory = [(covariance_exact(window, t, delta, a, b),
-                   covariance_bounds(window, t, delta, a, b)) for _, _, a, b in pairs]
-    mean_theory = [(expectation_exact(window, t, delta, alpha),
-                    expectation_bounds(window, t, delta, alpha)) for alpha in alphas]
-    matrix = powers()
-    means, cov, se, cse = empirical_moments(matrix)
     metrics = []
     for i, (alpha, (exact, bounds)) in enumerate(zip(alphas, mean_theory)):
         mean, mse = float(means[i]), float(se[i])
         metrics += [
             _within(f"mean[alpha={alpha}] vs exact", mean, exact, k_se * mse, "mean_se_mult",
-                    "mean: closed-form radial covariogram integral", se=mse),
+                    _MEAN_ANCHOR, se=mse),
             _sandwich(f"mean[alpha={alpha}] in sandwich", mean, bounds, mse,
-                      "mean sandwich: volume and surface-correction bounds")]
-    for (i, j, a, b), (exact, bounds) in zip(pairs, cov_theory):
+                      _MEAN_SANDWICH_ANCHOR)]
+    for (i, j), (exact, bounds) in cov_theory.items():
+        a, b = alphas[i], alphas[j]
         value, vse = float(cov[i, j]), float(cse[i, j])
         metrics += [
             _sandwich(f"cov[{a},{b}] in sandwich", value, bounds, vse,
                       "covariance sandwich with inner-parallel volume bound"),
             _within(f"cov[{a},{b}] vs exact", value, exact, max(rel * abs(exact), k_se * vse),
-                    "cov_rel", "covariance: quadrature of the two-point moment split",
-                    se=vse)]
-    return metrics
+                    "cov_rel", _COV_ANCHOR, se=vse)]
+    return _finish(config, metrics)
 
 
-def verify_moments(config: ExperimentConfig) -> ExperimentReport:
-    """Sample means/covariances against exact values and sandwiches."""
+def predictions(config: ExperimentConfig) -> list[dict]:
+    """`predict`'s entries {name, value, params, paper_anchor, estimated}: the moment
+    table, the leading-order variance per alpha and, with a schedule and two or
+    more alphas, the regime's covariance matrix and the d3 bound."""
     t = config.intensity()
     delta = config.delta_for(t)
-    return _finish(config, _moment_metrics(config, t, delta, lambda: _length_powers(config)))
+    window, alphas = config.window, config.alphas
+    mean_theory, cov_theory = _moment_theory(config, t, delta)
+    params = {"window": window.label(), "t": t, "delta": delta}
+
+    def entry(name, value, anchor, **extra):
+        return {"name": name, "value": value, "params": dict(params, **extra),
+                "paper_anchor": anchor, "estimated": False}
+
+    out = []
+    for i, (alpha, (exact, bounds)) in enumerate(zip(alphas, mean_theory)):
+        out += [entry(f"expectation[alpha={alpha}]", exact, _MEAN_ANCHOR, alpha=alpha),
+                entry(f"expectation_bounds[alpha={alpha}]", bounds, _MEAN_SANDWICH_ANCHOR,
+                      alpha=alpha),
+                # variance_asymptotic: the (alpha, alpha) covariance sandwich's upper value
+                entry(f"variance_asymptotic[alpha={alpha}]", cov_theory[i, i][1][1],
+                      "leading-order variance", alpha=alpha)]
+    out += [entry(f"covariance[{alphas[i]},{alphas[j]}]", exact, _COV_ANCHOR,
+                  alpha=alphas[i], beta=alphas[j]) for (i, j), (exact, _) in cov_theory.items()]
+    if config.schedule is not None and len(alphas) >= 2:
+        vector = {"alphas": list(alphas), "regime": config.schedule.classify(window.dim)}
+        sig = sigma_matrix(alphas, window.dim, window.volume, config.schedule)
+        out += [entry("sigma_matrix", sig.tolist(), "asymptotic covariance matrix by regime",
+                      **vector),
+                entry("d3_bound", d3_bound(window, t, delta, alphas, config.schedule),
+                      "multivariate normal approximation: explicit d3 bound", **vector)]
+    return out
 
 
 def verify_clt(config: ExperimentConfig) -> ExperimentReport:

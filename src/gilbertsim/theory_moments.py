@@ -46,17 +46,6 @@ from .geometry import (ConvexWindow, _gl_nodes, covariogram_radial_integral,
 
 
 @dataclass(frozen=True)
-class TheoryPrediction:
-    """A named closed-form quantity (value or [lo, hi] interval)."""
-
-    name: str
-    value: float | tuple[float, float]
-    params: dict
-    anchor: str
-    estimated: bool = False
-
-
-@dataclass(frozen=True)
 class RegimeSchedule:
     """Distance schedule delta_t = a * t^(-gamma)."""
 

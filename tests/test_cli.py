@@ -372,6 +372,11 @@ def _no_quadrature(*args, **kwargs):
     # predict's covariance exists only for alpha > -d/2: the gate says so before any quadrature
     (["predict", "--alpha=-1,0", "--t", "100", "--delta", "0.05"], None,
      "predict needs alpha > -1, got [-1.0]"),
+    # every grid consumer reads the last t as the largest
+    (["--kind", "CLT", "--t-grid", "200,200", "--delta", "0.05"], None,
+     "t_grid must be strictly increasing, got [200.0, 200.0]"),
+    (["--kind", "CLT", "--t-grid", "800,200", "--delta", "0.05"], None,
+     "t_grid must be strictly increasing, got [800.0, 200.0]"),
     # simulate and predict have rows in _SUITES but are not verify kinds
     (["--kind", "simulate", "--t", "100", "--delta", "0.05"], None,
      "unknown kind 'simulate'; choose one of Moments, CLT,"),
@@ -381,12 +386,13 @@ def _no_quadrature(*args, **kwargs):
         "moments_t_grid_only", "multivariate_t_grid_only", "order_statistics_t_grid_only",
         "moments_unsampled_t_grid", "clt_unsampled_t", "moments_no_t",
         "ldi_t_grid_not_thermodynamic", "ldi_slope_t_grid_of_one", "ldi_t_grid_only",
-        "simulate_t_grid", "predict_config_t_grid", "predict_alpha_range", "simulate_kind"])
+        "simulate_t_grid", "predict_config_t_grid", "predict_alpha_range", "clt_t_grid_repeated",
+        "clt_t_grid_decreasing", "simulate_kind"])
 def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
     monkeypatch.setattr(cli, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "covariance_exact", _no_quadrature)
+    monkeypatch.setattr(experiments, "covariance_exact", _no_quadrature)
     command, args = ("verify", args) if args[0].startswith("--") else (args[0], args[1:])
     argv = [command, "--window", "box:1x1", "--alpha", "2", "--reps", "10"] + args
     if config is not None:

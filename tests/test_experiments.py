@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from gilbertsim import ConvexWindow, RegimeSchedule
 from gilbertsim import experiments as ex
 from gilbertsim import gilbert_graph as gg
+from gilbertsim import theory_moments as tm
 from gilbertsim.errors import ConfigError, TooFewReplicationsError
 
 W = ConvexWindow.box((1.0, 1.0))
@@ -52,6 +53,15 @@ KIND_CASES = {
     "OrderStatistics": dict(alphas=(2.0,)), "LDI": dict(alphas=(1.0,)),
     "PPConditions": dict(alphas=(2.0,), replications=None, t=None, t_grid=(100.0, 1000.0)),
 }
+
+
+@pytest.mark.parametrize("kind", ["CLT", "CompoundPoisson", "LDI", "PPConditions"])
+@pytest.mark.parametrize("grid", [(200.0, 200.0), (800.0, 200.0)])
+def test_t_grid_must_increase(kind, grid):
+    # every grid consumer reads the last t as the largest
+    with pytest.raises(ConfigError, match=r"t_grid must be strictly increasing, got \["):
+        cfg(kind=kind, alphas=(1.0,), t=None, t_grid=grid, delta=None,
+            schedule=RegimeSchedule(1.0, 0.5))
 
 
 @pytest.mark.parametrize("kind", [*ex._SUITES, "moments", "verify"])
@@ -196,14 +206,38 @@ def test_verify_moments_tiny_t_vacuous_pass():
     assert rep.passed  # wide SEs relative to the tiny theory values
 
 
-def test_verify_moments_detects_wrong_prediction():
+def test_verify_moments_detects_wrong_prediction(monkeypatch):
     # harness self-test: judging against predictions at a wrong delta fails
     c = cfg(replications=2000)
-    powers = ex._length_powers(c)
-    good = ex._moment_metrics(c, 100.0, 0.05, lambda: powers)
-    assert all(m.verdict for m in good)
-    bad = ex._moment_metrics(c, 100.0, 0.065, lambda: powers)
-    assert any(not m.verdict for m in bad)
+    assert ex.verify_moments(c).passed
+    table = ex._moment_theory
+    monkeypatch.setattr(ex, "_moment_theory", lambda config, t, delta: table(config, t, 0.065))
+    assert not ex.verify_moments(c).passed
+
+
+@pytest.mark.parametrize("window,t,delta", [
+    (W, 100.0, 0.05),
+    (ConvexWindow.box((1.0, 0.8, 0.6)), 500.0, 0.1),
+])
+def test_predict_and_verify_moments_share_one_table(window, t, delta):
+    c = cfg(window=window, t=t, delta=delta, replications=2)
+    theory = {m.name: m.theory for m in ex.verify_moments(c).metrics}
+    values = {e["name"]: e["value"] for e in ex.predictions(cfg(window=window, t=t,
+                                                                delta=delta, kind="predict"))}
+
+    def bits(value):
+        return [v.hex() for v in np.atleast_1d(value).tolist()]
+
+    for a in c.alphas:
+        assert bits(values[f"expectation[alpha={a}]"]) == bits(theory[f"mean[alpha={a}] vs exact"])
+        assert bits(values[f"expectation_bounds[alpha={a}]"]) \
+            == bits(theory[f"mean[alpha={a}] in sandwich"])
+        assert bits(values[f"variance_asymptotic[alpha={a}]"]) \
+            == bits(tm.variance_asymptotic(window, t, delta, a))
+    pairs = [(a, b) for i, a in enumerate(c.alphas) for b in c.alphas[i:]]
+    for a, b in pairs:
+        assert bits(values[f"covariance[{a},{b}]"]) == bits(theory[f"cov[{a},{b}] vs exact"])
+    assert len(values) == 3 * len(c.alphas) + len(pairs)
 
 
 def test_report_json_schema():
