@@ -11,12 +11,13 @@ is its command's row of experiments._SUITES: verify's comes from --kind, the
 config file or Moments, and simulate and predict are their own kind, whatever
 the config file says. reps is needed where the row builds graphs. A config that
 breaks its row exits 2 before any work, as does an output path that names a
-directory or lies in none. verify --kind LDI also writes <out>.<table>.csv, or
-./report.<table>.csv without --out. A window is box:<s1>x<s2>... or
-ball:<r>@d=<dim>. Seed precedence: --seed flag, then GILBERT_SEED, then config,
-then 0. Exit codes: 0 success (all verdicts pass), 1 failed verdicts, 2
-usage/config errors, including overflow, division by zero or an invalid
-floating-point value at extreme inputs (numpy raises instead of warning).
+directory or lies in none, and two of --config, --out and --edges-out that name
+one file. verify --kind LDI also writes <out>.<table>.csv, or ./report.<table>.csv
+without --out. A window is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed
+precedence: --seed flag, then GILBERT_SEED, then config, then 0. Exit codes: 0
+success (all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
+overflow, division by zero or an invalid floating-point value at extreme inputs
+(numpy raises instead of warning).
 """
 
 from __future__ import annotations
@@ -294,7 +295,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # an output path that cannot be opened exits 2 before any work, not after it
+        # an output path that cannot be opened, or one file named twice, exits 2 before any work
+        named = {}  # real path -> the first of --config, --out and --edges-out naming it
+        for flag in ("--config", "--out", "--edges-out"):
+            path = vars(args).get(flag[2:].replace("-", "_"))
+            real = path and os.path.realpath(path)
+            if real and named.setdefault(real, flag) != flag:
+                raise ConfigError(f"{named[real]} and {flag} name one file, {path!r}")
         for out in (args.out, vars(args).get("edges_out")):
             if out and os.path.isdir(out):
                 raise ConfigError(f"cannot write {out!r}: it is a directory")

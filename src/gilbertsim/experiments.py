@@ -29,7 +29,7 @@ from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
                             sample_poisson)
 from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
-from .theory_limits import EdgeLengthProcessLimit, pp_conditions, pp_radius
+from .theory_limits import EdgeLengthProcessLimit
 from .theory_moments import (RegimeSchedule, covariance_bounds,
                              covariance_exact, d3_bound, expectation_bounds,
                              expectation_exact, kolmogorov_bound,
@@ -570,26 +570,35 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     return _finish(config, metrics)
 
 
-def _limit_rescale(config: ExperimentConfig, t: float) -> float:
-    """t^(2 alpha/d), which rescales the length power to its limit law at t."""
+def _limit(config: ExperimentConfig) -> EdgeLengthProcessLimit:
+    """The limit process of the run's one alpha, its window and its c."""
     (alpha,) = config.alphas
+    return EdgeLengthProcessLimit(alpha, config.window.dim, config.window.volume,
+                                  _edge_limit(config))
+
+
+def _in_floats(config: ExperimentConfig, value_of, what: str, at: str) -> float:
+    """value_of(), or a ConfigError naming what and at when it overflows or is not > 0."""
     try:
-        rescale = t ** (2.0 * alpha / config.window.dim)
+        value = value_of()
     except OverflowError:
-        rescale = math.inf
-    if not 0.0 < rescale < math.inf:
-        raise ConfigError(f"{config.kind}: the rescale t^(2 alpha/d) underflows to 0 or "
-                          f"overflows at alpha = {alpha!r}, t = {t!r}")
-    return rescale
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{config.kind}: {what} underflows to 0 or overflows at {at}")
+    return value
+
+
+def _limit_rescale(config: ExperimentConfig, limit: EdgeLengthProcessLimit, t: float) -> float:
+    """limit.rescale(t), checked to lie in the floats."""
+    return _in_floats(config, lambda: limit.rescale(t), "the rescale t^(2 alpha/d)",
+                      f"alpha = {limit.alpha!r}, t = {t!r}")
 
 
 def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled functional against the compound-Poisson limit along a t-grid."""
-    d = config.window.dim
-    (alpha,) = config.alphas
     grid = config.intensity_grid()
-    rescales = [_limit_rescale(config, t) for t in grid]
-    limit = EdgeLengthProcessLimit(alpha, d, config.window.volume, _edge_limit(config))
+    limit = _limit(config)
+    rescales = [_limit_rescale(config, limit, t) for t in grid]
     ref_rng = replication_rng(config.master_seed, 0, STREAM_REFERENCE)
     ref_cdf = EmpiricalCdf(limit.sample_sum(ref_rng, 1_000_000))
     ks_list = []
@@ -618,10 +627,9 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     """Rescaled order statistics against the limit laws; interval counts
     approximately independent with the intensity-measure means."""
     t = config.intensity()
-    d = config.window.dim
     (alpha,) = config.alphas
-    limit = EdgeLengthProcessLimit(alpha, d, config.window.volume, _edge_limit(config))
-    rescale = _limit_rescale(config, t)
+    limit = _limit(config)
+    rescale = _limit_rescale(config, limit, t)
     intervals, nus = limit.unit_intervals(3)
 
     def reduce(r, sample, edges):
@@ -736,35 +744,31 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
     """Tabulate the convergence conditions along a t-grid (quadrature only)."""
     grid = config.intensity_grid()
     d = config.window.dim
-    (alpha,) = config.alphas
-    process_limit = EdgeLengthProcessLimit(alpha, d, config.window.volume, _edge_limit(config))
+    process_limit = _limit(config)
+    alpha = process_limit.alpha
     kd = unit_ball_volume(d)
     levels = (0.5, 1.0, 2.0)
-    for u in levels:  # before any quadrature: u^(1/alpha) leaves the floats at a tiny alpha
-        for t in grid:
-            try:
-                usable = pp_radius(d, t, config.delta_for(t), alpha, u) > 0.0
-            except OverflowError:
-                usable = False
-            if not usable:
-                raise ConfigError(
-                    f"PPConditions: rho = min(delta, u^(1/alpha) t^(-2/d)) underflows to 0 "
-                    f"or overflows at alpha = {alpha!r}, u = {u!r}, t = {t!r}")
+    # every radius before any quadrature: u^(1/alpha) leaves the floats at a tiny alpha
+    rhos = {u: [_in_floats(config, lambda: process_limit.radius(t, config.delta_for(t), u),
+                           "rho = min(delta, u^(1/alpha) t^(-2/d))",
+                           f"alpha = {alpha!r}, u = {u!r}, t = {t!r}")
+                for t in grid] for u in levels}
     metrics: list[Metric] = []
     for u in levels:
-        a_vals, r_vals = zip(*(pp_conditions(config.window, t, config.delta_for(t), alpha, u)
-                               for t in grid))
+        # a_t(u) = E L^(0) at distance rho, r_t(u) = t kappa_d rho^d
+        a_vals = [expectation_exact(config.window, t, rho, 0.0) for t, rho in zip(grid, rhos[u])]
+        r_vals = [t * kd * rho**d for t, rho in zip(grid, rhos[u])]
         limit = process_limit.intensity(u)
         metrics += [
             _within(f"a_t(u={u}) at largest t", a_vals[-1], limit,
                     TOLERANCES["a_limit_rel"] * abs(limit), "a_limit_rel",
                     "mean count condition of the process limit"),
-            _decreasing(f"r_t(u={u}) decreasing to zero", list(r_vals), "r_const_rel",
+            _decreasing(f"r_t(u={u}) decreasing to zero", r_vals, "r_const_rel",
                         "local mass condition of the process limit", theory=0.0)]
         # r_t * t is constant once rho = u^(1/alpha) t^(-2/d) is below delta and the inradius
-        ratios = [r_t * t / (kd * u ** (d / alpha)) for t, r_t in zip(grid, r_vals)
-                  if u ** (1.0 / alpha) * t ** (-2.0 / d)
-                  < min(config.delta_for(t), config.window.inradius)]
+        ratios = [r_t * t / (kd * u ** (d / alpha))
+                  for t, r_t, rho in zip(grid, r_vals, rhos[u])
+                  if rho < min(config.delta_for(t), config.window.inradius)]
         if ratios:
             metrics.append(_within(f"r_t*t constancy (u={u})", ratios, 1.0,
                                    TOLERANCES["r_const_rel"], "r_const_rel",

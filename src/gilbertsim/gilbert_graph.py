@@ -40,7 +40,8 @@ _BRUTE_BLOCK = 512  # rows per all-pairs distance block in the oracle
 
 @dataclass(frozen=True, eq=False)
 class EdgeSet:
-    """Edges (i < j) with their Euclidean lengths, all <= delta."""
+    """Edges (i < j) with their Euclidean lengths, all <= delta. Only the benchmark's
+    oracle check still reads `sample`; nothing in the package does."""
 
     i: np.ndarray  # int64
     j: np.ndarray  # int64
@@ -160,9 +161,8 @@ def max_degree(edges: EdgeSet) -> int:
     build_edges_bruteforce leave it."""
     if edges.n_edges == 0:
         return 0
-    n = edges.sample.n_points
-    deg = np.diff(np.searchsorted(edges.i, np.arange(n + 1)))
-    deg += np.bincount(edges.j, minlength=n)
+    deg = np.bincount(edges.j)  # i < j, so every endpoint lies below deg.size
+    deg += np.diff(np.searchsorted(edges.i, np.arange(deg.size + 1)))
     return int(deg.max())
 
 

@@ -1,7 +1,8 @@
 """The limiting Poisson process of the rescaled edge-length powers t^(2a/d) |e|^a,
 nu([0,u]) = (kappa_d/2) V min(u^(d/a), c) with c = lim t^2 delta^d, whose order
 statistics give the limit laws and whose sum (c finite) is the compound-Poisson limit
-of t^(2a/d) L^(a); and the finite-t conditions a_t(u), r_t(u) that drive it.
+of t^(2a/d) L^(a). At finite t it gives the rescale t^(2a/d) and the radius rho of the
+conditions a_t(u) = E L^(0) at distance rho -> nu([0, u]) and r_t(u) = t kappa_d rho^d -> 0.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexWindow, covariogram_radial_integral, unit_ball_volume
+from .geometry import unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,14 @@ class EdgeLengthProcessLimit:
             raise ValueError("u must be >= 0")
         kd = unit_ball_volume(self.dim)
         return 0.5 * kd * self.volume * min(u ** (self.dim / self.alpha), self.edge_constant)
+
+    def rescale(self, t: float) -> float:
+        """t^(2 alpha/d), which takes the length powers at intensity t to the limit."""
+        return t ** (2.0 * self.alpha / self.dim)
+
+    def radius(self, t: float, delta: float, u: float) -> float:
+        """rho = min{delta, u^(1/alpha) t^(-2/d)}, the radius of the conditions at (t, u)."""
+        return min(delta, u ** (1.0 / self.alpha) * t ** (-2.0 / self.dim))
 
     def order_statistic_survival(self, m: int, u: float) -> float:
         """P(limit of t^(2a/d) S_m > u) = exp(-nu) * sum_{j<m} nu^j / j!,
@@ -84,24 +93,3 @@ class EdgeLengthProcessLimit:
         out = np.zeros(size)
         np.add.at(out, np.repeat(np.arange(size), counts), x)
         return out
-
-
-def pp_radius(dim: int, t: float, delta: float, alpha: float, u: float) -> float:
-    """rho = min{delta, u^(1/alpha) t^(-2/d)}, the radius of the conditions at (t, u)."""
-    return min(delta, u ** (1.0 / alpha) * t ** (-2.0 / dim))
-
-
-def pp_conditions(window: ConvexWindow, t: float, delta: float,
-                  alpha: float, u: float) -> tuple[float, float]:
-    """The convergence conditions (a_t(u), r_t(u)) at finite t.
-
-    a_t = (t^2/2) * int_{B(0,rho)} g_W, rho = min{delta, u^(1/alpha) t^(-2/d)};
-    r_t = t * kappa_d * rho^d (interior supremum of the local mass).
-    """
-    if not (u > 0 and alpha > 0):
-        raise ValueError("u and alpha must be > 0")
-    d = window.dim
-    rho = pp_radius(d, t, delta, alpha, u)
-    a_t = 0.5 * t * t * covariogram_radial_integral(window, rho, 0.0)
-    r_t = t * unit_ball_volume(d) * rho**d
-    return (a_t, r_t)

@@ -645,7 +645,7 @@ def test_limit_rescale_leaving_the_floats_exits_2(kind, args, named, monkeypatch
 ], ids=["underflow", "overflow"])
 def test_pp_conditions_rho_underflow_exits_2_before_quadrature(alpha, named, monkeypatch,
                                                                capsys):
-    monkeypatch.setattr(experiments, "pp_conditions", _no_quadrature)
+    monkeypatch.setattr(experiments, "expectation_exact", _no_quadrature)  # its only quadrature
     rc = cli.main(["verify", "--kind", "PPConditions", "--window", "box:1x1", "--alpha", alpha,
                    "--t-grid", "1e-3,1", "--delta", "0.05", "--reps", "5"])
     assert rc == 2
@@ -931,6 +931,52 @@ def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()  # a good --out is not written either
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--out", "p.csv", "--edges-out", "p.csv"], "--out and --edges-out name one file, 'p.csv'"),
+    (["--out", "run.cfg"], "--config and --out name one file, 'run.cfg'"),
+    (["--out", "link.cfg"], "--config and --out name one file, 'link.cfg'"),
+    (["--out", "o.csv", "--edges-out", "sub/../run.cfg"],
+     "--config and --edges-out name one file, 'sub/../run.cfg'"),
+], ids=["out_is_edges_out", "out_is_config", "out_links_to_config", "edges_out_is_config"])
+def test_one_file_named_twice_exits_2(flags, message, tmp_path, monkeypatch, capsys):
+    # the second write would replace the first, or the config: a usage error found
+    # before any replication, and nothing is written
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("window = box:1x1\nt = 100\ndelta = 0.05\n"
+                                      "alphas = 0\nreps = 2\n")
+    (tmp_path / "link.cfg").symlink_to(tmp_path / "run.cfg")
+    (tmp_path / "sub").mkdir()
+
+    def files():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    before = files()
+    assert cli.main(["simulate", "--config", "run.cfg"] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert files() == before
+
+
+@pytest.mark.parametrize("missing", ["window", "alphas"])
+def test_missing_window_or_alphas_exits_2(missing, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    given = {"window": ["--window", "box:1x1"], "alphas": ["--alpha", "1"]}
+    argv = ["simulate", "--t", "100", "--delta", "0.05", "--reps", "2"]
+    argv += [flag for key, flags in given.items() if key != missing for flag in flags]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: missing required key {missing!r}\n"
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    # a 300-character file name passes the directory pre-check and fails at open
+    out = str(tmp_path / ("x" * 300))
+    assert cli.main(["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
+                     "--alpha", "0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out!r}: ") and err.count("\n") == 1
+    assert not os.path.exists(out) and os.listdir(tmp_path) == []
 
 
 def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):

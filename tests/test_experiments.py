@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from gilbertsim import ConvexWindow, RegimeSchedule
 from gilbertsim import experiments as ex
 from gilbertsim import gilbert_graph as gg
+from gilbertsim import theory_limits as tl
 from gilbertsim import theory_moments as tm
 from gilbertsim.errors import ConfigError, TooFewReplicationsError
 
@@ -368,6 +369,23 @@ def test_verify_pp_conditions():
              schedule=RegimeSchedule(1.0, 1.0))
     rep2 = ex.verify_pp_conditions(c2)
     assert rep2.passed
+
+
+def test_pp_conditions_takes_each_radius_once(monkeypatch):
+    # one rho per (u, t): three levels u along the grid, shared by a_t, r_t and the filter
+    calls = []
+    radius = tl.EdgeLengthProcessLimit.radius
+
+    def counting(self, t, delta, u):
+        calls.append((u, t))
+        return radius(self, t, delta, u)
+
+    monkeypatch.setattr(tl.EdgeLengthProcessLimit, "radius", counting)
+    grid = (100.0, 1000.0, 10000.0, 1e5)
+    c = cfg(kind="PPConditions", alphas=(2.0,), replications=2, t=None, t_grid=grid,
+            delta=None, schedule=RegimeSchedule(1.0, 0.8))
+    assert ex.verify_pp_conditions(c).passed
+    assert len(calls) == 3 * len(grid) == len(set(calls))
 
 
 def test_run_verification_dispatch():

@@ -100,31 +100,39 @@ def test_cp_mean_identity_with_expectation():
     assert rescaled == pytest.approx(PI / 4.0, rel=0.01)  # E Z of MODEL
 
 
+def conditions(limit, w, t, delta, u):
+    """(a_t(u), r_t(u)) at the limit's radius rho: E L^(0) at distance rho and t kappa_d rho^d."""
+    rho = limit.radius(t, delta, u)
+    return tm.expectation_exact(w, t, rho, 0.0), t * geo.unit_ball_volume(w.dim) * rho**w.dim
+
+
 def test_pp_conditions_limits():
     w = geo.ConvexWindow.box((1.0, 1.0))
     alpha = 2.0
+    lim = tl.EdgeLengthProcessLimit(alpha, w.dim, w.volume)
     # infinite-edge regime: delta_t = t^-0.8
     for u in (0.5, 1.0, 2.0):
-        limit = tl.EdgeLengthProcessLimit(alpha, w.dim, w.volume).intensity(u)
+        limit = lim.intensity(u)
         assert limit == pytest.approx(PI / 2.0 * u, rel=1e-12)
-        a_lo, _ = tl.pp_conditions(w, 1e3, 1e3**-0.8, alpha, u)
-        a_hi, _ = tl.pp_conditions(w, 1e5, 1e5**-0.8, alpha, u)
+        a_lo, _ = conditions(lim, w, 1e3, 1e3**-0.8, u)
+        a_hi, _ = conditions(lim, w, 1e5, 1e5**-0.8, u)
         assert abs(a_hi - limit) <= 0.02 * limit
         assert abs(a_hi - limit) < abs(a_lo - limit)
     # r_t * t is exactly constant once rho < inradius
     kd = geo.unit_ball_volume(2)
     for t in (1e3, 1e4, 1e5):
-        _, r_t = tl.pp_conditions(w, t, t**-0.8, alpha, 1.0)
+        _, r_t = conditions(lim, w, t, t**-0.8, 1.0)
         assert r_t * t == pytest.approx(kd, rel=1e-12)
 
 
 def test_pp_conditions_constant_regime_plateau():
     w = geo.ConvexWindow.box((1.0, 1.0))
     alpha, d, c = 2.0, 2, 1.0
+    lim = tl.EdgeLengthProcessLimit(alpha, w.dim, w.volume, edge_constant=c)
     for u in (0.5, 2.0):
-        limit = tl.EdgeLengthProcessLimit(alpha, w.dim, w.volume, edge_constant=c).intensity(u)
+        limit = lim.intensity(u)
         assert limit == pytest.approx(PI / 2.0 * min(u, c))
-        a_t, _ = tl.pp_conditions(w, 1e4, (c / 1e8) ** 0.5, alpha, u)
+        a_t, _ = conditions(lim, w, 1e4, (c / 1e8) ** 0.5, u)
         assert abs(a_t - limit) <= 0.02 * limit
 
 
