@@ -1,7 +1,7 @@
 """Command-line front end: simulate, predict, verify, covariogram.
 
-It parses, dispatches and writes, and computes no theory: predict's entries and
-every report come from experiments, the covariogram's values from geometry.
+It parses, dispatches and writes, and computes no theory or file layout: every
+file's bytes come from experiments (to_csv, to_json), the covariogram's values from geometry.
 Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
 settings. n picks the binomial model and t or t_grid the Poisson one; a config
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -33,9 +32,9 @@ import numpy as np
 
 from .errors import ConfigError, GilbertSimError
 from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
-                          ldi_table_to_csv, predictions, replications_to_csv,
-                          report_to_json, run_replications, run_verification,
-                          simulate_row)
+                          predictions, replications_to_csv, report_to_json,
+                          run_replications, run_verification, simulate_row,
+                          to_csv, to_json)
 from .geometry import ConvexWindow, covariogram
 # not called here; perfbench's tracer test checks that cli binds this name
 from .gilbert_graph import build_edges  # noqa: F401
@@ -195,9 +194,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     rows = run_replications(config, reduce)
     _write_or_print(replications_to_csv(rows, config.alphas), args.out)
     if args.edges_out:
-        lines = ["i,j,length"]
-        lines += [f"{i},{j},{l!r}" for i, j, l in first["edges"].edges]
-        _write_or_print("\n".join(lines) + "\n", args.edges_out)
+        edges = first["edges"]
+        _write_or_print(to_csv("i,j,length", zip(edges.i.tolist(), edges.j.tolist(),
+                                                 edges.lengths.tolist())), args.edges_out)
     return 0
 
 
@@ -206,10 +205,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     config = resolve_config(raw, args)
     entries = predictions(config)
     try:
-        text = json.dumps(entries, sort_keys=True, indent=2, allow_nan=False)
+        text = to_json(entries)
     except ValueError as exc:
         raise ConfigError(f"a prediction is not finite at these inputs: {exc}") from None
-    _write_or_print(text + "\n", args.out)
+    _write_or_print(text, args.out)
     return 0
 
 
@@ -221,7 +220,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if report.tables:
         base = args.out or "report"
         for name, table in sorted(report.tables.items()):
-            _write_or_print(ldi_table_to_csv(table), f"{base}.{name}.csv")
+            # verify_ldi builds each table's columns in file order
+            _write_or_print(to_csv(",".join(table), zip(*table.values())),
+                            f"{base}.{name}.csv")
     print(f"verdicts: {sum(m.verdict for m in report.metrics)}/{len(report.metrics)} pass",
           file=sys.stderr)
     return 0 if report.passed else 1
@@ -244,11 +245,9 @@ def cmd_covariogram(args: argparse.Namespace) -> int:
     rmax = args.rmax if args.rmax is not None else window.diameter
     if not (math.isfinite(rmax) and rmax >= 0):
         raise ConfigError(f"--rmax must be finite and >= 0, got {rmax!r}")
-    lines = ["r,covariogram"]
-    for r in np.linspace(0.0, rmax, args.steps):
-        val = covariogram(window, r * direction)
-        lines.append(f"{float(r)!r},{val!r}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    rows = ((r, covariogram(window, r * direction))
+            for r in np.linspace(0.0, rmax, args.steps).tolist())
+    _write_or_print(to_csv("r,covariogram", rows), args.out)
     return 0
 
 

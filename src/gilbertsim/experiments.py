@@ -123,10 +123,7 @@ class ExperimentConfig:
 
     def intensity(self) -> float:
         """The single intensity of a run: t (Poisson model) or n (binomial)."""
-        value = self.t if self.n is None else self.n
-        if value is None:
-            raise ConfigError("this run needs a single t")
-        return float(value)
+        return float(self.t if self.n is None else self.n)
 
     def delta_for(self, t: float) -> float:
         if self.schedule is not None:
@@ -321,7 +318,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "seed": report.seed,
         "version": report.version,
     }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return to_json(payload)
 
 
 def simulate_row(alphas):
@@ -340,20 +337,21 @@ def simulate_row(alphas):
 
 def replications_to_csv(rows: np.ndarray, alphas) -> str:
     """Long-format dump of simulate_row's rows: rep,alpha,L_value,n_points,max_degree,S1..S5."""
-    lines = ["rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5"]
-    for r, block in enumerate(rows):
-        for alpha, (value, n_points, degree, *smallest) in zip(alphas, block):
-            srepr = ",".join(repr(float(v)) for v in smallest)
-            lines.append(f"{r},{alpha!r},{float(value)!r},{int(n_points)},{int(degree)},{srepr}")
-    return "\n".join(lines) + "\n"
+    return to_csv("rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5",
+                  [(r, alpha, value, int(n_points), int(degree), *smallest)
+                   for r, block in enumerate(rows.tolist())
+                   for alpha, (value, n_points, degree, *smallest) in zip(alphas, block)])
 
 
-def ldi_table_to_csv(table: dict) -> str:
-    lines = ["u,empirical_tail,ldi_bound,ldi_envelope"]
-    for u, p, b, e in zip(table["u"], table["empirical_tail"],
-                          table["ldi_bound"], table["ldi_envelope"]):
-        lines.append(f"{u!r},{p!r},{b!r},{e!r}")
-    return "\n".join(lines) + "\n"
+def to_csv(header: str, rows) -> str:
+    """Every CSV file: the header, then one line per row of plain Python
+    numbers (tolist(), not numpy scalars), each cell written by repr."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+def to_json(payload) -> str:
+    """Every JSON file: sorted keys, indent 2; a non-finite number raises ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _finish(config: ExperimentConfig, metrics: list[Metric],

@@ -52,10 +52,6 @@ class EdgeSet:
     def n_edges(self) -> int:
         return self.i.shape[0]
 
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [(int(a), int(b), float(l)) for a, b, l in zip(self.i, self.j, self.lengths)]
-
 
 def _pair_distance(points: np.ndarray, a, b) -> np.ndarray:
     """Canonical edge length formula; every EdgeSet's lengths come from here.

@@ -142,6 +142,8 @@ def ldi_xstar(inp: LdiInput) -> float:
 def ldi_bound(inp: LdiInput) -> float:
     """Optimized median deviation bound 8 exp(-u^2 / (8 ... x* (u+m))), <= 1."""
     xstar = ldi_xstar(inp)
+    if not xstar > 0:  # t V < 1 makes log(t V) negative, and x* can round to 0
+        raise DegenerateInputError(f"the bound divides by x*, and x* = {xstar!r} is not > 0")
     d = inp.window.dim
     kd = unit_ball_volume(d)
     c, _, f = _scales(inp)

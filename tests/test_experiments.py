@@ -334,7 +334,7 @@ def test_verify_ldi_small_both_models():
         assert rep.passed and rep.config["model"] == model
         table = rep.tables["ldi_alpha_0.0"]
         assert len(table["u"]) == 20
-        csv_text = ex.ldi_table_to_csv(table)
+        csv_text = ex.to_csv(",".join(table), zip(*table.values()))
         assert csv_text.startswith("u,empirical_tail,ldi_bound,ldi_envelope")
 
 

@@ -184,7 +184,7 @@ def windows(draw):
     return geo.ConvexWindow.ball(draw(st.floats(0.2, 1.5)), d)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(windows(), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
 @example(geo.ConvexWindow.box((1.0, 2.0)), [0.3, -0.2, 0.0])
 @example(geo.ConvexWindow.ball(0.7, 3), [0.1, 0.25, -0.3])
@@ -205,7 +205,7 @@ def test_covariogram_invariants_random(w, coords):
     assert geo.covariogram(w, far) == 0.0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(windows())
 @example(geo.ConvexWindow.box((1.0,)))
 @example(geo.ConvexWindow.box((1.0, 1.0)))
@@ -247,7 +247,7 @@ def boxes_delta_alpha(draw):
     return sides, delta, alpha
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(boxes_delta_alpha())
 @example(((1.0, 0.8, 0.6), 0.6, 1.0))
 @example(((1.0, 0.8, 0.6, 0.5), 0.5, -2.5))
@@ -276,7 +276,7 @@ def balls_delta_alpha(draw):
     return geo.ConvexWindow.ball(radius, d), delta, alpha
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(balls_delta_alpha())
 @example((geo.ConvexWindow.ball(1.0, 2), 0.05, 1.0))
 @example((geo.ConvexWindow.ball(0.3, 6), 2.4 * 0.3, -5.9))
@@ -409,7 +409,7 @@ def test_radial_integral_rejects_divergent_exponent():
         geo.covariogram_radial_integral(geo.ConvexWindow.ball(1.0, 4), 0.1, -4.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(windows(), st.floats(0.0, 1.0))
 @example(geo.ConvexWindow.box((1.0, 1.0)), 0.45)
 @example(geo.ConvexWindow.ball(0.8, 2), 0.45)

@@ -37,7 +37,7 @@ def test_three_point_example():
     s = make_sample([[0.0, 0.0], [0.05, 0.0], [0.5, 0.5]])
     for build in (gg.build_edges, gg.build_edges_bruteforce):
         e = build(s, 0.1)
-        assert e.edges == [(0, 1, 0.05)]
+        assert list(zip(e.i.tolist(), e.j.tolist(), e.lengths.tolist())) == [(0, 1, 0.05)]
 
 
 def test_trivial_sizes():
@@ -90,7 +90,7 @@ def snap_to_boundary(window, pts, rows, axes):
             pts[k] *= window.radius / np.linalg.norm(pts[k])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(window=windows(), n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1),
        delta=st.floats(0.005, 1.5), snap=st.data())
 def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
@@ -103,7 +103,7 @@ def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
     assert edgesets_identical(gg.build_edges(s, delta), gg.build_edges_bruteforce(s, delta))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(d=st.integers(1, 3), m=st.integers(2, 6), spacing=st.floats(0.01, 0.5),
        origin=st.floats(0.0, 1.0), diagonal=st.integers(1, 3))
 # a body-diagonal lattice where summing the squares in einsum's order,
@@ -124,7 +124,7 @@ def test_property_lattice_ties_at_delta(d, m, spacing, origin, diagonal):
     assert [local_statistic(s, v, delta, 0.0) for v in range(len(pts))] == deg.tolist()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(d=st.integers(1, 4), data=st.data())
 def test_property_pair_distance_is_left_to_right_fold(d, data):
     # pins the canonical formula: sqrt(((dx0^2 + dx1^2) + dx2^2) + ...) per pair,

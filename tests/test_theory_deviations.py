@@ -99,6 +99,16 @@ def test_degenerate_input_raises():
         td.ldi_envelope(inp)
 
 
+def test_ldi_bound_raises_when_xstar_is_zero():
+    # t V = 0.1 < 1: log(t V) < 0, and the s-infimum x* rounds to 0
+    inp = td.LdiInput(window=geo.ConvexWindow.box((0.1,)), delta=0.3, alpha=3.0,
+                      median=1e3, u=1e-3, t=1.0)
+    assert td.ldi_xstar(inp) == 0.0
+    with pytest.raises(DegenerateInputError, match="x\\*"):
+        td.ldi_bound(inp)
+    assert td.ldi_envelope(inp) == 1.0
+
+
 def test_ldi_bound_clamps_and_decreases():
     at_zero = td.LdiInput(window=W, delta=0.05, alpha=0.0,
                           median=10.0, u=0.0, t=500.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -73,11 +74,12 @@ def box_sandwich_cases(draw):
     return sides, delta, alpha, draw(st.floats(1.0, 1e4))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(box_sandwich_cases())
 @example(((1.0, 1.0), 0.25, 0.0, 100.0))
 @example(((1.0, 0.8, 0.6, 0.5), 0.5, -3.5, 300.0))
 @example(((0.7,), 0.7, -0.9, 10.0))
+@example(((2.0, 0.28125), 0.0703125, -1.875, 55.0))  # the tail is only 1.7e-4 of exact
 def test_property_box_expectation_sandwich_is_series_cut(case):
     # For a box with delta <= min(side) the sandwich is the exact series cut
     # after k = 0 (upper) and k = 1 (lower); the k >= 2 tail is its gap.
@@ -91,7 +93,9 @@ def test_property_box_expectation_sandwich_is_series_cut(case):
     if len(sides) == 1:  # no tail: the lower value is exact
         assert exact == pytest.approx(lo, rel=1e-12)
     else:
-        assert exact - lo == pytest.approx(sum(terms[2:]), rel=1e-12)
+        # exact - lo cancels: its rounding floor is a few ulps of exact
+        floor = (len(sides) + 2) * sys.float_info.epsilon * abs(exact)
+        assert exact - lo == pytest.approx(sum(terms[2:]), rel=1e-12, abs=floor)
 
 
 def test_expectation_interval_width_vanishes_like_delta():
@@ -247,7 +251,7 @@ def dims_and_exponents(draw):
     return d, draw(st.floats(-d + 0.05, 5.0))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(dims_and_exponents())
 @example((2, -1.95))
 @example((3, -2.95))
@@ -294,7 +298,7 @@ def window_alpha_grid(draw):
     return window, t, delta, alphas
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(window_alpha_grid())
 # a ball case whose matrix was 1 ulp off symmetric while the ball I_hh
 # multiplied the two h profiles in argument order
@@ -313,7 +317,7 @@ def test_property_window_covariance_matrix_symmetric_psd(case):
             assert lo - 1e-12 * abs(hi) <= cov[i, j] <= hi + 1e-12 * abs(hi)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(window_alpha_grid())
 def test_property_window_expectation_inside_bounds(case):
     window, t, delta, alphas = case
