@@ -12,12 +12,15 @@ config file or Moments, and simulate and predict are their own kind, whatever
 the config file says. reps is needed where the row builds graphs. A config that
 breaks its row exits 2 before any work, as does an output path that names a
 directory or lies in none, and two of --config, --out and --edges-out that name
-one file. verify --kind LDI also writes <out>.<table>.csv, or ./report.<table>.csv
-without --out. A window is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed
-precedence: --seed flag, then GILBERT_SEED, then config, then 0. Exit codes: 0
-success (all verdicts pass), 1 failed verdicts, 2 usage/config errors, including
-overflow, division by zero or an invalid floating-point value at extreme inputs
-(numpy raises instead of warning).
+one file. Each cmd_* takes the config main resolves and returns its exit code,
+its files as (name, path or None for stdout, text) and a stderr note; verify
+--kind LDI's include <out>.<table>.csv, or ./report.<table>.csv without --out.
+main checks them too, with --config, and writes none unless all pass. A window
+is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
+GILBERT_SEED, then config, then 0. Exit codes: 0 success (all verdicts pass), 1
+failed verdicts, 2 usage/config errors, including overflow, division by zero or
+an invalid floating-point value at extreme inputs (numpy raises instead of
+warning).
 """
 
 from __future__ import annotations
@@ -169,20 +172,7 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{_FIELDS.get(key, key): value for key, value in values.items()})
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out!r}: {exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    raw = load_config(args.config) if args.config else {}
-    config = resolve_config(raw, args)
+def cmd_simulate(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, list, str]:
     row = simulate_row(config.alphas)
     first = {}
 
@@ -192,43 +182,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return row(r, sample, edges)
 
     rows = run_replications(config, reduce)
-    _write_or_print(replications_to_csv(rows, config.alphas), args.out)
+    files = [("--out", args.out, replications_to_csv(rows, config.alphas))]
     if args.edges_out:
         edges = first["edges"]
-        _write_or_print(to_csv("i,j,length", zip(edges.i.tolist(), edges.j.tolist(),
-                                                 edges.lengths.tolist())), args.edges_out)
-    return 0
+        files.append(("--edges-out", args.edges_out, to_csv(
+            "i,j,length", zip(edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))))
+    return 0, files, ""
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    raw = load_config(args.config) if args.config else {}
-    config = resolve_config(raw, args)
+def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, list, str]:
     entries = predictions(config)
     try:
-        text = to_json(entries)
+        return 0, [("--out", args.out, to_json(entries))], ""
     except ValueError as exc:
         raise ConfigError(f"a prediction is not finite at these inputs: {exc}") from None
-    _write_or_print(text, args.out)
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    raw = load_config(args.config) if args.config else {}
-    config = resolve_config(raw, args)
+def cmd_verify(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, list, str]:
     report = run_verification(config)
-    _write_or_print(report_to_json(report), args.out)
-    if report.tables:
-        base = args.out or "report"
-        for name, table in sorted(report.tables.items()):
-            # verify_ldi builds each table's columns in file order
-            _write_or_print(to_csv(",".join(table), zip(*table.values())),
-                            f"{base}.{name}.csv")
-    print(f"verdicts: {sum(m.verdict for m in report.metrics)}/{len(report.metrics)} pass",
-          file=sys.stderr)
-    return 0 if report.passed else 1
+    files = [("--out", args.out, report_to_json(report))]
+    base = args.out or "report"
+    for name, table in sorted(report.tables.items()):
+        # verify_ldi builds each table's columns in file order
+        files.append((f"the {name} table", f"{base}.{name}.csv",
+                      to_csv(",".join(table), zip(*table.values()))))
+    verdicts = f"verdicts: {sum(m.verdict for m in report.metrics)}/{len(report.metrics)} pass\n"
+    return (0 if report.passed else 1), files, verdicts
 
 
-def cmd_covariogram(args: argparse.Namespace) -> int:
+def cmd_covariogram(args: argparse.Namespace, config: None) -> tuple[int, list, str]:
     if not 1 <= args.steps <= POINT_BUDGET:  # the table's rows are held in memory
         raise ConfigError(f"--steps must be between 1 and {POINT_BUDGET:.3g}, got {args.steps}")
     window = parse_window(args.window)
@@ -247,8 +229,7 @@ def cmd_covariogram(args: argparse.Namespace) -> int:
         raise ConfigError(f"--rmax must be finite and >= 0, got {rmax!r}")
     rows = ((r, covariogram(window, r * direction))
             for r in np.linspace(0.0, rmax, args.steps).tolist())
-    _write_or_print(to_csv("r,covariogram", rows), args.out)
-    return 0
+    return 0, [("--out", args.out, to_csv("r,covariogram", rows))], ""
 
 
 @functools.cache
@@ -290,24 +271,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_paths(config: str | None, outputs: list[tuple[str, str | None]]) -> None:
+    """Exit 2 on one file named twice, or an output path that is a directory or in none."""
+    named = {}  # real path -> the first name given to it
+    for name, path in [("--config", config), *outputs]:
+        real = path and os.path.realpath(path)
+        if real and named.setdefault(real, name) != name:
+            raise ConfigError(f"{named[real]} and {name} name one file, {path!r}")
+    for _, path in outputs:
+        if path and os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path!r}: no directory {os.path.dirname(path)!r}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    given = vars(args).get("config")  # covariogram takes no config
+    outputs = [("--out", args.out), ("--edges-out", vars(args).get("edges_out"))]
     try:
-        # an output path that cannot be opened, or one file named twice, exits 2 before any work
-        named = {}  # real path -> the first of --config, --out and --edges-out naming it
-        for flag in ("--config", "--out", "--edges-out"):
-            path = vars(args).get(flag[2:].replace("-", "_"))
-            real = path and os.path.realpath(path)
-            if real and named.setdefault(real, flag) != flag:
-                raise ConfigError(f"{named[real]} and {flag} name one file, {path!r}")
-        for out in (args.out, vars(args).get("edges_out")):
-            if out and os.path.isdir(out):
-                raise ConfigError(f"cannot write {out!r}: it is a directory")
-            if out and not os.path.isdir(os.path.dirname(out) or "."):
-                raise ConfigError(f"cannot write {out!r}: no directory {os.path.dirname(out)!r}")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            _check_paths(given, outputs)  # before any work
+            config = (resolve_config(load_config(given) if given else {}, args)
+                      if "config" in vars(args) else None)
+            code, files, note = args.func(args, config)
+        _check_paths(given, [(name, path) for name, path, _ in files])  # an LDI table too
+        for _, path, text in files:
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path!r}: {exc}") from None
+        sys.stderr.write(note)
+        return code
     except GilbertSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -166,8 +166,8 @@ def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
         return 2.0 * math.pi * (t1 - t2)
     # d == 2: radial Gauss with the arc measure 2 arccos(w/r) of the cap
     r, wt = _gl_nodes(w, 1.0, _GL_FACE)
-    h = np.minimum(w[..., None] / np.maximum(r, 1e-300), 1.0)
-    return np.einsum("...k,...k->...", wt, r ** (gamma + 1.0) * (2.0 * np.arccos(h)))
+    arc = _circle_measure([w[..., None]], np.maximum(r, 1e-300))
+    return np.einsum("...k,...k->...", wt, r ** (gamma + 1.0) * arc)
 
 
 @functools.lru_cache(maxsize=4)

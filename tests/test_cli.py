@@ -909,6 +909,11 @@ def test_simulate_csv_and_edge_dump(tmp_path):
 SIMULATE = ["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"]
 
 
+def _files(root):
+    """Every file under root, path -> bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.parametrize("argv,flag,target", [
     (SIMULATE, "--out", "missing/out.txt"),
     (SIMULATE, "--edges-out", "missing/out.txt"),
@@ -918,19 +923,28 @@ SIMULATE = ["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps
     (["verify", "--kind", "Moments", "--t", "100", "--delta", "0.05", "--alpha", "0",
       "--reps", "20"], "--out", "missing/out.txt"),
     (["covariogram", "--direction", "1,0", "--steps", "3"], "--out", "missing/out.txt"),
+    (LDI + ["--t", "100", "--delta", "0.05", "--alpha", "1", "--reps", "5"], "--out", "q.json"),
 ], ids=["simulate", "simulate_edges", "simulate_out_and_edges", "simulate_directory",
-        "predict", "verify", "covariogram"])
+        "predict", "verify", "covariogram", "ldi_table_directory"])
 def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, capsys):
-    # a path that cannot be written is a usage error, found before any replication;
+    # a path that cannot be written is a usage error, found before any replication,
+    # or, for an LDI table, which the run names, before any file is written;
     # verify's exit 1 means failed verdicts
-    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    ldi = "LDI" in argv
+    if not ldi:
+        monkeypatch.setattr(experiments, "run_replications", _no_replications)
     monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.chdir(tmp_path)
     path = str(tmp_path / target)
+    bad = path + ".ldi_alpha_1.0.csv" if ldi else path  # LDI's table next to --out
+    if ldi:
+        os.mkdir(bad)
+    before = _files(tmp_path)
     assert cli.main(argv + ["--window", "box:1x1", flag, path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {bad!r}: ") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()  # a good --out is not written either
+    assert _files(tmp_path) == before
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -939,24 +953,32 @@ def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, ca
     (["--out", "link.cfg"], "--config and --out name one file, 'link.cfg'"),
     (["--out", "o.csv", "--edges-out", "sub/../run.cfg"],
      "--config and --edges-out name one file, 'sub/../run.cfg'"),
-], ids=["out_is_edges_out", "out_is_config", "out_links_to_config", "edges_out_is_config"])
+    (["--config", "r.json.ldi_alpha_1.0.csv", "--out", "r.json"],
+     "--config and the ldi_alpha_1.0 table name one file, 'r.json.ldi_alpha_1.0.csv'"),
+    (["--config", "report.ldi_alpha_1.0.csv"],
+     "--config and the ldi_alpha_1.0 table name one file, 'report.ldi_alpha_1.0.csv'"),
+], ids=["out_is_edges_out", "out_is_config", "out_links_to_config", "edges_out_is_config",
+        "ldi_table_is_config", "ldi_table_without_out_is_config"])
 def test_one_file_named_twice_exits_2(flags, message, tmp_path, monkeypatch, capsys):
     # the second write would replace the first, or the config: a usage error found
-    # before any replication, and nothing is written
+    # before any replication, or, for an LDI table, which the run names, before any
+    # write, and nothing is written
     monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("window = box:1x1\nt = 100\ndelta = 0.05\n"
                                       "alphas = 0\nreps = 2\n")
     (tmp_path / "link.cfg").symlink_to(tmp_path / "run.cfg")
     (tmp_path / "sub").mkdir()
+    for name in ("r.json.ldi_alpha_1.0.csv", "report.ldi_alpha_1.0.csv"):
+        (tmp_path / name).write_text("window = box:1x1\nt = 100\ndelta = 0.05\n"
+                                     "alphas = 1\nreps = 5\n")
+    # the LDI cases name their own config
+    command = LDI if "--config" in flags else ["simulate", "--config", "run.cfg"]
 
-    def files():
-        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-
-    before = files()
-    assert cli.main(["simulate", "--config", "run.cfg"] + flags) == 2
+    before = _files(tmp_path)
+    assert cli.main(command + flags) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert files() == before
+    assert _files(tmp_path) == before
 
 
 @pytest.mark.parametrize("missing", ["window", "alphas"])

@@ -1,11 +1,19 @@
-"""No module of the package imports a name it never uses (pyflakes' F401, without pyflakes)."""
+"""No module of the package imports a name it never uses (pyflakes' F401, without pyflakes),
+and no module-level def or class is there for the tests alone."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import gilbertsim
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gilbertsim"
+# the definitions that no package code reads, each kept for its reason
+KEPT_FOR_TESTS = {
+    "theory_deviations.chernoff_binomial_tail":
+        "acceptance criterion 10 checks it against the binomial tail; ROADMAP, Settled",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +47,27 @@ def test_unused_imports_are_found():
               "from .gilbert_graph import build_edges  # noqa: F401\n"
               "def f(w: ConvexWindow):\n    return os.path.join(unit_ball_volume(2))\n")
     assert unused_imports(source) == ["math (line 2)", "covariogram_radial_integral (line 4)"]
+
+
+def unused_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """module.name of each module-level def or class whose name no module reads
+    (as a name or an attribute) and that is not exported."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read | exported]
+
+
+def test_no_definitions_for_tests_alone():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_definitions(sources, set(gilbertsim.__all__)) == list(KEPT_FOR_TESTS)
+
+
+def test_unused_definitions_are_found():
+    sources = {"a": "def used():\n    return helper()\ndef helper():\n    return 1\n"
+                    "def orphan():\n    pass\nclass Lone:\n    pass\n",
+               "b": "from . import a\nclass Kept:\n    pass\nx = a.used\n"}
+    assert unused_definitions(sources, {"Kept"}) == ["a.orphan", "a.Lone"]
