@@ -15,7 +15,10 @@ directory or lies in none, and two of --config, --out and --edges-out that name
 one file. Each cmd_* takes the config main resolves and returns its exit code,
 its files as (name, path or None for stdout, text) and a stderr note; verify
 --kind LDI's include <out>.<table>.csv, or ./report.<table>.csv without --out.
-main checks them too, with --config, and writes none unless all pass. A window
+main checks them too, with --config, and writes none unless all pass and
+every existing target is writable; a write that still fails (a full disk)
+leaves every file as it was, except one written in place after the others
+(stdout, /dev/null, a file in a directory it cannot write). A window
 is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
 GILBERT_SEED, then config, then 0. Exit codes: 0 success (all verdicts pass), 1
 failed verdicts, 2 usage/config errors, including overflow, division by zero or
@@ -26,9 +29,12 @@ warning).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -285,6 +291,73 @@ def _check_paths(config: str | None, outputs: list[tuple[str, str | None]]) -> N
             raise ConfigError(f"cannot write {path!r}: no directory {os.path.dirname(path)!r}")
 
 
+@contextlib.contextmanager
+def _cannot_write(path: str):
+    """An OSError inside becomes ConfigError("cannot write <path>: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+
+
+def _write_all(files: list[tuple[str, str | None, str]]) -> None:
+    """Write every renamed file or none, then the rest in place.
+
+    Each existing target is checked for write permission and each name against
+    its directory's PC_NAME_MAX before any target changes. A file then goes to
+    a temporary file beside its target (a symlink's resolved target), with the
+    mode open(path, "w") leaves (0666 less the umask, or the target's own), and
+    the targets are replaced only once every write has succeeded. A target that
+    a rename would change beyond its bytes is written in place, last, as stdout
+    is: one that is not a regular file (/dev/null, a FIFO), has other hard
+    links, another owner or group, or lies in a directory this process cannot
+    write.
+    """
+    staged, in_place = [], []  # (path, temporary file, target); (path or None, text)
+    try:
+        for _, path, text in files:
+            if path is None:
+                in_place.append((path, text))
+                continue
+            target = os.path.realpath(path)
+            folder, name = os.path.split(target)
+            with _cannot_write(path):
+                # a name too long for its directory would fail at its rename,
+                # after the renames before it
+                if len(os.fsencode(name)) > os.pathconf(folder, "PC_NAME_MAX"):
+                    raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
+                info = os.stat(target) if os.path.exists(target) else None
+                if info is not None and not os.access(target, os.W_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                if not os.access(folder, os.W_OK | os.X_OK) or info is not None and (
+                        not stat.S_ISREG(info.st_mode) or info.st_nlink > 1
+                        or (info.st_uid, info.st_gid) != (os.geteuid(), os.getegid())):
+                    in_place.append((path, text))
+                    continue
+                temp = os.path.join(folder, f".gilbertsim-{os.urandom(8).hex()}.tmp")
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append((path, temp, target))
+                with open(fd, "w", encoding="utf-8") as fh:
+                    if info is not None:
+                        os.fchmod(fd, stat.S_IMODE(info.st_mode))
+                    fh.write(text)
+        while staged:
+            path, temp, target = staged[0]
+            with _cannot_write(path):
+                os.replace(temp, target)
+            staged.pop(0)
+    finally:
+        for _, temp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+    for path, text in in_place:
+        if path is None:
+            sys.stdout.write(text)
+            continue
+        with _cannot_write(path), open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args).get("config")  # covariogram takes no config
@@ -296,15 +369,7 @@ def main(argv=None) -> int:
                       if "config" in vars(args) else None)
             code, files, note = args.func(args, config)
         _check_paths(given, [(name, path) for name, path, _ in files])  # an LDI table too
-        for _, path, text in files:
-            if path is None:
-                sys.stdout.write(text)
-                continue
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path!r}: {exc}") from None
+        _write_all(files)
         sys.stderr.write(note)
         return code
     except GilbertSimError as exc:

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -991,14 +992,123 @@ def test_missing_window_or_alphas_exits_2(missing, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: missing required key {missing!r}\n"
 
 
-def test_failed_write_exits_2(tmp_path, capsys):
-    # a 300-character file name passes the directory pre-check and fails at open
-    out = str(tmp_path / ("x" * 300))
-    assert cli.main(["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05",
-                     "--alpha", "0", "--out", out]) == 2
+def _disk_full_on_edges(fd, mode, **kwargs):
+    """open() whose file raises ENOSPC on the edge dump's text."""
+    fh = open(fd, mode, **kwargs)
+
+    def write(text):
+        if text.startswith("i,j,length"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return type(fh).write(fh, text)
+
+    fh.write = write
+    return fh
+
+
+LONG_NAME = "x" * 300
+
+
+@pytest.mark.parametrize("argv,bad,disk_full", [
+    (["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05", "--alpha", "0",
+      "--out", LONG_NAME], LONG_NAME, False),
+    (["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.05", "--alpha", "0",
+      "--reps", "2", "--out", "o.csv", "--edges-out", LONG_NAME], LONG_NAME, False),
+    (["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.05", "--alpha", "0",
+      "--reps", "2", "--out", "o.csv", "--edges-out", "e.csv"], "e.csv", True),
+], ids=["name_too_long", "second_name_too_long", "disk_full"])
+def test_failed_write_exits_2(argv, bad, disk_full, tmp_path, monkeypatch, capsys):
+    # a 300-character file name passes the directory pre-check and fails at open,
+    # and a full disk fails the write itself; then no file is written, not even
+    # an --out written before the failing one, and no temporary file stays
+    monkeypatch.chdir(tmp_path)
+    if disk_full:
+        monkeypatch.setattr(cli, "open", _disk_full_on_edges, raising=False)
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out!r}: ") and err.count("\n") == 1
-    assert not os.path.exists(out) and os.listdir(tmp_path) == []
+    assert err.startswith(f"error: cannot write {bad!r}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_keeps_links_file_modes_and_fifos(tmp_path, monkeypatch):
+    # a link stays a link and the file it names keeps its mode; a new file gets
+    # 0666 less the umask, as with open(path, "w"), not a temporary file's 0600;
+    # a FIFO is written through, not replaced by a regular file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_text("old\n")
+    os.chmod(tmp_path / "o.csv", 0o640)
+    (tmp_path / "link.csv").symlink_to("o.csv")
+    os.mkfifo(tmp_path / "fifo")
+    reader = os.open(tmp_path / "fifo", os.O_RDONLY | os.O_NONBLOCK)
+    umask = os.umask(0o022)
+    try:
+        assert cli.main(SIMULATE + ["--window", "box:1x1", "--out", "link.csv",
+                                    "--edges-out", "fifo"]) == 0
+        edges = os.read(reader, 1 << 16)
+        assert cli.main(SIMULATE + ["--window", "box:1x1", "--out", "new.csv"]) == 0
+    finally:
+        os.umask(umask)
+        os.close(reader)
+    assert os.readlink(tmp_path / "link.csv") == "o.csv"
+    assert (tmp_path / "o.csv").read_text().startswith("rep,")
+    assert (tmp_path / "o.csv").stat().st_mode & 0o777 == 0o640
+    assert edges.startswith(b"i,j,length\n") and (tmp_path / "fifo").is_fifo()
+    assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o644
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link.csv", "new.csv", "o.csv"]
+
+
+def _owner_modes_bind(monkeypatch, tmp_path):
+    """Where this process writes any file (root), os.access answers from the
+    owner's mode bits, as open() does for every other user."""
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    probe.chmod(0o444)
+    modes_bind = not os.access(probe, os.W_OK)
+    probe.unlink()
+    if modes_bind:
+        return
+    real = os.access
+
+    def access(path, mode):
+        owner = os.stat(path).st_mode >> 6 & 0o7
+        return real(path, mode) and (owner & mode) == mode
+
+    monkeypatch.setattr(os, "access", access)
+
+
+@pytest.mark.parametrize("case", ["read_only_file", "read_only_directory", "hard_link"])
+def test_write_keeps_permissions_and_links(case, tmp_path, monkeypatch, capsys):
+    # a read-only target is not replaced: exit 2 with open()'s message, nothing
+    # written; a writable file in a read-only directory, or one with another
+    # hard link, is written in place, so the file and its links stay
+    _owner_modes_bind(monkeypatch, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "o.csv"
+    target.write_text("old\n")
+    if case == "hard_link":
+        os.link(target, tmp_path / "link.csv")
+    inode = target.stat().st_ino
+    if case == "read_only_file":
+        target.chmod(0o444)
+    else:
+        (tmp_path / "sub").chmod(0o555)
+    try:
+        code = cli.main(SIMULATE + ["--window", "box:1x1", "--out", "good.csv",
+                                    "--edges-out", "sub/o.csv"])
+    finally:
+        (tmp_path / "sub").chmod(0o755)
+    if case == "read_only_file":
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write 'sub/o.csv': [Errno 13] Permission denied: 'sub/o.csv'\n")
+        assert target.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["sub"] and os.listdir(tmp_path / "sub") == ["o.csv"]
+        return
+    assert code == 0
+    assert target.read_text().startswith("i,j,length\n") and target.stat().st_ino == inode
+    assert (tmp_path / "good.csv").read_text().startswith("rep,")
+    if case == "hard_link":
+        assert (tmp_path / "link.csv").read_text() == target.read_text()
 
 
 def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
@@ -1155,6 +1265,50 @@ def test_property_cli_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
         header, *rows = list(csv.reader(io.StringIO(text)))
         assert rows and all(len(row) == len(header) for row in rows)
         assert not any(math.isnan(float(field)) for row in rows for field in row)
+
+
+def _simulate_rows(window, intensity, delta, alphas):
+    """simulate's CSV rows at seed 3, 2 replications, each field as a number."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["simulate", "--window", window, *intensity, "--delta", repr(delta),
+                         "--alpha", ",".join(map(repr, alphas)), "--reps", "2",
+                         "--seed", "3"]) == 0
+    return [list(map(float, row)) for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ball=st.booleans(), dim=st.integers(1, 3), size=st.floats(0.5, 2.0),
+       points=st.floats(20.0, 150.0), spacing=st.floats(0.05, 0.6),
+       power=st.sampled_from((-2, -1, 1, 2)), binomial=st.booleans())
+def test_property_simulate_is_scale_equivariant(ball, dim, size, points, spacing, power,
+                                                binomial):
+    # (W, t, delta) and (sW, t s^-d, s delta) at one seed draw the same points
+    # scaled by s, so the same edges, each length scaled by s; with s a power of
+    # 4 and 2 alpha an integer, s^alpha is a power of two and every value is
+    # exact: L and S1..S5 scale by s^alpha, n_points and max_degree are equal
+    s = 4.0 ** power
+    alphas = (0.0, 0.5, 1.0, 2.0, 3.0)
+    sides = [size * (1.0 + 0.25 * k) for k in range(dim)]
+    if ball:
+        base, scaled = (f"ball:{size!r}@d={dim}", f"ball:{size * s!r}@d={dim}")
+        volume = geometry.ConvexWindow.ball(size, dim).volume
+    else:
+        base, scaled = ("box:" + "x".join(repr(v) for v in sides),
+                        "box:" + "x".join(repr(v * s) for v in sides))
+        volume = geometry.ConvexWindow.box(sides).volume
+    t = points / volume
+    intensities = (["--n", str(int(points))],) * 2 if binomial else \
+        (["--t", repr(t)], ["--t", repr(t * s ** -dim)])
+    delta = spacing * size
+    rows = _simulate_rows(base, intensities[0], delta, alphas)
+    rows_scaled = _simulate_rows(scaled, intensities[1], delta * s, alphas)
+    assert len(rows) == len(rows_scaled) == 2 * len(alphas)
+    for row, row_scaled in zip(rows, rows_scaled):
+        rep, alpha, value, n_points, degree, *smallest = row
+        factor = s ** alpha
+        assert row_scaled == [rep, alpha, value * factor, n_points, degree,
+                              *(v * factor for v in smallest)]
 
 
 # Small verify runs that meet their kind's _SUITES row, from the fuzz pools'

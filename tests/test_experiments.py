@@ -1,6 +1,10 @@
 """Harness: estimators, KS machinery, determinism, and the verification suites."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +113,59 @@ def test_run_replications_deterministic_and_parallel():
     # rows are stacked in replication order: row r is replication r's reduction
     sample = ex.replication_sample(cfg(), 100.0, 7)
     assert np.array_equal(rows_a[7], _powers_points_degree(7, sample, gg.build_edges(sample, 0.05)))
+
+
+_FAULTS_PER_REPLICATION = """
+import resource
+import scipy.stats  # leaves the heap in a state where glibc trims freed memory
+from gilbertsim import ConvexWindow, RegimeSchedule
+from gilbertsim import experiments as ex
+config = ex.ExperimentConfig(window=ConvexWindow.box((1.0, 1.0)), alphas=(0.0, 1.0),
+                             kind="simulate", replications=2, t=5000.0,
+                             schedule=RegimeSchedule(1.0, 0.3))
+row = ex.simulate_row(config.alphas)
+ex.run_replications(config, row)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ex.run_replications(config, row, reps=10)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's malloc thresholds only")
+def test_dense_replications_reuse_freed_heap():
+    # a dense replication (about 225k edges) frees some 8.5 MB of buffers; with
+    # glibc's default thresholds the next one faults about 2,360 pages back in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(ex.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_REPLICATION], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert float(out) < 200
+
+
+def test_freed_heap_policy_is_glibc_only(monkeypatch):
+    import ctypes
+
+    def no_libc(name):
+        raise AssertionError("libc opened off glibc")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert ex._keep_freed_heap.__wrapped__() is None
+    # on Linux with another libc (musl has no gnu_get_libc_version), no mallopt call
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert ex._keep_freed_heap.__wrapped__() is None
+
+
+def test_threaded_runs_leave_malloc_thresholds(monkeypatch):
+    # glibc keeps freed heap in each thread's own arena, so only a serial run pins
+    def pinned():
+        raise AssertionError("a threaded run pinned malloc's thresholds")
+
+    monkeypatch.setattr(ex, "_keep_freed_heap", pinned)
+    assert ex.run_replications(cfg(n_jobs=2, replications=4), _powers_points_degree).shape == (4, 4)
 
 
 def test_run_replications_mean_matches_oracle():

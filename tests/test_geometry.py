@@ -120,6 +120,37 @@ def test_ball_formula_matches_closed_forms():
             assert general == pytest.approx(closed, rel=1e-13, abs=1e-13 * w.volume)
 
 
+# g(r) at r = 2R(1 - 10^-k), keyed (d, k, R): V I_(1-(r/2R)^2)((d+1)/2, 1/2) at
+# 50 digits (mpmath.betainc, regularized), rounded to the nearest double
+_BALL_COVARIOGRAM_NEAR_2R = {
+    (2, 3, 1.0): 0.00011923906865866689, (2, 3, 0.7): 5.842714364275094e-05,
+    (2, 6, 1.0): 3.771235600805445e-09, (2, 6, 0.7): 1.8479054441748548e-09,
+    (2, 9, 1.0): 1.1925695372287457e-13, (2, 9, 0.7): 5.843590315355127e-14,
+    (4, 3, 1.0): 2.9956487694231655e-07, (4, 3, 0.7): 7.192552695385875e-08,
+    (4, 6, 1.0): 9.47814519117255e-15, (4, 6, 0.7): 2.2757026599493616e-15,
+    (4, 9, 1.0): 2.9972540717180254e-22, (4, 9, 0.7): 7.196406170164615e-23,
+    (5, 3, 1.0): 1.3149604904305637e-08, (5, 3, 0.7): 2.2100540962669636e-09,
+    (5, 6, 1.0): 1.3159462666318611e-17, (5, 6, 0.7): 2.2117108898019917e-18,
+    (5, 9, 1.0): 1.315947140839034e-26, (5, 9, 0.7): 2.2117120439018007e-27,
+    (7, 3, 1.0): 2.0646056432804784e-11, (7, 3, 0.7): 1.7002915252844583e-12,
+    (7, 6, 1.0): 2.0670826317566485e-23, (7, 6, 0.7): 1.7023314312647746e-24,
+    (7, 9, 1.0): 2.0670848756948582e-35, (7, 9, 0.7): 1.7023329557895953e-36,
+}
+
+
+@pytest.mark.parametrize("d", [2, 4, 5, 7])
+@pytest.mark.parametrize("k", [3, 6, 9])
+def test_ball_covariogram_near_2r_matches_mpmath(d, k):
+    # at r = 2R(1 - 10^-k) the covariogram is a sliver of order (1 - r/2R)^((d+1)/2):
+    # the d = 2 form's two terms and the d >= 4 form's 1 - (r/2R)^2 cancel there
+    # (19 % and 1.2e-9 off at k = 9), so it is written in s = 2R - r
+    for radius in (1.0, 0.7):
+        w = geo.ConvexWindow.ball(radius, d)
+        r = 2.0 * radius * (1.0 - 10.0**-k)
+        assert geo._ball_covariogram_radial(w, r) == pytest.approx(
+            _BALL_COVARIOGRAM_NEAR_2R[d, k, radius], rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("d", [4, 5, 6, 7, 9])
 def test_covariogram_ball_small_r_matches_taylor(d):
     # g(r) = V - kappa_{d-1} int_0^r (R^2 - s^2/4)^((d-1)/2) ds
