@@ -1,8 +1,9 @@
 """Command-line front end: simulate, predict, verify, covariogram.
 
-It parses, dispatches and writes, and computes no theory or file layout: every
-file's bytes come from experiments (to_csv, to_json), the covariogram's values from geometry.
-Config files are flat `key = value` lines with `#` comments, one per run
+It parses, dispatches and writes, and computes no theory: experiments encodes
+every file's bytes (to_csv, to_json) and geometry the covariogram's values;
+cmd_simulate lays out the edge dump and cmd_verify the LDI tables' rows and
+paths. Config files are flat `key = value` lines with `#` comments, one per run
 setting; flags override config values. Verdict tolerances are fixed, not
 settings. n picks the binomial model and t or t_grid the Poisson one; a config
 naming both exits 2, and a --t or --t-grid flag drops the config file's n and
@@ -10,20 +11,19 @@ naming both exits 2, and a --t or --t-grid flag drops the config file's n and
 is its command's row of experiments._SUITES: verify's comes from --kind, the
 config file or Moments, and simulate and predict are their own kind, whatever
 the config file says. reps is needed where the row builds graphs. A config that
-breaks its row exits 2 before any work, as does an output path that names a
-directory or lies in none, and two of --config, --out and --edges-out that name
-one file. Each cmd_* takes the config main resolves and returns its exit code,
-its files as (name, path or None for stdout, text) and a stderr note; verify
---kind LDI's include <out>.<table>.csv, or ./report.<table>.csv without --out.
-main checks them too, with --config, and writes none unless all pass and
-every existing target is writable; a write that still fails (a full disk)
-leaves every file as it was, except one written in place after the others
-(stdout, /dev/null, a file in a directory it cannot write). A window
-is box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
+breaks its row exits 2 before any work, as does an --out or --edges-out that
+cannot be written (a directory, in none, a name too long, a read-only file) and
+two of --config, --out and --edges-out that name one file. Each cmd_* takes the
+config main resolves and returns its exit code, its files as (name, path or None
+for stdout, text) and a stderr note; verify --kind LDI's include
+<out>.<table>.csv, or ./report.<table>.csv without --out. main checks them all
+again, --config too, and writes none unless all pass; a write that still fails
+(a full disk) leaves every file as it was, except one written in place after the
+others (stdout, /dev/null, a file in a directory it cannot write). A window is
+box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
 GILBERT_SEED, then config, then 0. Exit codes: 0 success (all verdicts pass), 1
-failed verdicts, 2 usage/config errors, including overflow, division by zero or
-an invalid floating-point value at extreme inputs (numpy raises instead of
-warning).
+failed verdicts, 2 usage or config errors, including overflow, division by zero
+or an invalid floating-point value at extreme inputs (numpy raises, not warns).
 """
 
 from __future__ import annotations
@@ -277,20 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_paths(config: str | None, outputs: list[tuple[str, str | None]]) -> None:
-    """Exit 2 on one file named twice, or an output path that is a directory or in none."""
-    named = {}  # real path -> the first name given to it
-    for name, path in [("--config", config), *outputs]:
-        real = path and os.path.realpath(path)
-        if real and named.setdefault(real, name) != name:
-            raise ConfigError(f"{named[real]} and {name} name one file, {path!r}")
-    for _, path in outputs:
-        if path and os.path.isdir(path):
-            raise ConfigError(f"cannot write {path!r}: it is a directory")
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"cannot write {path!r}: no directory {os.path.dirname(path)!r}")
-
-
 @contextlib.contextmanager
 def _cannot_write(path: str):
     """An OSError inside becomes ConfigError("cannot write <path>: ...")."""
@@ -300,18 +286,37 @@ def _cannot_write(path: str):
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
+def _check_paths(config: str | None, outputs: list[tuple[str, str | None]]) -> None:
+    """Exit 2 on one file named twice, or an output path that is a directory, lies
+    in none, is too long a name for its directory or a file this process may not write."""
+    named = {}  # real path -> the first name given to it
+    for name, path in [("--config", config), *outputs]:
+        real = path and os.path.realpath(path)
+        if real and named.setdefault(real, name) != name:
+            raise ConfigError(f"{named[real]} and {name} name one file, {path!r}")
+    for path in [path for _, path in outputs if path]:
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path!r}: no directory {os.path.dirname(path)!r}")
+        folder, name = os.path.split(os.path.realpath(path))
+        with _cannot_write(path):  # open() refuses both; a rename fails late or not at all
+            if len(os.fsencode(name)) > os.pathconf(folder, "PC_NAME_MAX"):
+                raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
+            if os.path.exists(path) and not os.access(path, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _write_all(files: list[tuple[str, str | None, str]]) -> None:
     """Write every renamed file or none, then the rest in place.
 
-    Each existing target is checked for write permission and each name against
-    its directory's PC_NAME_MAX before any target changes. A file then goes to
-    a temporary file beside its target (a symlink's resolved target), with the
-    mode open(path, "w") leaves (0666 less the umask, or the target's own), and
-    the targets are replaced only once every write has succeeded. A target that
-    a rename would change beyond its bytes is written in place, last, as stdout
-    is: one that is not a regular file (/dev/null, a FIFO), has other hard
-    links, another owner or group, or lies in a directory this process cannot
-    write.
+    Each file goes to a temporary file beside its target (a symlink's resolved
+    target), with the mode open(path, "w") leaves (0666 less the umask, or the
+    target's own), and the targets are replaced only once every write has
+    succeeded. A target that a rename would change beyond its bytes is written
+    in place, last, as stdout is: one that is not a regular file (/dev/null, a
+    FIFO), has other hard links, another owner or group, or lies in a directory
+    this process cannot write. `_check_paths` has passed every path.
     """
     staged, in_place = [], []  # (path, temporary file, target); (path or None, text)
     try:
@@ -320,15 +325,9 @@ def _write_all(files: list[tuple[str, str | None, str]]) -> None:
                 in_place.append((path, text))
                 continue
             target = os.path.realpath(path)
-            folder, name = os.path.split(target)
+            folder = os.path.dirname(target)
             with _cannot_write(path):
-                # a name too long for its directory would fail at its rename,
-                # after the renames before it
-                if len(os.fsencode(name)) > os.pathconf(folder, "PC_NAME_MAX"):
-                    raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
                 info = os.stat(target) if os.path.exists(target) else None
-                if info is not None and not os.access(target, os.W_OK):
-                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
                 if not os.access(folder, os.W_OK | os.X_OK) or info is not None and (
                         not stat.S_ISREG(info.st_mode) or info.st_nlink > 1
                         or (info.st_uid, info.st_gid) != (os.geteuid(), os.getegid())):

@@ -126,17 +126,15 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float) -> float:
         return s
     if d == 3:
         return (math.pi / 12.0) * (4.0 * R + r) * s**2
-    near = 4.0 * s < R  # r > 1.75 R
-    if d == 2 and not near:
-        return 2.0 * R * R * math.acos(r / (2.0 * R)) - 0.5 * r * math.sqrt(4.0 * R * R - r * r)
     from scipy.special import betainc, betaincc  # slow to import; only balls need it
 
     # Two caps of height s/2; each is V/2 times a regularized incomplete beta,
     # I_(1-x)((d+1)/2, 1/2), x = (r/2R)^2. Away from 2R it is 1 - I_x(1/2, (d+1)/2):
     # no cancellation at small r. Near 2R, 1 - x = s(4R - s)/4R^2 keeps the
-    # digits that 1 - x and the d = 2 form's two terms lose (19 % off at
-    # r = 2R(1 - 1e-9) in d = 2); both are within 2.3e-15 of mpmath at 1.5-1.75 R.
-    if not near:
+    # digits that 1 - x loses; both are within 2.3e-15 of mpmath at 1.5-1.75 R.
+    # d = 2 takes it too: the arccos form 2R^2 acos(r/2R) - (r/2) sqrt(4R^2 - r^2) is
+    # less accurate (1.2-2.3e-15 worst relative error on 300 radii, against < 1e-15).
+    if 4.0 * s >= R:  # r <= 1.75 R
         return window.volume * float(betaincc(0.5, (d + 1) / 2, (r / (2.0 * R)) ** 2))
     return window.volume * float(betainc((d + 1) / 2, 0.5, s * (4.0 * R - s) / (4.0 * R * R)))
 
@@ -227,8 +225,8 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
         raise UnsupportedDimensionError(
             f"exact box angular covariogram supported up to d=4, got d={d}")
     inner_sides, s_last = sides[:-1], sides[-1]
-    if r <= 0.0:
-        return 2.0 * s_last * _box_angular(inner_sides, 0.0)
+    if r <= 0.0:  # g(0) = V over the whole sphere
+        return d * unit_ball_volume(d) * math.prod(sides)
     # x-domain kinks: the clamp s_d/r and radii where the inner level kinks.
     breaks = {0.0, 1.0}
     if s_last / r < 1.0:

@@ -908,6 +908,7 @@ def test_simulate_csv_and_edge_dump(tmp_path):
 
 
 SIMULATE = ["simulate", "--t", "100", "--delta", "0.05", "--alpha", "0", "--reps", "2"]
+LONG_NAME = "x" * 300  # past the usual 255-byte limit on a file name
 
 
 def _files(root):
@@ -925,8 +926,11 @@ def _files(root):
       "--reps", "20"], "--out", "missing/out.txt"),
     (["covariogram", "--direction", "1,0", "--steps", "3"], "--out", "missing/out.txt"),
     (LDI + ["--t", "100", "--delta", "0.05", "--alpha", "1", "--reps", "5"], "--out", "q.json"),
+    (SIMULATE, "--out", "read_only.csv"),
+    (SIMULATE + ["--out", "o.csv"], "--edges-out", LONG_NAME),
 ], ids=["simulate", "simulate_edges", "simulate_out_and_edges", "simulate_directory",
-        "predict", "verify", "covariogram", "ldi_table_directory"])
+        "predict", "verify", "covariogram", "ldi_table_directory", "simulate_read_only",
+        "simulate_edges_name_too_long"])
 def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, capsys):
     # a path that cannot be written is a usage error, found before any replication,
     # or, for an LDI table, which the run names, before any file is written;
@@ -940,6 +944,10 @@ def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, ca
     bad = path + ".ldi_alpha_1.0.csv" if ldi else path  # LDI's table next to --out
     if ldi:
         os.mkdir(bad)
+    if target == "read_only.csv":
+        _owner_modes_bind(monkeypatch, tmp_path)
+        (tmp_path / target).write_text("old\n")
+        (tmp_path / target).chmod(0o444)
     before = _files(tmp_path)
     assert cli.main(argv + ["--window", "box:1x1", flag, path]) == 2
     err = capsys.readouterr().err
@@ -1005,9 +1013,6 @@ def _disk_full_on_edges(fd, mode, **kwargs):
     return fh
 
 
-LONG_NAME = "x" * 300
-
-
 @pytest.mark.parametrize("argv,bad,disk_full", [
     (["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05", "--alpha", "0",
       "--out", LONG_NAME], LONG_NAME, False),
@@ -1017,9 +1022,10 @@ LONG_NAME = "x" * 300
       "--reps", "2", "--out", "o.csv", "--edges-out", "e.csv"], "e.csv", True),
 ], ids=["name_too_long", "second_name_too_long", "disk_full"])
 def test_failed_write_exits_2(argv, bad, disk_full, tmp_path, monkeypatch, capsys):
-    # a 300-character file name passes the directory pre-check and fails at open,
-    # and a full disk fails the write itself; then no file is written, not even
-    # an --out written before the failing one, and no temporary file stays
+    # a 300-character file name exits 2 before any work (see
+    # test_unwritable_output_exits_2), and a full disk fails the write itself;
+    # then no file is written, not even an --out written before the failing
+    # one, and no temporary file stays
     monkeypatch.chdir(tmp_path)
     if disk_full:
         monkeypatch.setattr(cli, "open", _disk_full_on_edges, raising=False)
@@ -1109,6 +1115,25 @@ def test_write_keeps_permissions_and_links(case, tmp_path, monkeypatch, capsys):
     assert (tmp_path / "good.csv").read_text().startswith("rep,")
     if case == "hard_link":
         assert (tmp_path / "link.csv").read_text() == target.read_text()
+
+
+def test_target_made_read_only_during_the_run_exits_2(tmp_path, monkeypatch, capsys):
+    # the paths are checked again after the run, so a target that turned
+    # read-only meanwhile is not replaced, and nothing is written
+    _owner_modes_bind(monkeypatch, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o.csv").write_text("old\n")
+
+    def lock_then_run(*args):
+        (tmp_path / "o.csv").chmod(0o444)
+        return experiments.run_replications(*args)
+
+    monkeypatch.setattr(cli, "run_replications", lock_then_run)
+    assert cli.main(SIMULATE + ["--window", "box:1x1", "--out", "o.csv",
+                                "--edges-out", "e.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write 'o.csv': [Errno 13] Permission denied: 'o.csv'\n")
+    assert sorted(os.listdir(tmp_path)) == ["o.csv"] and (tmp_path / "o.csv").read_text() == "old\n"
 
 
 def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
-"""Every hypothesis property in tests/ draws the same examples on every run: each
-settings(...) call passes derandomize=True, so two checkouts that agree on the
-code agree on the test results."""
+"""Every hypothesis property in tests/ draws the same examples on every run and
+has no time limit: each settings(...) call passes derandomize=True, so two
+checkouts that agree on the code agree on the test results, and deadline=None,
+so an example slowed by a busy host does not fail hypothesis's 200 ms deadline."""
 
 import ast
 from pathlib import Path
@@ -10,13 +11,17 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 
 
+def _passes(node: ast.Call, arg: str, value) -> bool:
+    return any(kw.arg == arg and isinstance(kw.value, ast.Constant)
+               and kw.value.value is value for kw in node.keywords)
+
+
 def random_settings(source: str) -> list[int]:
-    """The lines of the settings(...) calls that lack derandomize=True."""
+    """The lines of the settings(...) calls that lack derandomize=True or deadline=None."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "settings"
-            and not any(kw.arg == "derandomize" and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True for kw in node.keywords)]
+            and not (_passes(node, "derandomize", True) and _passes(node, "deadline", None))]
 
 
 @pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
@@ -26,8 +31,9 @@ def test_settings_are_derandomized(path):
 
 def test_random_settings_are_found():
     source = ("import hypothesis\nfrom hypothesis import settings\n"
-              "@settings(max_examples=5, derandomize=True)\ndef a(): pass\n"
-              "@settings(max_examples=5)\ndef b(): pass\n"
-              "@hypothesis.settings(derandomize=False)\ndef c(): pass\n"
+              "@settings(max_examples=5, deadline=None, derandomize=True)\ndef a(): pass\n"
+              "@settings(max_examples=5, deadline=None)\ndef b(): pass\n"
+              "@hypothesis.settings(deadline=None, derandomize=False)\ndef c(): pass\n"
+              "@settings(max_examples=5, derandomize=True)\ndef d(): pass\n"
               "settings.register_profile('ci', max_examples=5)\n")
-    assert random_settings(source) == [5, 7]
+    assert random_settings(source) == [5, 7, 9]

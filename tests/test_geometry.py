@@ -497,6 +497,44 @@ def test_sample_uniform_ball_containment():
         assert abs(phat - p) <= 4.0 * math.sqrt(p * (1 - p) / pts.shape[0])
 
 
+class _ZeroFirstNormals:
+    """A generator whose first standard_normal draw has two zero rows."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(13)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        if not self.shapes:
+            g[:2] = 0.0
+        self.shapes.append(shape)
+        return g
+
+    def random(self, n):
+        return self.rng.random(n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sample_uniform_ball_redraws_zero_directions(d):
+    # a zero normal row has no direction: it is drawn again, not divided by 0
+    rng = _ZeroFirstNormals()
+    b = geo.ConvexWindow.ball(1.0, d)
+    pts = geo.sample_uniform(b, rng, 5)
+    assert rng.shapes == [(5, d), (2, d)]
+    assert np.isfinite(pts).all() and bool(contains(b, pts).all())
+    assert (np.linalg.norm(pts[:2], axis=1) > 0.0).all()
+
+
+@pytest.mark.parametrize("sides", [(1.0, 0.8, 0.6), (1.0, 0.8, 0.6, 0.5)])
+def test_box_angular_at_zero_is_the_whole_sphere(sides):
+    # G(0) = g(0) |S^(d-1)| = V d kappa_d, the limit of G(r) as r -> 0
+    d = len(sides)
+    whole = d * geo.unit_ball_volume(d) * math.prod(sides)
+    assert geo._box_angular(sides, 0.0) == pytest.approx(whole, rel=1e-15)
+    assert geo._box_angular(sides, 1e-9) == pytest.approx(whole, rel=1e-8)
+
+
 def test_window_label_round_trip():
     from gilbertsim.cli import parse_window
     for w in (geo.ConvexWindow.box((1.0, 2.0, 0.5)), geo.ConvexWindow.ball(1.25, 3)):
