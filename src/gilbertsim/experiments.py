@@ -5,8 +5,10 @@ and compares them against the closed-form theory at named tolerances. Every
 report is a pure function of (config, master_seed): replication r of stream s
 draws from SeedSequence(master_seed, spawn_key=(s, batch, r)), and its reduced
 row is stacked in replication order, so serial and parallel runs give
-identical bytes. Every verdict is built by one of a few check shapes (within,
-sandwich, below, decreasing).
+identical bytes. Every verdict but three is built by one of a few check shapes
+(within, sandwich, below, decreasing). LDI's two verdicts and the thermodynamic
+slope build their Metric directly: each LDI verdict shows the smaller margin of
+both bounds, and the slope passes strictly above its tolerance.
 """
 
 from __future__ import annotations
@@ -312,8 +314,6 @@ class Metric:
 class ExperimentReport:
     config: dict
     metrics: list[Metric]
-    seed: int
-    version: str
     tables: dict = field(default_factory=dict)
 
     @property
@@ -322,11 +322,9 @@ class ExperimentReport:
 
 
 def _round_trip(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)  # "inf", "-inf" or "nan": JSON has no non-finite numbers
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return [_round_trip(v) for v in value]
     return value
 
@@ -347,8 +345,8 @@ def report_to_json(report: ExperimentReport) -> str:
             }
             for m in report.metrics
         ],
-        "seed": report.seed,
-        "version": report.version,
+        "seed": report.config["seed"],
+        "version": __version__,
     }
     return to_json(payload)
 
@@ -389,9 +387,7 @@ def to_json(payload) -> str:
 def _finish(config: ExperimentConfig, metrics: list[Metric],
             tables: dict | None = None) -> ExperimentReport:
     """The suite's report: the config's echo, its metrics and any tables."""
-    return ExperimentReport(config=config.echo(), metrics=metrics,
-                            seed=config.master_seed, version=__version__,
-                            tables=tables or {})
+    return ExperimentReport(config=config.echo(), metrics=metrics, tables=tables or {})
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +414,11 @@ def _sandwich(name: str, value: float, bounds, se: float, anchor: str) -> Metric
                   anchor=anchor)
 
 
-def _below(name: str, value: float, limit: float, tolerance_name: str, anchor: str,
-           theory=0.0) -> Metric:
-    """Pass when value <= limit: a KS distance, slope, eigenvalue or correlation."""
+def _below(name: str, value: float, tolerance_name: str, anchor: str, theory=0.0,
+           limit: float | None = None) -> Metric:
+    """Pass when value <= limit, by default TOLERANCES[tolerance_name]: a KS
+    distance, slope, eigenvalue or correlation."""
+    limit = TOLERANCES[tolerance_name] if limit is None else limit
     return Metric(name=name, empirical=value, theory=theory, tolerance_name=tolerance_name,
                   verdict=value <= limit, anchor=anchor)
 
@@ -435,7 +433,7 @@ def _ks_along_grid(ks_list: list[float], final: str, final_anchor: str, falling:
                    falling_anchor: str) -> list[Metric]:
     """The KS at the largest t below its tolerance and, on a grid of two or
     more t, the KS distances strictly decreasing along it."""
-    metrics = [_below(final, ks_list[-1], TOLERANCES["ks"], "ks", final_anchor)]
+    metrics = [_below(final, ks_list[-1], "ks", final_anchor)]
     if len(ks_list) >= 2:
         metrics.append(_decreasing(falling, ks_list, "ks", falling_anchor))
     return metrics
@@ -550,9 +548,9 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
             ks = _normal_ks(powers[:, i])
             ks_by_alpha[alpha].append(ks)
             bound = bounds[b_idx][i]
-            metrics.append(_below(f"KS[alpha={alpha}, t={t:g}] vs normal bound", ks, bound, "ks",
+            metrics.append(_below(f"KS[alpha={alpha}, t={t:g}] vs normal bound", ks, "ks",
                                   "normal approximation: explicit Kolmogorov-distance bound",
-                                  theory=bound))
+                                  theory=bound, limit=bound))
     for alpha, ks_list in ks_by_alpha.items():
         metrics += _ks_along_grid(
             ks_list, f"KS[alpha={alpha}] final",
@@ -560,8 +558,7 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
             "normal approximation error decays with intensity")
         if len(ks_list) >= 2:
             slope = float(np.polyfit(np.log(grid), np.log(ks_list), 1)[0])
-            metrics.append(_below(f"KS[alpha={alpha}] log-log slope", slope,
-                                  TOLERANCES["slope_max"], "slope_max",
+            metrics.append(_below(f"KS[alpha={alpha}] log-log slope", slope, "slope_max",
                                   "rate shape: KS decays like an inverse square root",
                                   theory=-0.5))
     return _finish(config, metrics)
@@ -584,17 +581,16 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
     metrics = []
     for i, a in enumerate(alphas):
         for j, b in enumerate(alphas[i:], i):
-            tol = max(abs_tol, k_se * cse[i, j])
+            tol = max(abs_tol, k_se * float(cse[i, j]))
             metrics.append(_within(f"Sigma[{a},{b}]", float(cov[i, j]), float(sig[i, j]), tol,
                                    "cov_entry_abs", "asymptotic covariance matrix by regime",
                                    se=float(cse[i, j]), tolerance_value=tol))
     if config.schedule.classify(d) == "dense":
         metrics.append(_below("dense-regime smallest eigenvalue",
-                              float(np.linalg.eigvalsh(cov)[0]), TOLERANCES["eig_max"],
-                              "eig_max", "rank-one limit covariance in the dense regime"))
+                              float(np.linalg.eigvalsh(cov)[0]), "eig_max",
+                              "rank-one limit covariance in the dense regime"))
     else:
-        metrics += [_below(f"marginal KS[alpha={alpha}]", _normal_ks(scaled[:, i]),
-                           TOLERANCES["ks"], "ks",
+        metrics += [_below(f"marginal KS[alpha={alpha}]", _normal_ks(scaled[:, i]), "ks",
                            "multivariate normal limit: marginal distribution check")
                     for i, alpha in enumerate(alphas)]
     return _finish(config, metrics)
@@ -677,8 +673,8 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
             [limit.order_statistic_cdf(m, float(x)) for x in np.atleast_1d(u)]),
             mass=limit.order_statistic_cdf(m, math.inf))
         tol_name = "ks_first_order_stat" if m == 1 else "ks"
-        metrics.append(_below(f"KS order statistic m={m}", ks, TOLERANCES[tol_name],
-                              tol_name, "order-statistic limit law of rescaled edge-length powers"))
+        metrics.append(_below(f"KS order statistic m={m}", ks, tol_name,
+                              "order-statistic limit law of rescaled edge-length powers"))
     counts = rows[:, 5:]
     for k, ((lo, hi), nu) in enumerate(zip(intervals, nus)):
         se = float(counts[:, k].std(ddof=1)) / math.sqrt(config.replications)
@@ -694,8 +690,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
         with np.errstate(divide="ignore", invalid="ignore"):
             cc = np.corrcoef(counts[:, live], rowvar=False)
         metrics.append(_below("interval count max |corr|",
-                              float(np.max(np.abs(cc - np.eye(cc.shape[0])))),
-                              TOLERANCES["corr_max"], "corr_max",
+                              float(np.max(np.abs(cc - np.eye(cc.shape[0])))), "corr_max",
                               "independence over disjoint sets in the Poisson process limit"))
     return _finish(config, metrics)
 
@@ -731,8 +726,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
                                        for b in (bnd, env)))
         for bound, column, form in (("optimized", "ldi_bound", "s-optimized"),
                                     ("envelope", "ldi_envelope", "explicit envelope")):
-            # one verdict over the whole u-grid; the margin shown is the
-            # smallest over both bounds
+            # one verdict over the whole u-grid
             metrics.append(Metric(
                 name=f"tails below {bound} bound [alpha={alpha}]",
                 empirical=worst_margin, theory=0.0, tolerance_name="cp_confidence",
@@ -763,7 +757,6 @@ def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
         shapes.append(thermo_exponent(u_t, t, alpha, d))
         neglogs.append(-math.log(tail))
     slope = float(np.polyfit(shapes, neglogs, 1)[0])
-    # the one check that passes strictly above its tolerance
     return Metric(
         name="thermodynamic tail exponent slope", empirical=slope, theory=None,
         tolerance_name="tail_slope_min", verdict=slope > TOLERANCES["tail_slope_min"],

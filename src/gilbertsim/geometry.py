@@ -213,8 +213,8 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
     slices, G_d(r) = 2 ∫_0^1 (s_d - r x)_+ (1-x^2)^{(d-3)/2} G_{d-1}(r sqrt(1-x^2)) dx,
     with a 48-node Gauss rule on each segment between the integrand's kinks;
     a 4-d G takes its inner d = 3 values one node at a time.  Reached only by
-    radial quadratures with delta > min(side); smaller delta takes the
-    closed-form series.
+    radial quadratures of boxes with d >= 2 and delta > min(side); every
+    other box takes the closed-form series.
     """
     d = len(sides)
     if d == 1:
@@ -252,7 +252,8 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
 
 
 def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> float:
-    """∫_{B(0,delta)} ||y||^alpha prod(s_i - |y_i|) dy, exact for delta <= min(side).
+    """∫_{B(0,delta)} ||y||^alpha prod(s_i - |y_i|) dy in every d: a box's radial moment
+    at delta <= min(side), and a segment's at min(delta, side), where g ends.
 
     Expanding the product gives sum_k (-1)^k e_{d-k}(s) omega_{d,k}
     delta^(alpha+d+k) / (alpha+d+k), with e_j the elementary symmetric
@@ -272,14 +273,15 @@ def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> 
 
 
 def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float) -> float:
-    """∫_{B(0,delta)} ||y||^alpha g_W(y) dy (alpha > -d; boxes need d <= 4).
+    """∫_{B(0,delta)} ||y||^alpha g_W(y) dy (alpha > -d).
 
     A ball is closed form: with q = alpha + d and rho = min(delta, 2R), it is
     (d kappa_d / q) [rho^q g(rho) + kappa_{d-1} (2R)^q R^d B((rho/2R)^2; (q+1)/2, (d+1)/2)]
     by parts, as g'(r) = -kappa_{d-1} (R^2 - r^2/4)^((d-1)/2); B is the incomplete beta.
-    A box with delta <= min(side) takes `_box_radial_series`; larger delta takes
-    adaptive quadrature of r^(alpha+d-1) G(r) at epsrel 1e-10, split at the subset
-    norms, and raises QuadratureError past 1e-7 relative error.
+    A box takes `_box_radial_series` at delta <= min(side), a segment at every delta;
+    a larger delta takes adaptive quadrature of r^(alpha+d-1) G(r) (`_box_angular`)
+    at epsrel 1e-10, split at the subset norms, and raises QuadratureError past
+    1e-7 relative error.
     """
     d = window.dim
     if alpha <= -d:
@@ -296,11 +298,8 @@ def covariogram_radial_integral(window: ConvexWindow, delta: float, alpha: float
         caps *= unit_ball_volume(d - 1) * (2.0 * R) ** q * R**d
         edge = rmax**q * _ball_covariogram_radial(window, rmax)
         return d * unit_ball_volume(d) / q * (edge + caps)
-    if d > 4:
-        raise UnsupportedDimensionError(
-            f"exact box radial covariogram integral supported up to d=4, got d={d}")
-    if delta <= min(window.sides):
-        return _box_radial_series(window.sides, delta, alpha)
+    if d == 1 or delta <= min(window.sides):
+        return _box_radial_series(window.sides, min(delta, *window.sides), alpha)
     from scipy import integrate  # slow to import (scipy.optimize); only this case needs it
     rmax = min(delta, window.diameter)
     points = [p for p in _box_subset_norms(window.sides) if p < rmax] or None

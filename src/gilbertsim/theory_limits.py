@@ -90,6 +90,4 @@ class EdgeLengthProcessLimit:
         total = int(counts.sum())
         p = self.alpha / self.dim
         x = self.edge_constant ** p * rng.random(total) ** p
-        out = np.zeros(size)
-        np.add.at(out, np.repeat(np.arange(size), counts), x)
-        return out
+        return np.bincount(np.repeat(np.arange(size), counts), weights=x, minlength=size)

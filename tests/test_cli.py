@@ -690,7 +690,7 @@ def test_undefined_correlation_reported_as_valid_json(tmp_path, capsys):
 
 def test_report_json_rejects_non_finite_floats():
     report = experiments.ExperimentReport(
-        config={"t": math.nan}, metrics=[], seed=0, version="0")
+        config={"t": math.nan, "seed": 0}, metrics=[])
     with pytest.raises(ValueError):
         experiments.report_to_json(report)
 

@@ -1,5 +1,6 @@
 """Harness: estimators, KS machinery, determinism, and the verification suites."""
 
+import json
 import math
 import os
 import platform
@@ -12,7 +13,7 @@ import pytest
 from scipy import stats as sps
 from scipy.special import ndtr
 
-from gilbertsim import ConvexWindow, RegimeSchedule
+from gilbertsim import ConvexWindow, RegimeSchedule, __version__
 from gilbertsim import experiments as ex
 from gilbertsim import gilbert_graph as gg
 from gilbertsim import theory_limits as tl
@@ -448,7 +449,7 @@ def test_pp_conditions_takes_each_radius_once(monkeypatch):
 def test_run_verification_dispatch():
     rep = ex.run_verification(cfg(replications=100))
     assert rep.config["kind"] == "Moments"
-    assert rep.version
+    assert json.loads(ex.report_to_json(rep))["version"] == __version__
     with pytest.raises(ConfigError, match="simulate is not a verify kind"):
         ex.run_verification(cfg(kind="simulate"))
 

@@ -384,9 +384,59 @@ def test_radial_integral_ball_calls_no_quadrature(monkeypatch):
 
 @pytest.mark.parametrize("delta", [0.1, 0.5, 2.0])
 def test_radial_integral_rejects_box_above_d4(delta):
-    w = geo.ConvexWindow.box((1.0, 0.9, 0.8, 0.7, 0.6))
-    with pytest.raises(UnsupportedDimensionError):
-        geo.covariogram_radial_integral(w, delta, 0.0)
+    # only the quadrature, with delta > min(side), is limited to d <= 4; below
+    # that a 5-d box takes its series like any other box
+    sides = (1.0, 0.9, 0.8, 0.7, 0.6)
+    w = geo.ConvexWindow.box(sides)
+    if delta > min(sides):
+        with pytest.raises(UnsupportedDimensionError, match="up to d=4"):
+            geo.covariogram_radial_integral(w, delta, 0.0)
+    else:
+        assert geo.covariogram_radial_integral(w, delta, 0.0) \
+            == geo._box_radial_series(sides, delta, 0.0)
+
+
+@st.composite
+def boxes_above_d4(draw):
+    """A box with d = 5 to 7, delta in [min(side)/10, min(side)], alpha in [1 - d/2, 3]."""
+    d = draw(st.integers(5, 7))
+    sides = tuple(draw(st.floats(0.3, 2.0)) for _ in range(d))
+    delta = min(sides) * draw(st.floats(0.1, 1.0))
+    alpha = draw(st.floats(1.0 - d / 2.0, 3.0))
+    return sides, delta, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(boxes_above_d4())
+def test_property_box_series_above_d4_matches_monte_carlo(case):
+    # The series is exact in every d. Reference: V(B(0, delta)) times the mean of
+    # ||y||^alpha g(y) over 200k points y uniform in the ball; alpha > 1 - d/2
+    # keeps its variance finite.
+    sides, delta, alpha, seed = case
+    d = len(sides)
+    rng = np.random.default_rng(seed)
+    y = geo.sample_uniform(geo.ConvexWindow.ball(delta, d), rng, 200_000)
+    f = np.linalg.norm(y, axis=1) ** alpha * np.prod(np.asarray(sides) - np.abs(y), axis=1)
+    ball = geo.unit_ball_volume(d) * delta**d
+    mc, se = ball * f.mean(), ball * f.std(ddof=1) / math.sqrt(f.size)
+    val = geo.covariogram_radial_integral(geo.ConvexWindow.box(sides), delta, alpha)
+    assert abs(val - mc) <= 4.0 * se
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 1.5])
+def test_radial_integral_segment_beyond_its_side(monkeypatch, alpha):
+    # a segment's covariogram (s - |y|)_+ ends at its side s, so at delta > s
+    # its moment is the series at s, 2 s^(alpha+2) / ((alpha+1)(alpha+2)), and
+    # no quadrature runs
+    def fail(*args, **kwargs):
+        raise AssertionError("integrate.quad called")
+
+    monkeypatch.setattr(integrate, "quad", fail)
+    side = 0.7
+    val = geo.covariogram_radial_integral(geo.ConvexWindow.box((side,)), 2.5, alpha)
+    assert val == geo._box_radial_series((side,), side, alpha)
+    assert val == pytest.approx(2.0 * side ** (alpha + 2) / ((alpha + 1) * (alpha + 2)),
+                                rel=1e-14)
 
 
 @st.composite

@@ -166,6 +166,23 @@ def test_compound_poisson_pins():
     assert lim.sample_sum(np.random.default_rng(3), 3).tolist() == [0.0, 0.0, 1.1037356684365425]
 
 
+def test_sample_sum_adds_each_draws_marks_in_order():
+    # bitwise the left-to-right sum of each draw's marks, from the same draws
+    lim = tl.EdgeLengthProcessLimit(alpha=1.5, dim=2, volume=2.0, edge_constant=3.0)
+    rng = np.random.default_rng(11)
+    counts = rng.poisson(lim._count_mean, 40).tolist()
+    p = lim.alpha / lim.dim
+    marks = iter((lim.edge_constant**p * rng.random(sum(counts)) ** p).tolist())
+    expected = []
+    for count in counts:
+        total = 0.0
+        for _ in range(count):
+            total += next(marks)
+        expected.append(total)
+    assert max(counts) >= 3
+    assert lim.sample_sum(np.random.default_rng(11), 40).tolist() == expected
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(alpha=st.floats(0.1, 4.0), dim=st.integers(1, 4), volume=st.floats(0.01, 10.0),
        c=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
