@@ -2,25 +2,23 @@
 
 It parses, dispatches and writes, and computes no theory: experiments encodes
 every file's bytes (to_csv, to_json) and geometry the covariogram's values;
-cmd_simulate lays out the edge dump and cmd_verify the LDI tables' rows and
-paths. Config files are flat `key = value` lines with `#` comments, one per run
-setting; flags override config values. Verdict tolerances are fixed, not
-settings. n picks the binomial model and t or t_grid the Poisson one; a config
-naming both exits 2, and a --t or --t-grid flag drops the config file's n and
---n its t and t_grid. delta and schedule follow the same rule. A config's kind
-is its command's row of experiments._SUITES: verify's comes from --kind, the
-config file or Moments, and simulate and predict are their own kind, whatever
-the config file says. reps is needed where the row builds graphs. A config that
-breaks its row exits 2 before any work, as does an --out or --edges-out that
-cannot be written (a directory, in none, a name too long, a read-only file) and
-two of --config, --out and --edges-out that name one file. Each cmd_* takes the
-config main resolves and returns its exit code, its files as (name, path or None
-for stdout, text) and a stderr note; verify --kind LDI's include
-<out>.<table>.csv, or ./report.<table>.csv without --out. main checks them all
-again, --config too, and writes none unless all pass; a write that still fails
-(a full disk) leaves every file as it was, except one written in place after the
-others (stdout, /dev/null, a file in a directory it cannot write). A window is
-box:<s1>x<s2>... or ball:<r>@d=<dim>. Seed precedence: --seed flag, then
+cmd_simulate lays out the edge dump and cmd_verify the LDI tables' rows. Config
+files are flat `key = value` lines with `#` comments, one per run setting; flags
+override config values. n picks the binomial model and t or t_grid the Poisson
+one; a config naming both exits 2, and a --t or --t-grid flag drops the config
+file's n and --n its t and t_grid. delta and schedule follow the same rule. A
+config's kind is its command's row of experiments._SUITES: verify's comes from
+--kind, the config file or Moments, and simulate and predict are their own kind,
+whatever the config file says. reps is needed where the row builds graphs.
+_outputs names every file a run writes: --out, --edges-out and verify --kind
+LDI's tables (<out>.<table>.csv, or ./report.<table>.csv without --out). A
+config that breaks its row, a file that cannot be written (empty, a directory,
+in none, a name too long, read-only) and two of --config and those files naming
+one file exit 2 before any work. Each cmd_* returns its exit code, its texts
+keyed by output name and a stderr note; main checks every file again and writes
+none unless all pass. A write that still fails (a full disk) leaves every file
+as it was, except one written in place after the others (stdout, /dev/null, a
+file in a directory it cannot write). Seed precedence: --seed flag, then
 GILBERT_SEED, then config, then 0. Exit codes: 0 success (all verdicts pass), 1
 failed verdicts, 2 usage or config errors, including overflow, division by zero
 or an invalid floating-point value at extreme inputs (numpy raises, not warns).
@@ -41,9 +39,9 @@ import numpy as np
 
 from .errors import ConfigError, GilbertSimError
 from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
-                          predictions, replications_to_csv, report_to_json,
-                          run_replications, run_verification, simulate_row,
-                          to_csv, to_json)
+                          predictions, replications_to_csv, report_tables,
+                          report_to_json, run_replications, run_verification,
+                          simulate_row, to_csv, to_json)
 from .geometry import ConvexWindow, covariogram
 # not called here; perfbench's tracer test checks that cli binds this name
 from .gilbert_graph import build_edges  # noqa: F401
@@ -178,45 +176,42 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**{_FIELDS.get(key, key): value for key, value in values.items()})
 
 
-def cmd_simulate(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, list, str]:
+def cmd_simulate(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, dict, str]:
     row = simulate_row(config.alphas)
     first = {}
 
     def reduce(r, sample, edges):
-        if r == 0 and args.edges_out:
+        if r == 0 and args.edges_out is not None:
             first["edges"] = edges  # dumped below, not built again
         return row(r, sample, edges)
 
-    rows = run_replications(config, reduce)
-    files = [("--out", args.out, replications_to_csv(rows, config.alphas))]
-    if args.edges_out:
+    texts = {"--out": replications_to_csv(run_replications(config, reduce), config.alphas)}
+    if args.edges_out is not None:
         edges = first["edges"]
-        files.append(("--edges-out", args.edges_out, to_csv(
-            "i,j,length", zip(edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))))
-    return 0, files, ""
+        texts["--edges-out"] = to_csv(
+            "i,j,length", zip(edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))
+    return 0, texts, ""
 
 
-def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, list, str]:
+def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, dict, str]:
     entries = predictions(config)
     try:
-        return 0, [("--out", args.out, to_json(entries))], ""
+        return 0, {"--out": to_json(entries)}, ""
     except ValueError as exc:
         raise ConfigError(f"a prediction is not finite at these inputs: {exc}") from None
 
 
-def cmd_verify(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, list, str]:
+def cmd_verify(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, dict, str]:
     report = run_verification(config)
-    files = [("--out", args.out, report_to_json(report))]
-    base = args.out or "report"
-    for name, table in sorted(report.tables.items()):
+    texts = {"--out": report_to_json(report)}
+    for name, table in report.tables.items():
         # verify_ldi builds each table's columns in file order
-        files.append((f"the {name} table", f"{base}.{name}.csv",
-                      to_csv(",".join(table), zip(*table.values()))))
+        texts[f"the {name} table"] = to_csv(",".join(table), zip(*table.values()))
     verdicts = f"verdicts: {sum(m.verdict for m in report.metrics)}/{len(report.metrics)} pass\n"
-    return (0 if report.passed else 1), files, verdicts
+    return (0 if report.passed else 1), texts, verdicts
 
 
-def cmd_covariogram(args: argparse.Namespace, config: None) -> tuple[int, list, str]:
+def cmd_covariogram(args: argparse.Namespace, config: None) -> tuple[int, dict, str]:
     if not 1 <= args.steps <= POINT_BUDGET:  # the table's rows are held in memory
         raise ConfigError(f"--steps must be between 1 and {POINT_BUDGET:.3g}, got {args.steps}")
     window = parse_window(args.window)
@@ -235,7 +230,7 @@ def cmd_covariogram(args: argparse.Namespace, config: None) -> tuple[int, list, 
         raise ConfigError(f"--rmax must be finite and >= 0, got {rmax!r}")
     rows = ((r, covariogram(window, r * direction))
             for r in np.linspace(0.0, rmax, args.steps).tolist())
-    return 0, [("--out", args.out, to_csv("r,covariogram", rows))], ""
+    return 0, {"--out": to_csv("r,covariogram", rows)}, ""
 
 
 @functools.cache
@@ -286,21 +281,33 @@ def _cannot_write(path: str):
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
+def _outputs(args: argparse.Namespace, config: ExperimentConfig | None) -> list[tuple]:
+    """The files a run writes, as (name, path or None for stdout), tables sorted by name."""
+    outputs = [("--out", args.out)]
+    if vars(args).get("edges_out") is not None:
+        outputs.append(("--edges-out", args.edges_out))
+    base = "report" if args.out is None else args.out
+    tables = [] if config is None else sorted(report_tables(config))
+    return outputs + [(f"the {name} table", f"{base}.{name}.csv") for name in tables]
+
+
 def _check_paths(config: str | None, outputs: list[tuple[str, str | None]]) -> None:
-    """Exit 2 on one file named twice, or an output path that is a directory, lies
-    in none, is too long a name for its directory or a file this process may not write."""
+    """Exit 2 on one file named twice, or an output path that is empty, a directory,
+    lies in none, is too long a name for its directory or a file this process may not write."""
     named = {}  # real path -> the first name given to it
     for name, path in [("--config", config), *outputs]:
-        real = path and os.path.realpath(path)
-        if real and named.setdefault(real, name) != name:
+        real = None if path is None else os.path.realpath(path)
+        if real is not None and named.setdefault(real, name) != name:
             raise ConfigError(f"{named[real]} and {name} name one file, {path!r}")
-    for path in [path for _, path in outputs if path]:
+    for path in [path for _, path in outputs if path is not None]:
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path!r}: it is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.join(".", os.path.dirname(path))):
             raise ConfigError(f"cannot write {path!r}: no directory {os.path.dirname(path)!r}")
         folder, name = os.path.split(os.path.realpath(path))
-        with _cannot_write(path):  # open() refuses both; a rename fails late or not at all
+        with _cannot_write(path):  # open() refuses all three; a rename fails late or not at all
+            if path == "":
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
             if len(os.fsencode(name)) > os.pathconf(folder, "PC_NAME_MAX"):
                 raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
             if os.path.exists(path) and not os.access(path, os.W_OK):
@@ -360,15 +367,15 @@ def _write_all(files: list[tuple[str, str | None, str]]) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args).get("config")  # covariogram takes no config
-    outputs = [("--out", args.out), ("--edges-out", vars(args).get("edges_out"))]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            _check_paths(given, outputs)  # before any work
-            config = (resolve_config(load_config(given) if given else {}, args)
+            config = (resolve_config({} if given is None else load_config(given), args)
                       if "config" in vars(args) else None)
-            code, files, note = args.func(args, config)
-        _check_paths(given, [(name, path) for name, path, _ in files])  # an LDI table too
-        _write_all(files)
+            outputs = _outputs(args, config)
+            _check_paths(given, outputs)  # before any work
+            code, texts, note = args.func(args, config)
+        _check_paths(given, outputs)  # a target made read-only during the run
+        _write_all([(name, path, texts[name]) for name, path in outputs])
         sys.stderr.write(note)
         return code
     except GilbertSimError as exc:

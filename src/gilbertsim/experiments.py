@@ -321,6 +321,11 @@ class ExperimentReport:
         return all(m.verdict for m in self.metrics)
 
 
+def report_tables(config: ExperimentConfig) -> list[str]:
+    """The names of a config's report tables, in alphas order: one per alpha for LDI."""
+    return [f"ldi_alpha_{alpha}" for alpha in config.alphas] if config.kind == "LDI" else []
+
+
 def _round_trip(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)  # "inf", "-inf" or "nan": JSON has no non-finite numbers
@@ -382,12 +387,6 @@ def to_csv(header: str, rows) -> str:
 def to_json(payload) -> str:
     """Every JSON file: sorted keys, indent 2; a non-finite number raises ValueError."""
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _finish(config: ExperimentConfig, metrics: list[Metric],
-            tables: dict | None = None) -> ExperimentReport:
-    """The suite's report: the config's echo, its metrics and any tables."""
-    return ExperimentReport(config=config.echo(), metrics=metrics, tables=tables or {})
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +495,7 @@ def verify_moments(config: ExperimentConfig) -> ExperimentReport:
                       "covariance sandwich with inner-parallel volume bound"),
             _within(f"cov[{a},{b}] vs exact", value, exact, max(rel * abs(exact), k_se * vse),
                     "cov_rel", _COV_ANCHOR, se=vse)]
-    return _finish(config, metrics)
+    return ExperimentReport(config.echo(), metrics)
 
 
 def predictions(config: ExperimentConfig) -> list[dict]:
@@ -561,7 +560,7 @@ def verify_clt(config: ExperimentConfig) -> ExperimentReport:
             metrics.append(_below(f"KS[alpha={alpha}] log-log slope", slope, "slope_max",
                                   "rate shape: KS decays like an inverse square root",
                                   theory=-0.5))
-    return _finish(config, metrics)
+    return ExperimentReport(config.echo(), metrics)
 
 
 def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
@@ -593,7 +592,7 @@ def verify_multivariate(config: ExperimentConfig) -> ExperimentReport:
         metrics += [_below(f"marginal KS[alpha={alpha}]", _normal_ks(scaled[:, i]), "ks",
                            "multivariate normal limit: marginal distribution check")
                     for i, alpha in enumerate(alphas)]
-    return _finish(config, metrics)
+    return ExperimentReport(config.echo(), metrics)
 
 
 def _limit(config: ExperimentConfig) -> EdgeLengthProcessLimit:
@@ -641,7 +640,7 @@ def verify_compound_poisson(config: ExperimentConfig) -> ExperimentReport:
         "compound Poisson limit of the rescaled functional",
         "KS vs compound-Poisson reference decreasing",
         "compound Poisson approximation improves with intensity")
-    return _finish(config, metrics)
+    return ExperimentReport(config.echo(), metrics)
 
 
 def _edge_limit(config: ExperimentConfig) -> float:
@@ -692,7 +691,7 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
         metrics.append(_below("interval count max |corr|",
                               float(np.max(np.abs(cc - np.eye(cc.shape[0])))), "corr_max",
                               "independence over disjoint sets in the Poisson process limit"))
-    return _finish(config, metrics)
+    return ExperimentReport(config.echo(), metrics)
 
 
 def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
@@ -705,7 +704,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
     delta = config.delta_for(config.intensity())
     pilot = _length_powers(config, reps=max(2, reps // 2), stream=STREAM_PILOT)
     test = _length_powers(config)
-    for i, alpha in enumerate(config.alphas):
+    for i, (alpha, name) in enumerate(zip(config.alphas, report_tables(config))):
         med = float(np.median(pilot[:, i]))
         dev_max = float(np.max(np.abs(pilot[:, i] - med)))
         # Grid up to twice the largest pilot deviation: beyond that the bounds
@@ -716,7 +715,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
         hits = [int(np.count_nonzero(devs >= u)) for u in u_grid]
         inputs = [LdiInput(window=config.window, delta=delta, alpha=alpha, median=med, u=u,
                            t=config.t, n=config.n) for u in u_grid]
-        table = tables[f"ldi_alpha_{alpha}"] = {
+        table = tables[name] = {
             "u": u_grid, "empirical_tail": [k / reps for k in hits],
             "ldi_bound": [ldi_bound(inp) for inp in inputs],
             "ldi_envelope": [ldi_envelope(inp) for inp in inputs]}
@@ -734,7 +733,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
                 anchor=f"median deviation inequality, {form}"))
     if config.t_grid:  # a grid only under a thermodynamic schedule (_SUITES' rule)
         metrics.append(_thermo_slope_metric(config))
-    return _finish(config, metrics, tables)
+    return ExperimentReport(config.echo(), metrics, tables)
 
 
 def _thermo_slope_metric(config: ExperimentConfig) -> Metric:
@@ -796,7 +795,7 @@ def verify_pp_conditions(config: ExperimentConfig) -> ExperimentReport:
             metrics.append(_within(f"r_t*t constancy (u={u})", ratios, 1.0,
                                    TOLERANCES["r_const_rel"], "r_const_rel",
                                    "interior local-mass value below the inradius"))
-    return _finish(config, metrics)
+    return ExperimentReport(config.echo(), metrics)
 
 
 # The rules of every run command, checked when its config is built (README's table mirrors

@@ -711,7 +711,7 @@ def count_box_angular_calls(monkeypatch) -> list:
     return calls
 
 
-def test_predict_shares_covariogram_values_across_exponents(monkeypatch, capsys):
+def test_predict_box_within_min_side_evaluates_no_angular_covariogram(monkeypatch, capsys):
     # 2 means and 3 covariances need 11 radial moments over [0, delta]; with
     # delta <= min(side) every one is the box's closed-form series, so no
     # exponent evaluates the angular covariogram G at all.
@@ -926,23 +926,22 @@ def _files(root):
       "--reps", "20"], "--out", "missing/out.txt"),
     (["covariogram", "--direction", "1,0", "--steps", "3"], "--out", "missing/out.txt"),
     (LDI + ["--t", "100", "--delta", "0.05", "--alpha", "1", "--reps", "5"], "--out", "q.json"),
+    (LDI + ["--t", "100", "--delta", "0.05", "--alpha", "1", "--reps", "5"], "--out", "y" * 240),
     (SIMULATE, "--out", "read_only.csv"),
     (SIMULATE + ["--out", "o.csv"], "--edges-out", LONG_NAME),
 ], ids=["simulate", "simulate_edges", "simulate_out_and_edges", "simulate_directory",
-        "predict", "verify", "covariogram", "ldi_table_directory", "simulate_read_only",
-        "simulate_edges_name_too_long"])
+        "predict", "verify", "covariogram", "ldi_table_directory", "ldi_table_name_too_long",
+        "simulate_read_only", "simulate_edges_name_too_long"])
 def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, capsys):
-    # a path that cannot be written is a usage error, found before any replication,
-    # or, for an LDI table, which the run names, before any file is written;
-    # verify's exit 1 means failed verdicts
-    ldi = "LDI" in argv
-    if not ldi:
-        monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    # a path that cannot be written, an LDI table's too, is a usage error found
+    # before any replication; verify's exit 1 means failed verdicts
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
     monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.chdir(tmp_path)
     path = str(tmp_path / target)
-    bad = path + ".ldi_alpha_1.0.csv" if ldi else path  # LDI's table next to --out
-    if ldi:
+    # LDI's table lies next to --out: a directory, or a name 3 bytes too long
+    bad = path + ".ldi_alpha_1.0.csv" if "LDI" in argv else path
+    if target == "q.json":
         os.mkdir(bad)
     if target == "read_only.csv":
         _owner_modes_bind(monkeypatch, tmp_path)
@@ -954,6 +953,29 @@ def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, ca
     assert err.startswith(f"error: cannot write {bad!r}: ") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()  # a good --out is not written either
     assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv,message", [
+    (LDI + ["--t", "100", "--delta", "0.05", "--alpha", "1", "--reps", "5", "--out", ""],
+     "cannot write ''"),
+    (["covariogram", "--direction", "1,0", "--steps", "3", "--out", ""], "cannot write ''"),
+    (SIMULATE + ["--out", ""], "cannot write ''"),
+    (SIMULATE + ["--out", "", "--edges-out", "e.csv"], "cannot write ''"),
+    (SIMULATE + ["--edges-out", ""], "cannot write ''"),
+    (SIMULATE + ["--config", ""], "cannot read config ''"),
+], ids=["ldi_out", "covariogram_out", "simulate_out", "simulate_out_and_edges",
+        "simulate_edges", "config"])
+def test_empty_path_exits_2(argv, message, tmp_path, monkeypatch, capsys):
+    # '' names no file: as an output or the config it exits 2 before any
+    # replication or quadrature, and nothing is written, stdout included
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    monkeypatch.setattr(cli, "covariogram", _no_quadrature)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--window", "box:1x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}: ") and captured.err.count("\n") == 1
+    assert captured.out == "" and os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -970,8 +992,8 @@ def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, ca
         "ldi_table_is_config", "ldi_table_without_out_is_config"])
 def test_one_file_named_twice_exits_2(flags, message, tmp_path, monkeypatch, capsys):
     # the second write would replace the first, or the config: a usage error found
-    # before any replication, or, for an LDI table, which the run names, before any
-    # write, and nothing is written
+    # before any replication, an LDI table's too, and nothing is written
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
     monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("window = box:1x1\nt = 100\ndelta = 0.05\n"
@@ -1117,6 +1139,24 @@ def test_write_keeps_permissions_and_links(case, tmp_path, monkeypatch, capsys):
         assert (tmp_path / "link.csv").read_text() == target.read_text()
 
 
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a file another owner")
+def test_write_keeps_another_owners_file_in_place(tmp_path, monkeypatch):
+    # a rename would leave a new file owned by this process, so a target with
+    # another owner and group is written in place: same inode, owner and group
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "o.csv"
+    target.write_text("old\n")
+    os.chown(target, 1, 1)
+    inode = target.stat().st_ino
+    argv = SIMULATE + ["--window", "box:1x1", "--seed", "4"]
+    assert cli.main(argv + ["--out", "o.csv"]) == 0
+    assert cli.main(argv + ["--out", "new.csv"]) == 0
+    assert target.read_bytes() == (tmp_path / "new.csv").read_bytes()
+    info = target.stat()
+    assert (info.st_ino, info.st_uid, info.st_gid) == (inode, 1, 1)
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "o.csv"]
+
+
 def test_target_made_read_only_during_the_run_exits_2(tmp_path, monkeypatch, capsys):
     # the paths are checked again after the run, so a target that turned
     # read-only meanwhile is not replaced, and nothing is written
@@ -1215,6 +1255,7 @@ kind = LDI
 # so a usable run takes milliseconds, and the edge and point budgets stop a
 # hostile size before any sample is drawn.
 HOSTILE = ("0", "1e-300", "1e30", "nan", "inf", "-1")
+BAD_PATHS = ("", ".", "missing/x")  # no file, a directory, in no directory
 FUZZ_WINDOWS = ("box:1x1", "box:0.5", "box:1x0.8x0.6", "ball:1@d=2", "ball:0.7@d=3",
                 "box:1e-30x1e-30", "box:1e30x1e30", "ball:1e-30@d=2", "ball:1e30@d=3")
 
@@ -1253,13 +1294,23 @@ def fuzz_argv(draw):
     return argv + draw(st.one_of(st.just([]), _flag("--seed", _number("7"))))
 
 
+@st.composite
+def fuzz_argv_and_paths(draw):
+    """fuzz_argv, at times with an --out (and for simulate an --edges-out) from BAD_PATHS."""
+    argv = draw(fuzz_argv())
+    flags = ["--out", "--edges-out"] if argv[0] == "simulate" else ["--out"]
+    for flag in flags:
+        argv += draw(st.one_of(st.just([]), st.just([]), _flag(flag, st.sampled_from(BAD_PATHS))))
+    return argv
+
+
 def _reject_constant(token):
     raise ValueError(f"bare {token} in the JSON output")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=fuzz_argv())
+@given(argv=fuzz_argv_and_paths())
 # crashes that fuzzing found: log(t V) of an underflowed point count, 0/0 in
 # a ball's covariance with delta negligible against R, numpy overflow in the
 # length powers and in a ball's covariance, inf * 0 in the order statistics
@@ -1271,17 +1322,24 @@ def _reject_constant(token):
 @example(argv=["predict", "--window=ball:1e30@d=3", "--t=30", "--delta=1e30", "--alpha=1"])
 @example(argv=["verify", "--window=box:0.5", "--t=1e-300", "--delta=0.1", "--alpha=1",
                "--reps=2", "--kind=OrderStatistics"])
+# --out '' names no file, so LDI may not fall back to ./report.ldi_alpha_1.0.csv
+@example(argv=["verify", "--window=box:1x1", "--t=30", "--delta=0.1", "--alpha=1", "--reps=2",
+               "--kind=LDI", "--out="])
 def test_property_cli_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
     # no exception escapes main, the exit code is 0, 1 or 2, and stdout is
     # empty on exit 2, else valid JSON (predict, verify) or a CSV of floats
-    # (simulate, covariogram) with no bare NaN
-    monkeypatch.chdir(tmp_path)  # LDI writes its tables next to the report
+    # (simulate, covariogram) with no bare NaN; a path from BAD_PATHS exits 2
+    # and writes nothing
+    work = tempfile.mkdtemp(dir=tmp_path)  # LDI writes its tables next to the report
+    monkeypatch.chdir(work)
     monkeypatch.delenv("GILBERT_SEED", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
     assert rc in (0, 1, 2)
     text = out.getvalue()
+    if any(arg.startswith(("--out=", "--edges-out=")) for arg in argv):
+        assert rc == 2 and os.listdir(work) == []
     if rc == 2:
         assert text == ""
     elif argv[0] in ("predict", "verify"):
