@@ -1,14 +1,14 @@
 """Command-line front end: simulate, predict, verify, covariogram.
 
-It parses, dispatches and writes, and computes no theory: experiments encodes
-every file's bytes (to_csv, to_json) and geometry the covariogram's values;
-cmd_simulate lays out the edge dump and cmd_verify the LDI tables' rows. Config
-files are flat `key = value` lines with `#` comments, one per run setting; flags
-override config values. n picks the binomial model and t or t_grid the Poisson
-one; a config naming both exits 2, and a --t or --t-grid flag drops the config
-file's n and --n its t and t_grid. delta and schedule follow the same rule. A
-config's kind is its command's row of experiments._SUITES: verify's comes from
---kind, the config file or Moments, and simulate and predict are their own kind,
+It parses, checks paths, dispatches and writes, and computes no theory:
+experiments computes and lays out every file (simulate, report_to_json and its
+LDI tables, predictions, covariogram_table). Config files are flat
+`key = value` lines with `#` comments, one per run setting; flags override
+config values. n picks the binomial model and t or t_grid the Poisson one; a
+config naming both exits 2, and a --t or --t-grid flag drops the config file's
+n and --n its t and t_grid. delta and schedule follow the same rule. A config's
+kind is its command's row of experiments._SUITES: verify's comes from --kind,
+the config file or Moments, and simulate and predict are their own kind,
 whatever the config file says. reps is needed where the row builds graphs.
 _outputs names every file a run writes: --out, --edges-out and verify --kind
 LDI's tables (<out>.<table>.csv, or ./report.<table>.csv without --out). A
@@ -16,12 +16,13 @@ config that breaks its row, a file that cannot be written (empty, a directory,
 in none, a name too long, read-only) and two of --config and those files naming
 one file exit 2 before any work. Each cmd_* returns its exit code, its texts
 keyed by output name and a stderr note; main checks every file again and writes
-none unless all pass. A write that still fails (a full disk) leaves every file
-as it was, except one written in place after the others (stdout, /dev/null, a
-file in a directory it cannot write). Seed precedence: --seed flag, then
-GILBERT_SEED, then config, then 0. Exit codes: 0 success (all verdicts pass), 1
-failed verdicts, 2 usage or config errors, including overflow, division by zero
-or an invalid floating-point value at extreme inputs (numpy raises, not warns).
+none unless all pass. A write that still fails (a full disk) exits 2 and leaves
+every file as it was, except one written in place after the others (stdout,
+/dev/null, a file in a directory it cannot write). Seed precedence: --seed
+flag, then GILBERT_SEED, then config, then 0. Exit codes: 0 success (all
+verdicts pass), 1 failed verdicts, 2 usage or config errors, including
+overflow, division by zero or an invalid floating-point value at extreme inputs
+(numpy raises, not warns).
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ import numpy as np
 
 from .errors import ConfigError, GilbertSimError
 from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
-                          predictions, replications_to_csv, report_tables,
-                          report_to_json, run_replications, run_verification,
-                          simulate_row, to_csv, to_json)
-from .geometry import ConvexWindow, covariogram
+                          covariogram_table, predictions, report_tables,
+                          report_to_json, run_verification, simulate, to_json)
+from .geometry import ConvexWindow
 # not called here; perfbench's tracer test checks that cli binds this name
 from .gilbert_graph import build_edges  # noqa: F401
 from .theory_moments import RegimeSchedule
@@ -177,20 +177,8 @@ def resolve_config(raw: dict, args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_simulate(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, dict, str]:
-    row = simulate_row(config.alphas)
-    first = {}
-
-    def reduce(r, sample, edges):
-        if r == 0 and args.edges_out is not None:
-            first["edges"] = edges  # dumped below, not built again
-        return row(r, sample, edges)
-
-    texts = {"--out": replications_to_csv(run_replications(config, reduce), config.alphas)}
-    if args.edges_out is not None:
-        edges = first["edges"]
-        texts["--edges-out"] = to_csv(
-            "i,j,length", zip(edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))
-    return 0, texts, ""
+    table, edges = simulate(config, edges=args.edges_out is not None)
+    return 0, {"--out": table, "--edges-out": edges}, ""
 
 
 def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, dict, str]:
@@ -204,9 +192,7 @@ def cmd_predict(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int
 def cmd_verify(args: argparse.Namespace, config: ExperimentConfig) -> tuple[int, dict, str]:
     report = run_verification(config)
     texts = {"--out": report_to_json(report)}
-    for name, table in report.tables.items():
-        # verify_ldi builds each table's columns in file order
-        texts[f"the {name} table"] = to_csv(",".join(table), zip(*table.values()))
+    texts.update({f"the {name} table": text for name, text in report.tables.items()})
     verdicts = f"verdicts: {sum(m.verdict for m in report.metrics)}/{len(report.metrics)} pass\n"
     return (0 if report.passed else 1), texts, verdicts
 
@@ -224,13 +210,10 @@ def cmd_covariogram(args: argparse.Namespace, config: None) -> tuple[int, dict, 
     norm = float(np.linalg.norm(direction))
     if not (math.isfinite(norm) and norm > 0):
         raise ConfigError(f"direction must be finite and nonzero, got {args.direction!r}")
-    direction = direction / norm
     rmax = args.rmax if args.rmax is not None else window.diameter
     if not (math.isfinite(rmax) and rmax >= 0):
         raise ConfigError(f"--rmax must be finite and >= 0, got {rmax!r}")
-    rows = ((r, covariogram(window, r * direction))
-            for r in np.linspace(0.0, rmax, args.steps).tolist())
-    return 0, {"--out": to_csv("r,covariogram", rows)}, ""
+    return 0, {"--out": covariogram_table(window, direction / norm, rmax, args.steps)}, ""
 
 
 @functools.cache
@@ -358,7 +341,9 @@ def _write_all(files: list[tuple[str, str | None, str]]) -> None:
                 os.remove(temp)
     for path, text in in_place:
         if path is None:
-            sys.stdout.write(text)
+            with _cannot_write("<stdout>"):
+                sys.stdout.write(text)
+                sys.stdout.flush()
             continue
         with _cannot_write(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,4 +1,4 @@
-"""Monte Carlo verification harness.
+"""Monte Carlo verification harness; the layout of every file a run writes.
 
 Runs seeded replications of the Gilbert graph, estimates moments/tails/CDFs,
 and compares them against the closed-form theory at named tolerances. Every
@@ -8,7 +8,9 @@ row is stacked in replication order, so serial and parallel runs give
 identical bytes. Every verdict but three is built by one of a few check shapes
 (within, sandwich, below, decreasing). LDI's two verdicts and the thermodynamic
 slope build their Metric directly: each LDI verdict shows the smaller margin of
-both bounds, and the slope passes strictly above its tolerance.
+both bounds, and the slope passes strictly above its tolerance. Each file goes
+through to_csv or to_json: simulate's two, a report and its LDI tables,
+predictions and covariogram_table.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
-from .geometry import ConvexWindow, unit_ball_volume
-from .gilbert_graph import _smallest_powers, build_edges, length_power, max_degree
+from .geometry import ConvexWindow, covariogram, unit_ball_volume
+from .gilbert_graph import build_edges, length_power, max_degree
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
                             PointSample, replication_rng, sample_binomial,
                             sample_poisson)
@@ -314,7 +316,7 @@ class Metric:
 class ExperimentReport:
     config: dict
     metrics: list[Metric]
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # table name -> its CSV text
 
     @property
     def passed(self) -> bool:
@@ -356,26 +358,50 @@ def report_to_json(report: ExperimentReport) -> str:
     return to_json(payload)
 
 
-def simulate_row(alphas):
-    """The reduction behind `simulate`'s CSV: per alpha, one row
-    (L, n_points, max_degree, S1..S5) with S the 5 smallest length powers."""
-    def reduce(r, sample, edges):
-        degree = max_degree(edges)
+def _smallest_powers(powers: np.ndarray, m: int) -> np.ndarray:
+    """m smallest of the given length powers, sorted, +inf padded. A length power is
+    taken once per alpha: the caller hands the same array to the sum and to this."""
+    out = np.full(m, np.inf)
+    if powers.size == 0:
+        return out
+    k = min(m, powers.size)
+    out[:k] = np.sort(np.partition(powers, k - 1)[:k])
+    return out
+
+
+def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | None]:
+    """`simulate`'s table rep,alpha,L_value,n_points,max_degree,S1..S5 (S the 5
+    smallest length powers) and, if edges, replication 0's own edge set, not built
+    again, as i,j,length (else None)."""
+    first = []
+
+    def reduce(r, sample, edge_set):
+        if r == 0 and edges:
+            first.append(edge_set)
+        degree = max_degree(edge_set)
         rows = []
-        for alpha in alphas:
-            powers = edges.lengths**alpha  # L is length_power's float(np.sum(powers))
+        for alpha in config.alphas:
+            powers = edge_set.lengths**alpha  # L is length_power's float(np.sum(powers))
             rows.append([float(np.sum(powers)), sample.n_points, degree,
                          *_smallest_powers(powers, 5)])
         return np.array(rows)
-    return reduce
+
+    table = to_csv("rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5",
+                   [(r, alpha, value, int(n_points), int(degree), *smallest)
+                    for r, block in enumerate(run_replications(config, reduce).tolist())
+                    for alpha, (value, n_points, degree, *smallest) in zip(config.alphas, block)])
+    if not edges:
+        return table, None
+    (dump,) = first
+    return table, to_csv("i,j,length",
+                         zip(dump.i.tolist(), dump.j.tolist(), dump.lengths.tolist()))
 
 
-def replications_to_csv(rows: np.ndarray, alphas) -> str:
-    """Long-format dump of simulate_row's rows: rep,alpha,L_value,n_points,max_degree,S1..S5."""
-    return to_csv("rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5",
-                  [(r, alpha, value, int(n_points), int(degree), *smallest)
-                   for r, block in enumerate(rows.tolist())
-                   for alpha, (value, n_points, degree, *smallest) in zip(alphas, block)])
+def covariogram_table(window: ConvexWindow, direction, rmax: float, steps: int) -> str:
+    """`covariogram`'s table r,covariogram: g_W(r u) at steps radii r evenly
+    spaced on [0, rmax], for the unit vector u = direction."""
+    return to_csv("r,covariogram", ((r, covariogram(window, r * direction))
+                                    for r in np.linspace(0.0, rmax, steps).tolist()))
 
 
 def to_csv(header: str, rows) -> str:
@@ -715,21 +741,20 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
         hits = [int(np.count_nonzero(devs >= u)) for u in u_grid]
         inputs = [LdiInput(window=config.window, delta=delta, alpha=alpha, median=med, u=u,
                            t=config.t, n=config.n) for u in u_grid]
-        table = tables[name] = {
-            "u": u_grid, "empirical_tail": [k / reps for k in hits],
-            "ldi_bound": [ldi_bound(inp) for inp in inputs],
-            "ldi_envelope": [ldi_envelope(inp) for inp in inputs]}
+        bounds = [ldi_bound(inp) for inp in inputs]
+        envelopes = [ldi_envelope(inp) for inp in inputs]
+        tables[name] = to_csv("u,empirical_tail,ldi_bound,ldi_envelope",
+                              zip(u_grid, [k / reps for k in hits], bounds, envelopes))
         uppers = [clopper_pearson_upper(k, reps, conf) for k in hits]
-        worst_margin = min(math.inf, *(b - up for up, bnd, env in
-                                       zip(uppers, table["ldi_bound"], table["ldi_envelope"])
+        worst_margin = min(math.inf, *(b - up for up, bnd, env in zip(uppers, bounds, envelopes)
                                        for b in (bnd, env)))
-        for bound, column, form in (("optimized", "ldi_bound", "s-optimized"),
-                                    ("envelope", "ldi_envelope", "explicit envelope")):
+        for label, column, form in (("optimized", bounds, "s-optimized"),
+                                    ("envelope", envelopes, "explicit envelope")):
             # one verdict over the whole u-grid
             metrics.append(Metric(
-                name=f"tails below {bound} bound [alpha={alpha}]",
+                name=f"tails below {label} bound [alpha={alpha}]",
                 empirical=worst_margin, theory=0.0, tolerance_name="cp_confidence",
-                verdict=all(up <= b for up, b in zip(uppers, table[column])),
+                verdict=all(up <= b for up, b in zip(uppers, column)),
                 anchor=f"median deviation inequality, {form}"))
     if config.t_grid:  # a grid only under a thermodynamic schedule (_SUITES' rule)
         metrics.append(_thermo_slope_metric(config))

@@ -165,7 +165,7 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gl_nodes(a, b, order: int):
+def gl_nodes(a, b, order: int):
     """Gauss-Legendre nodes/weights mapped onto [a, b] (a, b broadcastable)."""
     x, w = _leggauss(order)
     a = np.asarray(a, dtype=float)
@@ -236,7 +236,7 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
             breaks.add(math.sqrt(max(0.0, 1.0 - (m / r) ** 2)))
     # Substitute x = sin(psi); removes the sqrt(1-x^2) endpoint singularity.
     pts = np.array(sorted(math.asin(min(b, 1.0)) for b in breaks))
-    psi, w = _gl_nodes(pts[:-1], pts[1:], 48)  # (segments, nodes)
+    psi, w = gl_nodes(pts[:-1], pts[1:], 48)  # (segments, nodes)
     rho = np.cos(psi)
     fac = np.maximum(s_last - r * np.sin(psi), 0.0) * rho
     if d == 3:

@@ -18,10 +18,6 @@ Candidate pairs are put in (i, j) order by sorting one fused key i*n + j. The
 key is int32 when n^2 <= int32 max (n <= 46340) and int64 above; EdgeSet's
 i and j are int64 either way, written over query_pairs' own (m, 2) buffer.
 
-The reductions take a length power once per alpha: a caller raises the
-lengths to alpha and hands the same array to the sum and to
-_smallest_powers.
-
 scipy.spatial is imported inside build_edges, so importing this module (and
 the CLI) loads none of scipy.
 """
@@ -160,13 +156,3 @@ def max_degree(edges: EdgeSet) -> int:
     deg = np.bincount(edges.j)  # i < j, so every endpoint lies below deg.size
     deg += np.diff(np.searchsorted(edges.i, np.arange(deg.size + 1)))
     return int(deg.max())
-
-
-def _smallest_powers(powers: np.ndarray, m: int) -> np.ndarray:
-    """m smallest of the given length powers, sorted, +inf padded."""
-    out = np.full(m, np.inf)
-    if powers.size == 0:
-        return out
-    k = min(m, powers.size)
-    out[:k] = np.sort(np.partition(powers, k - 1)[:k])
-    return out

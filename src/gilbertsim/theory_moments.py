@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (DivergentCovarianceError, NonIntegrableError,
                      UnsupportedDimensionError)
-from .geometry import (ConvexWindow, _gl_nodes, covariogram_radial_integral,
+from .geometry import (ConvexWindow, covariogram_radial_integral, gl_nodes,
                        inner_parallel_volume_lower_bound, unit_ball_volume)
 
 
@@ -148,7 +148,7 @@ def _sphere_measure(h: list[np.ndarray], order: int) -> np.ndarray:
     for hi in rest:
         top = top - hi * hi
     top = np.sqrt(np.maximum(top, 0.0))
-    x, w = _gl_nodes(np.minimum(h1, top), top, order)
+    x, w = gl_nodes(np.minimum(h1, top), top, order)
     rho = np.sqrt(np.maximum(1.0 - x * x, 1e-300))
     return np.einsum("...k,...k->...", w, _circle_measure([hi[..., None] for hi in rest], rho))
 
@@ -165,7 +165,7 @@ def _k1(dim: int, gamma: float, w: np.ndarray) -> np.ndarray:
             t2 = w * (1.0 - w ** (gamma + 2.0)) / (gamma + 2.0)
         return 2.0 * math.pi * (t1 - t2)
     # d == 2: radial Gauss with the arc measure 2 arccos(w/r) of the cap
-    r, wt = _gl_nodes(w, 1.0, _GL_FACE)
+    r, wt = gl_nodes(w, 1.0, _GL_FACE)
     arc = _circle_measure([w[..., None]], np.maximum(r, 1e-300))
     return np.einsum("...k,...k->...", wt, r ** (gamma + 1.0) * arc)
 
@@ -176,9 +176,9 @@ def _cap_rule(dim: int, j: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     given order: the radial nodes r and the Gauss weights times the cap
     measure, both read-only (radial order `order`; slices: `_GL_SLICES` for
     two walls, order for three)."""
-    g = _gl_nodes(0.0, 1.0, order)[0]
+    g = gl_nodes(0.0, 1.0, order)[0]
     walls = np.meshgrid(*[g] * j, indexing="ij")
-    r, wt = _gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
+    r, wt = gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
     rs = np.maximum(r, 1e-300)
     if dim == 2:
         cap = _circle_measure([w[..., None] for w in walls], rs)
@@ -196,7 +196,7 @@ def _kernel(dim: int, gamma: float, j: int, order: int) -> np.ndarray:
     """K_j on the j-wall tensor Gauss grid of the given order: `_k1` for one
     wall, else the cached cap rule against r^(g+d-1)."""
     if j == 1:
-        return _k1(dim, gamma, _gl_nodes(0.0, 1.0, order)[0])
+        return _k1(dim, gamma, gl_nodes(0.0, 1.0, order)[0])
     r, weighted = _cap_rule(dim, j, order)
     return np.einsum("...k,...k->...", weighted, r ** (gamma + dim - 1.0))
 
@@ -242,7 +242,7 @@ def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta
     total = 0.0
     layers = zip(_GL_LAYERS, _unit_deficits(d, alpha), _unit_deficits(d, beta))
     for m, (order, da, db) in enumerate(layers, start=1):
-        w = _gl_nodes(0.0, 1.0, order)[1]
+        w = gl_nodes(0.0, 1.0, order)[1]
         weights = functools.reduce(np.multiply.outer, [w] * m)
         # 2^m wall sign choices per set of m active axes, times the extent of
         # the layer's interior along the d-m free axes.
@@ -264,7 +264,7 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
     cb = interior_moment(d, delta, beta)
     total = ca * cb * unit_ball_volume(d) * r0**d
 
-    ell, wl = _gl_nodes(r0, R, _GL_FACE)
+    ell, wl = gl_nodes(r0, R, _GL_FACE)
 
     def h_profile(gamma):
         # inner radial integral over r in [R-ell, min(delta, R+ell)] where the
@@ -272,7 +272,7 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
         lo = np.minimum(R - ell, delta)
         hi = np.minimum(R + ell, delta)
         full = dk * lo ** (gamma + d) / (gamma + d)
-        r, wr = _gl_nodes(lo, hi, _GL_FACE)
+        r, wr = gl_nodes(lo, hi, _GL_FACE)
         # the floor is on the product: ell * r underflows to 0 when delta is
         # negligible against R, where the numerator is 0 too
         c = (R * R - ell[..., None] ** 2 - r * r) / (2.0 * np.maximum(ell[..., None] * r, 1e-300))

@@ -392,7 +392,6 @@ def _no_quadrature(*args, **kwargs):
 def test_config_errors_exit_2_before_replications(args, config, message, tmp_path,
                                                   monkeypatch, capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.setattr(experiments, "covariance_exact", _no_quadrature)
     command, args = ("verify", args) if args[0].startswith("--") else (args[0], args[1:])
     argv = [command, "--window", "box:1x1", "--alpha", "2", "--reps", "10"] + args
@@ -487,6 +486,7 @@ def test_ldi_and_simulate_keep_the_binomial_model(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="a replication ran"):
         cli.main(["verify", "--kind", "LDI", "--window", "box:1x1", "--n", "400",
                   "--delta", "0.05", "--alpha", "0", "--reps", "10"])
+    monkeypatch.undo()
     assert cli.main(["simulate", "--window", "box:1x1", "--n", "50", "--delta", "0.1",
                      "--alpha", "0", "--reps", "2"]) == 0
     capsys.readouterr()
@@ -567,7 +567,6 @@ def test_arithmetic_failure_exits_2(argv, exc, capsys):
 def test_edge_budget_exits_2_before_replications(command, args, cfg, tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
     argv = [command, "--window", "box:1x1", "--alpha", "1", "--reps", "10",
             "--config", write_cfg(tmp_path, cfg)] + args
     assert cli.main(argv) == 2
@@ -663,7 +662,6 @@ def test_pp_conditions_rho_underflow_exits_2_before_quadrature(alpha, named, mon
 def test_schedule_delta_underflow_exits_2(command, args, monkeypatch, capsys):
     # delta_t = 1e-300 * t^-50 is 0.0 in floating point
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
     rc = cli.main([command, "--window", "box:1x1", "--schedule", "1e-300,50", "--alpha", "1",
                    "--reps", "5"] + args)
     assert rc == 2
@@ -755,12 +753,16 @@ def test_predict_rejects_ball_covariance_above_d3(capsys):
     assert "exact ball covariance requires d <= 3" in capsys.readouterr().err
 
 
-def run_fresh_python(code: str, *args: str) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this package."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+
+
+def run_fresh_python(code: str, *args: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this package."""
+    return subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(), check=True,
                           capture_output=True, text=True).stdout
 
 
@@ -936,7 +938,6 @@ def test_unwritable_output_exits_2(argv, flag, target, tmp_path, monkeypatch, ca
     # a path that cannot be written, an LDI table's too, is a usage error found
     # before any replication; verify's exit 1 means failed verdicts
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.chdir(tmp_path)
     path = str(tmp_path / target)
     # LDI's table lies next to --out: a directory, or a name 3 bytes too long
@@ -969,8 +970,7 @@ def test_empty_path_exits_2(argv, message, tmp_path, monkeypatch, capsys):
     # '' names no file: as an output or the config it exits 2 before any
     # replication or quadrature, and nothing is written, stdout included
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "covariogram", _no_quadrature)
+    monkeypatch.setattr(experiments, "covariogram", _no_quadrature)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--window", "box:1x1"]) == 2
     captured = capsys.readouterr()
@@ -994,7 +994,6 @@ def test_one_file_named_twice_exits_2(flags, message, tmp_path, monkeypatch, cap
     # the second write would replace the first, or the config: a usage error found
     # before any replication, an LDI table's too, and nothing is written
     monkeypatch.setattr(experiments, "run_replications", _no_replications)
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("window = box:1x1\nt = 100\ndelta = 0.05\n"
                                       "alphas = 0\nreps = 2\n")
@@ -1014,7 +1013,7 @@ def test_one_file_named_twice_exits_2(flags, message, tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("missing", ["window", "alphas"])
 def test_missing_window_or_alphas_exits_2(missing, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_replications", _no_replications)
+    monkeypatch.setattr(experiments, "run_replications", _no_replications)
     given = {"window": ["--window", "box:1x1"], "alphas": ["--alpha", "1"]}
     argv = ["simulate", "--t", "100", "--delta", "0.05", "--reps", "2"]
     argv += [flag for key, flags in given.items() if key != missing for flag in flags]
@@ -1055,6 +1054,40 @@ def test_failed_write_exits_2(argv, bad, disk_full, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {bad!r}: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+class _FullStdout(io.StringIO):
+    """sys.stdout on a full disk: a write fills its buffer, and the flush fails."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_FULL_STDOUT = "error: cannot write '<stdout>': [Errno 28] No space left on device\n"
+_COVARIOGRAM = ["covariogram", "--window", "box:1x1", "--direction", "1,0", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _COVARIOGRAM,
+    ["predict", "--window", "box:1x1", "--t", "100", "--delta", "0.05", "--alpha", "0"],
+    SIMULATE + ["--window", "box:1x1"],
+], ids=["covariogram", "predict", "simulate"])
+def test_failed_stdout_exits_2(argv, capsys):
+    # stdout is written last, in place: a write that fails there exits 2 with
+    # one error line, not 1 (failed verdicts) with a traceback
+    with contextlib.redirect_stdout(_FullStdout()):
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == _FULL_STDOUT
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_dev_full_exits_2():
+    # the device refuses the write itself; the interpreter's own flush at exit
+    # adds no second error line
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "gilbertsim.cli", *_COVARIOGRAM],
+                              env=_fresh_env(), stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (2, _FULL_STDOUT)
 
 
 def test_write_keeps_links_file_modes_and_fifos(tmp_path, monkeypatch):
@@ -1164,11 +1197,13 @@ def test_target_made_read_only_during_the_run_exits_2(tmp_path, monkeypatch, cap
     monkeypatch.chdir(tmp_path)
     (tmp_path / "o.csv").write_text("old\n")
 
+    run = experiments.run_replications
+
     def lock_then_run(*args):
         (tmp_path / "o.csv").chmod(0o444)
-        return experiments.run_replications(*args)
+        return run(*args)
 
-    monkeypatch.setattr(cli, "run_replications", lock_then_run)
+    monkeypatch.setattr(experiments, "run_replications", lock_then_run)
     assert cli.main(SIMULATE + ["--window", "box:1x1", "--out", "o.csv",
                                 "--edges-out", "e.csv"]) == 2
     assert capsys.readouterr().err == (
@@ -1185,7 +1220,6 @@ def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(experiments, "build_edges", counting)
-    monkeypatch.setattr(cli, "build_edges", counting)
     edges = tmp_path / "edges.csv"
     assert cli.main(["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
                      "--alpha", "0,1", "--reps", "3", "--seed", "5",

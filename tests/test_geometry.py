@@ -10,7 +10,8 @@ from scipy import integrate
 from scipy.special import betaincc
 
 from gilbertsim import geometry as geo
-from gilbertsim.errors import NonIntegrableError, UnsupportedDimensionError
+from gilbertsim.errors import (NonIntegrableError, QuadratureError,
+                               UnsupportedDimensionError)
 
 PI = math.pi
 
@@ -360,6 +361,20 @@ def test_radial_integral_ball_near_divergent_exponent(d, radius):
     hi = d * geo.unit_ball_volume(d) * w.volume * delta**q / q
     lo = hi - geo.unit_ball_volume(d - 1) * w.surface_area * delta ** (q + 1) / (q + 1)
     assert math.isfinite(val) and lo * (1 - 1e-12) <= val <= hi * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("result,message", [
+    ((math.nan, 0.0), "radial covariogram integral did not converge"),
+    ((1.0, 1e-3), "radial covariogram integral error estimate 1.00e-03 exceeds target "
+                  "for value 1.000000e+00"),
+], ids=["not_finite", "error_above_target"])
+def test_radial_integral_quadrature_failure_raises(result, message, monkeypatch):
+    # inputs on which QUADPACK fails raise IntegrationWarning first, an error
+    # under this suite's warning filter, so a stubbed quad reaches both raises
+    monkeypatch.setattr(integrate, "quad", lambda *args, **kwargs: result)
+    with pytest.raises(QuadratureError) as exc:
+        geo.covariogram_radial_integral(geo.ConvexWindow.box((1.0, 0.5)), 0.8, 1.0)
+    assert str(exc.value) == message
 
 
 def test_radial_integral_ball_calls_no_quadrature(monkeypatch):

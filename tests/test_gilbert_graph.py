@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gilbertsim import experiments as ex
 from gilbertsim import geometry as geo
 from gilbertsim import gilbert_graph as gg
 from gilbertsim import point_process as pp
@@ -288,12 +289,12 @@ def test_max_degree():
 def test_order_statistics():
     s = make_sample([[0.0, 0.0], [0.05, 0.0], [0.05, 0.035]])
     e = gg.build_edges(s, 0.06)  # lengths 0.05 and 0.035 (third pair at ~0.061)
-    got = gg._smallest_powers(e.lengths**2.0, 3)
+    got = ex._smallest_powers(e.lengths**2.0, 3)
     assert got[0] == pytest.approx(0.035**2)
     assert got[1] == pytest.approx(0.0025)
     assert math.isinf(got[2])
     empty = gg.build_edges(make_sample([[0.0, 0.0]]), 0.1)
-    assert np.all(np.isinf(gg._smallest_powers(empty.lengths**1.0, 4)))
+    assert np.all(np.isinf(ex._smallest_powers(empty.lengths**1.0, 4)))
 
 
 def test_order_statistics_match_sorted_oracle():
@@ -302,7 +303,7 @@ def test_order_statistics_match_sorted_oracle():
         s = pp.sample_binomial(W2, int(rng.integers(5, 200)), pp.replication_rng(99, trial))
         e = gg.build_edges(s, 0.15)
         alpha = float(rng.uniform(0.5, 3.0))
-        got = gg._smallest_powers(e.lengths**alpha, 1)
+        got = ex._smallest_powers(e.lengths**alpha, 1)
         oracle = np.min(e.lengths) ** alpha if e.n_edges else math.inf
         assert got[0] == pytest.approx(oracle) or (math.isinf(got[0]) and math.isinf(oracle))
 
@@ -313,7 +314,7 @@ def test_smallest_powers_match_full_sort(size, alpha):
     # ties: lengths repeat, and alpha = 0 makes every power 1
     rng = np.random.default_rng(size)
     lengths = rng.choice([0.01, 0.02, 0.03, 0.04], size=size)
-    got = gg._smallest_powers(lengths**alpha, 5)
+    got = ex._smallest_powers(lengths**alpha, 5)
     want = np.full(5, np.inf)
     k = min(5, size)
     want[:k] = np.sort(lengths**alpha)[:k]

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses (pyflakes' F401, without pyflakes),
-and no module-level def or class is there for the tests alone."""
+"""No module of the package imports a name it never uses (pyflakes' F401, without pyflakes)
+or another module's private name, and no module-level def or class is there for the tests
+alone."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,26 @@ def test_unused_definitions_are_found():
                     "def orphan():\n    pass\nclass Lone:\n    pass\n",
                "b": "from . import a\nclass Kept:\n    pass\nx = a.used\n"}
     assert unused_definitions(sources, {"Kept"}) == ["a.orphan", "a.Lone"]
+
+
+def private_imports(source: str) -> list[str]:
+    """The private names (a leading underscore, not a dunder) that the module
+    imports from a module of the package."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").partition(".")[0] == "gilbertsim")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\nfrom . import __version__\n"
+              "from .geometry import ConvexWindow, _gl_nodes\nfrom ._hidden import shown\n"
+              "from gilbertsim.experiments import (\n    _SUITES as rows)\n"
+              "from numpy import _private\nimport gilbertsim._x\n")
+    assert private_imports(source) == ["_gl_nodes (line 3)", "_SUITES (line 5)"]

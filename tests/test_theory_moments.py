@@ -220,9 +220,9 @@ def test_cap_rule_slabs_equal_the_one_shot_sphere_measure(j):
     # time; each step is elementwise or a sum over the slice axis alone, so it
     # keeps the bits of one _sphere_measure call on the whole grid
     order = 6
-    g = tm._gl_nodes(0.0, 1.0, order)[0]
+    g = tm.gl_nodes(0.0, 1.0, order)[0]
     walls = np.meshgrid(*[g] * j, indexing="ij")
-    r, wt = tm._gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
+    r, wt = tm.gl_nodes(np.minimum(np.sqrt(sum(w * w for w in walls)), 1.0), 1.0, order)
     rs = np.maximum(r, 1e-300)
     slices = tm._GL_SLICES if j == 2 else order
     oracle = wt * tm._sphere_measure([w[..., None] / rs for w in walls], slices)
