@@ -42,26 +42,10 @@ from .errors import ConfigError, GilbertSimError
 from .experiments import (POINT_BUDGET, VERIFICATION_KINDS, ExperimentConfig,
                           covariogram_table, predictions, report_tables,
                           report_to_json, run_verification, simulate, to_json)
-from .geometry import ConvexWindow
+from .geometry import parse_window
 # not called here; perfbench's tracer test checks that cli binds this name
 from .gilbert_graph import build_edges  # noqa: F401
 from .theory_moments import RegimeSchedule
-
-
-def parse_window(text: str) -> ConvexWindow:
-    """box:1x1, box:2x1x0.5 or ball:1.0@d=3."""
-    try:
-        kind, _, rest = text.partition(":")
-        if kind == "box" and rest:
-            return ConvexWindow.box([float(s) for s in rest.split("x")])
-        if kind == "ball" and rest:
-            radius, _, dpart = rest.partition("@")
-            if not dpart.startswith("d="):
-                raise ValueError("ball window needs its dimension as @d=<dim>")
-            return ConvexWindow.ball(float(radius), int(dpart[2:]))
-    except ValueError as exc:
-        raise ConfigError(f"bad window {text!r}: {exc}") from None
-    raise ConfigError(f"bad window {text!r}: expected box:<s1>x<s2>... or ball:<r>@d=<dim>")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

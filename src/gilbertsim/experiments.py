@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import json
 import math
 import sys
@@ -70,6 +71,8 @@ EDGE_BUDGET = 2e7
 POINT_BUDGET = 1e7
 # Worker threads a run may start, one per replication in flight.
 MAX_JOBS = 64
+# Rows of a CSV file converted and joined at a time.
+_CSV_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -372,7 +375,7 @@ def _smallest_powers(powers: np.ndarray, m: int) -> np.ndarray:
 def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | None]:
     """`simulate`'s table rep,alpha,L_value,n_points,max_degree,S1..S5 (S the 5
     smallest length powers) and, if edges, replication 0's own edge set, not built
-    again, as i,j,length (else None)."""
+    again, as i,j,length (else None), converted one block of rows at a time."""
     first = []
 
     def reduce(r, sample, edge_set):
@@ -393,8 +396,9 @@ def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | 
     if not edges:
         return table, None
     (dump,) = first
-    return table, to_csv("i,j,length",
-                         zip(dump.i.tolist(), dump.j.tolist(), dump.lengths.tolist()))
+    return table, to_csv("i,j,length", (
+        row for k in range(0, dump.n_edges, _CSV_BLOCK)
+        for row in zip(*(a[k:k + _CSV_BLOCK].tolist() for a in (dump.i, dump.j, dump.lengths)))))
 
 
 def covariogram_table(window: ConvexWindow, direction, rmax: float, steps: int) -> str:
@@ -406,8 +410,12 @@ def covariogram_table(window: ConvexWindow, direction, rmax: float, steps: int) 
 
 def to_csv(header: str, rows) -> str:
     """Every CSV file: the header, then one line per row of plain Python
-    numbers (tolist(), not numpy scalars), each cell written by repr."""
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    numbers (tolist(), not numpy scalars), each cell written by repr, joined one
+    block of `_CSV_BLOCK` rows at a time, so one block's lines are alive at once."""
+    rows, blocks = iter(rows), [header + "\n"]
+    while lines := [",".join(map(repr, row)) + "\n" for row in itertools.islice(rows, _CSV_BLOCK)]:
+        blocks.append("".join(lines))
+    return "".join(blocks)
 
 
 def to_json(payload) -> str:

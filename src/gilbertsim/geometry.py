@@ -1,4 +1,4 @@
-"""Convex observation windows: volume, surface area, covariogram, sampling.
+"""Convex observation windows: text form, volume, surface area, covariogram, sampling.
 
 Windows are axis-aligned boxes [0, s_1] x ... x [0, s_d] or centered balls.
 Both have closed-form covariograms g(y) = V(W ∩ (W + y)) in every dimension,
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonIntegrableError, QuadratureError, UnsupportedDimensionError
+from .errors import ConfigError, NonIntegrableError, QuadratureError, UnsupportedDimensionError
 
 _RADIAL_EPSREL = 1e-10
 _RADIAL_LIMIT = 400
@@ -94,6 +94,22 @@ class ConvexWindow:
         if self.kind == "box":
             return "box:" + "x".join(repr(s) for s in self.sides)
         return f"ball:{self.radius!r}@d={self.dim}"
+
+
+def parse_window(text: str) -> ConvexWindow:
+    """The window a label writes: box:1x1, box:2x1x0.5 or ball:1.0@d=3."""
+    try:
+        kind, _, rest = text.partition(":")
+        if kind == "box" and rest:
+            return ConvexWindow.box([float(s) for s in rest.split("x")])
+        if kind == "ball" and rest:
+            radius, _, dpart = rest.partition("@")
+            if not dpart.startswith("d="):
+                raise ValueError("ball window needs its dimension as @d=<dim>")
+            return ConvexWindow.ball(float(radius), int(dpart[2:]))
+    except ValueError as exc:
+        raise ConfigError(f"bad window {text!r}: {exc}") from None
+    raise ConfigError(f"bad window {text!r}: expected box:<s1>x<s2>... or ball:<r>@d=<dim>")
 
 
 def inner_parallel_volume_lower_bound(window: ConvexWindow, delta: float) -> float:

@@ -80,25 +80,20 @@ def _scales(inp: LdiInput) -> tuple[float, float, float]:
     return inp.n, inp.n, inp.window.volume
 
 
-def _xstar_terms(inp: LdiInput) -> tuple[float, float]:
-    """(log-term L, sqrt numerator Q) with objective
-    A(s) + sqrt(Q/((u+m) s) + A(s)^2), A(s) = (L + e^s - 1)/(2s)."""
-    d = inp.window.dim
-    kd = unit_ball_volume(d)
-    c, count, f = _scales(inp)
-    rate = c * kd * inp.delta**d
-    log_term = math.log(count) * f / rate
-    q = f**2 * inp.u**2 / (8.0 * c**2 * kd**2 * inp.delta ** (2 * d + inp.alpha))
-    return log_term, q
-
-
 def ldi_xstar_objective(inp: LdiInput, s: float) -> float:
-    """The x* objective at a given s > 0 (exposed for optimizer certificates)."""
+    """The x* objective at a given s > 0 (exposed for optimizer certificates):
+    A(s) + sqrt(Q/((u+m) s) + A(s)^2), A(s) = (L + e^s - 1)/(2s), with the
+    log-term L = log(N) f / (c kappa_d delta^d) and the sqrt numerator
+    Q = f^2 u^2 / (8 c^2 kappa_d^2 delta^(2d+alpha)), (c, N, f) from `_scales`."""
     if not (s > 0):
         raise ValueError("s must be > 0")
     if inp.u + inp.median <= 0:
         raise DegenerateInputError("u + median must be positive")
-    log_term, q = _xstar_terms(inp)
+    d = inp.window.dim
+    kd = unit_ball_volume(d)
+    c, count, f = _scales(inp)
+    log_term = math.log(count) * f / (c * kd * inp.delta**d)
+    q = f**2 * inp.u**2 / (8.0 * c**2 * kd**2 * inp.delta ** (2 * d + inp.alpha))
     try:
         a = (log_term + math.expm1(s)) / (2.0 * s)
     except OverflowError:

@@ -223,23 +223,26 @@ def _unit_deficits(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
-    """X = int_W D_a(y) D_b(y) dy for a box, D_g = C_g - h_g (deficit).
+def _box_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
+    """I_hh = C_a R_b + C_b R_a - C_a C_b V + X for a box, X = int_W D_a(y) D_b(y) dy
+    with the deficit D_g = C_g - h_g.
 
     Valid for delta <= min(side)/2 (at most one active wall per axis);
-    decomposes the boundary layer into face/edge/corner regions, each a smooth
+    X decomposes the boundary layer into face/edge/corner regions, each a smooth
     tensor-Gauss integral of products of the delta = 1 deficit tables.  The
     m-wall layer scales as delta^(a+b+2d+m): delta^(g+d) per deficit and
     delta per wall coordinate.
     """
     d = window.dim
+    ca = interior_moment(d, delta, alpha)
+    cb = interior_moment(d, delta, beta)
     if d > 3:
         raise UnsupportedDimensionError("exact box covariance implemented for d <= 3")
     sides = window.sides
     if delta > min(sides) / 2.0:
         raise UnsupportedDimensionError(
             "exact covariance for boxes requires delta <= min(side)/2")
-    total = 0.0
+    x = 0.0
     layers = zip(_GL_LAYERS, _unit_deficits(d, alpha), _unit_deficits(d, beta))
     for m, (order, da, db) in enumerate(layers, start=1):
         w = gl_nodes(0.0, 1.0, order)[1]
@@ -248,13 +251,17 @@ def _box_boundary_product(window: ConvexWindow, delta: float, alpha: float, beta
         # the layer's interior along the d-m free axes.
         extent = sum(math.prod(sides[k] - 2.0 * delta for k in range(d) if k not in axes)
                      for axes in itertools.combinations(range(d), m))
-        total += 2.0**m * extent * delta ** (alpha + beta + 2 * d + m) \
+        x += 2.0**m * extent * delta ** (alpha + beta + 2 * d + m) \
             * float(np.sum(weights * (da * db)))
-    return total
+    ra = covariogram_radial_integral(window, delta, alpha)
+    rb = covariogram_radial_integral(window, delta, beta)
+    return ca * rb + cb * ra - ca * cb * window.volume + x
 
 
 def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
     """I_hh for a ball, by radial shells: h depends only on ||y||."""
+    if window.dim > 3:
+        raise UnsupportedDimensionError("exact ball covariance requires d <= 3")
     if beta < alpha:  # one product order, so I_hh(a, b) and I_hh(b, a) agree bitwise
         alpha, beta = beta, alpha
     R, d = window.radius, window.dim
@@ -291,20 +298,6 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
     return total
 
 
-def _hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
-    """int_W h_alpha(y) h_beta(y) dy."""
-    if window.kind == "ball":
-        if window.dim > 3:
-            raise UnsupportedDimensionError("exact ball covariance requires d <= 3")
-        return _ball_hh_integral(window, delta, alpha, beta)
-    ca = interior_moment(window.dim, delta, alpha)
-    cb = interior_moment(window.dim, delta, beta)
-    x = _box_boundary_product(window, delta, alpha, beta)
-    ra = covariogram_radial_integral(window, delta, alpha)
-    rb = covariogram_radial_integral(window, delta, beta)
-    return ca * rb + cb * ra - ca * cb * window.volume + x
-
-
 def _check_covariance_exponents(dim: int, alpha: float, beta: float) -> None:
     if alpha <= -dim or beta <= -dim or alpha + beta <= -dim:
         raise DivergentCovarianceError(
@@ -315,7 +308,8 @@ def covariance_exact(window: ConvexWindow, t: float, delta: float,
                      alpha: float, beta: float) -> float:
     """Cov(L^(a), L^(b)) = t^3 int_W h_a h_b + (t^2/2) R_{a+b}."""
     _check_covariance_exponents(window.dim, alpha, beta)
-    hh = _hh_integral(window, delta, alpha, beta)
+    hh_integral = _ball_hh_integral if window.kind == "ball" else _box_hh_integral
+    hh = hh_integral(window, delta, alpha, beta)
     return t**3 * hh + 0.5 * t * t * covariogram_radial_integral(window, delta, alpha + beta)
 
 

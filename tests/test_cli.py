@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import platform
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -196,6 +198,21 @@ def test_readme_config_example_resolves(tmp_path):
     raw = cli.load_config(write_cfg(tmp_path, example))
     config = cli.resolve_config(raw, cli.build_parser().parse_args(["verify"]))
     assert config.kind == "Moments"
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # README's four commands exit 0, verify's reading its config example written
+    # out as examples.cfg, and its library example runs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    Path("examples.cfg").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    shell = "".join(block.split("```", 1)[0] for block in readme.split("```sh\n")[1:])
+    commands = [shlex.split(line)[1:] for line in shell.replace("\\\n", " ").splitlines()
+                if line.startswith("gilbertsim ")]
+    assert [argv[0] for argv in commands] == ["predict", "simulate", "verify", "covariogram"]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    exec(readme.split("```python\n", 1)[1].split("```", 1)[0], {})
 
 
 @pytest.mark.parametrize("flag,value,key", [
@@ -1226,6 +1243,27 @@ def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "reps.csv"), "--edges-out", str(edges)]) == 0
     assert len(built) == 3
     assert edges.read_text().count("\n") == 1 + built[0].n_edges
+
+
+_PEAK_RSS = """import resource, sys
+from gilbertsim import cli
+assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="measured with glibc's malloc; ru_maxrss is in KiB on Linux")
+def test_edge_dump_peak_rss_per_edge(tmp_path):
+    # the dump is laid out one block of rows at a time: 870,302 edges add about 48 B
+    # each to the run's peak RSS (a one-shot layout added about 196 B)
+    argv = ["simulate", "--window", "box:1x1", "--t", "5000", "--delta", "0.16", "--alpha", "1",
+            "--reps", "2", "--seed", "3", "--out", os.devnull]
+    edges = tmp_path / "edges.csv"
+    without = int(run_fresh_python(_PEAK_RSS, *argv))
+    with_dump = int(run_fresh_python(_PEAK_RSS, *argv, "--edges-out", str(edges)))
+    n_edges = edges.read_text().count("\n") - 1
+    assert n_edges > 800_000
+    assert (with_dump - without) * 1024 <= 100 * n_edges
 
 
 def test_covariogram_subcommand(tmp_path, capsys):

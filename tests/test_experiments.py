@@ -328,6 +328,22 @@ def test_replications_csv_format():
     assert [float(v) for v in first[5:]] == list(ex._smallest_powers(edges.lengths**0.0, 5))
 
 
+@pytest.mark.parametrize("block", [1, 7, 2**16])
+def test_csv_blocks_change_no_byte(monkeypatch, block):
+    # to_csv joins, and simulate converts the edge dump, one block of rows at a
+    # time; the text is the one-shot layout whatever the block size
+    monkeypatch.setattr(ex, "_CSV_BLOCK", block)
+    rows = [(k, -0.1 * k, 1 / (k + 1)) for k in range(20)]
+    for n in (0, 1, 7, 20):
+        one_shot = "\n".join(["a,b,c", *(",".join(map(repr, row)) for row in rows[:n])]) + "\n"
+        assert ex.to_csv("a,b,c", iter(rows[:n])) == one_shot
+    _, dump = ex.simulate(cfg(replications=2, kind="simulate"), edges=True)
+    edges = gg.build_edges(ex.replication_sample(cfg(), 100.0, 0), 0.05)
+    assert 7 < edges.n_edges
+    assert dump == "\n".join(["i,j,length", *(f"{i!r},{j!r},{length!r}" for i, j, length in zip(
+        edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))]) + "\n"
+
+
 def test_verify_clt_small():
     c = cfg(window=ConvexWindow.box((0.2, 0.2)), kind="CLT", alphas=(1.0,),
             replications=1500, t=None, t_grid=(200.0, 800.0, 3200.0), delta=None,

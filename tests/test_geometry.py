@@ -1,6 +1,7 @@
 """Windows, covariograms, and the radial moment quadrature."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -600,9 +601,26 @@ def test_box_angular_at_zero_is_the_whole_sphere(sides):
     assert geo._box_angular(sides, 1e-9) == pytest.approx(whole, rel=1e-8)
 
 
-def test_window_label_round_trip():
-    from gilbertsim.cli import parse_window
-    for w in (geo.ConvexWindow.box((1.0, 2.0, 0.5)), geo.ConvexWindow.ball(1.25, 3)):
-        again = parse_window(w.label())
-        assert again.kind == w.kind and again.dim == w.dim
-        assert again.sides == w.sides and again.radius == w.radius
+@st.composite
+def finite_windows(draw):
+    """A box or a ball in dimension 1 to 7 with sizes in [1e-40, 1e40], so its
+    volume is finite and positive."""
+    d = draw(st.integers(1, 7))
+    size = st.floats(1e-40, 1e40)
+    if draw(st.booleans()):
+        return geo.ConvexWindow.box(tuple(draw(size) for _ in range(d)))
+    return geo.ConvexWindow.ball(draw(size), d)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(finite_windows())
+@example(geo.ConvexWindow.box((1.0, 2.0, 0.5)))
+@example(geo.ConvexWindow.ball(1.25, 3))
+@example(geo.ConvexWindow.box((5e-324,)))
+@example(geo.ConvexWindow.box((1.7976931348623157e308,)))
+@example(geo.ConvexWindow.box((1e300, 0.1, 1 / 3, 3 * 2.0**-1074, 7.0, 0.3, 1e9)))
+@example(geo.ConvexWindow.ball(5e-324, 1))
+@example(geo.ConvexWindow.ball(1e-40, 7))
+def test_window_label_round_trip(w):
+    again = geo.parse_window(w.label())
+    assert [getattr(again, f.name) for f in fields(w)] == [getattr(w, f.name) for f in fields(w)]

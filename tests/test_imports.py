@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses (pyflakes' F401, without pyflakes)
-or another module's private name, and no module-level def or class is there for the tests
-alone."""
+or another module's private name, no module-level def or class is there for the tests
+alone, and no cache grows with the input."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,48 @@ def test_private_imports_are_found():
               "from gilbertsim.experiments import (\n    _SUITES as rows)\n"
               "from numpy import _private\nimport gilbertsim._x\n")
     assert private_imports(source) == ["_gl_nodes (line 3)", "_SUITES (line 5)"]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The functions (name and line) under functools.cache or lru_cache that take
+    parameters and whose cache sets no finite maxsize: a cache that grows with the input.
+    A bare lru_cache, or one without maxsize, counts as setting none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name not in ("cache", "lru_cache"):
+                continue
+            size = None if call is None or name == "cache" else next(
+                (kw.value for kw in call.keywords if kw.arg == "maxsize"),
+                call.args[0] if call.args else None)
+            if not (isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_cache_grows_with_the_input(path):
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_unbounded_caches_are_found():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.cache\ndef once():\n    return 1\n"
+              "@cache\ndef grows(x):\n    return x\n"
+              "@functools.lru_cache(maxsize=4)\ndef small(x):\n    return x\n"
+              "@lru_cache(16)\ndef positional(x):\n    return x\n"
+              "@lru_cache(maxsize=None)\ndef unbounded(x):\n    return x\n"
+              "@lru_cache\ndef default_size(x):\n    return x\n"
+              "@lru_cache(typed=True)\ndef typed(x):\n    return x\n"
+              "class C:\n    @functools.cache\n    def method(self):\n        return 1\n")
+    assert unbounded_caches(source) == ["grows (line 7)", "unbounded (line 16)",
+                                        "default_size (line 19)", "typed (line 22)",
+                                        "method (line 26)"]
