@@ -18,12 +18,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
-import json
 import math
 import sys
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -72,7 +72,7 @@ POINT_BUDGET = 1e7
 # Worker threads a run may start, one per replication in flight.
 MAX_JOBS = 64
 # Rows of a CSV file converted and joined at a time.
-_CSV_BLOCK = 2**16
+_CSV_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -419,8 +419,45 @@ def to_csv(header: str, rows) -> str:
 
 
 def to_json(payload) -> str:
-    """Every JSON file: sorted keys, indent 2; a non-finite number raises ValueError."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Every JSON file: the bytes of json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) and a newline, in one recursive pass with a join per container.
+    A non-finite float raises ValueError; a type JSON lacks, or a key that is not
+    a str, raises TypeError."""
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value, newline: str) -> str:
+    """value's JSON text; newline is the line break and indent its closing bracket
+    sits at. Scalars are written as json.dumps writes them: str by
+    encode_basestring_ascii, int and float (np.float64 too) by the base repr."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) \
+            + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str fails the sort or encode_basestring_ascii
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
+             for k in sorted(value)]) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -267,9 +267,11 @@ def _box_angular(sides: tuple[float, ...], r: float) -> float:
     return 2.0 * total
 
 
+@lru_cache(maxsize=16)
 def _box_radial_series(sides: tuple[float, ...], delta: float, alpha: float) -> float:
     """∫_{B(0,delta)} ||y||^alpha prod(s_i - |y_i|) dy in every d: a box's radial moment
     at delta <= min(side), and a segment's at min(delta, side), where g ends.
+    Cached, as one `predict` asks for each of its few exponents several times.
 
     Expanding the product gives sum_k (-1)^k e_{d-k}(s) omega_{d,k}
     delta^(alpha+d+k) / (alpha+d+k), with e_j the elementary symmetric

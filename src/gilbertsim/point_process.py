@@ -43,7 +43,8 @@ class PointSample:
 def _draw_distinct(window: ConvexWindow, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points, redrawing any exact float duplicates."""
     pts = sample_uniform(window, rng, n)
-    if n < 2 or np.unique(pts[:, 0]).size == n:
+    first = np.sort(pts[:, 0])
+    if not (first[1:] == first[:-1]).any():
         return pts  # distinct first coordinates imply distinct rows
     while True:
         _, first_idx = np.unique(pts, axis=0, return_index=True)

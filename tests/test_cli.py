@@ -812,6 +812,37 @@ def test_box_predict_loads_neither_scipy_special_nor_spatial(tmp_path):
     assert lines == ["[]", "False False", "True False"]
 
 
+_PREDICT_AFTER = """import contextlib, io, random, sys
+from gilbertsim import cli
+rng = random.Random(5)
+last = sys.argv[2:]
+for k in range(int(sys.argv[1])):  # boxes of d = 1-3 with alphas that share pairs
+    d = rng.randint(1, 3)
+    sides = [rng.uniform(0.5, 2.0) for _ in range(d)]
+    window = "box:" + "x".join(map(repr, sides))
+    delta = repr(rng.uniform(0.02, 0.5) * min(sides))
+    if k % 3 == 0:  # the last call's box at another delta
+        window, delta = last[last.index("--window") + 1], repr(rng.uniform(0.02, 0.4))
+    elif k % 3 == 1:  # the last call's delta in another box
+        delta = last[last.index("--delta") + 1]
+    argv = ["predict", "--window", window, "--t", "1000", "--delta", delta,
+            "--alpha=" + rng.choice(["0,1", "1,0", "0,2", "-0.4,1", "1"])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+assert cli.main(last) == 0"""
+
+
+def test_predict_bytes_do_not_depend_on_earlier_calls():
+    # the theory caches keep the layer sums, deficit tables and radial moments of
+    # earlier calls (more than fit, so some are evicted): a box predict prints the
+    # same bytes in a fresh interpreter as after 20 other predict calls
+    argv = ["predict", "--window", "box:1.3x0.9x1.7", "--t", "1000", "--delta", "0.11",
+            "--alpha", "0,1"]
+    fresh = run_fresh_python(_PREDICT_AFTER, "0", *argv)
+    assert '"covariance[0.0,1.0]"' in fresh
+    assert run_fresh_python(_PREDICT_AFTER, "20", *argv) == fresh
+
+
 def test_box_runs_leave_scipy_integrate_unloaded(tmp_path):
     # scipy.integrate loads scipy.optimize and scipy.sparse.linalg; only a
     # box radial moment with delta > min(side) imports it, and neither a box
@@ -1245,25 +1276,30 @@ def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
     assert edges.read_text().count("\n") == 1 + built[0].n_edges
 
 
-_PEAK_RSS = """import resource, sys
+# VmHWM, the peak RSS of this process image in KiB: ru_maxrss would count the RSS of
+# the process that started it (the test runner's, often larger than the run's own)
+_PEAK_RSS = """import sys
 from gilbertsim import cli
 assert cli.main(sys.argv[1:]) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"""
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))"""
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="measured with glibc's malloc; ru_maxrss is in KiB on Linux")
+                    reason="measured with glibc's malloc and Linux's VmHWM")
 def test_edge_dump_peak_rss_per_edge(tmp_path):
-    # the dump is laid out one block of rows at a time: 870,302 edges add about 48 B
-    # each to the run's peak RSS (a one-shot layout added about 196 B)
-    argv = ["simulate", "--window", "box:1x1", "--t", "5000", "--delta", "0.16", "--alpha", "1",
-            "--reps", "2", "--seed", "3", "--out", os.devnull]
-    edges = tmp_path / "edges.csv"
-    without = int(run_fresh_python(_PEAK_RSS, *argv))
-    with_dump = int(run_fresh_python(_PEAK_RSS, *argv, "--edges-out", str(edges)))
-    n_edges = edges.read_text().count("\n") - 1
-    assert n_edges > 800_000
-    assert (with_dump - without) * 1024 <= 100 * n_edges
+    # the dump is laid out one block of 2^13 rows at a time: 870,302 edges add about
+    # 42 B each to the run's peak RSS (a one-shot layout added about 196 B), and
+    # 78,509 edges about 71 B (blocks of 2^16 rows added about 173 B)
+    for t, at_least in (("5000", 800_000), ("1500", 70_000)):
+        argv = ["simulate", "--window", "box:1x1", "--t", t, "--delta", "0.16", "--alpha", "1",
+                "--reps", "2", "--seed", "3", "--out", os.devnull]
+        edges = tmp_path / f"edges_{t}.csv"
+        without = int(run_fresh_python(_PEAK_RSS, *argv))
+        with_dump = int(run_fresh_python(_PEAK_RSS, *argv, "--edges-out", str(edges)))
+        n_edges = edges.read_text().count("\n") - 1
+        assert n_edges > at_least
+        assert (with_dump - without) * 1024 <= 100 * n_edges, t
 
 
 def test_covariogram_subcommand(tmp_path, capsys):

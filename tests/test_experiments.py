@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import ndtr
 
@@ -309,6 +311,44 @@ def test_report_json_schema():
     assert m["verdict"] in ("pass", "fail")
     assert set(m["tolerance"]) == {"name", "value"}
     assert payload["config"]["window"] == "box:1.0x1.0"
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_JSON_TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\x00\x1f\x7f", "é", "日本", "\U0001f600", "\ud800"])
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 1e-7, 0.1])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | _JSON_TEXT | _JSON_FLOATS
+                 | _JSON_FLOATS.map(np.float64))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_JSON_PAYLOADS)
+def test_to_json_writes_json_dumps_bytes(payload):
+    assert ex.to_json(payload) == _dumps(payload)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    (np.float64("nan"), ValueError), (np.int64(1), TypeError), (np.float32(1.0), TypeError),
+    ({1: 2.0}, TypeError), ({"a": 1, 2: 3}, TypeError), ({1.5: None}, TypeError),
+    (b"bytes", TypeError), ({1, 2}, TypeError)])
+def test_to_json_rejects_what_json_cannot_write(bad, error):
+    # each value is also nested, where a recursion must pass the error on
+    for payload in (bad, [1.0, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(error):
+            ex.to_json(payload)
+        if not isinstance(bad, dict):  # json.dumps writes a non-str key it can convert
+            with pytest.raises(error):
+                _dumps(payload)
 
 
 def test_replications_csv_format():

@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses (pyflakes' F401, without pyflakes)
 or another module's private name, no module-level def or class is there for the tests
-alone, and no cache grows with the input."""
+alone, no cache grows with the input, and no module calls json.dump(s)."""
 
 import ast
 from pathlib import Path
@@ -140,3 +140,35 @@ def test_unbounded_caches_are_found():
     assert unbounded_caches(source) == ["grows (line 7)", "unbounded (line 16)",
                                         "default_size (line 19)", "typed (line 22)",
                                         "method (line 26)"]
+
+
+def json_dump_calls(source: str) -> list[str]:
+    """The calls (name and line) of json.dump or json.dumps, by the module or by an
+    imported name: `to_json` is the one JSON path, and writes their bytes itself."""
+    tree = ast.parse(source)
+    modules, functions = set(), set()  # local names bound to json, and to its dump(s)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            functions |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in ("dump", "dumps")}
+    return [f"{ast.unparse(node.func)} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ((isinstance(node.func, ast.Attribute) and node.func.attr in ("dump", "dumps")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id in modules)
+                 or (isinstance(node.func, ast.Name) and node.func.id in functions))]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_json_encoder(path):
+    assert json_dump_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_json_dump_calls_are_found():
+    source = ("import json\nimport json as j\nfrom json import dumps as d, loads\n"
+              "from json.encoder import encode_basestring_ascii\n"
+              "def f(x, fh):\n    json.dump(x, fh)\n    return j.dumps(x) + d(x)\n"
+              "def g(x):\n    return json.loads(x), loads(x), encode_basestring_ascii(x)\n"
+              "def h(pickle, x):\n    return pickle.dumps(x)\n")
+    assert json_dump_calls(source) == ["json.dump (line 6)", "j.dumps (line 7)", "d (line 7)"]

@@ -193,7 +193,7 @@ def test_box_covariance_cold_cache_equals_warm():
 
     first = values()
     warm = values()
-    tm._unit_deficits.cache_clear()
+    _clear_theory_caches()
     cold = values()
     assert first == warm == cold
     assert not any(table.flags.writeable for table in tm._unit_deficits(3, 0.0))
@@ -202,6 +202,38 @@ def test_box_covariance_cold_cache_equals_warm():
 def _clear_table_caches():
     tm._unit_deficits.cache_clear()
     tm._cap_rule.cache_clear()
+
+
+def _clear_theory_caches():
+    _clear_table_caches()
+    tm._layer_sums.cache_clear()
+    for cached in (geo._box_radial_series, geo._box_subset_norms, geo._leggauss):
+        cached.cache_clear()
+
+
+def test_theory_caches_are_keyed_by_every_input():
+    # boxes that share (d, alpha, beta) but differ in sides, in delta or in both,
+    # taken in turn so that each call finds the caches warm from another box:
+    # every value keeps the bits it has with every theory cache cleared, and so
+    # does the swapped (beta, alpha)
+    cases = [(sides, delta, a, b)
+             for a, b in ((0.0, 1.0), (-0.4, 2.0), (1.0, 1.0))
+             for sides, delta in (((1.5,), 0.1), ((1.5,), 0.3), ((0.7,), 0.3),
+                                  ((1.0, 1.0), 0.05), ((1.0, 1.0), 0.12), ((2.0, 0.7), 0.12),
+                                  ((1.0, 0.8, 1.2), 0.07), ((1.0, 0.8, 1.2), 0.25),
+                                  ((0.6, 1.9, 1.1), 0.25))]
+
+    def cov(sides, delta, a, b):
+        return tm.covariance_exact(geo.ConvexWindow.box(sides), 300.0, delta, a, b)
+
+    cold = []
+    for case in cases:
+        _clear_theory_caches()
+        cold.append(cov(*case))
+    for case, value in zip(cases, cold):
+        sides, delta, a, b = case
+        assert cov(*case).hex() == value.hex(), case
+        assert cov(sides, delta, b, a).hex() == value.hex(), case
 
 
 def test_cap_rule_cache_keeps_table_bits():
@@ -284,10 +316,16 @@ def test_property_unit_deficit_tables_bounded_monotone_symmetric(case):
 
 
 def test_box_covariance_rejects_d4_before_quadrature():
+    _clear_theory_caches()
     window = geo.ConvexWindow.box((1.0, 1.0, 1.0, 1.0))
     with pytest.raises(UnsupportedDimensionError,
                        match=r"exact box covariance implemented for d <= 3"):
         tm.covariance_exact(window, 10.0, 0.1, 0.0, 0.0)
+    with pytest.raises(UnsupportedDimensionError,
+                       match=r"exact covariance for boxes requires delta <= min\(side\)/2"):
+        tm.covariance_exact(geo.ConvexWindow.box((1.0, 0.3)), 10.0, 0.2, 0.0, 0.0)
+    # neither failure built a table or a layer sum
+    assert tm._unit_deficits.cache_info().currsize == tm._layer_sums.cache_info().currsize == 0
 
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.0, 2.0)
