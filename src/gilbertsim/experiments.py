@@ -420,9 +420,11 @@ def to_csv(header: str, rows) -> str:
 
 def to_json(payload) -> str:
     """Every JSON file: the bytes of json.dumps(payload, sort_keys=True, indent=2,
-    allow_nan=False) and a newline, in one recursive pass with a join per container.
-    A non-finite float raises ValueError; a type JSON lacks, or a key that is not
-    a str, raises TypeError."""
+    allow_nan=False) and a newline, in one recursive pass with a join per container
+    (with an indent, json.dumps skips its C encoder for a chain of Python generators).
+    A non-finite float raises ValueError, and a type JSON lacks raises TypeError.
+    Unlike json.dumps, which writes an int, float, bool or None key as a string, a
+    key that is not a str raises TypeError: every payload here is keyed by names."""
     return _json_text(payload, "\n") + "\n"
 
 

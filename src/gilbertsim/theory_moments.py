@@ -15,14 +15,15 @@ coordinates using spherical-cap moment kernels.
 For boxes the deficit D_g = C_g - h_g is homogeneous, D_g(delta u; delta) =
 delta^(g+d) D_g(u; 1), and each Gauss weight scales by delta per wall
 coordinate, so the layer with m active walls equals delta^(a+b+2d+m) times a
-delta-free sum, kept per (d, a, b) in a small LRU cache.  The delta = 1
-deficit tables are built once per (d, g) and kept in another; every box and
-every delta reuses both.  A table's g-free part, the radial nodes and the
-Gauss weights times the cap measure of each kernel with two or three walls,
-is built once per (d, walls, order) and shared by every g, so only the factor
-r^(g+d-1) is evaluated per g.  In 3-d that cap measure is built one slab of
-the first wall coordinate at a time, so a cold build holds one slab's slice
-grid (under 1 MB) and peaks at a few MB.
+delta-free sum: the layer's tensor Gauss weights, built once per layer, times
+D_a D_b on the delta = 1 deficit tables.  Those tables are built once per
+(d, g) and kept in a small LRU cache; every box and every delta reuses them.
+A table's g-free part, the radial nodes and the Gauss weights times the cap
+measure of each kernel with two or three walls, is built once per (d, walls,
+order) and shared by every g, so only the factor r^(g+d-1) is evaluated per
+g.  In 3-d that cap measure is built one slab of the first wall coordinate at
+a time, so a cold build holds one slab's slice grid (under 1 MB) and peaks at
+a few MB.
 
 The radial moments R_g come from `geometry.covariogram_radial_integral`: for a
 box with delta <= min(side) (every box covariance, since it needs
@@ -224,18 +225,15 @@ def _unit_deficits(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-@functools.lru_cache(maxsize=32)
-def _layer_sums(dim: int, alpha: float, beta: float) -> tuple[float, ...]:
-    """The delta-free sum of each m-wall layer of X: the tensor Gauss weights
-    times D_a D_b on the layer's delta = 1 tables.  da * db commutes exactly,
-    so (a, b) and (b, a) give the same bits."""
-    sums = []
-    layers = zip(_GL_LAYERS, _unit_deficits(dim, alpha), _unit_deficits(dim, beta))
-    for m, (order, da, db) in enumerate(layers, start=1):
-        w = gl_nodes(0.0, 1.0, order)[1]
-        weights = functools.reduce(np.multiply.outer, [w] * m)
-        sums.append(float(np.sum(weights * (da * db))))
-    return tuple(sums)
+@functools.lru_cache(maxsize=4)
+def _layer_weights(m: int, order: int) -> np.ndarray:
+    """The tensor Gauss weights of an m-wall layer's grid, read-only.  They
+    depend on neither the exponents nor the box, so every pair of a call and
+    every later call shares them."""
+    w = gl_nodes(0.0, 1.0, order)[1]
+    weights = functools.reduce(np.multiply.outer, [w] * m)
+    weights.flags.writeable = False
+    return weights
 
 
 def _box_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: float) -> float:
@@ -246,7 +244,7 @@ def _box_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: flo
     X decomposes the boundary layer into face/edge/corner regions, each a smooth
     tensor-Gauss integral of products of the delta = 1 deficit tables.  The
     m-wall layer scales as delta^(a+b+2d+m): delta^(g+d) per deficit and
-    delta per wall coordinate, times a sum cached per (d, a, b) by `_layer_sums`.
+    delta per wall coordinate.
     """
     d = window.dim
     ca = interior_moment(d, delta, alpha)
@@ -258,12 +256,14 @@ def _box_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: flo
         raise UnsupportedDimensionError(
             "exact covariance for boxes requires delta <= min(side)/2")
     x = 0.0
-    for m, layer in enumerate(_layer_sums(d, alpha, beta), start=1):
+    layers = zip(_GL_LAYERS, _unit_deficits(d, alpha), _unit_deficits(d, beta))
+    for m, (order, da, db) in enumerate(layers, start=1):
         # 2^m wall sign choices per set of m active axes, times the extent of
         # the layer's interior along the d-m free axes.
         extent = sum(math.prod(sides[k] - 2.0 * delta for k in range(d) if k not in axes)
                      for axes in itertools.combinations(range(d), m))
-        x += 2.0**m * extent * delta ** (alpha + beta + 2 * d + m) * layer
+        x += 2.0**m * extent * delta ** (alpha + beta + 2 * d + m) \
+            * float(np.sum(_layer_weights(m, order) * (da * db)))
     ra = covariogram_radial_integral(window, delta, alpha)
     rb = covariogram_radial_integral(window, delta, beta)
     return ca * rb + cb * ra - ca * cb * window.volume + x

@@ -833,7 +833,7 @@ assert cli.main(last) == 0"""
 
 
 def test_predict_bytes_do_not_depend_on_earlier_calls():
-    # the theory caches keep the layer sums, deficit tables and radial moments of
+    # the theory caches keep the layer weights, deficit tables and radial moments of
     # earlier calls (more than fit, so some are evicted): a box predict prints the
     # same bytes in a fresh interpreter as after 20 other predict calls
     argv = ["predict", "--window", "box:1.3x0.9x1.7", "--t", "1000", "--delta", "0.11",

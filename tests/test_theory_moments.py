@@ -204,18 +204,20 @@ def _clear_table_caches():
     tm._cap_rule.cache_clear()
 
 
-def _clear_theory_caches():
-    _clear_table_caches()
-    tm._layer_sums.cache_clear()
-    for cached in (geo._box_radial_series, geo._box_subset_norms, geo._leggauss):
-        cached.cache_clear()
+def _clear_theory_caches(keep=()):
+    """Empty every cache of the theory modules but those named in keep."""
+    for module in (tm, geo):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and name not in keep:
+                value.cache_clear()
 
 
 def test_theory_caches_are_keyed_by_every_input():
     # boxes that share (d, alpha, beta) but differ in sides, in delta or in both,
     # taken in turn so that each call finds the caches warm from another box:
-    # every value keeps the bits it has with every theory cache cleared, and so
-    # does the swapped (beta, alpha)
+    # every value keeps the bits it has with every theory cache cleared but the
+    # cap rules and Gauss nodes (keyed by the layer alone, and tested by
+    # test_cap_rule_cache_keeps_table_bits), and so does the swapped (beta, alpha)
     cases = [(sides, delta, a, b)
              for a, b in ((0.0, 1.0), (-0.4, 2.0), (1.0, 1.0))
              for sides, delta in (((1.5,), 0.1), ((1.5,), 0.3), ((0.7,), 0.3),
@@ -228,7 +230,7 @@ def test_theory_caches_are_keyed_by_every_input():
 
     cold = []
     for case in cases:
-        _clear_theory_caches()
+        _clear_theory_caches(keep=("_cap_rule", "_leggauss"))
         cold.append(cov(*case))
     for case, value in zip(cases, cold):
         sides, delta, a, b = case
@@ -324,8 +326,8 @@ def test_box_covariance_rejects_d4_before_quadrature():
     with pytest.raises(UnsupportedDimensionError,
                        match=r"exact covariance for boxes requires delta <= min\(side\)/2"):
         tm.covariance_exact(geo.ConvexWindow.box((1.0, 0.3)), 10.0, 0.2, 0.0, 0.0)
-    # neither failure built a table or a layer sum
-    assert tm._unit_deficits.cache_info().currsize == tm._layer_sums.cache_info().currsize == 0
+    # neither failure built a table or a layer's weights
+    assert tm._unit_deficits.cache_info().currsize == tm._layer_weights.cache_info().currsize == 0
 
 
 ALPHA_GRID = (-0.4, 0.0, 0.5, 1.0, 2.0)
