@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
 from .geometry import ConvexWindow, covariogram, unit_ball_volume
-from .gilbert_graph import build_edges, length_power, max_degree
+from .gilbert_graph import (build_edges, build_edges_batch, length_power,
+                            max_degree)
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
                             PointSample, replication_rng, sample_binomial,
                             sample_poisson)
@@ -69,6 +70,13 @@ EDGE_BUDGET = 2e7
 # 129 B (box) and 144 B (ball) in d = 7 (peak RSS of `simulate`, 2e6 points).
 # So the cap is 0.5-1.4 GB, and it keeps t V below numpy's Poisson limit.
 POINT_BUDGET = 1e7
+# Runs of small, sparse replications are built a chunk of about _CHUNK_POINTS
+# points at a time (_chunk_size): at 200 points and degree 1.5 in d = 2 a
+# replication's edges take about 25 us that way and 85 us on its own kd-tree.
+# Larger or denser replications gain less or lose (the table is in CHANGES.md).
+_BATCH_POINTS = 2000
+_BATCH_DEGREE = (8.0, 8.0, 4.0)  # by d = 1, 2, 3; no run in d >= 4 is chunked
+_CHUNK_POINTS = 4096
 # Worker threads a run may start, one per replication in flight.
 MAX_JOBS = 64
 # Rows of a CSV file converted and joined at a time.
@@ -198,24 +206,54 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads; each
-    thread keeps the caller's numpy floating-point error handling.
+    thread keeps the caller's numpy floating-point error handling. A run of
+    small, sparse replications builds its edges a chunk of consecutive
+    replications at a time (_chunk_size) with build_edges_batch, which gives
+    build_edges' edge sets bit for bit; any other run calls build_edges once
+    per replication. The threads take whole chunks.
     """
     if config.n_jobs == 1:
         _keep_freed_heap()
     intensity = t if t is not None else config.intensity()
     dlt = config.delta_for(float(intensity))
     n_reps = int(reps if reps is not None else config.replications)
+    size = _chunk_size(config, float(intensity), dlt, n_reps)
 
-    def one(r: int):
-        sample = replication_sample(config, intensity, r, stream=stream, batch=batch)
-        return reduce(r, sample, build_edges(sample, dlt))
+    def rows(first: int):
+        chunk = range(first, min(first + size, n_reps))
+        samples = [replication_sample(config, intensity, r, stream=stream, batch=batch)
+                   for r in chunk]
+        edges = build_edges_batch(samples, dlt) if size > 1 else [build_edges(samples[0], dlt)]
+        return [reduce(r, sample, edge_set) for r, sample, edge_set in zip(chunk, samples, edges)]
 
+    firsts = range(0, n_reps, size)
     if config.n_jobs > 1:
         # a worker thread starts from numpy's default error handling, not the caller's
         keep_errstate = functools.partial(np.seterr, **np.geterr())
         with ThreadPoolExecutor(max_workers=config.n_jobs, initializer=keep_errstate) as pool:
-            return np.array(list(pool.map(one, range(n_reps))))
-    return np.array([one(r) for r in range(n_reps)])
+            blocks = list(pool.map(rows, firsts))
+    else:
+        blocks = [rows(first) for first in firsts]
+    return np.array([row for block in blocks for row in block])
+
+
+def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps: int) -> int:
+    """Replications per chunk: about _CHUNK_POINTS points' worth (2 or more)
+    for a run built a chunk at a time, else 1 (build_edges per replication).
+
+    A run is chunked if it is in d <= 3, its replications expect at most
+    _BATCH_POINTS points (t V, or n) and each point at most _BATCH_DEGREE[d - 1]
+    neighbours (t kappa_d delta^d), and it expects at least a chunk's worth
+    of points in all.
+    """
+    d = config.window.dim
+    volume = config.window.volume
+    points = intensity * volume if config.model == "poisson" else intensity
+    if not (d <= len(_BATCH_DEGREE) and points <= _BATCH_POINTS
+            and points * n_reps >= _CHUNK_POINTS
+            and points / volume * unit_ball_volume(d) * delta**d <= _BATCH_DEGREE[d - 1]):
+        return 1
+    return int(_CHUNK_POINTS // points)
 
 
 def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
@@ -940,7 +978,11 @@ def _check_row(config: ExperimentConfig) -> None:
         raise ConfigError(f"missing required key 'reps': {kind} builds graphs")
     # The memory budget: the n_jobs replications in flight may hold, at any t or n
     # of the config, at most EDGE_BUDGET edges (E[edges] <= t^2 kappa_d delta^d V / 2,
-    # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n).
+    # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n). A run built a
+    # chunk at a time (_chunk_size) has n_jobs chunks in flight instead, each expecting
+    # at most _CHUNK_POINTS points and _BATCH_DEGREE[d - 1] / 2 edges per point:
+    # build_edges_batch peaks at about 2.6 MB for such a chunk (tracemalloc, d = 1-3),
+    # far inside both.
     window, in_flight = config.window, min(config.n_jobs, config.replications)
     for value in [v for v in (single, *grid) if v is not None]:
         t = value if name == "t" else value / window.volume

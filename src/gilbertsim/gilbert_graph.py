@@ -1,11 +1,15 @@
 """Gilbert graph edges at radius delta and edge-derived statistics.
 
-build_edges is the performance core: scipy's kd-tree, built unbalanced
-(cKDTree(..., balanced_tree=False) builds and queries faster and lists the
-same pairs), lists candidate pairs within a radius widened by a relative
-1e-12 (query_pairs), and an exact re-filter keeps those whose canonical
-length is <= delta. build_edges_bruteforce is the O(n^2) oracle with the
-same output contract.
+Two functions list the same edge sets. build_edges takes one sample: scipy's
+kd-tree, built unbalanced (cKDTree(..., balanced_tree=False) builds and
+queries faster and lists the same pairs), lists candidate pairs within a
+radius widened by a relative 1e-12 (query_pairs), and an exact re-filter
+keeps those whose canonical length is <= delta. build_edges_batch takes a
+list of samples and lists candidates from one numpy cell grid over all of
+them, which saves scipy's fixed cost per sample: it is the faster of the two
+for many small, sparse samples, and the kd-tree for large or dense ones
+(experiments.run_replications picks). build_edges_bruteforce is the O(n^2)
+oracle with the same output contract.
 
 The one canonical length formula is _pair_distance: the squared coordinate
 differences added left to right, one column at a time,
@@ -19,11 +23,13 @@ key is int32 when n^2 <= int32 max (n <= 46340) and int64 above; EdgeSet's
 i and j are int64 either way, written over query_pairs' own (m, 2) buffer.
 
 scipy.spatial is imported inside build_edges, so importing this module (and
-the CLI) loads none of scipy.
+the CLI), or building edges with build_edges_batch, loads none of scipy.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,12 @@ from .point_process import PointSample
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _BRUTE_BLOCK = 512  # rows per all-pairs distance block in the oracle
+# build_edges_batch's grid: cells per point of a sample, the most cells on one
+# axis (so a cell coordinate is off by far less than the 1e-9 margin), and the
+# smallest cell side (a pair whose squares underflow has length 0 at any delta)
+_CELLS_PER_POINT = 4
+_MAX_CELLS_PER_AXIS = 2**16
+_MIN_CELL = 2.0**-490
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +119,100 @@ def build_edges(sample: PointSample, delta: float) -> EdgeSet:
     if not keep.all():
         i, j, lengths = i[keep], j[keep], lengths[keep]
     return EdgeSet(i=i, j=j, lengths=lengths, sample=sample)
+
+
+def _forward_runs(cells: list[int]) -> list[tuple[int, int]]:
+    """(first, last) linear offsets of the cell runs a point's forward
+    half-neighbourhood is read from, in a grid of the given cells per axis
+    (last axis fastest). A run is a row of cells along the last axis: the own
+    cell and the next one, then, for every offset of the leading axes whose
+    first nonzero entry is +1, the three cells around it; (3^(d-1) + 1)/2 runs.
+    """
+    strides = [math.prod(cells[k + 1:]) for k in range(len(cells))]
+    runs = [(0, 1)]
+    for lead in itertools.product((-1, 0, 1), repeat=len(cells) - 1):
+        if next((o for o in lead if o), 0) == 1:
+            centre = sum(o * s for o, s in zip(lead, strides))
+            runs.append((centre - 1, centre + 1))
+    return runs
+
+
+def build_edges_batch(samples: list[PointSample], delta: float) -> list[EdgeSet]:
+    """For each sample, build_edges(sample, delta)'s EdgeSet, bit for bit, from one
+    numpy cell grid over the whole batch (no kd-tree).
+
+    The points of all samples are sorted by (sample, cell) id. A cell is at
+    least delta*(1 + 1e-9) wide on every axis, so a pair whose canonical length
+    is <= delta lies in the same or neighbouring cells, and at least _MIN_CELL,
+    so a pair whose squared differences underflow (length 0 at any delta) does
+    too. Each axis has at most _MAX_CELLS_PER_AXIS cells, and a sample about
+    _CELLS_PER_POINT cells per point in all, so the float-to-int cast stays
+    small at any delta. The last cell of every axis stays empty, so a run never
+    wraps into a real cell. A point's candidates are its forward runs, each a
+    contiguous stretch of the sorted points read from a cell-start table;
+    those whose canonical length is <= delta are sorted by one fused (i, j) key
+    over the batch and split per sample. Each EdgeSet's i, j and lengths are
+    views of the batch's arrays.
+    """
+    if not (delta > 0):
+        raise ValueError("delta must be > 0")
+    sizes = [s.n_points for s in samples]
+    offsets = np.cumsum([0] + sizes)
+    n = int(offsets[-1])
+    if n < 2:
+        none = np.zeros(0, dtype=np.int64)
+        return [EdgeSet(i=none, j=none, lengths=np.zeros(0), sample=s) for s in samples]
+    # (d, n) columns; their transpose is a points array _pair_distance need not copy
+    columns = np.ascontiguousarray(np.concatenate([s.points for s in samples]).T)
+    per_axis = min(_MAX_CELLS_PER_AXIS,
+                   max(1, int((_CELLS_PER_POINT * n / len(samples)) ** (1 / len(columns)))))
+    least = max(float(delta) * (1 + 1e-9), _MIN_CELL)
+    ids = np.repeat(np.arange(len(samples)), sizes)
+    cells = []
+    for c in columns:  # ids = ((sample * cells0 + cell0) * cells1 + cell1) * ...
+        lo = float(c.min())
+        span = float(c.max()) - lo
+        side = max(span / per_axis, least)
+        cells.append(int(span / side) + 2)
+        ids *= cells[-1]
+        ids += ((c - lo) / side).astype(np.int64)
+    table = len(samples) * math.prod(cells)
+    key = np.multiply(ids, n, dtype=np.int32 if table * n <= _INT32_MAX else np.int64)
+    key += np.arange(n, dtype=key.dtype)
+    key.sort()
+    cell = (key // n).astype(np.int64)  # the sorted points' cell ids
+    order = key.astype(np.int64)
+    order -= cell * n  # the sorted points' indices
+    starts = np.zeros(table + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=table), out=starts[1:])
+
+    runs = _forward_runs(cells)
+    begin = np.empty((len(runs), n), dtype=np.int64)
+    end = np.empty_like(begin)
+    begin[0] = np.arange(1, n + 1)  # the own cell, from the next point on
+    for r, (first, last) in enumerate(runs):
+        if r:
+            starts.take(cell + first, out=begin[r])
+        starts.take(cell + last + 1, out=end[r])
+    width = (end - begin).ravel()
+    before = np.cumsum(width)
+    total = int(before[-1])
+    before -= width
+    a = np.repeat(np.tile(order, len(runs)), width)
+    b = order.take(np.arange(total) + np.repeat(begin.ravel() - before, width))
+    points = columns.T
+    kept = np.flatnonzero(_pair_distance(points, a, b) <= delta)
+    pairs = np.empty((kept.size, 2), dtype=np.int64)
+    a, b = a.take(kept), b.take(kept)
+    np.minimum(a, b, out=pairs[:, 0])
+    np.maximum(a, b, out=pairs[:, 1])
+    i, j = _sorted_pairs(pairs, n)
+    lengths = _pair_distance(points, i, j)
+    bounds = np.searchsorted(i, offsets).tolist()
+    local = np.arange(n) - np.repeat(offsets[:-1], sizes)
+    i, j = local.take(i), local.take(j)
+    return [EdgeSet(i=i[e0:e1], j=j[e0:e1], lengths=lengths[e0:e1], sample=s)
+            for s, e0, e1 in zip(samples, bounds, bounds[1:])]
 
 
 def build_edges_bruteforce(sample: PointSample, delta: float) -> EdgeSet:

@@ -35,6 +35,7 @@ def _ldi(**changed):
     (lambda: ex.clopper_pearson_upper(3, 2, 0.95), ValueError, "need 0 <= k <= n"),
     (lambda: gg.build_edges(PAIR, 0.0), ValueError, "delta must be > 0"),
     (lambda: gg.build_edges_bruteforce(PAIR, 0.0), ValueError, "delta must be > 0"),
+    (lambda: gg.build_edges_batch([PAIR], 0.0), ValueError, "delta must be > 0"),
     (lambda: td.chernoff_poisson_tail(0.0, 1.0), ValueError, "a must be > 0"),
     (lambda: td.chernoff_poisson_tail(1.0, -1.0), ValueError, "y must be >= 0"),
     (lambda: td.chernoff_binomial_tail(0, 0.5, 1.0), ValueError, "m must be >= 1"),
@@ -58,7 +59,8 @@ def _ldi(**changed):
      r"require alpha, beta > -d/2"),
 ], ids=["unit_ball_volume", "window_dim", "box_sides", "inner_parallel_delta",
         "covariogram_y", "box_angular_dim", "radial_integral_delta", "ks_empty",
-        "clopper_pearson_k", "build_edges_delta", "bruteforce_delta", "poisson_tail_a",
+        "clopper_pearson_k", "build_edges_delta", "bruteforce_delta", "batch_delta",
+        "poisson_tail_a",
         "poisson_tail_y", "binomial_tail_m", "binomial_tail_p", "ldi_alpha", "ldi_median",
         "ldi_delta", "ldi_t", "ldi_n", "xstar_objective_s", "thermo_exponent",
         "order_statistic_m", "expectation_bounds_alpha", "sigma_distinct", "sigma_alphas",

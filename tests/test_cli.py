@@ -572,6 +572,33 @@ def test_arithmetic_failure_exits_2(argv, exc, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _spy_on_batches(monkeypatch) -> list[int]:
+    """The size of every chunk run_replications builds through build_edges_batch."""
+    sizes = []
+
+    def spy(samples, delta):
+        sizes.append(len(samples))
+        return gg.build_edges_batch(samples, delta)
+
+    monkeypatch.setattr(experiments, "build_edges_batch", spy)
+    return sizes
+
+
+def test_arithmetic_failure_exits_2_on_the_batch_path(monkeypatch, capsys):
+    # ldi_xstar's case with 1000 replications of 10 points: the pilot's 500 and the
+    # test's 1000 are built a chunk at a time, where a delta-wide grid would want
+    # ~1e300 cells per axis
+    argv = ["verify", "--kind", "LDI", "--window", "box:1x1", "--t", "10", "--alpha", "1",
+            "--delta", "1e-300", "--reps"]
+    assert cli.main(argv + ["3"]) == 2
+    per_replication = capsys.readouterr()
+    chunks = _spy_on_batches(monkeypatch)
+    assert cli.main(argv + ["1000"]) == 2
+    assert sum(chunks) == 1500
+    assert capsys.readouterr() == per_replication
+    assert per_replication.err.startswith("error: ZeroDivisionError at these inputs: ")
+
+
 # t^2 kappa_2 delta^2 V / 2 = 2.5e7 expected edges at t (or n) = 200000 and
 # delta = 0.02 on the unit square, above the 2e7 budget; 1.4e7 at t = 150000,
 # which fits once but not twice.
@@ -810,6 +837,20 @@ def test_box_predict_loads_neither_scipy_special_nor_spatial(tmp_path):
     ])
     lines = run_fresh_python(code, str(tmp_path / "out.txt")).splitlines()
     assert lines == ["[]", "False False", "True False"]
+
+
+def test_sparse_verify_loads_no_scipy(tmp_path):
+    # verify_sparse's traffic: small replications are built a chunk at a time with
+    # numpy alone, and a box's Moments theory needs no scipy.special
+    code = "\n".join([
+        "import sys",
+        "from gilbertsim import cli",
+        "assert cli.main(['verify', '--kind', 'Moments', '--window', 'box:1x1', '--t', '200',",
+        "                 '--delta', '0.05', '--alpha', '0,1', '--reps', '400', '--seed', '1',",
+        "                 '--out', sys.argv[1]]) == 0",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    assert run_fresh_python(code, str(tmp_path / "report.json")).strip() == "[]"
 
 
 _PREDICT_AFTER = """import contextlib, io, random, sys
@@ -1276,6 +1317,26 @@ def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
     assert edges.read_text().count("\n") == 1 + built[0].n_edges
 
 
+def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
+    # 50 replications of about 100 points are built in chunks of 40; the dump is
+    # replication 0's EdgeSet from the first chunk, whose i, j and lengths are views
+    # of that chunk's arrays: it keeps 24 B for each of the chunk's ~3,000 edges
+    chunks = _spy_on_batches(monkeypatch)
+    monkeypatch.setattr(experiments, "build_edges", None)  # never called on this path
+    edges = tmp_path / "edges.csv"
+    assert cli.main(["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
+                     "--alpha", "0,1", "--reps", "50", "--seed", "5",
+                     "--out", str(tmp_path / "reps.csv"), "--edges-out", str(edges)]) == 0
+    assert chunks == [40, 10]
+    config = experiments.ExperimentConfig(window=geometry.ConvexWindow.box((1.0, 1.0)),
+                                          alphas=(0.0, 1.0), kind="simulate", replications=50,
+                                          master_seed=5, t=100.0, delta=0.07)
+    want = gg.build_edges(experiments.replication_sample(config, 100.0, 0), 0.07)
+    assert want.n_edges > 0
+    assert edges.read_text() == experiments.to_csv("i,j,length", zip(
+        want.i.tolist(), want.j.tolist(), want.lengths.tolist()))
+
+
 # VmHWM, the peak RSS of this process image in KiB: ru_maxrss would count the RSS of
 # the process that started it (the test runner's, often larger than the run's own)
 _PEAK_RSS = """import sys
@@ -1565,6 +1626,12 @@ def _run_files(argv, directory, n_jobs) -> dict:
                "--n", "20", "--delta", "0.1", "--alpha", "0,1"])
 @example(argv=["verify", "--kind", "PPConditions", "--window", "box:1x1", "--reps", "2",
                "--seed", "0", "--schedule", "1,0.5", "--t-grid", "10,30", "--alpha", "1"])
+# 100 replications of about 60 points (Moments) and of 50 points (LDI's test
+# stream) are built in chunks of 68 and 81, on one thread or two
+@example(argv=["verify", "--kind", "Moments", "--window", "box:1x1", "--reps", "100",
+               "--seed", "7", "--delta", "0.05", "--t", "60", "--alpha", "0,1"])
+@example(argv=["verify", "--kind", "LDI", "--window", "box:1x1", "--reps", "100", "--seed", "7",
+               "--n", "50", "--delta", "0.05", "--alpha", "0,1"])
 def test_property_every_kind_writes_the_same_bytes_serial_rerun_and_threaded(argv):
     # a config meeting its kind's rules runs (exit 0 or 1), and a rerun and a
     # run on 2 threads write byte-identical reports and LDI tables

@@ -107,15 +107,42 @@ def _powers_points_degree(r, sample, edges):
 
 
 def test_run_replications_deterministic_and_parallel():
-    rows_a = ex.run_replications(cfg(), _powers_points_degree)
-    rows_b = ex.run_replications(cfg(), _powers_points_degree)
-    assert rows_a.shape == (200, 4)
-    assert np.array_equal(rows_a, rows_b)
-    rows_p = ex.run_replications(cfg(n_jobs=4), _powers_points_degree)
-    assert np.array_equal(rows_a, rows_p)
-    # rows are stacked in replication order: row r is replication r's reduction
-    sample = ex.replication_sample(cfg(), 100.0, 7)
-    assert np.array_equal(rows_a[7], _powers_points_degree(7, sample, gg.build_edges(sample, 0.05)))
+    # 200 replications of about 100 points are built in chunks of 40; 20 of them
+    # (2,000 points in all, less than a chunk) and 40 of about 2,500 points are
+    # built one at a time
+    for reps, t, chunk in [(200, 100.0, 40), (20, 100.0, 1), (40, 2500.0, 1)]:
+        config = cfg(replications=reps, t=t)
+        assert ex._chunk_size(config, t, 0.05, reps) == chunk
+        rows_a = ex.run_replications(config, _powers_points_degree)
+        rows_b = ex.run_replications(config, _powers_points_degree)
+        assert rows_a.shape == (reps, 4)
+        assert np.array_equal(rows_a, rows_b)
+        rows_p = ex.run_replications(cfg(replications=reps, t=t, n_jobs=4),
+                                     _powers_points_degree)
+        assert np.array_equal(rows_a, rows_p)
+        # rows are stacked in replication order: row r is replication r's reduction
+        for r in (0, 7, reps - 1):
+            sample = ex.replication_sample(config, t, r)
+            assert np.array_equal(rows_a[r], _powers_points_degree(
+                r, sample, gg.build_edges(sample, 0.05)))
+
+
+@pytest.mark.parametrize("change,chunk", [
+    ({}, 20),  # verify_sparse: 200 points, degree 1.6
+    ({"t": 2000.0, "delta": 0.03}, 2),  # the most points per replication a chunk takes
+    ({"t": 2001.0, "delta": 0.03}, 1),
+    ({"t": 1000.0, "delta": 0.05}, 4),  # degree 7.9
+    ({"t": 1000.0, "delta": 0.051}, 1),  # degree 8.2
+    ({"replications": 20}, 1),  # 4,000 points in all, less than a chunk
+    ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.16}, 20),  # degree 3.4
+    ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.17}, 1),  # degree 4.1
+    ({"window": ex.ConvexWindow.box((1.0,) * 4), "delta": 0.01}, 1),  # d = 4
+    ({"t": None, "n": 200, "kind": "simulate"}, 20),  # binomial
+])
+def test_chunk_size_rule(change, chunk):
+    config = cfg(**{"t": 200.0, "replications": 400, **change})
+    t = config.intensity()
+    assert ex._chunk_size(config, t, config.delta_for(t), config.replications) == chunk
 
 
 _FAULTS_PER_REPLICATION = """

@@ -125,6 +125,84 @@ def test_property_lattice_ties_at_delta(d, m, spacing, origin, diagonal):
     assert [local_statistic(s, v, delta, 0.0) for v in range(len(pts))] == deg.tolist()
 
 
+@st.composite
+def chunk_samples(draw, window, delta):
+    """One sample of a chunk: uniform (some rows snapped to the boundary), a
+    lattice whose neighbours lie at exactly delta up to rounding, or a cluster
+    whose squared differences underflow; of 0, 1 or many points."""
+    d = window.dim
+    kind = draw(st.sampled_from(["uniform", "lattice", "underflow"]))
+    if kind == "lattice":
+        m, k = draw(st.integers(2, 5)), draw(st.integers(1, d))
+        grid = np.stack(np.meshgrid(*[np.arange(m)] * d, indexing="ij"), -1).reshape(-1, d)
+        # spacing * sqrt(k) = delta: axis, face or body diagonals; squares of
+        # 1e150 and more would overflow, as they do for any run at that scale
+        spacing = delta / math.sqrt(k) if delta <= 1e150 else 1.0
+        return make_sample(draw(st.floats(0.0, 1.0)) + spacing * grid)
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "underflow":  # every squared difference below 1e-320: length 0 or subnormal
+        return make_sample(1e-160 * rng.random((n, d)))
+    pts = geo.sample_uniform(window, rng, n)
+    if n:
+        rows = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        axes = draw(st.lists(st.integers(0, 2 * d - 1), min_size=len(rows), max_size=len(rows)))
+        snap_to_boundary(window, pts, rows, axes)
+    return make_sample(pts)
+
+
+@st.composite
+def chunks(draw):
+    d = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["box", "ball", "extreme"]))
+    if shape == "box":
+        window = geo.ConvexWindow.box(tuple(draw(st.floats(0.2, 2.0)) for _ in range(d)))
+    elif shape == "ball":
+        window = geo.ConvexWindow.ball(draw(st.floats(0.2, 1.5)), d)
+    else:  # 1e100 x 1e-100 (x 1)
+        window = geo.ConvexWindow.box((1e100, 1e-100, 1.0)[:d])
+    delta = draw(st.floats(0.005, 1.5) | st.floats(5e-324, 1e300)
+                 | st.sampled_from([5e-324, 1e-300, 1e300]))
+    samples = draw(st.lists(chunk_samples(window, delta), min_size=1, max_size=6))
+    return samples, delta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(chunk=chunks())
+# an axis lattice at spacing delta: cells exactly delta wide (no 1e-9 margin)
+# put two of its neighbours two cells apart
+@example(chunk=([make_sample(0.503676979200579 + 0.487252358377654 * np.arange(6.0)[:, None])],
+                0.487252358377654))
+def test_property_batch_equals_oracle_per_sample(chunk):
+    samples, delta = chunk
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # as cli.main runs
+        batch = gg.build_edges_batch(samples, delta)
+        oracle = [gg.build_edges_bruteforce(s, delta) for s in samples]
+    assert len(batch) == len(samples)
+    for sample, got, want in zip(samples, batch, oracle):
+        assert got.sample is sample
+        assert got.i.dtype == got.j.dtype == np.int64
+        assert edgesets_identical(got, want) and got.lengths.tobytes() == want.lengths.tobytes()
+
+
+@pytest.mark.parametrize("d,delta", [(1, 1e-300), (2, 1e-300), (3, 5e-324), (2, 1e-120)])
+def test_batch_grid_stays_small_at_extreme_delta(d, delta):
+    # a delta-wide grid over 1e100-wide boxes would have ~1e400 cells per axis;
+    # the cap keeps the cast finite and the cell-start table about 4 per point
+    window = geo.ConvexWindow.box((1e100, 1e-100, 1.0)[:d])
+    samples = [pp.sample_binomial(window, 300, pp.replication_rng(8, r)) for r in range(8)]
+    tracemalloc.start()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            batch = gg.build_edges_batch(samples, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * 2400  # bytes; 2400 points
+    for sample, got in zip(samples, batch):
+        assert edgesets_identical(got, gg.build_edges(sample, delta))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(d=st.integers(1, 4), data=st.data())
 def test_property_pair_distance_is_left_to_right_fold(d, data):
