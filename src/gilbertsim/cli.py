@@ -33,6 +33,7 @@ import errno
 import functools
 import math
 import os
+import re
 import stat
 import sys
 
@@ -200,10 +201,21 @@ def cmd_covariogram(args: argparse.Namespace, config: None) -> tuple[int, dict, 
     return 0, {"--out": covariogram_table(window, direction / norm, rmax, args.steps)}, ""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse alone reads a token that starts with "-" as a flag unless it looks like -1
+    or -.5, so `--alpha -0.5,1` would lack its value. Here a token that starts with "-" and
+    a digit or "." is a value, as after "=": `--alpha -1e-3` is `--alpha=-1e-3`. Subparsers
+    are of this class too (add_subparsers' default parser_class)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gilbertsim",
         description="Gilbert graph simulation and closed-form theory verification")
     sub = parser.add_subparsers(dest="command", required=True)

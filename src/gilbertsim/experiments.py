@@ -9,15 +9,14 @@ identical bytes. Every verdict but three is built by one of a few check shapes
 (within, sandwich, below, decreasing). LDI's two verdicts and the thermodynamic
 slope build their Metric directly: each LDI verdict shows the smaller margin of
 both bounds, and the slope passes strictly above its tolerance. Each file goes
-through to_csv or to_json: simulate's two, a report and its LDI tables,
-predictions and covariogram_table.
+through to_csv (given columns) or to_json: simulate's two, a report and its LDI
+tables, predictions and covariogram_table.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 import sys
 from collections import namedtuple
@@ -412,8 +411,8 @@ def _smallest_powers(powers: np.ndarray, m: int) -> np.ndarray:
 
 def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | None]:
     """`simulate`'s table rep,alpha,L_value,n_points,max_degree,S1..S5 (S the 5
-    smallest length powers) and, if edges, replication 0's own edge set, not built
-    again, as i,j,length (else None), converted one block of rows at a time."""
+    smallest length powers), the columns of the stacked replication rows, and, if
+    edges, replication 0's own edge set, not built again, as i,j,length (else None)."""
     first = []
 
     def reduce(r, sample, edge_set):
@@ -427,32 +426,32 @@ def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | 
                          *_smallest_powers(powers, 5)])
         return np.array(rows)
 
+    stacked = run_replications(config, reduce).reshape(-1, 8)  # a row per (rep, alpha)
     table = to_csv("rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5",
-                   [(r, alpha, value, int(n_points), int(degree), *smallest)
-                    for r, block in enumerate(run_replications(config, reduce).tolist())
-                    for alpha, (value, n_points, degree, *smallest) in zip(config.alphas, block)])
+                   np.repeat(np.arange(config.replications), len(config.alphas)),
+                   np.tile(config.alphas, config.replications), stacked[:, 0],
+                   *stacked[:, 1:3].T.astype(np.int64), *stacked[:, 3:].T)
     if not edges:
         return table, None
     (dump,) = first
-    return table, to_csv("i,j,length", (
-        row for k in range(0, dump.n_edges, _CSV_BLOCK)
-        for row in zip(*(a[k:k + _CSV_BLOCK].tolist() for a in (dump.i, dump.j, dump.lengths)))))
+    return table, to_csv("i,j,length", dump.i, dump.j, dump.lengths)
 
 
 def covariogram_table(window: ConvexWindow, direction, rmax: float, steps: int) -> str:
     """`covariogram`'s table r,covariogram: g_W(r u) at steps radii r evenly
     spaced on [0, rmax], for the unit vector u = direction."""
-    return to_csv("r,covariogram", ((r, covariogram(window, r * direction))
-                                    for r in np.linspace(0.0, rmax, steps).tolist()))
+    radii = np.linspace(0.0, rmax, steps).tolist()
+    return to_csv("r,covariogram", radii, [covariogram(window, r * direction) for r in radii])
 
 
-def to_csv(header: str, rows) -> str:
-    """Every CSV file: the header, then one line per row of plain Python
-    numbers (tolist(), not numpy scalars), each cell written by repr, joined one
-    block of `_CSV_BLOCK` rows at a time, so one block's lines are alive at once."""
-    rows, blocks = iter(rows), [header + "\n"]
-    while lines := [",".join(map(repr, row)) + "\n" for row in itertools.islice(rows, _CSV_BLOCK)]:
-        blocks.append("".join(lines))
+def to_csv(header: str, *columns) -> str:
+    """Every CSV file: the header, then a line per row of equal-length homogeneous columns
+    (arrays or lists), each cell written by repr. Only here are cells made plain Python
+    values, by tolist() of one block of `_CSV_BLOCK` rows at a time, joined block by block."""
+    blocks = [header + "\n"]
+    for k in range(0, len(columns[0]), _CSV_BLOCK):
+        rows = zip(*(np.asarray(column[k:k + _CSV_BLOCK]).tolist() for column in columns))
+        blocks.append("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return "".join(blocks)
 
 
@@ -829,7 +828,7 @@ def verify_ldi(config: ExperimentConfig) -> ExperimentReport:
         bounds = [ldi_bound(inp) for inp in inputs]
         envelopes = [ldi_envelope(inp) for inp in inputs]
         tables[name] = to_csv("u,empirical_tail,ldi_bound,ldi_envelope",
-                              zip(u_grid, [k / reps for k in hits], bounds, envelopes))
+                              u_grid, [k / reps for k in hits], bounds, envelopes)
         uppers = [clopper_pearson_upper(k, reps, conf) for k in hits]
         worst_margin = min(math.inf, *(b - up for up, bnd, env in zip(uppers, bounds, envelopes)
                                        for b in (bnd, env)))

@@ -228,6 +228,61 @@ def test_bad_flag_value_exits_2_naming_its_key(flag, value, key, capsys):
     assert f"error: invalid value for {key!r}" in capsys.readouterr().err
 
 
+def _main_result(argv, capsys) -> tuple:
+    """Exit code, stdout and stderr of main(argv), an argparse exit included."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return (rc, *capsys.readouterr())
+
+
+_SIMULATE_BASE = ["simulate", "--window", "box:1x1", "--t", "30", "--delta", "0.1",
+                  "--alpha", "1", "--reps", "2"]
+_COVARIOGRAM_BASE = ["covariogram", "--window", "box:1x1", "--direction", "1,0", "--steps", "3"]
+
+
+# argparse alone reads "-0.5,1", "-1e-3" or "-.5" after a flag as another flag
+# ("expected one argument"); a token that starts with "-" and a digit or "." is
+# the flag's value, as it is after "=", on every subcommand
+@pytest.mark.parametrize("argv,flag,value", ids=lambda v: v[0] if isinstance(v, list) else v,
+                         argvalues=[
+    (_SIMULATE_BASE, "--alpha", "-0.5,1"),
+    (_SIMULATE_BASE, "--alpha", "-1e-3"),
+    (_SIMULATE_BASE, "--alpha", "-.5"),
+    (_SIMULATE_BASE, "--schedule", "-1,0.5"),
+    (_SIMULATE_BASE, "--t", "-1e3"),
+    (_SIMULATE_BASE, "--t-grid", "-10,30"),
+    (_SIMULATE_BASE, "--n", "-2"),
+    (_SIMULATE_BASE, "--delta", "-0.1e-2"),
+    (_SIMULATE_BASE, "--reps", "-1e3"),
+    (_SIMULATE_BASE, "--seed", "-3"),
+    (_SIMULATE_BASE, "--out", "-1.csv"),
+    (_SIMULATE_BASE, "--edges-out", "-.edges.csv"),
+    (_SIMULATE_BASE, "--config", "-1.cfg"),
+    (["predict", "--window", "box:1x1", "--t", "30", "--delta", "0.1"], "--alpha", "-0.5,1"),
+    (["verify", "--window", "box:1x1", "--t", "30", "--delta", "0.1", "--alpha", "1",
+      "--reps", "2"], "--kind", "-1"),
+    (_COVARIOGRAM_BASE, "--direction", "-1,0"),
+    (_COVARIOGRAM_BASE, "--direction", "-.5,1"),
+    (_COVARIOGRAM_BASE, "--rmax", "-1e3"),
+    (_COVARIOGRAM_BASE, "--steps", "-1"),
+])
+def test_negative_value_after_a_space_reads_as_after_equals(argv, flag, value, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GILBERT_SEED", raising=False)
+    spaced = _main_result(argv + [flag, value], capsys)
+    assert spaced == _main_result(argv + [f"{flag}={value}"], capsys)
+    assert "expected one argument" not in spaced[2]
+
+
+def test_a_dash_path_after_a_space_is_still_a_flag(capsys):
+    # only a digit or "." after the "-" makes a value: --out -x lacks its value
+    rc, out, err = _main_result(_SIMULATE_BASE + ["--out", "-x"], capsys)
+    assert (rc, out) == (2, "") and err.endswith("argument --out: expected one argument\n")
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.cfg"
     path.write_bytes("# caf\u00e9\nwindow = box:1x1\n".encode("latin-1"))
@@ -1333,8 +1388,7 @@ def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
                                           master_seed=5, t=100.0, delta=0.07)
     want = gg.build_edges(experiments.replication_sample(config, 100.0, 0), 0.07)
     assert want.n_edges > 0
-    assert edges.read_text() == experiments.to_csv("i,j,length", zip(
-        want.i.tolist(), want.j.tolist(), want.lengths.tolist()))
+    assert edges.read_text() == experiments.to_csv("i,j,length", want.i, want.j, want.lengths)
 
 
 # VmHWM, the peak RSS of this process image in KiB: ru_maxrss would count the RSS of
@@ -1361,6 +1415,20 @@ def test_edge_dump_peak_rss_per_edge(tmp_path):
         n_edges = edges.read_text().count("\n") - 1
         assert n_edges > at_least
         assert (with_dump - without) * 1024 <= 100 * n_edges, t
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="measured with glibc's malloc and Linux's VmHWM")
+def test_simulate_peak_rss_per_replication():
+    # the table is laid out from the columns of the stacked replication rows, one
+    # block of 2^13 rows at a time: from 10,000 to 40,000 replications at two
+    # alphas (built in chunks) the run's peak RSS grows about 450 B per
+    # replication (a Python tuple per row from one tolist() grew it about 1,450 B)
+    peaks = [int(run_fresh_python(_PEAK_RSS, "simulate", "--window", "box:1x1", "--t", "2",
+                                  "--delta", "0.01", "--alpha", "0,1", "--reps", str(reps),
+                                  "--seed", "1", "--out", os.devnull))
+             for reps in (10_000, 40_000)]
+    assert (peaks[1] - peaks[0]) * 1024 <= 800 * 30_000
 
 
 def test_covariogram_subcommand(tmp_path, capsys):
@@ -1439,7 +1507,8 @@ def _numbers(*usable):
 
 
 def _flag(name, values):
-    return values.map(lambda v: [f"{name}={v}"])  # "=" keeps "-1" a value for argparse
+    """`--flag=value` or `--flag value`: a value such as -1 reads the same either way."""
+    return st.one_of(values.map(lambda v: [f"{name}={v}"]), values.map(lambda v: [name, v]))
 
 
 @st.composite
@@ -1507,7 +1576,7 @@ def test_property_cli_fuzz_exits_cleanly(argv, tmp_path, monkeypatch):
         rc = cli.main(argv)
     assert rc in (0, 1, 2)
     text = out.getvalue()
-    if any(arg.startswith(("--out=", "--edges-out=")) for arg in argv):
+    if any(arg.split("=")[0] in ("--out", "--edges-out") for arg in argv):
         assert rc == 2 and os.listdir(work) == []
     if rc == 2:
         assert text == ""
@@ -1616,6 +1685,9 @@ def _run_files(argv, directory, n_jobs) -> dict:
                "--schedule", "1,0.5", "--t-grid", "10,30", "--alpha", "1"])
 @example(argv=["verify", "--kind", "MultivariateCov", "--window", "ball:1@d=2", "--reps", "5",
                "--seed", "7", "--schedule", "1,0.3", "--t", "30", "--alpha", "0,1"])
+# a list whose first exponent is negative is --alpha's value after a space too
+@example(argv=["verify", "--kind", "MultivariateCov", "--window", "box:1x1", "--reps", "5",
+               "--seed", "7", "--schedule", "1,0.3", "--t", "30", "--alpha", "-0.5,1"])
 @example(argv=["verify", "--kind", "CompoundPoisson", "--window", "box:1x1", "--reps", "5",
                "--seed", "7", "--schedule", "1,1", "--t-grid", "10,30", "--alpha", "2"])
 @example(argv=["verify", "--kind", "OrderStatistics", "--window", "box:1x1", "--reps", "5",

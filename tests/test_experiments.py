@@ -397,18 +397,45 @@ def test_replications_csv_format():
 
 @pytest.mark.parametrize("block", [1, 7, 2**16])
 def test_csv_blocks_change_no_byte(monkeypatch, block):
-    # to_csv joins, and simulate converts the edge dump, one block of rows at a
-    # time; the text is the one-shot layout whatever the block size
+    # to_csv converts and joins one block of rows at a time, for simulate's table
+    # and edge dump too; the text is the one-shot layout whatever the block size
+    table, dump = ex.simulate(cfg(replications=2, kind="simulate"), edges=True)
     monkeypatch.setattr(ex, "_CSV_BLOCK", block)
     rows = [(k, -0.1 * k, 1 / (k + 1)) for k in range(20)]
     for n in (0, 1, 7, 20):
         one_shot = "\n".join(["a,b,c", *(",".join(map(repr, row)) for row in rows[:n])]) + "\n"
-        assert ex.to_csv("a,b,c", iter(rows[:n])) == one_shot
-    _, dump = ex.simulate(cfg(replications=2, kind="simulate"), edges=True)
+        assert ex.to_csv("a,b,c", *([row[c] for row in rows[:n]] for c in range(3))) == one_shot
+    assert ex.simulate(cfg(replications=2, kind="simulate"), edges=True) == (table, dump)
     edges = gg.build_edges(ex.replication_sample(cfg(), 100.0, 0), 0.05)
     assert 7 < edges.n_edges
     assert dump == "\n".join(["i,j,length", *(f"{i!r},{j!r},{length!r}" for i, j, length in zip(
         edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))]) + "\n"
+
+
+# floats whose text is easy to get wrong: not finite, signed zero, subnormal, and
+# on both sides of repr's switches to exponent form at 1e16 and below 1e-4
+_CSV_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.225073858507201e-308,
+               1e16, math.nextafter(1e16, 0.0), 1e-5, 1e-4, math.nextafter(1e-4, 0.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(block=st.integers(1, 5), size=st.sampled_from(["0", "1", "B-1", "B", "B+1"]),
+       kinds=st.lists(st.tuples(st.sampled_from([int, float]), st.booleans()),
+                      min_size=1, max_size=4),
+       data=st.data())
+def test_property_to_csv_is_the_row_wise_layout(block, size, kinds, data):
+    # int and float columns, each a list or an array, of 0, 1, B - 1, B and B + 1
+    # rows for a block of B rows: the text is the one-shot, row-wise layout
+    n = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1}[size]
+    values = {int: st.integers(-2**63, 2**63 - 1),
+              float: st.one_of(st.floats(), st.sampled_from(_CSV_FLOATS))}
+    lists = [data.draw(st.lists(values[kind], min_size=n, max_size=n)) for kind, _ in kinds]
+    columns = [np.array(column, dtype=np.int64 if kind is int else float) if as_array else column
+               for column, (kind, as_array) in zip(lists, kinds)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex, "_CSV_BLOCK", block)
+        text = ex.to_csv("h", *columns)
+    assert text == "h\n" + "".join(",".join(map(repr, row)) + "\n" for row in zip(*lists))
 
 
 def test_verify_clt_small():
