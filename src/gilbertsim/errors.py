@@ -14,7 +14,9 @@ class DivergentCovarianceError(GilbertSimError):
 
 
 class DegenerateInputError(GilbertSimError):
-    """Deviation-inequality input with u + median = 0."""
+    """Deviation-inequality input the bounds cannot be taken at: u + median = 0,
+    a point count t V that underflows to 0 (the bounds take its log), or an
+    optimised x* that is not > 0 (ldi_bound divides by it)."""
 
 
 class TooFewReplicationsError(GilbertSimError):

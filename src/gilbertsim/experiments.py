@@ -201,7 +201,8 @@ def _keep_freed_heap() -> None:
 def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
                      reps: int | None = None, stream: int = STREAM_SAMPLE,
                      batch: int = 0) -> np.ndarray:
-    """Rows reduce(r, sample, edges), one per replication r, stacked in replication order.
+    """Float rows reduce(r, sample, edges), one per replication r, stacked in
+    replication order.
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads; each
@@ -226,19 +227,28 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
         return [reduce(r, sample, edge_set) for r, sample, edge_set in zip(chunk, samples, edges)]
 
     firsts = range(0, n_reps, size)
+
+    def stacked(blocks):
+        # one array filled a block at a time, so no row's own array outlives its block
+        out = None
+        for first, block in zip(firsts, blocks):
+            if out is None:
+                out = np.empty((n_reps, *np.shape(block[0])))
+            out[first:first + len(block)] = block
+        return out
+
     if config.n_jobs > 1:
         # a worker thread starts from numpy's default error handling, not the caller's
         keep_errstate = functools.partial(np.seterr, **np.geterr())
         with ThreadPoolExecutor(max_workers=config.n_jobs, initializer=keep_errstate) as pool:
-            blocks = list(pool.map(rows, firsts))
-    else:
-        blocks = [rows(first) for first in firsts]
-    return np.array([row for block in blocks for row in block])
+            return stacked(pool.map(rows, firsts))
+    return stacked(map(rows, firsts))
 
 
 def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps: int) -> int:
-    """Replications per chunk: about _CHUNK_POINTS points' worth (2 or more)
-    for a run built a chunk at a time, else 1 (build_edges per replication).
+    """Replications per chunk: about _CHUNK_POINTS points' worth (2 or more) but
+    at most _CHUNK_POINTS replications for a run built a chunk at a time, else 1
+    (build_edges per replication).
 
     A run is chunked if it is in d <= 3, its replications expect at most
     _BATCH_POINTS points (t V, or n) and each point at most _BATCH_DEGREE[d - 1]
@@ -252,7 +262,7 @@ def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps
             and points * n_reps >= _CHUNK_POINTS
             and points / volume * unit_ball_volume(d) * delta**d <= _BATCH_DEGREE[d - 1]):
         return 1
-    return int(_CHUNK_POINTS // points)
+    return min(_CHUNK_POINTS, int(_CHUNK_POINTS // points))
 
 
 def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
@@ -978,9 +988,10 @@ def _check_row(config: ExperimentConfig) -> None:
     # The memory budget: the n_jobs replications in flight may hold, at any t or n
     # of the config, at most EDGE_BUDGET edges (E[edges] <= t^2 kappa_d delta^d V / 2,
     # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n). A run built a
-    # chunk at a time (_chunk_size) has n_jobs chunks in flight instead, each expecting
-    # at most _CHUNK_POINTS points and _BATCH_DEGREE[d - 1] / 2 edges per point:
-    # build_edges_batch peaks at about 2.6 MB for such a chunk (tracemalloc, d = 1-3),
+    # chunk at a time (_chunk_size) has n_jobs chunks in flight instead, each of at
+    # most _CHUNK_POINTS replications expecting at most _CHUNK_POINTS points and
+    # _BATCH_DEGREE[d - 1] / 2 edges per point: build_edges_batch peaks at 0.6-3.9 MB
+    # for such a chunk (tracemalloc, d = 1-3, 0.001 to 2,000 points per replication),
     # far inside both.
     window, in_flight = config.window, min(config.n_jobs, config.replications)
     for value in [v for v in (single, *grid) if v is not None]:

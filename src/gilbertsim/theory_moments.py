@@ -289,7 +289,7 @@ def _ball_hh_integral(window: ConvexWindow, delta: float, alpha: float, beta: fl
         # cap fraction varies; below R-ell the ball B(y,r-shell) is inside W.
         lo = np.minimum(R - ell, delta)
         hi = np.minimum(R + ell, delta)
-        full = dk * lo ** (gamma + d) / (gamma + d)
+        full = interior_moment(d, lo, gamma)
         r, wr = gl_nodes(lo, hi, _GL_FACE)
         # the floor is on the product: ell * r underflows to 0 when delta is
         # negligible against R, where the numerator is 0 too

@@ -138,6 +138,7 @@ def test_run_replications_deterministic_and_parallel():
     ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.17}, 1),  # degree 4.1
     ({"window": ex.ConvexWindow.box((1.0,) * 4), "delta": 0.01}, 1),  # d = 4
     ({"t": None, "n": 200, "kind": "simulate"}, 20),  # binomial
+    ({"t": 0.01, "replications": 1_000_000}, 4096),  # at most _CHUNK_POINTS replications
 ])
 def test_chunk_size_rule(change, chunk):
     config = cfg(**{"t": 200.0, "replications": 400, **change})
@@ -357,7 +358,7 @@ _JSON_PAYLOADS = st.recursive(
     max_leaves=24)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(_JSON_PAYLOADS)
 def test_to_json_writes_json_dumps_bytes(payload):
     assert ex.to_json(payload) == _dumps(payload)
@@ -418,7 +419,7 @@ _CSV_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.225073858507201e-3
                1e16, math.nextafter(1e16, 0.0), 1e-5, 1e-4, math.nextafter(1e-4, 0.0))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(block=st.integers(1, 5), size=st.sampled_from(["0", "1", "B-1", "B", "B+1"]),
        kinds=st.lists(st.tuples(st.sampled_from([int, float]), st.booleans()),
                       min_size=1, max_size=4),

@@ -217,7 +217,7 @@ def windows(draw):
     return geo.ConvexWindow.ball(draw(st.floats(0.2, 1.5)), d)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(windows(), st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
 @example(geo.ConvexWindow.box((1.0, 2.0)), [0.3, -0.2, 0.0])
 @example(geo.ConvexWindow.ball(0.7, 3), [0.1, 0.25, -0.3])
@@ -238,7 +238,7 @@ def test_covariogram_invariants_random(w, coords):
     assert geo.covariogram(w, far) == 0.0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(windows())
 @example(geo.ConvexWindow.box((1.0,)))
 @example(geo.ConvexWindow.box((1.0, 1.0)))
@@ -280,7 +280,7 @@ def boxes_delta_alpha(draw):
     return sides, delta, alpha
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(boxes_delta_alpha())
 @example(((1.0, 0.8, 0.6), 0.6, 1.0))
 @example(((1.0, 0.8, 0.6, 0.5), 0.5, -2.5))
@@ -309,7 +309,7 @@ def balls_delta_alpha(draw):
     return geo.ConvexWindow.ball(radius, d), delta, alpha
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(balls_delta_alpha())
 @example((geo.ConvexWindow.ball(1.0, 2), 0.05, 1.0))
 @example((geo.ConvexWindow.ball(0.3, 6), 2.4 * 0.3, -5.9))
@@ -422,7 +422,7 @@ def boxes_above_d4(draw):
     return sides, delta, alpha, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(boxes_above_d4())
 def test_property_box_series_above_d4_matches_monte_carlo(case):
     # The series is exact in every d. Reference: V(B(0, delta)) times the mean of
@@ -468,7 +468,7 @@ def boxes_above_min_side(draw):
     return sides, draw(radius)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(boxes_above_min_side())
 @example(((1.0, 0.8, 0.6), 1.0))
 @example(((1.0, 0.8, 0.6, 0.5), 1.3))
@@ -506,7 +506,7 @@ def test_radial_integral_rejects_divergent_exponent():
         geo.covariogram_radial_integral(geo.ConvexWindow.ball(1.0, 4), 0.1, -4.0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(windows(), st.floats(0.0, 1.0))
 @example(geo.ConvexWindow.box((1.0, 1.0)), 0.45)
 @example(geo.ConvexWindow.ball(0.8, 2), 0.45)
@@ -612,7 +612,7 @@ def finite_windows(draw):
     return geo.ConvexWindow.ball(draw(size), d)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(finite_windows())
 @example(geo.ConvexWindow.box((1.0, 2.0, 0.5)))
 @example(geo.ConvexWindow.ball(1.25, 3))

@@ -91,7 +91,7 @@ def snap_to_boundary(window, pts, rows, axes):
             pts[k] *= window.radius / np.linalg.norm(pts[k])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(window=windows(), n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1),
        delta=st.floats(0.005, 1.5), snap=st.data())
 def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
@@ -104,7 +104,7 @@ def test_property_fast_search_equals_oracle(window, n, seed, delta, snap):
     assert edgesets_identical(gg.build_edges(s, delta), gg.build_edges_bruteforce(s, delta))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(d=st.integers(1, 3), m=st.integers(2, 6), spacing=st.floats(0.01, 0.5),
        origin=st.floats(0.0, 1.0), diagonal=st.integers(1, 3))
 # a body-diagonal lattice where summing the squares in einsum's order,
@@ -167,7 +167,7 @@ def chunks(draw):
     return samples, delta
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(chunk=chunks())
 # an axis lattice at spacing delta: cells exactly delta wide (no 1e-9 margin)
 # put two of its neighbours two cells apart
@@ -203,7 +203,7 @@ def test_batch_grid_stays_small_at_extreme_delta(d, delta):
         assert edgesets_identical(got, gg.build_edges(sample, delta))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(d=st.integers(1, 4), data=st.data())
 def test_property_pair_distance_is_left_to_right_fold(d, data):
     # pins the canonical formula: sqrt(((dx0^2 + dx1^2) + dx2^2) + ...) per pair,

@@ -183,7 +183,7 @@ def test_sample_sum_adds_each_draws_marks_in_order():
     assert lim.sample_sum(np.random.default_rng(11), 40).tolist() == expected
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(alpha=st.floats(0.1, 4.0), dim=st.integers(1, 4), volume=st.floats(0.01, 10.0),
        c=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
 def test_property_order_statistics_and_sum_share_nu(alpha, dim, volume, c, seed):

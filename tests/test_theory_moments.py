@@ -75,7 +75,7 @@ def box_sandwich_cases(draw):
     return sides, delta, alpha, draw(st.floats(1.0, 1e4))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(box_sandwich_cases())
 @example(((1.0, 1.0), 0.25, 0.0, 100.0))
 @example(((1.0, 0.8, 0.6, 0.5), 0.5, -3.5, 300.0))
@@ -293,7 +293,7 @@ def dims_and_exponents(draw):
     return d, draw(st.floats(-d + 0.05, 5.0))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(dims_and_exponents())
 @example((2, -1.95))
 @example((3, -2.95))
@@ -346,7 +346,7 @@ def window_alpha_grid(draw):
     return window, t, delta, alphas
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(window_alpha_grid())
 # a ball case whose matrix was 1 ulp off symmetric while the ball I_hh
 # multiplied the two h profiles in argument order
@@ -365,7 +365,7 @@ def test_property_window_covariance_matrix_symmetric_psd(case):
             assert lo - 1e-12 * abs(hi) <= cov[i, j] <= hi + 1e-12 * abs(hi)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(window_alpha_grid())
 def test_property_window_expectation_inside_bounds(case):
     window, t, delta, alphas = case
@@ -404,7 +404,7 @@ def scale_cases(draw):
 SCALE_REL = 1e-13
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(scale_cases())
 def test_property_theory_is_scale_equivariant(case):
     # y -> s y maps (W, t, delta) to (sW, t s^-d, s delta) and L^(a) to
@@ -659,7 +659,7 @@ def test_d3_first_sum_order_delta_in_thermo():
 DECAY_SLACK = 0.15
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.integers(2, 3).flatmap(lambda d: st.tuples(*[st.floats(0.5, 2.0)] * d)),
        st.lists(st.sampled_from(ALPHA_GRID), min_size=2, max_size=2, unique=True))
 @example((1.0, 1.0), [0.0, 1.0])
