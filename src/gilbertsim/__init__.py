@@ -13,8 +13,8 @@ from .geometry import (ConvexWindow, covariogram,
                        unit_ball_volume)
 from .gilbert_graph import (EdgeSet, build_edges, build_edges_bruteforce,
                             length_power, max_degree)
-from .point_process import (PointSample, replication_rng, sample_binomial,
-                            sample_poisson)
+from .point_process import (PointSample, replication_rng, replication_rngs,
+                            sample_binomial, sample_poisson)
 from .theory_moments import (RegimeSchedule, covariance_bounds,
                              covariance_exact, d3_bound, expectation_bounds,
                              expectation_exact, kolmogorov_bound, m_bounds,
@@ -27,6 +27,7 @@ __all__ = [
     "covariogram_radial_integral", "d3_bound", "expectation_bounds",
     "expectation_exact", "inner_parallel_volume_lower_bound",
     "kolmogorov_bound", "length_power", "m_bounds",
-    "max_degree", "replication_rng", "sample_binomial", "sample_poisson",
-    "sample_uniform", "sigma_matrix", "unit_ball_volume", "variance_asymptotic",
+    "max_degree", "replication_rng", "replication_rngs", "sample_binomial",
+    "sample_poisson", "sample_uniform", "sigma_matrix", "unit_ball_volume",
+    "variance_asymptotic",
 ]

@@ -3,9 +3,11 @@
 Runs seeded replications of the Gilbert graph, estimates moments/tails/CDFs,
 and compares them against the closed-form theory at named tolerances. Every
 report is a pure function of (config, master_seed): replication r of stream s
-draws from SeedSequence(master_seed, spawn_key=(s, batch, r)), and its reduced
-row is stacked in replication order, so serial and parallel runs give
-identical bytes. Every verdict but three is built by one of a few check shapes
+draws from the generator numpy's SeedSequence(master_seed, spawn_key=(s, batch,
+r)) seeds, bit for bit (point_process computes its state; numpy's SeedSequence
+is the tests' oracle), a chunk of replications at a time, and its reduced row
+is stacked in replication order, so serial and parallel runs give identical
+bytes. Every verdict but three is built by one of a few check shapes
 (within, sandwich, below, decreasing). LDI's two verdicts and the thermodynamic
 slope build their Metric directly: each LDI verdict shows the smaller margin of
 both bounds, and the slope passes strictly above its tolerance. Each file goes
@@ -28,12 +30,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
-from .geometry import ConvexWindow, covariogram, unit_ball_volume
+from .geometry import (ConvexWindow, covariogram, sample_uniform,
+                       unit_ball_volume)
 from .gilbert_graph import (build_edges, build_edges_batch, length_power,
                             max_degree)
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
-                            PointSample, replication_rng, sample_binomial,
-                            sample_poisson)
+                            PointSample, replication_rng, replication_rngs,
+                            sample_binomial, sample_poisson)
 from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
 from .theory_limits import EdgeLengthProcessLimit
@@ -161,13 +164,28 @@ class ExperimentConfig:
         return out
 
 
-def replication_sample(config: ExperimentConfig, intensity: float, r: int, *,
-                       stream: int = STREAM_SAMPLE, batch: int = 0) -> PointSample:
-    """Point sample of replication r, drawn from replication_rng(seed, r, stream, batch)."""
-    rng = replication_rng(config.master_seed, r, stream, batch)
-    if config.model == "poisson":
-        return sample_poisson(config.window, float(intensity), rng)
-    return sample_binomial(config.window, int(intensity), rng)
+def replication_samples(config: ExperimentConfig, intensity: float, replications: range, *,
+                        stream: int = STREAM_SAMPLE, batch: int = 0) -> list[PointSample]:
+    """Point samples of consecutive replications, replication r's drawn as
+    sample_poisson (or sample_binomial) draws it from replication_rng(seed, r,
+    stream, batch), bit for bit.
+
+    Each replication draws its count and points once. If two of the chunk's
+    points share a first coordinate (distinct first coordinates imply distinct
+    points), the chunk is drawn again through sample_poisson or
+    sample_binomial, which redraw duplicate points.
+    """
+    window, poisson = config.window, config.model == "poisson"
+    mean = float(intensity) * window.volume
+    points = [sample_uniform(window, rng, int(rng.poisson(mean)) if poisson else int(intensity))
+              for rng in replication_rngs(config.master_seed, replications, stream, batch)]
+    first = np.concatenate([p[:, 0] for p in points])
+    first.sort()
+    if (first[1:] == first[:-1]).any():
+        return [sample_poisson(window, float(intensity), rng) if poisson
+                else sample_binomial(window, int(intensity), rng)
+                for rng in replication_rngs(config.master_seed, replications, stream, batch)]
+    return [PointSample(points=p) for p in points]
 
 
 @functools.cache
@@ -206,11 +224,12 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads; each
-    thread keeps the caller's numpy floating-point error handling. A run of
-    small, sparse replications builds its edges a chunk of consecutive
-    replications at a time (_chunk_size) with build_edges_batch, which gives
-    build_edges' edge sets bit for bit; any other run calls build_edges once
-    per replication. The threads take whole chunks.
+    thread keeps the caller's numpy floating-point error handling. A chunk of
+    consecutive replications (_chunk_size, one or more) draws its samples
+    with replication_samples. A run of small, sparse replications builds its
+    edges a chunk at a time with build_edges_batch, which gives build_edges'
+    edge sets bit for bit; any other run calls build_edges once per
+    replication. The threads take whole chunks.
     """
     if config.n_jobs == 1:
         _keep_freed_heap()
@@ -221,8 +240,7 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
     def rows(first: int):
         chunk = range(first, min(first + size, n_reps))
-        samples = [replication_sample(config, intensity, r, stream=stream, batch=batch)
-                   for r in chunk]
+        samples = replication_samples(config, intensity, chunk, stream=stream, batch=batch)
         edges = build_edges_batch(samples, dlt) if size > 1 else [build_edges(samples[0], dlt)]
         return [reduce(r, sample, edge_set) for r, sample, edge_set in zip(chunk, samples, edges)]
 
@@ -253,13 +271,13 @@ def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps
     A run is chunked if it is in d <= 3, its replications expect at most
     _BATCH_POINTS points (t V, or n) and each point at most _BATCH_DEGREE[d - 1]
     neighbours (t kappa_d delta^d), and it expects at least a chunk's worth
-    of points in all.
+    of points in all, counting each replication as at least one point.
     """
     d = config.window.dim
     volume = config.window.volume
     points = intensity * volume if config.model == "poisson" else intensity
     if not (d <= len(_BATCH_DEGREE) and points <= _BATCH_POINTS
-            and points * n_reps >= _CHUNK_POINTS
+            and max(points, 1.0) * n_reps >= _CHUNK_POINTS
             and points / volume * unit_ball_volume(d) * delta**d <= _BATCH_DEGREE[d - 1]):
         return 1
     return min(_CHUNK_POINTS, int(_CHUNK_POINTS // points))
@@ -989,10 +1007,11 @@ def _check_row(config: ExperimentConfig) -> None:
     # of the config, at most EDGE_BUDGET edges (E[edges] <= t^2 kappa_d delta^d V / 2,
     # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n). A run built a
     # chunk at a time (_chunk_size) has n_jobs chunks in flight instead, each of at
-    # most _CHUNK_POINTS replications expecting at most _CHUNK_POINTS points and
-    # _BATCH_DEGREE[d - 1] / 2 edges per point: build_edges_batch peaks at 0.6-3.9 MB
-    # for such a chunk (tracemalloc, d = 1-3, 0.001 to 2,000 points per replication),
-    # far inside both.
+    # most _CHUNK_POINTS replications that expect at most _CHUNK_POINTS points in all
+    # and _BATCH_DEGREE[d - 1] / 2 edges per point. A chunk's samples, edges and rows
+    # peak at 0.9-4.8 MB, the most at 4,096 replications of about one point each
+    # (tracemalloc over run_replications, d = 1-3, 0.001 to 2,000 points per
+    # replication), far inside both.
     window, in_flight = config.window, min(config.n_jobs, config.replications)
     for value in [v for v in (single, *grid) if v is not None]:
         t = value if name == "t" else value / window.volume

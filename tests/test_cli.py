@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -396,6 +397,16 @@ def _no_replications(*args, **kwargs):
     raise AssertionError("a replication ran before the config was rejected")
 
 
+@pytest.mark.parametrize("reps", ["3", "400"], ids=["kd_tree", "grid"])
+def test_the_replication_stub_stops_a_real_run(reps, monkeypatch):
+    # the tests that say "no replication ran" patch the sampler every
+    # replication draws from, one at a time or a chunk at a time
+    monkeypatch.setattr(experiments, "replication_samples", _no_replications)
+    with pytest.raises(AssertionError, match="a replication ran"):
+        cli.main(["simulate", "--window", "box:1x1", "--t", "200", "--delta", "0.05",
+                  "--alpha", "1", "--reps", reps])
+
+
 def _no_quadrature(*args, **kwargs):
     raise AssertionError("a quadrature ran before the config was rejected")
 
@@ -712,7 +723,7 @@ def test_edge_budget_leaves_smaller_runs_and_predict_alone(monkeypatch, capsys):
      "--alpha", "1", "--reps", "20"],
 ], ids=["poisson_limit", "ball_d7", "binomial", "t_grid"])
 def test_point_budget_exits_2_before_replications(argv, monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "replication_sample", _no_replications)
+    monkeypatch.setattr(experiments, "replication_samples", _no_replications)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: at ")
@@ -731,7 +742,7 @@ def test_point_budget_exits_2_before_replications(argv, monkeypatch, capsys):
                          "--alpha", "100"], "alpha = 100.0, t = 100000.0"),
 ], ids=["order_underflow", "order_overflow", "cp_underflow", "cp_overflow"])
 def test_limit_rescale_leaving_the_floats_exits_2(kind, args, named, monkeypatch, capsys):
-    monkeypatch.setattr(experiments, "replication_sample", _no_replications)
+    monkeypatch.setattr(experiments, "replication_samples", _no_replications)
     assert cli.main(["verify", "--kind", kind, "--reps", "2"] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {kind}: the rescale t^(2 alpha/d) underflows")
@@ -1386,7 +1397,7 @@ def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
     config = experiments.ExperimentConfig(window=geometry.ConvexWindow.box((1.0, 1.0)),
                                           alphas=(0.0, 1.0), kind="simulate", replications=50,
                                           master_seed=5, t=100.0, delta=0.07)
-    want = gg.build_edges(experiments.replication_sample(config, 100.0, 0), 0.07)
+    want = gg.build_edges(experiments.replication_samples(config, 100.0, range(1))[0], 0.07)
     assert want.n_edges > 0
     assert edges.read_text() == experiments.to_csv("i,j,length", want.i, want.j, want.lengths)
 
@@ -1649,8 +1660,8 @@ def test_property_simulate_is_scale_equivariant(ball, dim, size, points, spacing
 # CompoundPoisson a finite c and gamma = 0.5 gives LDI's slope test a
 # thermodynamic schedule.
 @st.composite
-def usable_verify_argv(draw):
-    kind = draw(st.sampled_from(experiments.VERIFICATION_KINDS))
+def usable_verify_argv(draw, kinds=experiments.VERIFICATION_KINDS):
+    kind = draw(st.sampled_from(kinds))
     suite = experiments._SUITES[kind]
     argv = ["verify", "--kind", kind,
             "--window", draw(st.sampled_from(("box:1x1", "ball:1@d=2"))),
@@ -1679,11 +1690,13 @@ def usable_verify_argv(draw):
 
 
 def _run_files(argv, directory, n_jobs) -> dict:
-    """Exit code and every file a run writes: the report and LDI's CSV tables."""
+    """Exit code and every file a run writes: the report, LDI's CSV tables and
+    simulate's edge dump."""
     directory.mkdir()
     cfg = write_cfg(directory, f"n_jobs = {n_jobs}\n", "jobs.cfg")
+    edges = ["--edges-out", str(directory / "edges.csv")] if argv[0] == "simulate" else []
     with contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main(argv + ["--config", cfg, "--out", str(directory / "report.json")])
+        rc = cli.main(argv + edges + ["--config", cfg, "--out", str(directory / "report.json")])
     written = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "jobs.cfg"}
     return {"rc": rc, **written}
 
@@ -1723,6 +1736,75 @@ def test_property_every_kind_writes_the_same_bytes_serial_rerun_and_threaded(arg
                 for name, n_jobs in (("serial", 1), ("rerun", 1), ("threaded", 2))]
     assert runs[0]["rc"] in (0, 1) and "report.json" in runs[0]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@st.composite
+def path_runs(draw):
+    """A small run of a verify kind or of simulate (at times of 0 or 1 point per
+    replication) and a chunk size from 2 up to its replications."""
+    kind = draw(st.sampled_from(experiments.VERIFICATION_KINDS + ("simulate",)))
+    if kind == "simulate":
+        argv = ["simulate", "--window",
+                draw(st.sampled_from(("box:1x1", "ball:1@d=2", "box:2", "box:1x0.8x0.6"))),
+                "--reps", draw(st.sampled_from(("2", "3", "5", "7"))),
+                "--seed", draw(st.sampled_from(("0", "7"))),
+                "--delta", draw(st.sampled_from(("0.1", "0.3"))),
+                *draw(st.sampled_from((["--t", "30"], ["--t", "0.01"], ["--n", "1"],
+                                       ["--n", "20"]))), "--alpha", "0,1"]
+    else:
+        argv = draw(usable_verify_argv((kind,)))
+    return argv, draw(st.integers(2, int(argv[argv.index("--reps") + 1])))
+
+
+def _grid_alone(sample, delta):
+    return gg.build_edges_batch([sample], delta)[0]
+
+
+def _verify(kind, *args):
+    return ["verify", "--kind", kind, "--window", "box:1x1", "--seed", "7", *args]
+
+
+@settings(max_examples=8)
+@given(run=path_runs())
+# every verify kind
+@example(run=(_verify("Moments", "--reps", "5", "--delta", "0.1", "--t", "30",
+                      "--alpha", "0,1"), 2))
+@example(run=(_verify("CLT", "--reps", "3", "--schedule", "1,0.5", "--t-grid", "10,30",
+                      "--alpha", "1"), 2))
+@example(run=(_verify("MultivariateCov", "--reps", "3", "--schedule", "1,0.3", "--t", "30",
+                      "--alpha", "0,1"), 2))
+@example(run=(_verify("CompoundPoisson", "--reps", "3", "--schedule", "1,1", "--t-grid", "10,30",
+                      "--alpha", "2"), 2))
+@example(run=(_verify("OrderStatistics", "--reps", "3", "--schedule", "1,0.5", "--t", "30",
+                      "--alpha", "2"), 2))
+@example(run=(_verify("LDI", "--reps", "5", "--n", "20", "--delta", "0.1", "--alpha", "0,1"), 3))
+@example(run=(_verify("PPConditions", "--reps", "3", "--schedule", "1,0.5", "--t-grid", "10,30",
+                      "--alpha", "1"), 2))
+# chunks of 2 over 5 replications (a last chunk of one), and runs at 0 and 1 point
+@example(run=(["simulate", "--window", "box:1x1", "--reps", "5", "--seed", "7", "--delta", "0.1",
+               "--t", "30", "--alpha", "0,1"], 2))
+@example(run=(["simulate", "--window", "box:1x1", "--reps", "3", "--seed", "0", "--delta", "0.3",
+               "--t", "0.01", "--alpha", "0,1"], 2))
+@example(run=(["simulate", "--window", "box:1x1", "--reps", "3", "--seed", "0", "--delta", "0.3",
+               "--n", "1", "--alpha", "0,1"], 2))
+def test_property_bytes_do_not_depend_on_the_neighbour_search_path(run):
+    # every file a run writes is the same whether each replication's edges come
+    # from its own kd-tree or its own grid, from chunks of any size (some not
+    # dividing the run) or of the program's choice, serially or on 2 threads
+    argv, size = run
+    paths = {"own": {"_chunk_size": experiments._chunk_size},
+             "kd_tree": {"_chunk_size": lambda *args: 1},
+             "grid": {"_chunk_size": lambda *args: 1, "build_edges": _grid_alone},
+             "chunks": {"_chunk_size": lambda *args: size}}
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, patches in paths.items():
+            with mock.patch.multiple(experiments, **patches):
+                for n_jobs in (1, 2):
+                    runs[name, n_jobs] = _run_files(argv, Path(tmp) / f"{name}{n_jobs}", n_jobs)
+    first = runs["own", 1]
+    assert first["rc"] in (0, 1) and "report.json" in first
+    assert all(files == first for files in runs.values())
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])

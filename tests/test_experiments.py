@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from gilbertsim import ConvexWindow, RegimeSchedule, __version__
 from gilbertsim import experiments as ex
 from gilbertsim import gilbert_graph as gg
+from gilbertsim import point_process as pp
 from gilbertsim import theory_limits as tl
 from gilbertsim import theory_moments as tm
 from gilbertsim.errors import ConfigError, TooFewReplicationsError
@@ -120,9 +121,10 @@ def test_run_replications_deterministic_and_parallel():
         rows_p = ex.run_replications(cfg(replications=reps, t=t, n_jobs=4),
                                      _powers_points_degree)
         assert np.array_equal(rows_a, rows_p)
-        # rows are stacked in replication order: row r is replication r's reduction
+        # rows are stacked in replication order: row r is the reduction of
+        # replication r, drawn alone from its own generator
         for r in (0, 7, reps - 1):
-            sample = ex.replication_sample(config, t, r)
+            sample = pp.sample_poisson(W, t, pp.replication_rng(config.master_seed, r))
             assert np.array_equal(rows_a[r], _powers_points_degree(
                 r, sample, gg.build_edges(sample, 0.05)))
 
@@ -139,11 +141,76 @@ def test_run_replications_deterministic_and_parallel():
     ({"window": ex.ConvexWindow.box((1.0,) * 4), "delta": 0.01}, 1),  # d = 4
     ({"t": None, "n": 200, "kind": "simulate"}, 20),  # binomial
     ({"t": 0.01, "replications": 1_000_000}, 4096),  # at most _CHUNK_POINTS replications
+    # each replication counts as at least one point towards a chunk's worth
+    ({"t": 0.001, "replications": 400_000}, 4096),
+    ({"t": 0.5, "replications": 4096}, 4096),
+    ({"t": 0.5, "replications": 4095}, 1),
+    ({"replications": 3, "kind": "simulate"}, 1),  # 3 replications, 3 kd-trees
 ])
 def test_chunk_size_rule(change, chunk):
     config = cfg(**{"t": 200.0, "replications": 400, **change})
     t = config.intensity()
     assert ex._chunk_size(config, t, config.delta_for(t), config.replications) == chunk
+
+
+class _PlantedRng:
+    """Stub generator of replication r: numpy's default_rng(r), with plant(r,
+    points) applied to its first `random` draw."""
+
+    def __init__(self, r, plant):
+        self.r, self.plant, self.inner, self.calls = r, plant, np.random.default_rng(r), 0
+
+    def poisson(self, lam):
+        return self.inner.poisson(lam)
+
+    def random(self, shape):
+        self.calls += 1
+        points = self.inner.random(shape)
+        if self.calls == 1:
+            self.plant(self.r, points)
+        return points
+
+
+def _row_twice(r, points):  # replication 1 draws one point twice
+    if r == 1:
+        points[1] = points[0]
+
+
+def _first_coordinate_twice(r, points):  # distinct points of replication 1, one first coordinate
+    if r == 1:
+        points[1, 0] = points[0, 0]
+
+
+def _across_replications(r, points):  # replications 0 and 2 share a first coordinate
+    if r in (0, 2):
+        points[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("plant", [_row_twice, _first_coordinate_twice, _across_replications])
+@pytest.mark.parametrize("change", [{}, {"t": None, "n": 20, "kind": "simulate"}],
+                         ids=["poisson", "binomial"])
+def test_tied_chunk_is_drawn_replication_by_replication(plant, change, monkeypatch):
+    # a tie among a chunk's first coordinates, in one replication or across two,
+    # sends the chunk through sample_poisson or sample_binomial, which redraw
+    # duplicate points: the samples are theirs, bit for bit
+    drawn = []
+
+    def rngs(seed, replications, stream, batch):
+        drawn.append(replications)
+        return (_PlantedRng(r, plant) for r in replications)
+
+    monkeypatch.setattr(ex, "replication_rngs", rngs)
+    config = cfg(**{"t": 20.0, **change})
+    got = ex.replication_samples(config, config.intensity(), range(4))
+    assert drawn == [range(4)] * 2
+    if config.model == "poisson":
+        want = [pp.sample_poisson(W, 20.0, _PlantedRng(r, plant)) for r in range(4)]
+    else:
+        want = [pp.sample_binomial(W, 20, _PlantedRng(r, plant)) for r in range(4)]
+    for sample, reference in zip(got, want):
+        assert sample.n_points >= 2
+        assert sample.points.tobytes() == reference.points.tobytes()
+        assert np.unique(sample.points, axis=0).shape == sample.points.shape
 
 
 _FAULTS_PER_REPLICATION = """
@@ -389,7 +456,7 @@ def test_replications_csv_format():
     assert first[0] == "0" and first[1] == "0.0"
     assert len(first) == 10
     # every column is read back from replication 0 itself
-    sample = ex.replication_sample(cfg(), 100.0, 0)
+    sample, = ex.replication_samples(cfg(), 100.0, range(1))
     edges = gg.build_edges(sample, 0.05)
     assert float(first[2]) == gg.length_power(edges, (0.0,))[0]
     assert (int(first[3]), int(first[4])) == (sample.n_points, gg.max_degree(edges))
@@ -407,7 +474,7 @@ def test_csv_blocks_change_no_byte(monkeypatch, block):
         one_shot = "\n".join(["a,b,c", *(",".join(map(repr, row)) for row in rows[:n])]) + "\n"
         assert ex.to_csv("a,b,c", *([row[c] for row in rows[:n]] for c in range(3))) == one_shot
     assert ex.simulate(cfg(replications=2, kind="simulate"), edges=True) == (table, dump)
-    edges = gg.build_edges(ex.replication_sample(cfg(), 100.0, 0), 0.05)
+    edges = gg.build_edges(ex.replication_samples(cfg(), 100.0, range(1))[0], 0.05)
     assert 7 < edges.n_edges
     assert dump == "\n".join(["i,j,length", *(f"{i!r},{j!r},{length!r}" for i, j, length in zip(
         edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))]) + "\n"

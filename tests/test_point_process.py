@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gilbertsim import geometry as geo
 from gilbertsim import point_process as pp
@@ -61,6 +63,49 @@ def test_determinism_same_seed_same_sample():
     assert np.array_equal(a.points, b.points)
     c = pp.sample_poisson(W, 200.0, pp.replication_rng(42, 4))
     assert a.n_points != c.n_points or not np.array_equal(a.points, c.points)
+
+
+def _oracle_state_and_draws(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return (state, rng.poisson(3.0, 3).tolist(), rng.random(2).tolist(),
+            rng.standard_normal(2).tolist(), rng.integers(0, 2**40, 2).tolist())
+
+
+WORD = 2**32
+
+
+@settings(max_examples=300)
+@given(seed=st.one_of(st.just(0), st.integers(0, WORD**4 - 1), st.integers(WORD**4, WORD**7)),
+       stream=st.one_of(st.integers(0, 2), st.integers(0, WORD**2)),
+       batch=st.one_of(st.integers(0, 300), st.integers(0, WORD**2)),
+       replications=st.lists(st.one_of(st.integers(0, 500), st.integers(WORD, WORD**3)),
+                             min_size=1, max_size=4))
+# seeds of 0, 1, 4 and 5 words; stream and batch at 2^32; r = 0 and r >= 2^32, in
+# either order, so a replication with fewer words follows one with more
+@example(seed=0, stream=0, batch=0, replications=[0, 1])
+@example(seed=WORD - 1, stream=WORD, batch=0, replications=[WORD, 0])
+@example(seed=WORD**4 - 1, stream=1, batch=WORD, replications=[0, WORD**2 + 5])
+@example(seed=WORD**4, stream=2, batch=WORD**2 - 1, replications=[399, WORD - 1, WORD])
+def test_property_replication_rngs_are_numpys_seed_sequence(seed, stream, batch, replications):
+    # each generator's PCG64 state and first draws equal those of numpy's
+    # default_rng(SeedSequence(seed, spawn_key=(stream, batch, r))); the one
+    # generator replication_rngs reuses is read before it moves on
+    got = [_oracle_state_and_draws(rng)
+           for rng in pp.replication_rngs(seed, replications, stream, batch)]
+    want = [_oracle_state_and_draws(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(stream, batch, r)))) for r in replications]
+    assert got == want
+    alone = pp.replication_rng(seed, replications[-1], stream, batch)
+    assert _oracle_state_and_draws(alone) == want[-1]
+
+
+@pytest.mark.parametrize("seed,stream,batch,replication",
+                         [(-1, 0, 0, 0), (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)])
+def test_negative_seed_or_key_raises_as_numpy_does(seed, stream, batch, replication):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(seed, spawn_key=(stream, batch, replication))
+    with pytest.raises(ValueError):
+        pp.replication_rng(seed, replication, stream, batch)
 
 
 def test_streams_are_disjoint():
