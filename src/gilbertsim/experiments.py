@@ -74,7 +74,7 @@ EDGE_BUDGET = 2e7
 POINT_BUDGET = 1e7
 # Runs of small, sparse replications are built a chunk of about _CHUNK_POINTS
 # points at a time (_chunk_size): at 200 points and degree 1.5 in d = 2 a
-# replication's edges take about 25 us that way and 85 us on its own kd-tree.
+# replication's edges take about 28-30 us that way and 83 us on its own kd-tree.
 # Larger or denser replications gain less or lose (the table is in CHANGES.md).
 _BATCH_POINTS = 2000
 _BATCH_DEGREE = (8.0, 8.0, 4.0)  # by d = 1, 2, 3; no run in d >= 4 is chunked
@@ -170,22 +170,34 @@ def replication_samples(config: ExperimentConfig, intensity: float, replications
     sample_poisson (or sample_binomial) draws it from replication_rng(seed, r,
     stream, batch), bit for bit.
 
-    Each replication draws its count and points once. If two of the chunk's
-    points share a first coordinate (distinct first coordinates imply distinct
-    points), the chunk is drawn again through sample_poisson or
+    Each replication draws its count and points once, a box's as
+    sample_uniform draws them. The draws are joined into one buffer (a lone
+    replication's draw is the buffer), a box's scaled by its sides once, in
+    place: IEEE multiplication is correctly rounded, so each product is
+    sample_uniform's. Each sample is a view of the buffer. If two of the
+    buffer's points share a first coordinate (distinct first coordinates imply
+    distinct points), the chunk is drawn again through sample_poisson or
     sample_binomial, which redraw duplicate points.
     """
     window, poisson = config.window, config.model == "poisson"
-    mean = float(intensity) * window.volume
-    points = [sample_uniform(window, rng, int(rng.poisson(mean)) if poisson else int(intensity))
-              for rng in replication_rngs(config.master_seed, replications, stream, batch)]
-    first = np.concatenate([p[:, 0] for p in points])
-    first.sort()
+    box, mean = window.kind == "box", float(intensity) * window.volume
+    draws = []
+    for rng in replication_rngs(config.master_seed, replications, stream, batch):
+        n = int(rng.poisson(mean)) if poisson else int(intensity)
+        draws.append(rng.random((n, window.dim)) if box else sample_uniform(window, rng, n))
+    buffer = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    if box:
+        buffer *= np.asarray(window.sides)
+    first = np.sort(buffer[:, 0])
     if (first[1:] == first[:-1]).any():
         return [sample_poisson(window, float(intensity), rng) if poisson
                 else sample_binomial(window, int(intensity), rng)
                 for rng in replication_rngs(config.master_seed, replications, stream, batch)]
-    return [PointSample(points=p) for p in points]
+    samples, stop = [], 0
+    for draw in draws:
+        start, stop = stop, stop + len(draw)
+        samples.append(PointSample(points=buffer[start:stop]))
+    return samples
 
 
 @functools.cache
@@ -264,8 +276,9 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
 
 def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps: int) -> int:
-    """Replications per chunk: about _CHUNK_POINTS points' worth (2 or more) but
-    at most _CHUNK_POINTS replications for a run built a chunk at a time, else 1
+    """Replications per chunk: about _CHUNK_POINTS points' worth (2 or more
+    while _BATCH_POINTS is at most half of _CHUNK_POINTS, and never 0) but at
+    most _CHUNK_POINTS replications for a run built a chunk at a time, else 1
     (build_edges per replication).
 
     A run is chunked if it is in d <= 3, its replications expect at most
@@ -280,7 +293,7 @@ def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps
             and max(points, 1.0) * n_reps >= _CHUNK_POINTS
             and points / volume * unit_ball_volume(d) * delta**d <= _BATCH_DEGREE[d - 1]):
         return 1
-    return min(_CHUNK_POINTS, int(_CHUNK_POINTS // points))
+    return min(_CHUNK_POINTS, max(1, int(_CHUNK_POINTS // points)))
 
 
 def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
@@ -449,8 +462,8 @@ def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | 
         degree = max_degree(edge_set)
         rows = []
         for alpha in config.alphas:
-            powers = edge_set.lengths**alpha  # L is length_power's float(np.sum(powers))
-            rows.append([float(np.sum(powers)), sample.n_points, degree,
+            powers = edge_set.lengths**alpha  # L is length_power's np.add.reduce(powers)
+            rows.append([np.add.reduce(powers), sample.n_points, degree,
                          *_smallest_powers(powers, 5)])
         return np.array(rows)
 

@@ -156,7 +156,11 @@ def _ball_covariogram_radial(window: ConvexWindow, r: float) -> float:
 
 
 def sample_uniform(window: ConvexWindow, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points in the window, shape (n, dim)."""
+    """n uniform points in the window, shape (n, dim).
+
+    A box's points are rng.random((n, dim)) times its sides; a box chunk in
+    experiments.replication_samples is drawn and scaled the same way.
+    """
     if window.kind == "box":
         return rng.random((n, window.dim)) * np.asarray(window.sides)
     # Polar method: radius via U^(1/d), direction via normalized Gaussians.

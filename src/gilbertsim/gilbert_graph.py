@@ -248,10 +248,9 @@ def length_power(edges: EdgeSet, alphas) -> np.ndarray:
     Equals the half-sum over ordered distinct pairs within delta, since each
     unordered edge is stored once.
     """
-    out = np.zeros(len(alphas))
-    for k, alpha in enumerate(alphas):
-        out[k] = float(np.sum(edges.lengths**alpha))
-    return out
+    lengths = edges.lengths
+    # np.sum's own reduction, called without its Python wrappers: the same bits
+    return np.array([np.add.reduce(lengths**alpha) for alpha in alphas], dtype=float)
 
 
 def max_degree(edges: EdgeSet) -> int:

@@ -146,11 +146,20 @@ def test_run_replications_deterministic_and_parallel():
     ({"t": 0.5, "replications": 4096}, 4096),
     ({"t": 0.5, "replications": 4095}, 1),
     ({"replications": 3, "kind": "simulate"}, 1),  # 3 replications, 3 kd-trees
+    # with _BATCH_POINTS above _CHUNK_POINTS a chunked run's replications may
+    # expect more than a chunk's worth of points: one replication per chunk
+    ({"t": 5000.0, "delta": 0.01, "replications": 2, "_BATCH_POINTS": 8192}, 1),
 ])
-def test_chunk_size_rule(change, chunk):
+def test_chunk_size_rule(change, chunk, monkeypatch):
+    change = dict(change)
+    if "_BATCH_POINTS" in change:
+        monkeypatch.setattr(ex, "_BATCH_POINTS", change.pop("_BATCH_POINTS"))
     config = cfg(**{"t": 200.0, "replications": 400, **change})
     t = config.intensity()
     assert ex._chunk_size(config, t, config.delta_for(t), config.replications) == chunk
+    if ex._BATCH_POINTS > ex._CHUNK_POINTS:  # a chunk of 0 replications would raise here
+        rows = ex.run_replications(config, _powers_points_degree)
+        assert rows.shape == (config.replications, 4) and (rows[:, 2] > 4096).all()
 
 
 class _PlantedRng:
@@ -211,6 +220,39 @@ def test_tied_chunk_is_drawn_replication_by_replication(plant, change, monkeypat
         assert sample.n_points >= 2
         assert sample.points.tobytes() == reference.points.tobytes()
         assert np.unique(sample.points, axis=0).shape == sample.points.shape
+
+
+_SIDES = st.sampled_from([0.3, 1.7, 1e-3, 0.77, 2.5])
+
+
+@settings(max_examples=60)
+@given(d=st.integers(1, 3), sides=st.lists(_SIDES, min_size=3, max_size=3),
+       points=st.floats(1e-3, 2000.0), binomial=st.booleans(), ball=st.booleans(),
+       first=st.integers(1, 2**40), count=st.integers(1, 8), seed=st.integers(0, 2**64),
+       stream=st.sampled_from([pp.STREAM_SAMPLE, pp.STREAM_REFERENCE]),
+       batch=st.integers(0, 5))
+def test_property_chunk_samples_are_sample_poissons(d, sides, points, binomial, ball, first,
+                                                    count, seed, stream, batch):
+    # a chunk's samples are sample_poisson's (or sample_binomial's) from each
+    # replication's own generator, bit for bit, at any box sides and any first
+    # replication; a box chunk's samples are views of one scaled buffer
+    window = ConvexWindow.ball(sides[0], d) if ball else ConvexWindow.box(tuple(sides[:d]))
+    model = dict(n=max(1, round(points))) if binomial else dict(t=points / window.volume)
+    config = ex.ExperimentConfig(window=window, alphas=(1.0,), kind="simulate", replications=2,
+                                 master_seed=seed, delta=1e-3, **model)
+    chunk = range(first, first + count)
+    got = ex.replication_samples(config, config.intensity(), chunk, stream=stream, batch=batch)
+    assert len(got) == count
+    for r, sample in zip(chunk, got):
+        rng = pp.replication_rng(seed, r, stream, batch)
+        want = (pp.sample_binomial(window, config.n, rng) if binomial
+                else pp.sample_poisson(window, config.t, rng))
+        assert sample.points.shape == want.points.shape
+        assert sample.points.tobytes() == want.points.tobytes()
+    if not ball:  # two samples' views do not overlap, so each is checked against the buffer
+        buffer = got[0].points.base
+        assert buffer is not None and buffer.shape == (sum(s.n_points for s in got), d)
+        assert all(np.shares_memory(s.points, buffer) for s in got if s.n_points)
 
 
 _FAULTS_PER_REPLICATION = """

@@ -326,6 +326,28 @@ def test_length_power_examples():
     assert np.all(gg.length_power(empty, (0.0, 1.0)) == 0.0)
 
 
+def test_length_power_bits_are_np_sums_of_powers():
+    # each entry is float(np.sum(lengths**alpha)), bit for bit, in a float64
+    # array of one entry per alpha: on random lengths, an empty edge set and a
+    # built one
+    alphas = (0.0, 1.0, 2.0, 0.5, -0.3, 1.7)
+    rng = np.random.default_rng(11)
+    sample = make_sample(np.zeros((0, 2)))
+    edge_sets = [gg.build_edges(pp.sample_poisson(W2, 500.0, rng), 0.05)]
+    for size in (0, 1, 7, 129, 1000, 100_003):
+        ends = np.zeros(size, dtype=np.int64)  # only the lengths are read
+        edge_sets.append(gg.EdgeSet(i=ends, j=ends, lengths=0.05 * rng.random(size),
+                                    sample=sample))
+    for edges in edge_sets:
+        lengths = edges.lengths
+        want = np.zeros(len(alphas))
+        for k, alpha in enumerate(alphas):
+            want[k] = float(np.sum(lengths**alpha))
+        got = gg.length_power(edges, alphas)
+        assert got.dtype == np.float64 and got.shape == (len(alphas),)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_length_power_hand_enumeration():
     # 3-4-5 right triangle: pairwise lengths 0.03, 0.04, 0.05
     pts = np.array([[0.0, 0.0], [0.03, 0.0], [0.03, 0.04]])
