@@ -5,9 +5,11 @@ and compares them against the closed-form theory at named tolerances. Every
 report is a pure function of (config, master_seed): replication r of stream s
 draws from the generator numpy's SeedSequence(master_seed, spawn_key=(s, batch,
 r)) seeds, bit for bit (point_process computes its state; numpy's SeedSequence
-is the tests' oracle), a chunk of replications at a time, and its reduced row
-is stacked in replication order, so serial and parallel runs give identical
-bytes. Every verdict but three is built by one of a few check shapes
+is the tests' oracle), a chunk of replications at a time. A chunk stays flat
+arrays from its draw to its block of reduced rows (one points buffer, the
+chunk's edges, each replication's stretch of them), and the blocks are copied
+into the output in replication order, so serial and parallel runs give
+identical bytes. Every verdict but three is built by one of a few check shapes
 (within, sandwich, below, decreasing). LDI's two verdicts and the thermodynamic
 slope build their Metric directly: each LDI verdict shows the smaller margin of
 both bounds, and the slope passes strictly above its tolerance. Each file goes
@@ -32,8 +34,7 @@ from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
 from .geometry import (ConvexWindow, covariogram, sample_uniform,
                        unit_ball_volume)
-from .gilbert_graph import (build_edges, build_edges_batch, length_power,
-                            max_degree)
+from .gilbert_graph import EdgeChunk, build_edges, build_edges_batch, max_degree
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
                             PointSample, replication_rng, replication_rngs,
                             sample_binomial, sample_poisson)
@@ -73,8 +74,8 @@ EDGE_BUDGET = 2e7
 # So the cap is 0.5-1.4 GB, and it keeps t V below numpy's Poisson limit.
 POINT_BUDGET = 1e7
 # Runs of small, sparse replications are built a chunk of about _CHUNK_POINTS
-# points at a time (_chunk_size): at 200 points and degree 1.5 in d = 2 a
-# replication's edges take about 28-30 us that way and 83 us on its own kd-tree.
+# points at a time (_chunk_size): at 200 points and degree 1.6 in d = 2 a
+# replication's edges take about 46 us that way and 105 us on its own kd-tree.
 # Larger or denser replications gain less or lose (the table is in CHANGES.md).
 _BATCH_POINTS = 2000
 _BATCH_DEGREE = (8.0, 8.0, 4.0)  # by d = 1, 2, 3; no run in d >= 4 is chunked
@@ -165,19 +166,21 @@ class ExperimentConfig:
 
 
 def replication_samples(config: ExperimentConfig, intensity: float, replications: range, *,
-                        stream: int = STREAM_SAMPLE, batch: int = 0) -> list[PointSample]:
-    """Point samples of consecutive replications, replication r's drawn as
-    sample_poisson (or sample_binomial) draws it from replication_rng(seed, r,
-    stream, batch), bit for bit.
+                        stream: int = STREAM_SAMPLE, batch: int = 0
+                        ) -> tuple[np.ndarray, list[int]]:
+    """The points of consecutive replications in one (n, d) buffer, and each
+    replication's point count: replication r's rows are the points sample_poisson
+    (or sample_binomial) draws from replication_rng(seed, r, stream, batch), bit
+    for bit, after those of the replications before it.
 
     Each replication draws its count and points once, a box's as
-    sample_uniform draws them. The draws are joined into one buffer (a lone
+    sample_uniform draws them. The draws are joined into the buffer (a lone
     replication's draw is the buffer), a box's scaled by its sides once, in
     place: IEEE multiplication is correctly rounded, so each product is
-    sample_uniform's. Each sample is a view of the buffer. If two of the
-    buffer's points share a first coordinate (distinct first coordinates imply
-    distinct points), the chunk is drawn again through sample_poisson or
-    sample_binomial, which redraw duplicate points.
+    sample_uniform's. If two of the buffer's points share a first coordinate
+    (distinct first coordinates imply distinct points), the chunk is drawn
+    again through sample_poisson or sample_binomial, which redraw duplicate
+    points.
     """
     window, poisson = config.window, config.model == "poisson"
     box, mean = window.kind == "box", float(intensity) * window.volume
@@ -190,14 +193,11 @@ def replication_samples(config: ExperimentConfig, intensity: float, replications
         buffer *= np.asarray(window.sides)
     first = np.sort(buffer[:, 0])
     if (first[1:] == first[:-1]).any():
-        return [sample_poisson(window, float(intensity), rng) if poisson
-                else sample_binomial(window, int(intensity), rng)
-                for rng in replication_rngs(config.master_seed, replications, stream, batch)]
-    samples, stop = [], 0
-    for draw in draws:
-        start, stop = stop, stop + len(draw)
-        samples.append(PointSample(points=buffer[start:stop]))
-    return samples
+        draws = [(sample_poisson(window, float(intensity), rng) if poisson
+                  else sample_binomial(window, int(intensity), rng)).points
+                 for rng in replication_rngs(config.master_seed, replications, stream, batch)]
+        buffer = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    return buffer, [len(draw) for draw in draws]
 
 
 @functools.cache
@@ -231,17 +231,19 @@ def _keep_freed_heap() -> None:
 def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None,
                      reps: int | None = None, stream: int = STREAM_SAMPLE,
                      batch: int = 0) -> np.ndarray:
-    """Float rows reduce(r, sample, edges), one per replication r, stacked in
-    replication order.
+    """Float rows, one per replication, stacked in replication order:
+    reduce(reps, chunk) returns the block of rows of the consecutive
+    replications reps, replication reps[k] being sample k of the EdgeChunk chunk.
 
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads; each
-    thread keeps the caller's numpy floating-point error handling. A chunk of
-    consecutive replications (_chunk_size, one or more) draws its samples
-    with replication_samples. A run of small, sparse replications builds its
-    edges a chunk at a time with build_edges_batch, which gives build_edges'
-    edge sets bit for bit; any other run calls build_edges once per
-    replication. The threads take whole chunks.
+    thread keeps the caller's numpy floating-point error handling. A chunk
+    (_chunk_size, one replication or more) draws its points with
+    replication_samples. A run of small, sparse replications builds its edges
+    a chunk at a time with build_edges_batch, each replication's as
+    build_edges builds them, bit for bit; any other run calls build_edges once
+    per replication, its one EdgeSet's arrays the chunk's. The threads take
+    whole chunks, and each block is copied into the output as it comes.
     """
     if config.n_jobs == 1:
         _keep_freed_heap()
@@ -250,20 +252,22 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
     n_reps = int(reps if reps is not None else config.replications)
     size = _chunk_size(config, float(intensity), dlt, n_reps)
 
-    def rows(first: int):
+    def rows(first: int) -> np.ndarray:
         chunk = range(first, min(first + size, n_reps))
-        samples = replication_samples(config, intensity, chunk, stream=stream, batch=batch)
-        edges = build_edges_batch(samples, dlt) if size > 1 else [build_edges(samples[0], dlt)]
-        return [reduce(r, sample, edge_set) for r, sample, edge_set in zip(chunk, samples, edges)]
+        points, counts = replication_samples(config, intensity, chunk, stream=stream, batch=batch)
+        if size > 1:
+            return reduce(chunk, build_edges_batch(points, counts, dlt))
+        one = build_edges(PointSample(points=points), dlt)
+        return reduce(chunk, EdgeChunk(points, [0, len(points)], one.i, one.j, one.lengths,
+                                       [0, one.n_edges]))
 
     firsts = range(0, n_reps, size)
 
     def stacked(blocks):
-        # one array filled a block at a time, so no row's own array outlives its block
         out = None
         for first, block in zip(firsts, blocks):
             if out is None:
-                out = np.empty((n_reps, *np.shape(block[0])))
+                out = np.empty((n_reps, *block.shape[1:]))
             out[first:first + len(block)] = block
         return out
 
@@ -297,9 +301,18 @@ def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps
 
 
 def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
-    """(R, n_alphas) matrix of L^(alpha); kwargs are run_replications' t, reps, stream, batch."""
-    return run_replications(config, lambda r, sample, edges: length_power(edges, config.alphas),
-                            **kwargs)
+    """(R, n_alphas) matrix of L^(alpha); kwargs are run_replications' t, reps, stream, batch.
+    Each entry is length_power's, bit for bit: np.add.reduce of the replication's
+    stretch of the chunk's lengths**alpha, taken once per chunk."""
+    alphas = config.alphas
+
+    def reduce(reps, chunk):
+        block = np.empty((len(reps), len(alphas)))
+        for a, alpha in enumerate(alphas):
+            block[:, a] = [np.add.reduce(own) for own in chunk.stretches(chunk.lengths**alpha)]
+        return block
+
+    return run_replications(config, reduce, **kwargs)
 
 
 def empirical_moments(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -440,8 +453,9 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def _smallest_powers(powers: np.ndarray, m: int) -> np.ndarray:
-    """m smallest of the given length powers, sorted, +inf padded. A length power is
-    taken once per alpha: the caller hands the same array to the sum and to this."""
+    """m smallest of the given length powers, sorted, +inf padded. A chunk's length
+    powers are taken once per alpha: the caller hands a replication's stretch of
+    them to the sum and to this."""
     out = np.full(m, np.inf)
     if powers.size == 0:
         return out
@@ -456,16 +470,18 @@ def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | 
     edges, replication 0's own edge set, not built again, as i,j,length (else None)."""
     first = []
 
-    def reduce(r, sample, edge_set):
-        if r == 0 and edges:
-            first.append(edge_set)
-        degree = max_degree(edge_set)
-        rows = []
-        for alpha in config.alphas:
-            powers = edge_set.lengths**alpha  # L is length_power's np.add.reduce(powers)
-            rows.append([np.add.reduce(powers), sample.n_points, degree,
-                         *_smallest_powers(powers, 5)])
-        return np.array(rows)
+    def reduce(reps, chunk):
+        block = np.empty((len(reps), len(config.alphas), 8))
+        for k, r in enumerate(reps):
+            edge_set = chunk.edge_set(k)
+            if r == 0 and edges:
+                first.append(edge_set)
+            block[k, :, 1:3] = edge_set.sample.n_points, max_degree(edge_set)
+        for a, alpha in enumerate(config.alphas):  # one alpha's powers alive at a time
+            for k, own in enumerate(chunk.stretches(chunk.lengths**alpha)):
+                block[k, a, 0] = np.add.reduce(own)  # length_power's L
+                block[k, a, 3:] = _smallest_powers(own, 5)
+        return block
 
     stacked = run_replications(config, reduce).reshape(-1, 8)  # a row per (rep, alpha)
     table = to_csv("rep,alpha,L_value,n_points,max_degree,S1,S2,S3,S4,S5",
@@ -808,12 +824,16 @@ def verify_order_statistics(config: ExperimentConfig) -> ExperimentReport:
     rescale = _limit_rescale(config, limit, t)
     intervals, nus = limit.unit_intervals(3)
 
-    def reduce(r, sample, edges):
+    def reduce(reps, chunk):
         # the 5 smallest powers, then the counts of rescaled powers per interval
-        powers = edges.lengths**alpha
-        scaled = rescale * powers
-        counts = [np.count_nonzero((scaled >= lo) & (scaled < hi)) for lo, hi in intervals]
-        return np.concatenate([_smallest_powers(powers, 5), counts])
+        block = np.empty((len(reps), 5 + len(intervals)))
+        powers = chunk.lengths**alpha
+        for k, (own, scaled) in enumerate(zip(chunk.stretches(powers),
+                                               chunk.stretches(rescale * powers))):
+            block[k, :5] = _smallest_powers(own, 5)
+            block[k, 5:] = [np.count_nonzero((scaled >= lo) & (scaled < hi))
+                            for lo, hi in intervals]
+        return block
 
     rows = run_replications(config, reduce)
     metrics: list[Metric] = []
@@ -1021,10 +1041,11 @@ def _check_row(config: ExperimentConfig) -> None:
     # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n). A run built a
     # chunk at a time (_chunk_size) has n_jobs chunks in flight instead, each of at
     # most _CHUNK_POINTS replications that expect at most _CHUNK_POINTS points in all
-    # and _BATCH_DEGREE[d - 1] / 2 edges per point. A chunk's samples, edges and rows
-    # peak at 0.9-4.8 MB, the most at 4,096 replications of about one point each
+    # and _BATCH_DEGREE[d - 1] / 2 edges per point. A chunk's points, edges and rows
+    # peak at 0.9-2.8 MB, the most at 2,000 points per replication in d = 3
     # (tracemalloc over run_replications, d = 1-3, 0.001 to 2,000 points per
-    # replication), far inside both.
+    # replication, with the length powers or every replication's own EdgeSet),
+    # far inside both.
     window, in_flight = config.window, min(config.n_jobs, config.replications)
     for value in [v for v in (single, *grid) if v is not None]:
         t = value if name == "t" else value / window.volume

@@ -5,11 +5,15 @@ kd-tree, built unbalanced (cKDTree(..., balanced_tree=False) builds and
 queries faster and lists the same pairs), lists candidate pairs within a
 radius widened by a relative 1e-12 (query_pairs), and an exact re-filter
 keeps those whose canonical length is <= delta. build_edges_batch takes a
-list of samples and lists candidates from one numpy cell grid over all of
-them, which saves scipy's fixed cost per sample: it is the faster of the two
-for many small, sparse samples, and the kd-tree for large or dense ones
-(experiments.run_replications picks). build_edges_bruteforce is the O(n^2)
-oracle with the same output contract.
+chunk of samples as one (n, d) points buffer and each sample's point count,
+and lists candidates from one numpy cell grid over all of them, which saves
+scipy's fixed cost per sample: it is the faster of the two for many small,
+sparse samples, and the kd-tree for large or dense ones
+(experiments.run_replications picks). It returns an EdgeChunk, the chunk's
+edges in flat arrays with each sample's edges one stretch of them; a sample's
+own EdgeSet, numbered from its first point, is made only when asked for
+(EdgeChunk.edge_set). build_edges_bruteforce is the O(n^2) oracle with
+build_edges' output contract.
 
 The one canonical length formula is _pair_distance: the squared coordinate
 differences added left to right, one column at a time,
@@ -59,6 +63,35 @@ class EdgeSet:
     @property
     def n_edges(self) -> int:
         return self.i.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeChunk:
+    """The edges of a chunk of samples in flat arrays: sample k is rows
+    offsets[k]..offsets[k+1]-1 of the (n, d) points buffer, and its edges are
+    entries bounds[k]..bounds[k+1]-1 of i, j (int64 rows of the buffer, i < j,
+    sorted by (i, j)) and lengths."""
+
+    points: np.ndarray
+    offsets: list[int]
+    i: np.ndarray
+    j: np.ndarray
+    lengths: np.ndarray
+    bounds: list[int]
+
+    def stretches(self, values: np.ndarray) -> list[np.ndarray]:
+        """Each sample's stretch of values, an array with an entry per edge of the chunk."""
+        return [values[e0:e1] for e0, e1 in zip(self.bounds, self.bounds[1:])]
+
+    def edge_set(self, k: int) -> EdgeSet:
+        """Sample k's EdgeSet, its vertices numbered from the sample's first point."""
+        p0, p1 = self.offsets[k:k + 2]
+        e0, e1 = self.bounds[k:k + 2]
+        i, j = self.i[e0:e1], self.j[e0:e1]
+        if p0:
+            i, j = i - p0, j - p0
+        return EdgeSet(i=i, j=j, lengths=self.lengths[e0:e1],
+                       sample=PointSample(points=self.points[p0:p1]))
 
 
 def _pair_distance(points: np.ndarray, a, b) -> np.ndarray:
@@ -137,37 +170,38 @@ def _forward_runs(cells: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def build_edges_batch(samples: list[PointSample], delta: float) -> list[EdgeSet]:
-    """For each sample, build_edges(sample, delta)'s EdgeSet, bit for bit, from one
-    numpy cell grid over the whole batch (no kd-tree).
+def build_edges_batch(points: np.ndarray, counts: list[int], delta: float) -> EdgeChunk:
+    """The edges of a chunk of samples, from one numpy cell grid over all of them
+    (no kd-tree): sample k is the counts[k] rows of the (n, d) points buffer
+    after those of samples 0..k-1, and EdgeChunk.edge_set(k) is build_edges' EdgeSet
+    of it, bit for bit.
 
-    The points of all samples are sorted by (sample, cell) id. A cell is at
-    least delta*(1 + 1e-9) wide on every axis, so a pair whose canonical length
-    is <= delta lies in the same or neighbouring cells, and at least _MIN_CELL,
-    so a pair whose squared differences underflow (length 0 at any delta) does
-    too. Each axis has at most _MAX_CELLS_PER_AXIS cells, and a sample about
-    _CELLS_PER_POINT cells per point in all, so the float-to-int cast stays
-    small at any delta. The last cell of every axis stays empty, so a run never
-    wraps into a real cell. A point's candidates are its forward runs, each a
-    contiguous stretch of the sorted points read from a cell-start table;
-    those whose canonical length is <= delta are sorted by one fused (i, j) key
-    over the batch and split per sample. Each EdgeSet's i, j and lengths are
-    views of the batch's arrays.
+    The points are copied once, into (d, n) columns, and sorted by (sample,
+    cell) id. A cell is at least delta*(1 + 1e-9) wide on every axis, so a pair
+    whose canonical length is <= delta lies in the same or neighbouring cells,
+    and at least _MIN_CELL, so a pair whose squared differences underflow
+    (length 0 at any delta) does too. Each axis has at most _MAX_CELLS_PER_AXIS
+    cells, and a sample about _CELLS_PER_POINT cells per point in all, so the
+    float-to-int cast stays small at any delta. The last cell of every axis
+    stays empty, so a run never wraps into a real cell. A point's candidates are
+    its forward runs, each a contiguous stretch of the sorted points read from a
+    cell-start table; those whose canonical length is <= delta are sorted by
+    one fused (i, j) key over the chunk, so each sample's edges are one
+    contiguous stretch of them.
     """
     if not (delta > 0):
         raise ValueError("delta must be > 0")
-    sizes = [s.n_points for s in samples]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0, *counts])
     n = int(offsets[-1])
     if n < 2:
         none = np.zeros(0, dtype=np.int64)
-        return [EdgeSet(i=none, j=none, lengths=np.zeros(0), sample=s) for s in samples]
-    # (d, n) columns; their transpose is a points array _pair_distance need not copy
-    columns = np.ascontiguousarray(np.concatenate([s.points for s in samples]).T)
+        return EdgeChunk(points, offsets.tolist(), none, none, np.zeros(0),
+                         [0] * len(offsets))
+    columns = np.ascontiguousarray(points.T)  # a transpose _pair_distance need not copy
     per_axis = min(_MAX_CELLS_PER_AXIS,
-                   max(1, int((_CELLS_PER_POINT * n / len(samples)) ** (1 / len(columns)))))
+                   max(1, int((_CELLS_PER_POINT * n / len(counts)) ** (1 / len(columns)))))
     least = max(float(delta) * (1 + 1e-9), _MIN_CELL)
-    ids = np.repeat(np.arange(len(samples)), sizes)
+    ids = np.repeat(np.arange(len(counts)), counts)
     cells = []
     for c in columns:  # ids = ((sample * cells0 + cell0) * cells1 + cell1) * ...
         lo = float(c.min())
@@ -176,7 +210,7 @@ def build_edges_batch(samples: list[PointSample], delta: float) -> list[EdgeSet]
         cells.append(int(span / side) + 2)
         ids *= cells[-1]
         ids += ((c - lo) / side).astype(np.int64)
-    table = len(samples) * math.prod(cells)
+    table = len(counts) * math.prod(cells)
     key = np.multiply(ids, n, dtype=np.int32 if table * n <= _INT32_MAX else np.int64)
     key += np.arange(n, dtype=key.dtype)
     key.sort()
@@ -200,19 +234,14 @@ def build_edges_batch(samples: list[PointSample], delta: float) -> list[EdgeSet]
     before -= width
     a = np.repeat(np.tile(order, len(runs)), width)
     b = order.take(np.arange(total) + np.repeat(begin.ravel() - before, width))
-    points = columns.T
-    kept = np.flatnonzero(_pair_distance(points, a, b) <= delta)
+    kept = np.flatnonzero(_pair_distance(columns.T, a, b) <= delta)
     pairs = np.empty((kept.size, 2), dtype=np.int64)
     a, b = a.take(kept), b.take(kept)
     np.minimum(a, b, out=pairs[:, 0])
     np.maximum(a, b, out=pairs[:, 1])
     i, j = _sorted_pairs(pairs, n)
-    lengths = _pair_distance(points, i, j)
-    bounds = np.searchsorted(i, offsets).tolist()
-    local = np.arange(n) - np.repeat(offsets[:-1], sizes)
-    i, j = local.take(i), local.take(j)
-    return [EdgeSet(i=i[e0:e1], j=j[e0:e1], lengths=lengths[e0:e1], sample=s)
-            for s, e0, e1 in zip(samples, bounds, bounds[1:])]
+    return EdgeChunk(points, offsets.tolist(), i, j, _pair_distance(columns.T, i, j),
+                     np.searchsorted(i, offsets).tolist())
 
 
 def build_edges_bruteforce(sample: PointSample, delta: float) -> EdgeSet:

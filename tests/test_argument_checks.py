@@ -35,7 +35,7 @@ def _ldi(**changed):
     (lambda: ex.clopper_pearson_upper(3, 2, 0.95), ValueError, "need 0 <= k <= n"),
     (lambda: gg.build_edges(PAIR, 0.0), ValueError, "delta must be > 0"),
     (lambda: gg.build_edges_bruteforce(PAIR, 0.0), ValueError, "delta must be > 0"),
-    (lambda: gg.build_edges_batch([PAIR], 0.0), ValueError, "delta must be > 0"),
+    (lambda: gg.build_edges_batch(PAIR.points, [2], 0.0), ValueError, "delta must be > 0"),
     (lambda: td.chernoff_poisson_tail(0.0, 1.0), ValueError, "a must be > 0"),
     (lambda: td.chernoff_poisson_tail(1.0, -1.0), ValueError, "y must be >= 0"),
     (lambda: td.chernoff_binomial_tail(0, 0.5, 1.0), ValueError, "m must be >= 1"),

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from gilbertsim import cli, experiments, geometry
 from gilbertsim import gilbert_graph as gg
 from gilbertsim.errors import ConfigError
+from gilbertsim.point_process import PointSample
 from gilbertsim.theory_moments import RegimeSchedule
 
 
@@ -642,9 +643,9 @@ def _spy_on_batches(monkeypatch) -> list[int]:
     """The size of every chunk run_replications builds through build_edges_batch."""
     sizes = []
 
-    def spy(samples, delta):
-        sizes.append(len(samples))
-        return gg.build_edges_batch(samples, delta)
+    def spy(points, counts, delta):
+        sizes.append(len(counts))
+        return gg.build_edges_batch(points, counts, delta)
 
     monkeypatch.setattr(experiments, "build_edges_batch", spy)
     return sizes
@@ -1397,7 +1398,8 @@ def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
     config = experiments.ExperimentConfig(window=geometry.ConvexWindow.box((1.0, 1.0)),
                                           alphas=(0.0, 1.0), kind="simulate", replications=50,
                                           master_seed=5, t=100.0, delta=0.07)
-    want = gg.build_edges(experiments.replication_samples(config, 100.0, range(1))[0], 0.07)
+    points, _ = experiments.replication_samples(config, 100.0, range(1))
+    want = gg.build_edges(PointSample(points=points), 0.07)
     assert want.n_edges > 0
     assert edges.read_text() == experiments.to_csv("i,j,length", want.i, want.j, want.lengths)
 
@@ -1428,6 +1430,23 @@ def test_edge_dump_peak_rss_per_edge(tmp_path):
         assert (with_dump - without) * 1024 <= 100 * n_edges, t
 
 
+# VmHWM only rises, so one interpreter runs the small case, reads it, then runs
+# the large case and reads it again
+_PEAKS_AFTER_EACH = """import sys
+from gilbertsim import cli
+argv, runs = sys.argv[1:-2], sys.argv[-2:]
+for reps in runs:
+    assert cli.main(argv + ["--reps", reps]) == 0
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))"""
+
+
+def _peaks_after_each(argv: list[str], small: int, large: int) -> list[int]:
+    """VmHWM in KiB after a run at `small` replications, then after one at `large`."""
+    return [int(v) for v in run_fresh_python(_PEAKS_AFTER_EACH, *argv, str(small),
+                                             str(large)).split()]
+
+
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="measured with glibc's malloc and Linux's VmHWM")
 def test_simulate_peak_rss_per_replication():
@@ -1435,10 +1454,9 @@ def test_simulate_peak_rss_per_replication():
     # block of 2^13 rows at a time: from 10,000 to 40,000 replications at two
     # alphas (built in chunks) the run's peak RSS grows about 450 B per
     # replication (a Python tuple per row from one tolist() grew it about 1,450 B)
-    peaks = [int(run_fresh_python(_PEAK_RSS, "simulate", "--window", "box:1x1", "--t", "2",
-                                  "--delta", "0.01", "--alpha", "0,1", "--reps", str(reps),
-                                  "--seed", "1", "--out", os.devnull))
-             for reps in (10_000, 40_000)]
+    peaks = _peaks_after_each(["simulate", "--window", "box:1x1", "--t", "2", "--delta", "0.01",
+                               "--alpha", "0,1", "--seed", "1", "--out", os.devnull],
+                              10_000, 40_000)
     assert (peaks[1] - peaks[0]) * 1024 <= 800 * 30_000
 
 
@@ -1448,10 +1466,9 @@ def test_verify_peak_rss_per_replication():
     # each chunk's rows are copied into one array as the chunk finishes: from 20,000
     # to 80,000 replications (a 16 B row each) the run's peak RSS grows about 80 B per
     # replication (a numpy array per row until one final np.array grew it about 210 B)
-    peaks = [int(run_fresh_python(_PEAK_RSS, "verify", "--kind", "Moments", "--window",
-                                  "box:1x1", "--t", "3", "--delta", "0.05", "--alpha", "0,1",
-                                  "--reps", str(reps), "--seed", "1", "--out", os.devnull))
-             for reps in (20_000, 80_000)]
+    peaks = _peaks_after_each(["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "3",
+                               "--delta", "0.05", "--alpha", "0,1", "--seed", "1",
+                               "--out", os.devnull], 20_000, 80_000)
     assert (peaks[1] - peaks[0]) * 1024 <= 120 * 60_000
 
 
@@ -1757,7 +1774,7 @@ def path_runs(draw):
 
 
 def _grid_alone(sample, delta):
-    return gg.build_edges_batch([sample], delta)[0]
+    return gg.build_edges_batch(sample.points, [sample.n_points], delta).edge_set(0)
 
 
 def _verify(kind, *args):

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,9 +103,13 @@ def test_empty_alphas_raise(kind):
         cfg(kind=kind, alphas=())
 
 
-def _powers_points_degree(r, sample, edges):
+def _row(edges):
     return np.concatenate([gg.length_power(edges, (0.0, 1.0)),
-                           [sample.n_points, gg.max_degree(edges)]])
+                           [edges.sample.n_points, gg.max_degree(edges)]])
+
+
+def _powers_points_degree(reps, chunk):
+    return np.array([_row(chunk.edge_set(k)) for k in range(len(reps))])
 
 
 def test_run_replications_deterministic_and_parallel():
@@ -125,8 +130,7 @@ def test_run_replications_deterministic_and_parallel():
         # replication r, drawn alone from its own generator
         for r in (0, 7, reps - 1):
             sample = pp.sample_poisson(W, t, pp.replication_rng(config.master_seed, r))
-            assert np.array_equal(rows_a[r], _powers_points_degree(
-                r, sample, gg.build_edges(sample, 0.05)))
+            assert np.array_equal(rows_a[r], _row(gg.build_edges(sample, 0.05)))
 
 
 @pytest.mark.parametrize("change,chunk", [
@@ -160,6 +164,33 @@ def test_chunk_size_rule(change, chunk, monkeypatch):
     if ex._BATCH_POINTS > ex._CHUNK_POINTS:  # a chunk of 0 replications would raise here
         rows = ex.run_replications(config, _powers_points_degree)
         assert rows.shape == (config.replications, 4) and (rows[:, 2] > 4096).all()
+
+
+@pytest.mark.parametrize("run", [
+    ex._length_powers, lambda config: ex.run_replications(config, _powers_points_degree)],
+    ids=["length_powers", "edge_sets"])
+@pytest.mark.parametrize("change,chunk", [
+    ({"t": 1.0, "replications": 4096}, 4096),  # 4,096 replications of about one point
+    ({"t": 200.0, "replications": 40}, 20),  # 20 x 200 points in d = 2
+    ({"t": 200.0, "replications": 40, "window": ConvexWindow.box((1.0,) * 3), "delta": 0.16},
+     20),  # the largest chunked d = 3 run of test_chunk_size_rule
+])
+def test_a_chunk_peaks_below_8_mb(change, chunk, run):
+    # a chunk's points, edges and rows, traced over run_replications with the
+    # length powers of six suites or with every replication's own EdgeSet (as
+    # simulate's reduction makes them): 0.9-2.8 MB over d = 1-3 and 0.001 to
+    # 2,000 points per replication
+    config = cfg(**change)
+    assert ex._chunk_size(config, config.t, config.delta, config.replications) == chunk
+    run(config)  # warm-up: the shared seed words' cache and numpy's first-call state
+    tracemalloc.start()
+    try:
+        rows = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape[0] == config.replications
+    assert peak < 8 * 2**20
 
 
 class _PlantedRng:
@@ -210,16 +241,18 @@ def test_tied_chunk_is_drawn_replication_by_replication(plant, change, monkeypat
 
     monkeypatch.setattr(ex, "replication_rngs", rngs)
     config = cfg(**{"t": 20.0, **change})
-    got = ex.replication_samples(config, config.intensity(), range(4))
+    buffer, counts = ex.replication_samples(config, config.intensity(), range(4))
     assert drawn == [range(4)] * 2
     if config.model == "poisson":
         want = [pp.sample_poisson(W, 20.0, _PlantedRng(r, plant)) for r in range(4)]
     else:
         want = [pp.sample_binomial(W, 20, _PlantedRng(r, plant)) for r in range(4)]
-    for sample, reference in zip(got, want):
-        assert sample.n_points >= 2
-        assert sample.points.tobytes() == reference.points.tobytes()
-        assert np.unique(sample.points, axis=0).shape == sample.points.shape
+    assert counts == [reference.n_points for reference in want]
+    samples = np.split(buffer, np.cumsum(counts)[:-1])
+    for points, reference in zip(samples, want):
+        assert len(points) >= 2
+        assert points.tobytes() == reference.points.tobytes()
+        assert np.unique(points, axis=0).shape == points.shape
 
 
 _SIDES = st.sampled_from([0.3, 1.7, 1e-3, 0.77, 2.5])
@@ -235,24 +268,24 @@ def test_property_chunk_samples_are_sample_poissons(d, sides, points, binomial, 
                                                     count, seed, stream, batch):
     # a chunk's samples are sample_poisson's (or sample_binomial's) from each
     # replication's own generator, bit for bit, at any box sides and any first
-    # replication; a box chunk's samples are views of one scaled buffer
+    # replication, each replication's rows of one buffer after the rows before it
     window = ConvexWindow.ball(sides[0], d) if ball else ConvexWindow.box(tuple(sides[:d]))
     model = dict(n=max(1, round(points))) if binomial else dict(t=points / window.volume)
     config = ex.ExperimentConfig(window=window, alphas=(1.0,), kind="simulate", replications=2,
                                  master_seed=seed, delta=1e-3, **model)
     chunk = range(first, first + count)
-    got = ex.replication_samples(config, config.intensity(), chunk, stream=stream, batch=batch)
-    assert len(got) == count
-    for r, sample in zip(chunk, got):
+    buffer, counts = ex.replication_samples(config, config.intensity(), chunk, stream=stream,
+                                            batch=batch)
+    assert len(counts) == count
+    assert buffer.shape == (sum(counts), d) and buffer.flags.c_contiguous
+    stop = 0
+    for r, n in zip(chunk, counts):
         rng = pp.replication_rng(seed, r, stream, batch)
         want = (pp.sample_binomial(window, config.n, rng) if binomial
                 else pp.sample_poisson(window, config.t, rng))
-        assert sample.points.shape == want.points.shape
-        assert sample.points.tobytes() == want.points.tobytes()
-    if not ball:  # two samples' views do not overlap, so each is checked against the buffer
-        buffer = got[0].points.base
-        assert buffer is not None and buffer.shape == (sum(s.n_points for s in got), d)
-        assert all(np.shares_memory(s.points, buffer) for s in got if s.n_points)
+        start, stop = stop, stop + n
+        assert buffer[start:stop].shape == want.points.shape
+        assert buffer[start:stop].tobytes() == want.points.tobytes()
 
 
 _FAULTS_PER_REPLICATION = """
@@ -304,6 +337,19 @@ def test_threaded_runs_leave_malloc_thresholds(monkeypatch):
 
     monkeypatch.setattr(ex, "_keep_freed_heap", pinned)
     assert ex.run_replications(cfg(n_jobs=2, replications=4), _powers_points_degree).shape == (4, 4)
+
+
+@pytest.mark.parametrize("reps,chunk", [(200, 40), (3, 1)])
+def test_length_powers_are_length_powers_of_each_replication(reps, chunk):
+    # each row is length_power of the replication's own build_edges, bit for bit,
+    # whether its chunk is built on the grid or on its own kd-tree
+    alphas = (0.0, 1.0, 2.0, 0.5, -0.3, 1.7)
+    config = cfg(replications=reps, alphas=alphas)
+    assert ex._chunk_size(config, 100.0, 0.05, reps) == chunk
+    rows = ex._length_powers(config)
+    for r in range(reps):
+        sample = pp.sample_poisson(W, 100.0, pp.replication_rng(config.master_seed, r))
+        assert rows[r].tobytes() == gg.length_power(gg.build_edges(sample, 0.05), alphas).tobytes()
 
 
 def test_run_replications_mean_matches_oracle():
@@ -498,7 +544,8 @@ def test_replications_csv_format():
     assert first[0] == "0" and first[1] == "0.0"
     assert len(first) == 10
     # every column is read back from replication 0 itself
-    sample, = ex.replication_samples(cfg(), 100.0, range(1))
+    points, _ = ex.replication_samples(cfg(), 100.0, range(1))
+    sample = pp.PointSample(points=points)
     edges = gg.build_edges(sample, 0.05)
     assert float(first[2]) == gg.length_power(edges, (0.0,))[0]
     assert (int(first[3]), int(first[4])) == (sample.n_points, gg.max_degree(edges))
@@ -516,7 +563,8 @@ def test_csv_blocks_change_no_byte(monkeypatch, block):
         one_shot = "\n".join(["a,b,c", *(",".join(map(repr, row)) for row in rows[:n])]) + "\n"
         assert ex.to_csv("a,b,c", *([row[c] for row in rows[:n]] for c in range(3))) == one_shot
     assert ex.simulate(cfg(replications=2, kind="simulate"), edges=True) == (table, dump)
-    edges = gg.build_edges(ex.replication_samples(cfg(), 100.0, range(1))[0], 0.05)
+    points, _ = ex.replication_samples(cfg(), 100.0, range(1))
+    edges = gg.build_edges(pp.PointSample(points=points), 0.05)
     assert 7 < edges.n_edges
     assert dump == "\n".join(["i,j,length", *(f"{i!r},{j!r},{length!r}" for i, j, length in zip(
         edges.i.tolist(), edges.j.tolist(), edges.lengths.tolist()))]) + "\n"

@@ -175,12 +175,16 @@ def chunks(draw):
                 0.487252358377654))
 def test_property_batch_equals_oracle_per_sample(chunk):
     samples, delta = chunk
+    points = np.concatenate([s.points for s in samples])  # the chunk's one buffer
     with np.errstate(over="raise", divide="raise", invalid="raise"):  # as cli.main runs
-        batch = gg.build_edges_batch(samples, delta)
+        batch = gg.build_edges_batch(points, [s.n_points for s in samples], delta)
         oracle = [gg.build_edges_bruteforce(s, delta) for s in samples]
-    assert len(batch) == len(samples)
-    for sample, got, want in zip(samples, batch, oracle):
-        assert got.sample is sample
+    assert batch.points is points and len(batch.bounds) == len(samples) + 1
+    assert batch.i.dtype == batch.j.dtype == np.int64
+    for k, (sample, want) in enumerate(zip(samples, oracle)):
+        got = batch.edge_set(k)
+        assert np.shares_memory(got.sample.points, points) or not sample.n_points
+        assert got.sample.points.tobytes() == sample.points.tobytes()
         assert got.i.dtype == got.j.dtype == np.int64
         assert edgesets_identical(got, want) and got.lengths.tobytes() == want.lengths.tobytes()
 
@@ -191,16 +195,17 @@ def test_batch_grid_stays_small_at_extreme_delta(d, delta):
     # the cap keeps the cast finite and the cell-start table about 4 per point
     window = geo.ConvexWindow.box((1e100, 1e-100, 1.0)[:d])
     samples = [pp.sample_binomial(window, 300, pp.replication_rng(8, r)) for r in range(8)]
+    points = np.concatenate([s.points for s in samples])
     tracemalloc.start()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            batch = gg.build_edges_batch(samples, delta)
+            batch = gg.build_edges_batch(points, [300] * 8, delta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1000 * 2400  # bytes; 2400 points
-    for sample, got in zip(samples, batch):
-        assert edgesets_identical(got, gg.build_edges(sample, delta))
+    for k, sample in enumerate(samples):
+        assert edgesets_identical(batch.edge_set(k), gg.build_edges(sample, delta))
 
 
 @settings(max_examples=200)
