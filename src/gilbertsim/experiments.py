@@ -73,13 +73,17 @@ EDGE_BUDGET = 2e7
 # 129 B (box) and 144 B (ball) in d = 7 (peak RSS of `simulate`, 2e6 points).
 # So the cap is 0.5-1.4 GB, and it keeps t V below numpy's Poisson limit.
 POINT_BUDGET = 1e7
-# Runs of small, sparse replications are built a chunk of about _CHUNK_POINTS
-# points at a time (_chunk_size): at 200 points and degree 1.6 in d = 2 a
-# replication's edges take about 46 us that way and 105 us on its own kd-tree.
-# Larger or denser replications gain less or lose (the table is in CHANGES.md).
-_BATCH_POINTS = 2000
+# Runs of sparse replications are built on build_edges_batch's grid, a chunk of
+# about _CHUNK_POINTS points at a time (_chunk_size). A replication's edges take,
+# on the grid and on its own kd-tree (serial, d = 2): 20 and 80 us at 200 points
+# of degree 1.6 (chunks of 61), 0.68 and 1.8 ms at 5,000 points of degree pi, and
+# 2.8 and 5.7 ms at 12,288 points of degree 7.9. Dense replications are faster
+# on their own kd-trees (ROADMAP, Settled). A chunk of 16,384 points peaked
+# above test_a_chunk_peaks_below_8_mb's 8 MiB in d = 3.
 _BATCH_DEGREE = (8.0, 8.0, 4.0)  # by d = 1, 2, 3; no run in d >= 4 is chunked
-_CHUNK_POINTS = 4096
+_CHUNK_POINTS = 12288
+# The fewest points a chunked run expects in all, and the most replications in a chunk.
+_RUN_FLOOR = 4096
 # Worker threads a run may start, one per replication in flight.
 MAX_JOBS = 64
 # Rows of a CSV file converted and joined at a time.
@@ -238,30 +242,31 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
     Replication r is a pure function of (master_seed, stream, batch, r), so the
     rows are the same whether they run serially or on n_jobs threads; each
     thread keeps the caller's numpy floating-point error handling. A chunk
-    (_chunk_size, one replication or more) draws its points with
-    replication_samples. A run of small, sparse replications builds its edges
-    a chunk at a time with build_edges_batch, each replication's as
-    build_edges builds them, bit for bit; any other run calls build_edges once
-    per replication, its one EdgeSet's arrays the chunk's. The threads take
-    whole chunks, and each block is copied into the output as it comes.
+    draws its points with replication_samples. A run of sparse replications
+    (_chunk_size) builds its edges a chunk of one replication or more at a time
+    with build_edges_batch, each replication's as build_edges builds them, bit
+    for bit; any other run is a chunk per replication that calls build_edges,
+    its one EdgeSet's arrays the chunk's. The threads take whole chunks, and
+    each block is copied into the output as it comes.
     """
     if config.n_jobs == 1:
         _keep_freed_heap()
     intensity = t if t is not None else config.intensity()
     dlt = config.delta_for(float(intensity))
     n_reps = int(reps if reps is not None else config.replications)
-    size = _chunk_size(config, float(intensity), dlt, n_reps)
+    size = _chunk_size(config, float(intensity), dlt, n_reps)  # 0: a kd-tree per replication
+    step = size or 1
 
     def rows(first: int) -> np.ndarray:
-        chunk = range(first, min(first + size, n_reps))
+        chunk = range(first, min(first + step, n_reps))
         points, counts = replication_samples(config, intensity, chunk, stream=stream, batch=batch)
-        if size > 1:
+        if size:
             return reduce(chunk, build_edges_batch(points, counts, dlt))
         one = build_edges(PointSample(points=points), dlt)
         return reduce(chunk, EdgeChunk(points, [0, len(points)], one.i, one.j, one.lengths,
                                        [0, one.n_edges]))
 
-    firsts = range(0, n_reps, size)
+    firsts = range(0, n_reps, step)
 
     def stacked(blocks):
         out = None
@@ -280,24 +285,25 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
 
 def _chunk_size(config: ExperimentConfig, intensity: float, delta: float, n_reps: int) -> int:
-    """Replications per chunk: about _CHUNK_POINTS points' worth (2 or more
-    while _BATCH_POINTS is at most half of _CHUNK_POINTS, and never 0) but at
-    most _CHUNK_POINTS replications for a run built a chunk at a time, else 1
-    (build_edges per replication).
+    """Replications per chunk of a run built on build_edges_batch's grid, or 0
+    for a run that calls build_edges once per replication.
 
-    A run is chunked if it is in d <= 3, its replications expect at most
-    _BATCH_POINTS points (t V, or n) and each point at most _BATCH_DEGREE[d - 1]
-    neighbours (t kappa_d delta^d), and it expects at least a chunk's worth
-    of points in all, counting each replication as at least one point.
+    A run goes on the grid if it is in d <= 3, each replication expects at most
+    _CHUNK_POINTS points (t V, or n) and each point at most _BATCH_DEGREE[d - 1]
+    neighbours (t kappa_d delta^d), and the run expects at least _RUN_FLOOR
+    points in all. A chunk then holds about _CHUNK_POINTS points' worth of
+    replications, one or more but at most _RUN_FLOOR; in both counts each
+    replication counts as at least one point.
     """
     d = config.window.dim
     volume = config.window.volume
     points = intensity * volume if config.model == "poisson" else intensity
-    if not (d <= len(_BATCH_DEGREE) and points <= _BATCH_POINTS
-            and max(points, 1.0) * n_reps >= _CHUNK_POINTS
+    counted = max(points, 1.0)
+    if not (d <= len(_BATCH_DEGREE) and counted <= _CHUNK_POINTS
+            and counted * n_reps >= _RUN_FLOOR
             and points / volume * unit_ball_volume(d) * delta**d <= _BATCH_DEGREE[d - 1]):
-        return 1
-    return min(_CHUNK_POINTS, max(1, int(_CHUNK_POINTS // points)))
+        return 0
+    return min(_RUN_FLOOR, int(_CHUNK_POINTS // counted))
 
 
 def _length_powers(config: ExperimentConfig, **kwargs) -> np.ndarray:
@@ -476,7 +482,7 @@ def simulate(config: ExperimentConfig, edges: bool = False) -> tuple[str, str | 
             edge_set = chunk.edge_set(k)
             if r == 0 and edges:
                 first.append(edge_set)
-            block[k, :, 1:3] = edge_set.sample.n_points, max_degree(edge_set)
+            block[k, :, 1:3] = chunk.offsets[k + 1] - chunk.offsets[k], max_degree(edge_set)
         for a, alpha in enumerate(config.alphas):  # one alpha's powers alive at a time
             for k, own in enumerate(chunk.stretches(chunk.lengths**alpha)):
                 block[k, a, 0] = np.add.reduce(own)  # length_power's L
@@ -1040,12 +1046,12 @@ def _check_row(config: ExperimentConfig) -> None:
     # of the config, at most EDGE_BUDGET edges (E[edges] <= t^2 kappa_d delta^d V / 2,
     # as g_W <= V; checked first) and POINT_BUDGET points (t V, or n). A run built a
     # chunk at a time (_chunk_size) has n_jobs chunks in flight instead, each of at
-    # most _CHUNK_POINTS replications that expect at most _CHUNK_POINTS points in all
+    # most _RUN_FLOOR replications that expect at most _CHUNK_POINTS points in all
     # and _BATCH_DEGREE[d - 1] / 2 edges per point. A chunk's points, edges and rows
-    # peak at 0.9-2.8 MB, the most at 2,000 points per replication in d = 3
-    # (tracemalloc over run_replications, d = 1-3, 0.001 to 2,000 points per
-    # replication, with the length powers or every replication's own EdgeSet),
-    # far inside both.
+    # peak at 0.9-6.3 MB, the most at one replication of 12,288 points in d = 3
+    # at degree 4 (tracemalloc over run_replications, d = 1-3, 0.001 to 12,288
+    # points per replication, with the length powers or every replication's own
+    # EdgeSet), far inside both.
     window, in_flight = config.window, min(config.n_jobs, config.replications)
     for value in [v for v in (single, *grid) if v is not None]:
         t = value if name == "t" else value / window.volume

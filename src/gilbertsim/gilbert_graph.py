@@ -7,8 +7,8 @@ radius widened by a relative 1e-12 (query_pairs), and an exact re-filter
 keeps those whose canonical length is <= delta. build_edges_batch takes a
 chunk of samples as one (n, d) points buffer and each sample's point count,
 and lists candidates from one numpy cell grid over all of them, which saves
-scipy's fixed cost per sample: it is the faster of the two for many small,
-sparse samples, and the kd-tree for large or dense ones
+scipy's fixed cost per sample: it is the faster of the two on sparse samples,
+one large sample or many small ones, and the kd-tree on dense ones
 (experiments.run_replications picks). It returns an EdgeChunk, the chunk's
 edges in flat arrays with each sample's edges one stretch of them; a sample's
 own EdgeSet, numbered from its first point, is made only when asked for
@@ -211,14 +211,16 @@ def build_edges_batch(points: np.ndarray, counts: list[int], delta: float) -> Ed
         ids *= cells[-1]
         ids += ((c - lo) / side).astype(np.int64)
     table = len(counts) * math.prod(cells)
+    starts = np.zeros(table + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=table), out=starts[1:])
     key = np.multiply(ids, n, dtype=np.int32 if table * n <= _INT32_MAX else np.int64)
+    del ids  # each table is freed once read, before the candidates' distances are taken
     key += np.arange(n, dtype=key.dtype)
     key.sort()
     cell = (key // n).astype(np.int64)  # the sorted points' cell ids
     order = key.astype(np.int64)
+    del key
     order -= cell * n  # the sorted points' indices
-    starts = np.zeros(table + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=table), out=starts[1:])
 
     runs = _forward_runs(cells)
     begin = np.empty((len(runs), n), dtype=np.int64)
@@ -228,12 +230,18 @@ def build_edges_batch(points: np.ndarray, counts: list[int], delta: float) -> Ed
         if r:
             starts.take(cell + first, out=begin[r])
         starts.take(cell + last + 1, out=end[r])
+    del cell, starts
     width = (end - begin).ravel()
+    del end
     before = np.cumsum(width)
     total = int(before[-1])
     before -= width
     a = np.repeat(np.tile(order, len(runs)), width)
-    b = order.take(np.arange(total) + np.repeat(begin.ravel() - before, width))
+    at = np.repeat(begin.ravel() - before, width)  # each candidate's place in the sorted points
+    del begin, before, width
+    at += np.arange(total)
+    b = order.take(at)
+    del at
     kept = np.flatnonzero(_pair_distance(columns.T, a, b) <= delta)
     pairs = np.empty((kept.size, 2), dtype=np.int64)
     a, b = a.take(kept), b.take(kept)

@@ -1385,16 +1385,16 @@ def test_edges_out_reuses_replication_zero(tmp_path, monkeypatch):
 
 
 def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
-    # 50 replications of about 100 points are built in chunks of 40; the dump is
-    # replication 0's EdgeSet from the first chunk, whose i, j and lengths are views
-    # of that chunk's arrays: it keeps 24 B for each of the chunk's ~3,000 edges
+    # 50 replications of about 100 points are built in one chunk; the dump is
+    # replication 0's EdgeSet from it, whose i, j and lengths are views of that
+    # chunk's arrays: it keeps 24 B for each of the chunk's ~3,500 edges
     chunks = _spy_on_batches(monkeypatch)
     monkeypatch.setattr(experiments, "build_edges", None)  # never called on this path
     edges = tmp_path / "edges.csv"
     assert cli.main(["simulate", "--window", "box:1x1", "--t", "100", "--delta", "0.07",
                      "--alpha", "0,1", "--reps", "50", "--seed", "5",
                      "--out", str(tmp_path / "reps.csv"), "--edges-out", str(edges)]) == 0
-    assert chunks == [40, 10]
+    assert chunks == [50]
     config = experiments.ExperimentConfig(window=geometry.ConvexWindow.box((1.0, 1.0)),
                                           alphas=(0.0, 1.0), kind="simulate", replications=50,
                                           master_seed=5, t=100.0, delta=0.07)
@@ -1405,12 +1405,19 @@ def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
 
 
 # VmHWM, the peak RSS of this process image in KiB: ru_maxrss would count the RSS of
-# the process that started it (the test runner's, often larger than the run's own)
-_PEAK_RSS = """import sys
+# the process that started it (the test runner's, often larger than the run's own).
+# VmHWM only rises, so one interpreter makes each run in turn and reads it after each
+_PEAKS_AFTER_EACH = """import json, sys
 from gilbertsim import cli
-assert cli.main(sys.argv[1:]) == 0
-with open("/proc/self/status") as status:
-    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))"""
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))"""
+
+
+def _peaks_after_each(*runs: list[str]) -> list[int]:
+    """VmHWM in KiB after each of the CLI runs, made in turn in one fresh interpreter."""
+    return [int(v) for v in run_fresh_python(_PEAKS_AFTER_EACH, json.dumps(runs)).split()]
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -1418,33 +1425,15 @@ with open("/proc/self/status") as status:
 def test_edge_dump_peak_rss_per_edge(tmp_path):
     # the dump is laid out one block of 2^13 rows at a time: 870,302 edges add about
     # 42 B each to the run's peak RSS (a one-shot layout added about 196 B), and
-    # 78,509 edges about 71 B (blocks of 2^16 rows added about 173 B)
+    # 78,509 edges about 78 B (blocks of 2^16 rows added about 181 B)
     for t, at_least in (("5000", 800_000), ("1500", 70_000)):
         argv = ["simulate", "--window", "box:1x1", "--t", t, "--delta", "0.16", "--alpha", "1",
                 "--reps", "2", "--seed", "3", "--out", os.devnull]
         edges = tmp_path / f"edges_{t}.csv"
-        without = int(run_fresh_python(_PEAK_RSS, *argv))
-        with_dump = int(run_fresh_python(_PEAK_RSS, *argv, "--edges-out", str(edges)))
+        without, with_dump = _peaks_after_each(argv, argv + ["--edges-out", str(edges)])
         n_edges = edges.read_text().count("\n") - 1
         assert n_edges > at_least
         assert (with_dump - without) * 1024 <= 100 * n_edges, t
-
-
-# VmHWM only rises, so one interpreter runs the small case, reads it, then runs
-# the large case and reads it again
-_PEAKS_AFTER_EACH = """import sys
-from gilbertsim import cli
-argv, runs = sys.argv[1:-2], sys.argv[-2:]
-for reps in runs:
-    assert cli.main(argv + ["--reps", reps]) == 0
-    with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))"""
-
-
-def _peaks_after_each(argv: list[str], small: int, large: int) -> list[int]:
-    """VmHWM in KiB after a run at `small` replications, then after one at `large`."""
-    return [int(v) for v in run_fresh_python(_PEAKS_AFTER_EACH, *argv, str(small),
-                                             str(large)).split()]
 
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
@@ -1454,9 +1443,9 @@ def test_simulate_peak_rss_per_replication():
     # block of 2^13 rows at a time: from 10,000 to 40,000 replications at two
     # alphas (built in chunks) the run's peak RSS grows about 450 B per
     # replication (a Python tuple per row from one tolist() grew it about 1,450 B)
-    peaks = _peaks_after_each(["simulate", "--window", "box:1x1", "--t", "2", "--delta", "0.01",
-                               "--alpha", "0,1", "--seed", "1", "--out", os.devnull],
-                              10_000, 40_000)
+    argv = ["simulate", "--window", "box:1x1", "--t", "2", "--delta", "0.01", "--alpha", "0,1",
+            "--seed", "1", "--out", os.devnull]
+    peaks = _peaks_after_each(argv + ["--reps", "10000"], argv + ["--reps", "40000"])
     assert (peaks[1] - peaks[0]) * 1024 <= 800 * 30_000
 
 
@@ -1466,9 +1455,9 @@ def test_verify_peak_rss_per_replication():
     # each chunk's rows are copied into one array as the chunk finishes: from 20,000
     # to 80,000 replications (a 16 B row each) the run's peak RSS grows about 80 B per
     # replication (a numpy array per row until one final np.array grew it about 210 B)
-    peaks = _peaks_after_each(["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "3",
-                               "--delta", "0.05", "--alpha", "0,1", "--seed", "1",
-                               "--out", os.devnull], 20_000, 80_000)
+    argv = ["verify", "--kind", "Moments", "--window", "box:1x1", "--t", "3", "--delta", "0.05",
+            "--alpha", "0,1", "--seed", "1", "--out", os.devnull]
+    peaks = _peaks_after_each(argv + ["--reps", "20000"], argv + ["--reps", "80000"])
     assert (peaks[1] - peaks[0]) * 1024 <= 120 * 60_000
 
 
@@ -1739,11 +1728,11 @@ def _run_files(argv, directory, n_jobs) -> dict:
                "--n", "20", "--delta", "0.1", "--alpha", "0,1"])
 @example(argv=["verify", "--kind", "PPConditions", "--window", "box:1x1", "--reps", "2",
                "--seed", "0", "--schedule", "1,0.5", "--t-grid", "10,30", "--alpha", "1"])
-# 100 replications of about 60 points (Moments) and of 50 points (LDI's test
-# stream) are built in chunks of 68 and 81, on one thread or two
-@example(argv=["verify", "--kind", "Moments", "--window", "box:1x1", "--reps", "100",
+# 300 replications of about 60 points (Moments) and of 50 points (LDI's test
+# stream) are built in chunks of 204 and 245, on one thread or two
+@example(argv=["verify", "--kind", "Moments", "--window", "box:1x1", "--reps", "300",
                "--seed", "7", "--delta", "0.05", "--t", "60", "--alpha", "0,1"])
-@example(argv=["verify", "--kind", "LDI", "--window", "box:1x1", "--reps", "100", "--seed", "7",
+@example(argv=["verify", "--kind", "LDI", "--window", "box:1x1", "--reps", "300", "--seed", "7",
                "--n", "50", "--delta", "0.05", "--alpha", "0,1"])
 def test_property_every_kind_writes_the_same_bytes_serial_rerun_and_threaded(argv):
     # a config meeting its kind's rules runs (exit 0 or 1), and a rerun and a

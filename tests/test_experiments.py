@@ -113,10 +113,10 @@ def _powers_points_degree(reps, chunk):
 
 
 def test_run_replications_deterministic_and_parallel():
-    # 200 replications of about 100 points are built in chunks of 40; 20 of them
-    # (2,000 points in all, less than a chunk) and 40 of about 2,500 points are
-    # built one at a time
-    for reps, t, chunk in [(200, 100.0, 40), (20, 100.0, 1), (40, 2500.0, 1)]:
+    # 200 replications of about 100 points are built in chunks of 122; 20 of them
+    # (2,000 points in all, below the run floor) and 40 of about 2,500 points at
+    # degree 19.6 are built on a kd-tree each
+    for reps, t, chunk in [(200, 100.0, 122), (20, 100.0, 0), (40, 2500.0, 0)]:
         config = cfg(replications=reps, t=t)
         assert ex._chunk_size(config, t, 0.05, reps) == chunk
         rows_a = ex.run_replications(config, _powers_points_degree)
@@ -134,36 +134,50 @@ def test_run_replications_deterministic_and_parallel():
 
 
 @pytest.mark.parametrize("change,chunk", [
-    ({}, 20),  # verify_sparse: 200 points, degree 1.6
-    ({"t": 2000.0, "delta": 0.03}, 2),  # the most points per replication a chunk takes
-    ({"t": 2001.0, "delta": 0.03}, 1),
-    ({"t": 1000.0, "delta": 0.05}, 4),  # degree 7.9
-    ({"t": 1000.0, "delta": 0.051}, 1),  # degree 8.2
-    ({"replications": 20}, 1),  # 4,000 points in all, less than a chunk
-    ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.16}, 20),  # degree 3.4
-    ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.17}, 1),  # degree 4.1
-    ({"window": ex.ConvexWindow.box((1.0,) * 4), "delta": 0.01}, 1),  # d = 4
-    ({"t": None, "n": 200, "kind": "simulate"}, 20),  # binomial
-    ({"t": 0.01, "replications": 1_000_000}, 4096),  # at most _CHUNK_POINTS replications
-    # each replication counts as at least one point towards a chunk's worth
+    ({}, 61),  # verify_sparse: 200 points, degree 1.6
+    ({"t": 2000.0, "delta": 0.03}, 6),
+    ({"t": 2001.0, "delta": 0.03}, 6),
+    ({"t": 1000.0, "delta": 0.05}, 12),  # degree 7.9
+    ({"t": 1000.0, "delta": 0.051}, 0),  # degree 8.2
+    ({"replications": 20}, 0),  # 4,000 points in all, below the run floor
+    ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.16}, 61),  # degree 3.4
+    ({"window": ex.ConvexWindow.box((1.0,) * 3), "delta": 0.17}, 0),  # degree 4.1
+    ({"window": ex.ConvexWindow.box((1.0,) * 4), "delta": 0.01}, 0),  # d = 4
+    ({"t": None, "n": 200, "kind": "simulate"}, 61),  # binomial
+    ({"t": 0.01, "replications": 1_000_000}, 4096),  # at most _RUN_FLOOR replications
+    # each replication counts as at least one point, in a chunk and in the run
     ({"t": 0.001, "replications": 400_000}, 4096),
     ({"t": 0.5, "replications": 4096}, 4096),
-    ({"t": 0.5, "replications": 4095}, 1),
-    ({"replications": 3, "kind": "simulate"}, 1),  # 3 replications, 3 kd-trees
-    # with _BATCH_POINTS above _CHUNK_POINTS a chunked run's replications may
-    # expect more than a chunk's worth of points: one replication per chunk
-    ({"t": 5000.0, "delta": 0.01, "replications": 2, "_BATCH_POINTS": 8192}, 1),
+    ({"t": 0.5, "replications": 4095}, 0),
+    ({"replications": 3, "kind": "simulate"}, 0),  # 3 replications, 3 kd-trees
+    # a replication that expects more than half a chunk's worth of points is a
+    # chunk of its own, on the grid
+    ({"t": 10000.0, "delta": 0.01, "replications": 2}, 1),
+    # the most points a replication on the grid may expect, and one more
+    ({"t": float(ex._CHUNK_POINTS), "delta": 0.01, "replications": 2}, 1),
+    ({"t": float(ex._CHUNK_POINTS + 1), "delta": 0.01, "replications": 2}, 0),
+    # runs of 4,096 to 12,287 points in all: one chunk holds all their replications
+    ({"t": 256.0, "replications": 16}, 48),
+    ({"t": 100.0, "replications": 122}, 122),
+    # the degree cap, 8 in d = 1 and 2 and 4 in d = 3, at up to a chunk's worth of points
+    ({"t": 12288.0, "delta": 0.0143, "replications": 2}, 1),  # degree 7.9
+    ({"t": 12288.0, "delta": 0.0145, "replications": 2}, 0),  # degree 8.1
+    ({"window": ex.ConvexWindow.box((1.0,)), "delta": 0.0199}, 61),  # degree 7.96
+    ({"window": ex.ConvexWindow.box((1.0,)), "delta": 0.0201}, 0),  # degree 8.04
+    ({"window": ex.ConvexWindow.box((1.0,) * 3), "t": 12288.0, "delta": 0.0426,
+      "replications": 2}, 1),  # degree 3.98
+    ({"window": ex.ConvexWindow.box((1.0,) * 3), "t": 12288.0, "delta": 0.0428,
+      "replications": 2}, 0),  # degree 4.04
 ])
 def test_chunk_size_rule(change, chunk, monkeypatch):
-    change = dict(change)
-    if "_BATCH_POINTS" in change:
-        monkeypatch.setattr(ex, "_BATCH_POINTS", change.pop("_BATCH_POINTS"))
     config = cfg(**{"t": 200.0, "replications": 400, **change})
     t = config.intensity()
     assert ex._chunk_size(config, t, config.delta_for(t), config.replications) == chunk
-    if ex._BATCH_POINTS > ex._CHUNK_POINTS:  # a chunk of 0 replications would raise here
+    if chunk == 1:  # one replication per chunk, on the grid: no kd-tree is built
+        monkeypatch.setattr(ex, "build_edges", None)
         rows = ex.run_replications(config, _powers_points_degree)
-        assert rows.shape == (config.replications, 4) and (rows[:, 2] > 4096).all()
+        assert rows.shape == (config.replications, 4)
+        assert (rows[:, 2] > ex._CHUNK_POINTS / 2).all()
 
 
 @pytest.mark.parametrize("run", [
@@ -171,15 +185,22 @@ def test_chunk_size_rule(change, chunk, monkeypatch):
     ids=["length_powers", "edge_sets"])
 @pytest.mark.parametrize("change,chunk", [
     ({"t": 1.0, "replications": 4096}, 4096),  # 4,096 replications of about one point
-    ({"t": 200.0, "replications": 40}, 20),  # 20 x 200 points in d = 2
+    ({"t": 200.0, "replications": 40}, 61),  # 40 x 200 points in d = 2
     ({"t": 200.0, "replications": 40, "window": ConvexWindow.box((1.0,) * 3), "delta": 0.16},
-     20),  # the largest chunked d = 3 run of test_chunk_size_rule
+     61),  # 40 x 200 points in d = 3 at degree 3.4
+    # the largest chunks: one replication of about 12,288 points at the degree cap
+    ({"t": 12288.0, "replications": 2, "delta": 0.0143}, 1),  # d = 2, degree 7.9
+    ({"t": 12288.0, "replications": 2, "window": ConvexWindow.box((1.0,) * 3),
+      "delta": 0.0426}, 1),  # d = 3, degree 3.98
+    ({"t": 12288.0, "replications": 2, "window": ConvexWindow.box((1.0,)),
+      "delta": 3.25e-4}, 1),  # d = 1, degree 7.99
+    ({"t": 1000.0, "replications": 16}, 12),  # 16 x 1,000 points at degree 7.9
 ])
 def test_a_chunk_peaks_below_8_mb(change, chunk, run):
     # a chunk's points, edges and rows, traced over run_replications with the
     # length powers of six suites or with every replication's own EdgeSet (as
-    # simulate's reduction makes them): 0.9-2.8 MB over d = 1-3 and 0.001 to
-    # 2,000 points per replication
+    # simulate's reduction makes them): 0.9-6.3 MB over d = 1-3 and 0.001 to
+    # 12,288 points per replication, the most at 12,288 points in d = 3
     config = cfg(**change)
     assert ex._chunk_size(config, config.t, config.delta, config.replications) == chunk
     run(config)  # warm-up: the shared seed words' cache and numpy's first-call state
@@ -339,7 +360,7 @@ def test_threaded_runs_leave_malloc_thresholds(monkeypatch):
     assert ex.run_replications(cfg(n_jobs=2, replications=4), _powers_points_degree).shape == (4, 4)
 
 
-@pytest.mark.parametrize("reps,chunk", [(200, 40), (3, 1)])
+@pytest.mark.parametrize("reps,chunk", [(200, 122), (3, 0)])
 def test_length_powers_are_length_powers_of_each_replication(reps, chunk):
     # each row is length_power of the replication's own build_edges, bit for bit,
     # whether its chunk is built on the grid or on its own kd-tree
