@@ -4,8 +4,8 @@ Runs seeded replications of the Gilbert graph, estimates moments/tails/CDFs,
 and compares them against the closed-form theory at named tolerances. Every
 report is a pure function of (config, master_seed): replication r of stream s
 draws from the generator numpy's SeedSequence(master_seed, spawn_key=(s, batch,
-r)) seeds, bit for bit (point_process computes its state; numpy's SeedSequence
-is the tests' oracle), a chunk of replications at a time. A chunk stays flat
+r)) seeds, bit for bit, a chunk of replications at a time (point_process
+seeds and draws them; this module draws no random numbers itself). A chunk stays flat
 arrays from its draw to its block of reduced rows (one points buffer, the
 chunk's edges, each replication's stretch of them), and the blocks are copied
 into the output in replication order, so serial and parallel runs give
@@ -32,12 +32,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, TooFewReplicationsError
-from .geometry import (ConvexWindow, covariogram, sample_uniform,
-                       unit_ball_volume)
+from .geometry import ConvexWindow, covariogram, unit_ball_volume
 from .gilbert_graph import EdgeChunk, build_edges, build_edges_batch, max_degree
 from .point_process import (STREAM_PILOT, STREAM_REFERENCE, STREAM_SAMPLE,
-                            PointSample, replication_rng, replication_rngs,
-                            sample_binomial, sample_poisson)
+                            PointSample, replication_rng, replication_samples)
 from .theory_deviations import (LdiInput, ldi_bound, ldi_envelope,
                                 thermo_exponent)
 from .theory_limits import EdgeLengthProcessLimit
@@ -169,41 +167,6 @@ class ExperimentConfig:
         return out
 
 
-def replication_samples(config: ExperimentConfig, intensity: float, replications: range, *,
-                        stream: int = STREAM_SAMPLE, batch: int = 0
-                        ) -> tuple[np.ndarray, list[int]]:
-    """The points of consecutive replications in one (n, d) buffer, and each
-    replication's point count: replication r's rows are the points sample_poisson
-    (or sample_binomial) draws from replication_rng(seed, r, stream, batch), bit
-    for bit, after those of the replications before it.
-
-    Each replication draws its count and points once, a box's as
-    sample_uniform draws them. The draws are joined into the buffer (a lone
-    replication's draw is the buffer), a box's scaled by its sides once, in
-    place: IEEE multiplication is correctly rounded, so each product is
-    sample_uniform's. If two of the buffer's points share a first coordinate
-    (distinct first coordinates imply distinct points), the chunk is drawn
-    again through sample_poisson or sample_binomial, which redraw duplicate
-    points.
-    """
-    window, poisson = config.window, config.model == "poisson"
-    box, mean = window.kind == "box", float(intensity) * window.volume
-    draws = []
-    for rng in replication_rngs(config.master_seed, replications, stream, batch):
-        n = int(rng.poisson(mean)) if poisson else int(intensity)
-        draws.append(rng.random((n, window.dim)) if box else sample_uniform(window, rng, n))
-    buffer = draws[0] if len(draws) == 1 else np.concatenate(draws)
-    if box:
-        buffer *= np.asarray(window.sides)
-    first = np.sort(buffer[:, 0])
-    if (first[1:] == first[:-1]).any():
-        draws = [(sample_poisson(window, float(intensity), rng) if poisson
-                  else sample_binomial(window, int(intensity), rng)).points
-                 for rng in replication_rngs(config.master_seed, replications, stream, batch)]
-        buffer = draws[0] if len(draws) == 1 else np.concatenate(draws)
-    return buffer, [len(draw) for draw in draws]
-
-
 @functools.cache
 def _keep_freed_heap() -> None:
     """Pin glibc's malloc thresholds, once per process; elsewhere do nothing.
@@ -259,7 +222,8 @@ def run_replications(config: ExperimentConfig, reduce, *, t: float | None = None
 
     def rows(first: int) -> np.ndarray:
         chunk = range(first, min(first + step, n_reps))
-        points, counts = replication_samples(config, intensity, chunk, stream=stream, batch=batch)
+        points, counts = replication_samples(config.window, intensity, config.model,
+                                             config.master_seed, chunk, stream=stream, batch=batch)
         if size:
             return reduce(chunk, build_edges_batch(points, counts, dlt))
         one = build_edges(PointSample(points=points), dlt)

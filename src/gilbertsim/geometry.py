@@ -159,7 +159,7 @@ def sample_uniform(window: ConvexWindow, rng: np.random.Generator, n: int) -> np
     """n uniform points in the window, shape (n, dim).
 
     A box's points are rng.random((n, dim)) times its sides; a box chunk in
-    experiments.replication_samples is drawn and scaled the same way.
+    point_process.replication_samples is drawn and scaled the same way.
     """
     if window.kind == "box":
         return rng.random((n, window.dim)) * np.asarray(window.sides)

@@ -4,10 +4,11 @@ Replication r of stream s and batch b draws from a PCG64 generator in the
 state numpy's default_rng(SeedSequence(master_seed, spawn_key=(s, b, r)))
 gives it, bit for bit, so results are identical no matter how replications
 are scheduled across threads, and pilot runs never share randomness with test
-runs. The package computes that state itself (replication_rngs): the words a
-run's replications share are mixed once, each replication mixes in only its
-own, and one generator per chunk is reset to each state in turn. numpy's
-SeedSequence is the tests' oracle for it.
+runs. numpy's SeedSequence mixes the seed, stream and batch words a run's
+replications share, once (replication_rngs); the package mixes in each r's own
+words and sets PCG64's state from the pool, and one generator per chunk is
+reset to each state in turn. This is the only module that seeds or draws
+replications: replication_samples draws a chunk of them into one buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ STREAM_REFERENCE = 2
 # numpy's SeedSequence (numpy/random/bit_generator.pyx, fixed since numpy 1.17):
 # a pool of four 32-bit words mixes in the entropy words, then hashes out the
 # generator's state words. Hash step k xors a word with key k and multiplies it
-# by key k + 1, the keys running through INIT * MULT^k mod 2^32.
+# by key k + 1, the keys running through INIT * MULT^k mod 2^32. numpy's pool
+# holds the shared words; the steps below mix in r's and hash out the state.
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # keys of the mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # keys of the state words
@@ -60,16 +62,6 @@ def _word_keys(first: int, n_words: int) -> tuple[tuple, ...]:
                  for k in range(n_words))
 
 
-# Steps 0-3 hash the first four entropy words into the pool. Steps 4-15 mix
-# each pool word in turn into the three others; the words past the first four
-# follow.
-_FIRST_KEYS = _keys(_INIT_A, _MULT_A, 0, _POOL)
-_CROSS_KEYS = tuple(
-    tuple((dst, *pair) for dst, pair in zip(
-        [dst for dst in range(_POOL) if dst != src],
-        _keys(_INIT_A, _MULT_A, _POOL + (_POOL - 1) * src, _POOL - 1)))
-    for src in range(_POOL))
-_WORDS_STEP = _POOL * _POOL
 # the eight state words PCG64 asks for: pool word k % 4 under the k-th pair
 _STATE_KEYS = tuple((k % _POOL, *pair) for k, pair in enumerate(_keys(_INIT_B, _MULT_B, 0, 8)))
 
@@ -114,19 +106,11 @@ def _pcg64_state(pool: list[int]) -> dict:
 def _shared_pool(master_seed: int, stream: int, batch: int) -> tuple[tuple[int, ...], int]:
     """The pool once the words every replication of (master_seed, stream,
     batch) shares are mixed in, and the hash step a replication's own words
-    start at."""
-    seed = _words(master_seed)
-    # SeedSequence pads the seed to the pool's size before a spawn key
-    entropy = seed + [0] * (_POOL - len(seed)) + _words(stream) + _words(batch)
-    pool = []
-    for word, (x, m) in zip(entropy, _FIRST_KEYS):
-        value = (word ^ x) * m & _MASK32
-        pool.append(value ^ value >> 16)
-    for src, keys in enumerate(_CROSS_KEYS):
-        _mix_in(pool, [pool[src]], [keys])
-    tail = entropy[_POOL:]
-    _mix_in(pool, tail, _word_keys(_WORDS_STEP, len(tail)))
-    return tuple(pool), _WORDS_STEP + _POOL * len(tail)
+    start at: each entropy word takes four steps, and SeedSequence pads the
+    seed to the pool's size before a spawn key."""
+    pool = np.random.SeedSequence(master_seed, spawn_key=(stream, batch)).pool
+    n_words = max(len(_words(master_seed)), _POOL) + len(_words(stream)) + len(_words(batch))
+    return tuple(pool.tolist()), _POOL * n_words
 
 
 def replication_rngs(master_seed: int, replications, stream: int = STREAM_SAMPLE,
@@ -134,10 +118,11 @@ def replication_rngs(master_seed: int, replications, stream: int = STREAM_SAMPLE
     """For each replication r in turn, a generator in the state of
     default_rng(SeedSequence(master_seed, spawn_key=(stream, batch, r))).
 
-    The seed, stream and batch words are mixed once and kept (_shared_pool);
-    each r mixes in only its own words. One generator is yielded every time,
-    reset to the next replication's state, so draw from it before asking for
-    the next.
+    numpy's SeedSequence mixes the seed, stream and batch words once, and its
+    pool is kept (_shared_pool); each r's own words are mixed into a copy of it
+    and PCG64's state is set from the result. One generator is yielded every
+    time, reset to the next replication's state, so draw from it before asking
+    for the next.
     """
     pool, r_step = _shared_pool(int(master_seed), int(stream), int(batch))
     bit_generator = np.random.PCG64(0)  # its state is set for each replication
@@ -168,12 +153,18 @@ class PointSample:
         return self.points.shape[0]
 
 
+def _tied(points: np.ndarray) -> bool:
+    """Whether two points share a first coordinate: distinct first coordinates
+    imply distinct points."""
+    first = np.sort(points[:, 0])
+    return bool((first[1:] == first[:-1]).any())
+
+
 def _draw_distinct(window: ConvexWindow, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniform points, redrawing any exact float duplicates."""
     pts = sample_uniform(window, rng, n)
-    first = np.sort(pts[:, 0])
-    if not (first[1:] == first[:-1]).any():
-        return pts  # distinct first coordinates imply distinct rows
+    if not _tied(pts):
+        return pts
     while True:
         _, first_idx = np.unique(pts, axis=0, return_index=True)
         if first_idx.size == n:
@@ -197,3 +188,35 @@ def sample_binomial(window: ConvexWindow, n: int, rng: np.random.Generator) -> P
         raise ValueError("n must be >= 1")
     pts = _draw_distinct(window, int(n), rng)
     return PointSample(points=pts)
+
+
+def replication_samples(window: ConvexWindow, intensity: float, model: str, master_seed: int,
+                        replications: range, *, stream: int = STREAM_SAMPLE, batch: int = 0
+                        ) -> tuple[np.ndarray, list[int]]:
+    """The points of consecutive replications in one (n, d) buffer, and each
+    replication's point count: replication r's rows are the points sample_poisson
+    (model "poisson", t = intensity) or sample_binomial (n = intensity) draws
+    from replication_rng(master_seed, r, stream, batch), bit for bit, after
+    those of the replications before it.
+
+    Each replication draws its count and points once, a box's as
+    sample_uniform draws them. The draws are joined into the buffer (a lone
+    replication's draw is the buffer), a box's scaled by its sides once, in
+    place: IEEE multiplication is correctly rounded, so each product is
+    sample_uniform's. If two of the buffer's points share a first coordinate,
+    the chunk is drawn again through _draw_distinct, which redraws duplicate
+    points as sample_poisson and sample_binomial do.
+    """
+    poisson, box, mean = model == "poisson", window.kind == "box", float(intensity) * window.volume
+    draws = []
+    for rng in replication_rngs(master_seed, replications, stream, batch):
+        n = int(rng.poisson(mean)) if poisson else int(intensity)
+        draws.append(rng.random((n, window.dim)) if box else sample_uniform(window, rng, n))
+    buffer = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    if box:
+        buffer *= np.asarray(window.sides)
+    if _tied(buffer):
+        draws = [_draw_distinct(window, int(rng.poisson(mean)) if poisson else int(intensity), rng)
+                 for rng in replication_rngs(master_seed, replications, stream, batch)]
+        buffer = np.concatenate(draws)
+    return buffer, [len(draw) for draw in draws]

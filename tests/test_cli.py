@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gilbertsim import cli, experiments, geometry
 from gilbertsim import gilbert_graph as gg
 from gilbertsim.errors import ConfigError
-from gilbertsim.point_process import PointSample
+from gilbertsim.point_process import PointSample, replication_samples
 from gilbertsim.theory_moments import RegimeSchedule
 
 
@@ -1398,7 +1398,7 @@ def test_edges_out_on_the_batch_path(tmp_path, monkeypatch):
     config = experiments.ExperimentConfig(window=geometry.ConvexWindow.box((1.0, 1.0)),
                                           alphas=(0.0, 1.0), kind="simulate", replications=50,
                                           master_seed=5, t=100.0, delta=0.07)
-    points, _ = experiments.replication_samples(config, 100.0, range(1))
+    points, _ = replication_samples(config.window, 100.0, config.model, 5, range(1))
     want = gg.build_edges(PointSample(points=points), 0.07)
     assert want.n_edges > 0
     assert edges.read_text() == experiments.to_csv("i,j,length", want.i, want.j, want.lengths)
@@ -1793,14 +1793,17 @@ def _verify(kind, *args):
                "--t", "0.01", "--alpha", "0,1"], 2))
 @example(run=(["simulate", "--window", "box:1x1", "--reps", "3", "--seed", "0", "--delta", "0.3",
                "--n", "1", "--alpha", "0,1"], 2))
+# above the 4,096-point run floor, where the program's own choice is the grid
+@example(run=(["simulate", "--window", "box:1x1", "--reps", "150", "--seed", "7", "--delta", "0.1",
+               "--t", "30", "--alpha", "0,1"], 40))
 def test_property_bytes_do_not_depend_on_the_neighbour_search_path(run):
     # every file a run writes is the same whether each replication's edges come
     # from its own kd-tree or its own grid, from chunks of any size (some not
     # dividing the run) or of the program's choice, serially or on 2 threads
     argv, size = run
     paths = {"own": {"_chunk_size": experiments._chunk_size},
-             "kd_tree": {"_chunk_size": lambda *args: 1},
-             "grid": {"_chunk_size": lambda *args: 1, "build_edges": _grid_alone},
+             "kd_tree": {"_chunk_size": lambda *args: 0},
+             "grid": {"_chunk_size": lambda *args: 0, "build_edges": _grid_alone},
              "chunks": {"_chunk_size": lambda *args: size}}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -260,9 +260,10 @@ def test_tied_chunk_is_drawn_replication_by_replication(plant, change, monkeypat
         drawn.append(replications)
         return (_PlantedRng(r, plant) for r in replications)
 
-    monkeypatch.setattr(ex, "replication_rngs", rngs)
+    monkeypatch.setattr(pp, "replication_rngs", rngs)
     config = cfg(**{"t": 20.0, **change})
-    buffer, counts = ex.replication_samples(config, config.intensity(), range(4))
+    buffer, counts = pp.replication_samples(config.window, config.intensity(), config.model,
+                                            config.master_seed, range(4))
     assert drawn == [range(4)] * 2
     if config.model == "poisson":
         want = [pp.sample_poisson(W, 20.0, _PlantedRng(r, plant)) for r in range(4)]
@@ -295,8 +296,8 @@ def test_property_chunk_samples_are_sample_poissons(d, sides, points, binomial, 
     config = ex.ExperimentConfig(window=window, alphas=(1.0,), kind="simulate", replications=2,
                                  master_seed=seed, delta=1e-3, **model)
     chunk = range(first, first + count)
-    buffer, counts = ex.replication_samples(config, config.intensity(), chunk, stream=stream,
-                                            batch=batch)
+    buffer, counts = pp.replication_samples(window, config.intensity(), config.model, seed,
+                                            chunk, stream=stream, batch=batch)
     assert len(counts) == count
     assert buffer.shape == (sum(counts), d) and buffer.flags.c_contiguous
     stop = 0
@@ -565,7 +566,7 @@ def test_replications_csv_format():
     assert first[0] == "0" and first[1] == "0.0"
     assert len(first) == 10
     # every column is read back from replication 0 itself
-    points, _ = ex.replication_samples(cfg(), 100.0, range(1))
+    points, _ = pp.replication_samples(W, 100.0, "poisson", 7, range(1))
     sample = pp.PointSample(points=points)
     edges = gg.build_edges(sample, 0.05)
     assert float(first[2]) == gg.length_power(edges, (0.0,))[0]
@@ -584,7 +585,7 @@ def test_csv_blocks_change_no_byte(monkeypatch, block):
         one_shot = "\n".join(["a,b,c", *(",".join(map(repr, row)) for row in rows[:n])]) + "\n"
         assert ex.to_csv("a,b,c", *([row[c] for row in rows[:n]] for c in range(3))) == one_shot
     assert ex.simulate(cfg(replications=2, kind="simulate"), edges=True) == (table, dump)
-    points, _ = ex.replication_samples(cfg(), 100.0, range(1))
+    points, _ = pp.replication_samples(W, 100.0, "poisson", 7, range(1))
     edges = gg.build_edges(pp.PointSample(points=points), 0.05)
     assert 7 < edges.n_edges
     assert dump == "\n".join(["i,j,length", *(f"{i!r},{j!r},{length!r}" for i, j, length in zip(

@@ -1,10 +1,12 @@
 """No module of the package imports a name it never uses (pyflakes' F401, without pyflakes)
 or another module's private name, no module-level def or class is there for the tests
-alone, no cache grows with the input, and no module calls json.dump(s)."""
+alone, no cache grows with the input, no module calls json.dump(s), and only
+point_process seeds a generator, while experiments and cli draw no random numbers."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gilbertsim
@@ -172,3 +174,48 @@ def test_json_dump_calls_are_found():
               "def g(x):\n    return json.loads(x), loads(x), encode_basestring_ascii(x)\n"
               "def h(pickle, x):\n    return pickle.dumps(x)\n")
     assert json_dump_calls(source) == ["json.dump (line 6)", "j.dumps (line 7)", "d (line 7)"]
+
+
+# what builds a numpy generator or seed sequence, and the methods of a generator that draw
+SEEDING = frozenset({"SeedSequence", "PCG64", "Generator", "default_rng", "spawn"})
+DRAWS = frozenset(name for name in dir(np.random.Generator)
+                  if not name.startswith("_")) - {"bit_generator", "spawn"}
+
+
+def calls_of(source: str, names) -> list[str]:
+    """The imports and calls (name and line) of a function or method in names,
+    under whatever name it is imported as."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in names]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in names:
+                found.append((node.lineno, name))
+    return [f"{name} (line {lineno})" for lineno, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.stem != "point_process"), ids=lambda p: p.name)
+def test_only_point_process_seeds_generators(path):
+    assert calls_of(path.read_text(encoding="utf-8"), SEEDING) == []
+
+
+@pytest.mark.parametrize("module", ["experiments", "cli"])
+def test_experiments_and_cli_draw_no_random_numbers(module):
+    assert calls_of((PACKAGE / f"{module}.py").read_text(encoding="utf-8"), DRAWS) == []
+
+
+def test_seeding_and_draw_calls_are_found():
+    source = ("import numpy as np\nfrom numpy.random import default_rng as make, Generator\n"
+              "def f(seed, rng: np.random.Generator, config):\n"
+              "    g = np.random.Generator(np.random.PCG64(seed))\n"
+              "    h = make(np.random.SeedSequence(seed).spawn(1)[0])\n"
+              "    a = config.schedule.gamma, rng.bit_generator.state, np.sort(a)\n"
+              "    return rng.poisson(3.0), g.random((2, 2)), h.standard_normal(2)\n")
+    assert calls_of(source, SEEDING) == [
+        "Generator (line 2)", "default_rng (line 2)", "Generator (line 4)", "PCG64 (line 4)",
+        "SeedSequence (line 5)", "spawn (line 5)"]
+    assert calls_of(source, DRAWS) == ["poisson (line 7)", "random (line 7)",
+                                       "standard_normal (line 7)"]
